@@ -3,8 +3,8 @@
 The package computes time-domain particle densities three ways: a
 discrete-ordinates solution of the trapped transport equation inverted
 numerically from the Laplace domain, a time-fractional diffusion
-approximation evaluated by direct quadrature, and the classical
-diffusion kernel as a baseline. A comparison harness drives all three
+approximation inverted from its closed-form Laplace transform on the
+same contour, and the classical diffusion kernel as a baseline. A comparison harness drives all three
 over shared scenarios and emits CSV tables and gnuplot scripts.
 """
 
@@ -12,13 +12,13 @@ from .errors import (CancellationError, DegenerateSpectrumError,
                      NumericFailureError, ProfileError, QuadratureError,
                      TransformUnavailableError)
 from .fde import (FdeParams, density, density_half, fourier_laplace,
-                  from_transport, normal_diffusion)
+                  from_transport, laplace_density_closed, normal_diffusion)
 from .fde import laplace_density as fde_laplace_density
 from .harness import (Scenario, SpatialGrid, SpatialProfile,
                       builtin_scenarios, emit_csv, emit_plot_script,
                       run_scenario, validate)
-from .ilt import (InversionConfig, de_map, de_map_derivative, invert,
-                  invert_reference)
+from .ilt import (InversionConfig, contour, de_map, de_map_derivative,
+                  invert, invert_reference)
 from .specfun import (QuadratureSet, gamma_real, gauss_legendre,
                       gen_exp_integral_scaled, mainardi,
                       mainardi_asymptotic, reciprocal_gamma, stable_density)
@@ -50,6 +50,7 @@ __all__ = [
     "ado_spectrum",
     "builtin_scenarios",
     "clear_spectrum_cache",
+    "contour",
     "de_map",
     "de_map_derivative",
     "density",
@@ -66,6 +67,7 @@ __all__ = [
     "gen_exp_integral_scaled",
     "invert",
     "invert_reference",
+    "laplace_density_closed",
     "mainardi",
     "mainardi_asymptotic",
     "normal_diffusion",

@@ -122,28 +122,7 @@ def _cmd_compare(args) -> int:
         sc = Scenario(label=sc.label, transport=sc.transport,
                       inversion=sc.inversion, times=sc.times, grid=sc.grid,
                       solvers=sc.solvers | needed, n_ordinates=sc.n_ordinates)
-    profiles = run_scenario(sc)
-    by_t = {}
-    for p in profiles:
-        by_t.setdefault(p.t, {})[p.solver] = p
-    lines = [("x_cm,u_rte,u_de,u_normal,t_min,scenario,"
-              "diff_rte_de,reldiff_rte_de")]
-    for t in sc.times:
-        group = by_t[t]
-        rte, de = group["RTE"], group["FDE"]
-        normal = group.get("NORMAL")
-        for i, (x, u_r) in enumerate(rte.points):
-            u_d = de.points[i][1]
-            u_n = normal.points[i][1] if normal else None
-            diff = u_r - u_d
-            rel = abs(diff) / abs(u_d) if u_d != 0.0 else float("inf")
-            lines.append(",".join([
-                f"{x:.9g}", f"{u_r:.9g}", f"{u_d:.9g}",
-                "" if u_n is None else f"{u_n:.9g}",
-                f"{t:.9g}", sc.label, f"{diff:.9g}", f"{rel:.9g}",
-            ]))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    emit_csv(run_scenario(sc), args.out, differences=True)
     print(f"{sc.label}: comparison -> {args.out}")
     return 0
 

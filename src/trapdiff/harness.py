@@ -6,6 +6,12 @@ times, the spatial grid, and which solvers to run. The six built-in
 scenarios cover the trapping-strength and trapping-scale variations at
 t = 10 and t = 100 minutes.
 
+RTE and FDE both invert on the nodes of `ilt.contour`: RTE one grid
+point at a time through `invert`, FDE as one closed-form (x, node)
+transform array reduced with the contour weights. `validate --level
+full` checks that FDE profile against the time-domain quadrature
+`fde.density_half`.
+
 Everything here is deliberately sequential and deterministic: the same
 scenario produces a bit-identical CSV on every run.
 """
@@ -14,11 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import fde, transport
 from .errors import ProfileError
-from .ilt import InversionConfig, de_map, invert, invert_reference
+from .ilt import InversionConfig, contour, de_map, invert, invert_reference
 from .specfun import gauss_legendre
 from .transport import TransportParams
 from .waiting import Family, WaitingTimeModel
@@ -37,6 +43,7 @@ __all__ = [
 SOLVER_ORDER = ("RTE", "FDE", "NORMAL")
 
 CSV_HEADER = "x_cm,u_rte,u_de,u_normal,t_min,scenario"
+DIFF_HEADER = ",diff_rte_de,reldiff_rte_de"
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,12 @@ class Scenario:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVER_ORDER}")
         if self.n_ordinates < 1:
             raise ValueError(f"need at least one ordinate, got {self.n_ordinates}")
+        tp = self.transport
+        if ("RTE" in self.solvers and tp.sigma_trap > 0.0
+                and not tp.waiting.has_exact_transform):
+            raise ValueError(
+                f"RTE needs the exact waiting-time transform, which the "
+                f"{tp.waiting.family.value} family lacks; use FDE or NORMAL")
 
     def fingerprint(self) -> str:
         """Stable hash of every physical and numerical parameter.
@@ -141,11 +154,8 @@ def _rte_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
     quadrature = gauss_legendre(sc.n_ordinates)
     cfg = sc.inversion
     # one spectrum factorization per contour node, shared by every x
-    h = math.pi / cfg.freq_scale
-    for j in range(-cfg.truncation, cfg.truncation + 1):
-        y = j * h + 0.5 * h
-        s_j = complex(cfg.contour_shift,
-                      cfg.freq_scale * de_map(y, cfg.steepness) / t)
+    s_nodes, _, _ = contour(t, cfg)
+    for s_j in s_nodes.tolist():
         try:
             transport.ado_spectrum(sc.transport, quadrature, s_j)
         except Exception as exc:
@@ -165,16 +175,26 @@ def _rte_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
     return tuple(pts)
 
 
+def _fde_values(p: fde.FdeParams, xs, t: float,
+                cfg: InversionConfig) -> list[float]:
+    """FDE densities at every x: the closed-form transform on the contour.
+
+    The rule runs at half the scenario's DE step over the same map
+    reach (twice the nodes). At the scenario's own step it leaves a
+    discretization error of ~2e-10 absolute at t = 10, which is too much
+    for the small tail values; the halved step brings it to roundoff.
+    """
+    fine = replace(cfg, freq_scale=2.0 * cfg.freq_scale,
+                   truncation=2 * cfg.truncation)
+    s_nodes, weights, prefactor = contour(t, fine)
+    transform = fde.laplace_density_closed(p, xs, s_nodes)
+    return (prefactor * (transform.real @ weights)).tolist()
+
+
 def _fde_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
+    xs = sc.grid.points()
     p = fde.from_transport(sc.transport)
-    pts = []
-    for x in sc.grid.points():
-        try:
-            pts.append((x, fde.density_half(p, x, t)))
-        except Exception as exc:
-            raise ProfileError(f"quadrature failed: {exc}",
-                               solver="FDE", x=x, t=t) from exc
-    return tuple(pts)
+    return tuple(zip(xs, _fde_values(p, xs, t, sc.inversion)))
 
 
 def _normal_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
@@ -224,20 +244,36 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.9g}"
 
 
-def emit_csv(profiles: list[SpatialProfile], path: str) -> None:
+def emit_csv(profiles: list[SpatialProfile], path: str,
+             differences: bool = False) -> None:
     """Write profiles as CSV: 9 significant digits, LF endings, one row
-    per grid point with empty cells for solvers that were not run."""
+    per grid point with empty cells for solvers that were not run.
+
+    differences=True appends diff_rte_de = u_rte - u_de and
+    reldiff_rte_de = |diff| / |u_de| (inf where u_de = 0); every row
+    then needs both an RTE and an FDE value.
+    """
     rows = _profile_table(profiles)
-    lines = [CSV_HEADER]
+    lines = [CSV_HEADER + (DIFF_HEADER if differences else "")]
     for scenario, t, x, cells in rows:
-        lines.append(",".join([
+        fields = [
             _fmt(x),
             _fmt(cells.get("RTE")),
             _fmt(cells.get("FDE")),
             _fmt(cells.get("NORMAL")),
             _fmt(t),
             scenario,
-        ]))
+        ]
+        if differences:
+            try:
+                u_r, u_d = cells["RTE"], cells["FDE"]
+            except KeyError as exc:
+                raise ValueError("difference columns need RTE and FDE "
+                                 f"profiles at t={t:g}") from exc
+            diff = u_r - u_d
+            rel = abs(diff) / abs(u_d) if u_d != 0.0 else math.inf
+            fields += [_fmt(diff), _fmt(rel)]
+        lines.append(",".join(fields))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -384,6 +420,15 @@ def validate(level: str = "fast",
         oracle = invert(lambda s: fde.laplace_density(p_fig, x, s), t, cfg)
         worst = max(worst, abs(direct - oracle) / abs(oracle))
     report.append(_check("fde.oracle_equivalence", worst, 1e-3))
+
+    # production FDE profile (closed-form transform on the contour) vs
+    # the time-domain quadrature, which shares no algebra with it
+    worst = 0.0
+    for (x, t) in ((0.0, 10.0), (1.0, 10.0), (5.0, 100.0)):
+        direct = fde.density_half(p_fig, x, t)
+        (closed,) = _fde_values(p_fig, [x], t, cfg)
+        worst = max(worst, abs(closed - direct) / abs(direct))
+    report.append(_check("fde.closed_form_vs_time_domain", worst, 1e-8))
 
     # inversion convergence: doubling the truncation must not move results
     wide = InversionConfig(contour_shift=cfg.contour_shift,

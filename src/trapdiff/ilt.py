@@ -9,6 +9,11 @@ a fixed-Talbot rule on a deformed contour; it converges faster per
 evaluation but probes the transform at complex s with negative real
 part. Agreement between the two is a strong end-to-end check precisely
 because they share nothing.
+
+`contour` is the single home of the double-exponential node formula.
+`invert` evaluates a scalar transform on it one node at a time; callers
+with a vectorised transform (the fractional-diffusion profile) evaluate
+a whole (x, node) array and reduce it with the same weights.
 """
 
 from __future__ import annotations
@@ -18,10 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import NumericFailureError
 
 __all__ = [
     "InversionConfig",
+    "contour",
     "de_map",
     "de_map_derivative",
     "invert",
@@ -87,15 +95,18 @@ def de_map_derivative(y: float, steepness: float) -> float:
     return (1.0 - y * k * math.cosh(y) * ratio) / denom
 
 
-def invert(transform: Callable[[complex], complex], t: float,
-           config: InversionConfig = InversionConfig()) -> float:
-    """Invert a Laplace transform at time t > 0.
+def contour(t: float, config: InversionConfig = InversionConfig()
+            ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes and weights of the double-exponential Bromwich rule at time t.
 
     Discretizes u(t) = (2 e^{sigma t} / pi) int_0^inf Re F(sigma + i w)
     cos(w t) dw with the double-exponential map w = (M/t) phi(y); the
     half-offset node layout places the saturated tail of the map on the
     zeros of the cosine, so truncation error falls off double
-    exponentially. Terms are accumulated in ascending node order.
+    exponentially. Nodes where the map has saturated below the underflow
+    floor (phi' == 0) carry no weight and are left out. Returns
+    (s_nodes, weights, prefactor) such that
+    u(t) = prefactor * sum_j weights[j] * Re F(s_nodes[j]).
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
@@ -103,24 +114,33 @@ def invert(transform: Callable[[complex], complex], t: float,
     m = config.freq_scale
     k = config.steepness
     h = math.pi / m
-    offset = 0.5 * h
-
-    total = 0.0
+    nodes, weights = [], []
     for j in range(-config.truncation, config.truncation + 1):
-        y = j * h + offset
+        y = j * h + 0.5 * h
         dphi = de_map_derivative(y, k)
         if dphi == 0.0:
-            continue  # map has saturated below the underflow floor
+            continue
         phi = de_map(y, k)
-        s_j = complex(sigma, m * phi / t)
+        nodes.append(complex(sigma, m * phi / t))
+        weights.append(math.cos(m * phi) * dphi)
+    return (np.array(nodes), np.array(weights),
+            2.0 * math.exp(sigma * t) / t)
+
+
+def invert(transform: Callable[[complex], complex], t: float,
+           config: InversionConfig = InversionConfig()) -> float:
+    """Invert a Laplace transform at time t > 0 on the `contour` rule."""
+    s_nodes, weights, prefactor = contour(t, config)
+    values = []
+    for j, s_j in enumerate(s_nodes.tolist()):
         value = transform(s_j)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise NumericFailureError(
                 "transform returned a non-finite value",
                 t=t, j=j, s=s_j,
             )
-        total += math.cos(m * phi) * value.real * dphi
-    return 2.0 * math.exp(sigma * t) / t * total
+        values.append(value.real)
+    return prefactor * float(np.dot(values, weights))
 
 
 def invert_reference(transform: Callable[[complex], complex], t: float,

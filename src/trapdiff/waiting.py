@@ -46,6 +46,11 @@ class WaitingTimeModel:
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
+    @property
+    def has_exact_transform(self) -> bool:
+        """Whether `laplace_pdf(mode="exact")` has a closed form."""
+        return self.family is Family.PARETO
+
     def pdf(self, tau: float) -> float:
         """Probability density of the waiting time at tau >= 0."""
         if tau < 0.0:
@@ -103,7 +108,7 @@ class WaitingTimeModel:
             return 1.0 - _principal_power(self.gamma * s, self.alpha)
         if mode != "exact":
             raise ValueError(f"unknown transform mode {mode!r}")
-        if self.family is not Family.PARETO:
+        if not self.has_exact_transform:
             raise TransformUnavailableError(
                 f"no closed-form Laplace transform for {self.family.value}"
             )

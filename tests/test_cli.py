@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from trapdiff import cli
+from trapdiff import cli, fde
 from trapdiff.errors import ProfileError
+from trapdiff.ilt import invert_reference
 
 
 def test_scenarios_lists_builtins(capsys):
@@ -122,6 +123,75 @@ def test_compare_adds_difference_columns(tmp_path):
         assert float(cols[6]) == pytest.approx(u_r - u_d, rel=1e-6, abs=1e-15)
         assert float(cols[7]) == pytest.approx(abs(u_r - u_d) / abs(u_d),
                                                rel=1e-6, abs=1e-15)
+
+
+GENERAL_ALPHA_CONFIG = """
+[frac]
+sigma_trap = 0.1
+alpha = {alpha}
+times = 10,100
+x_max = 10
+x_count = 11
+solvers = FDE
+"""
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_profile_fde_general_exponent(tmp_path, alpha):
+    """FDE at alpha != 1/2 is computed, and matches the Talbot inversion
+    of the numerical Fourier route."""
+    ini = tmp_path / "frac.ini"
+    ini.write_text(GENERAL_ALPHA_CONFIG.format(alpha=alpha))
+    out_csv = tmp_path / "frac.csv"
+    rc = cli.main(["profile", "--scenario", "frac", "--config", str(ini),
+                   "--out", str(out_csv)])
+    assert rc == 0
+    p = fde.FdeParams(trap_strength=0.1**alpha * 0.1, diffusivity=1.0 / 3.0,
+                      sigma_a=1e-9, alpha=alpha)
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 11
+    for cols in rows:
+        x, t, u = float(cols[0]), float(cols[4]), float(cols[2])
+        if x not in (0.0, 1.0, 5.0, 10.0):
+            continue
+        want = invert_reference(lambda s: fde.laplace_density(p, x, s), t)
+        assert abs(u - want) <= 1e-10 + 1e-8 * abs(want), (x, t)
+
+
+FAMILY_CONFIG = """
+[llog]
+sigma_trap = 0.1
+family = {family}
+times = 10
+x_max = 4
+x_count = 3
+solvers = {solvers}
+"""
+
+
+@pytest.mark.parametrize("family", ["log-logistic", "frechet"])
+def test_rte_without_exact_transform_is_rejected_up_front(tmp_path, capsys,
+                                                          monkeypatch, family):
+    """RTE needs the waiting-time transform in closed form: families
+    without one are a configuration error (exit 1) before any solver
+    runs, whether RTE comes from the file or from --solvers."""
+    def never(sc):
+        raise AssertionError("a solver ran")
+
+    ini = tmp_path / "llog.ini"
+    out_csv = tmp_path / "l.csv"
+    ini.write_text(FAMILY_CONFIG.format(family=family, solvers="RTE"))
+    monkeypatch.setattr(cli, "run_scenario", never)
+    base = ["--scenario", "llog", "--config", str(ini), "--out", str(out_csv)]
+    assert cli.main(["profile"] + base) == 1
+    assert family in capsys.readouterr().err
+    assert cli.main(["compare"] + base) == 1
+
+    ini.write_text(FAMILY_CONFIG.format(family=family, solvers="FDE,NORMAL"))
+    assert cli.main(["profile"] + base + ["--solvers", "RTE"]) == 1
+    monkeypatch.undo()
+    assert cli.main(["profile"] + base) == 0
+    assert len(out_csv.read_text().splitlines()) == 1 + 3
 
 
 def test_validate_fast_json_report(tmp_path, capsys):

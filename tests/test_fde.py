@@ -5,6 +5,8 @@ subordination integral (`density_half`), the general-alpha kernel route
 (`density`), and numerical inversion of the Fourier-Laplace picture
 (`laplace_density` fed to the Laplace inverters). The tests play them
 against each other and against the closed-form normal-diffusion limit.
+The production transform `laplace_density_closed` is checked against
+the numerical Fourier route it replaces.
 """
 
 import cmath
@@ -22,6 +24,7 @@ from trapdiff.fde import (
     fourier_laplace,
     from_transport,
     laplace_density,
+    laplace_density_closed,
     normal_diffusion,
 )
 from trapdiff.transport import TransportParams
@@ -231,3 +234,53 @@ def test_laplace_density_quadrature_failure_carries_context():
         laplace_density(MAIN, 1.0, 0.04 + 1.0j, tol_abs=1e-300)
     assert exc.value.estimate is not None
     assert exc.value.bound is not None
+
+
+# ------------------------------------------------------ closed-form transform
+
+CLOSED_S = (2.0, 0.04 - 40.0j, 0.04 + 0.3j, 0.5 + 3.0j, 0.04 + 400.0j)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_closed_form_transform_matches_fourier_route(alpha):
+    """On and off the inversion contour, for every tail exponent. The
+    absolute term covers values such as 3.5e-18 at x = 5, s = 0.04 - 40i,
+    below the Fourier oracle's ~1e-14 floor."""
+    p = FdeParams(trap_strength=0.1 * 0.1**alpha, diffusivity=D0,
+                  sigma_a=1e-9, alpha=alpha)
+    xs = (0.0, 1.0, 5.0)
+    table = laplace_density_closed(p, xs, CLOSED_S)
+    assert table.shape == (len(xs), len(CLOSED_S))
+    for i, x in enumerate(xs):
+        for j, s in enumerate(CLOSED_S):
+            want = laplace_density(p, x, s)
+            assert abs(table[i, j] - want) <= 1e-13 + 1e-9 * abs(want), (x, s)
+
+
+def test_closed_form_transform_even_in_x():
+    s = (0.04 + 3.0j, 1.5 - 0.2j)
+    left = laplace_density_closed(MAIN, (-2.0, -0.5), s)
+    right = laplace_density_closed(MAIN, (2.0, 0.5), s)
+    assert (left == right).all()
+
+
+@pytest.mark.parametrize("s", [0.7 + 0.3j, 0.04 - 40.0j, 2.0])
+def test_closed_form_transform_mass_identity(s):
+    """Without absorption the transform integrates to exactly 2/s."""
+    def part(x, which):
+        return getattr(complex(laplace_density_closed(NO_ABSORB, (x,), (s,))[0, 0]),
+                       which)
+
+    re, _ = integrate.quad(part, 0.0, math.inf, args=("real",),
+                           epsabs=1e-14, epsrel=1e-12, limit=200)
+    im, _ = integrate.quad(part, 0.0, math.inf, args=("imag",),
+                           epsabs=1e-14, epsrel=1e-12, limit=200)
+    assert abs(2.0 * complex(re, im) - 2.0 / s) <= 1e-10 * abs(2.0 / s)
+
+
+def test_closed_form_transform_no_memory_is_heat_kernel_transform():
+    """eta = 0: the Laplace transform of the heat kernel of mass 2."""
+    s = 0.3 + 1.1j
+    got = laplace_density_closed(FREE, (1.5,), (s,))[0, 0]
+    root = cmath.sqrt(s / D0)
+    assert abs(got - cmath.exp(-1.5 * root) / (D0 * root)) <= 1e-15

@@ -65,6 +65,23 @@ def test_scenario_validation():
         dataclasses.replace(small_scenario(), n_ordinates=0)
 
 
+@pytest.mark.parametrize("family", [Family.LOG_LOGISTIC, Family.FRECHET])
+def test_scenario_rejects_rte_without_exact_transform(family):
+    """RTE evaluates the waiting-time transform in closed form, which only
+    the Pareto family has; FDE and NORMAL need only alpha and gamma."""
+    base = small_scenario(solvers=("FDE", "NORMAL"))
+    tp = dataclasses.replace(
+        base.transport,
+        waiting=dataclasses.replace(base.transport.waiting, family=family))
+    sc = dataclasses.replace(base, transport=tp)
+    assert sc.transport.waiting.family is family
+    with pytest.raises(ValueError, match=family.value):
+        dataclasses.replace(sc, solvers=frozenset(("RTE", "FDE")))
+    # trap-free transport never evaluates the waiting-time transform
+    free = dataclasses.replace(tp, sigma_trap=0.0)
+    dataclasses.replace(base, transport=free, solvers=frozenset(("RTE",)))
+
+
 def test_scenario_coerces_times_to_tuple():
     sc = small_scenario(times=[5.0, 10.0])
     assert sc.times == (5.0, 10.0)
@@ -195,6 +212,32 @@ def test_emit_csv_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_emit_csv_difference_columns(tmp_path):
+    profiles = run_scenario(small_scenario())
+    out = tmp_path / "cmp.csv"
+    emit_csv(profiles, str(out), differences=True)
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER + ",diff_rte_de,reldiff_rte_de"
+    plain = tmp_path / "plain.csv"
+    emit_csv(profiles, str(plain))
+    by_solver = {p.solver: [u for _, u in p.points] for p in profiles}
+    for i, (line, base) in enumerate(zip(lines[1:],
+                                         plain.read_text().splitlines()[1:])):
+        assert line.startswith(base + ",")
+        diff, rel = (float(v) for v in line.split(",")[6:])
+        u_r, u_d = by_solver["RTE"][i], by_solver["FDE"][i]
+        assert diff == pytest.approx(u_r - u_d, rel=1e-8)
+        assert rel == pytest.approx(abs(u_r - u_d) / abs(u_d), rel=1e-8)
+
+
+def test_emit_csv_difference_columns_need_both_solvers(tmp_path):
+    profiles = run_scenario(small_scenario(solvers=("RTE", "NORMAL")))
+    out = tmp_path / "never.csv"
+    with pytest.raises(ValueError):
+        emit_csv(profiles, str(out), differences=True)
+    assert not out.exists()
+
+
 def test_emit_csv_rejects_empty_and_leaves_no_file(tmp_path):
     out = tmp_path / "never.csv"
     with pytest.raises(ValueError):
@@ -260,6 +303,7 @@ def test_validate_full_passes():
     names = {entry["check"] for entry in report}
     assert FAST_CHECKS < names
     assert {"transport.mass_oracle", "fde.oracle_equivalence",
+            "fde.closed_form_vs_time_domain",
             "ilt.truncation_converged", "ilt.cross_inverter_transport"} <= names
     assert all(entry["status"] == "pass" for entry in report)
 

@@ -13,12 +13,14 @@ of the rule at its pinned default configuration.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from trapdiff import fde
 from trapdiff.errors import NumericFailureError
 from trapdiff.ilt import (
     InversionConfig,
+    contour,
     de_map,
     de_map_derivative,
     invert,
@@ -127,6 +129,60 @@ def test_invert_flags_nonfinite_transform():
     with pytest.raises(NumericFailureError) as exc:
         invert(lambda s: complex(math.nan, 0.0), 1.0)
     assert set(exc.value.context) == {"t", "j", "s"}
+
+
+# values of the former in-order node sum at the default configuration
+SEQUENTIAL_SUM_VALUES = (0.9999999672927781, 0.36787944125567096,
+                         2.9999867883381968)
+
+
+def test_invert_matches_sequential_sum_on_known_pairs():
+    """The dot product over `contour` reproduces the in-order sum it
+    replaced, up to rounding of the summation order."""
+    for (transform, _original, t, _budget), frozen in zip(
+            KNOWN_PAIRS, SEQUENTIAL_SUM_VALUES):
+        assert invert(transform, t) == pytest.approx(frozen, rel=1e-14, abs=0)
+
+
+def test_contour_layout():
+    cfg = InversionConfig()
+    t = 10.0
+    s_nodes, weights, prefactor = contour(t, cfg)
+    n = 2 * cfg.truncation + 1
+    assert s_nodes.shape == weights.shape == (n,)
+    assert (s_nodes.real == cfg.contour_shift).all()
+    assert (np.diff(s_nodes.imag) > 0.0).all()  # the map is increasing
+    h = math.pi / cfg.freq_scale
+    y = (np.arange(-cfg.truncation, cfg.truncation + 1) + 0.5) * h
+    want = [cfg.freq_scale * de_map(v, cfg.steepness) / t for v in y]
+    assert s_nodes.imag.tolist() == want
+    assert prefactor == 2.0 * math.exp(cfg.contour_shift * t) / t
+
+
+def test_contour_skips_saturated_nodes():
+    """Far down the map phi' underflows to zero; those nodes are dropped."""
+    cfg = InversionConfig(truncation=240)
+    s_nodes, weights, _ = contour(10.0, cfg)
+    assert 81 < len(s_nodes) < 2 * cfg.truncation + 1
+    assert len(weights) == len(s_nodes)
+    h = math.pi / cfg.freq_scale
+    kept = [y for y in ((j + 0.5) * h for j in range(-240, 241))
+            if de_map_derivative(y, cfg.steepness) != 0.0]
+    assert len(kept) == len(s_nodes)
+
+
+def test_contour_batched_reduction_equals_invert():
+    """A vectorised transform reduced with the contour weights is `invert`."""
+    t = 2.0
+    s_nodes, weights, prefactor = contour(t)
+    batched = prefactor * float((1.0 / (s_nodes + 1.0)).real @ weights)
+    scalar = invert(lambda s: 1.0 / (s + 1.0), t)
+    assert batched == pytest.approx(scalar, rel=1e-14, abs=0)
+
+
+def test_contour_rejects_nonpositive_time():
+    with pytest.raises(ValueError):
+        contour(0.0)
 
 
 def test_truncation_doubling_is_converged():
