@@ -22,9 +22,7 @@ from .ilt import (InversionConfig, contour, de_map, de_map_derivative,
 from .specfun import (QuadratureSet, gamma_real, gauss_legendre,
                       gen_exp_integral_scaled, mainardi,
                       mainardi_asymptotic, reciprocal_gamma, stable_density)
-from .transport import (AdoSpectrum, TransportParams, ado_spectrum,
-                        clear_spectrum_cache, eigenfunction_phi,
-                        fundamental_solution, sigma_t)
+from .transport import AdoSpectrum, TransportParams, ado_spectrum, sigma_t
 from .transport import laplace_density as transport_laplace_density
 from .waiting import Family, WaitingTimeModel
 
@@ -49,19 +47,16 @@ __all__ = [
     "WaitingTimeModel",
     "ado_spectrum",
     "builtin_scenarios",
-    "clear_spectrum_cache",
     "contour",
     "de_map",
     "de_map_derivative",
     "density",
     "density_half",
-    "eigenfunction_phi",
     "emit_csv",
     "emit_plot_script",
     "fde_laplace_density",
     "fourier_laplace",
     "from_transport",
-    "fundamental_solution",
     "gamma_real",
     "gauss_legendre",
     "gen_exp_integral_scaled",

@@ -6,10 +6,11 @@ times, the spatial grid, and which solvers to run. The six built-in
 scenarios cover the trapping-strength and trapping-scale variations at
 t = 10 and t = 100 minutes.
 
-RTE and FDE both invert on the nodes of `ilt.contour`: RTE one grid
-point at a time through `invert`, FDE as one closed-form (x, node)
-transform array reduced with the contour weights. `validate --level
-full` checks that FDE profile against the time-domain quadrature
+RTE and FDE both invert on the nodes of `ilt.contour`: each solver
+evaluates its transform as one (x, node) array and reduces it with the
+contour weights. RTE takes one discrete-ordinates spectrum per node from
+`transport.spectra`; FDE uses its closed form. `validate --level full`
+checks that FDE profile against the time-domain quadrature
 `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import fde, transport
-from .errors import ProfileError
+from .errors import NumericFailureError, ProfileError
 from .ilt import InversionConfig, contour, de_map, invert, invert_reference
 from .specfun import gauss_legendre
 from .transport import TransportParams
@@ -150,29 +151,22 @@ def builtin_scenarios() -> dict[str, Scenario]:
     return out
 
 
+def _on_contour(transform, weights, prefactor: float) -> list[float]:
+    """Densities at every x from an (x, node) transform array: the
+    `ilt.contour` rule u(x) = prefactor * sum_j weights[j] Re F(x, s_j)."""
+    return (prefactor * (transform.real @ weights)).tolist()
+
+
 def _rte_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
-    quadrature = gauss_legendre(sc.n_ordinates)
-    cfg = sc.inversion
-    # one spectrum factorization per contour node, shared by every x
-    s_nodes, _, _ = contour(t, cfg)
-    for s_j in s_nodes.tolist():
-        try:
-            transport.ado_spectrum(sc.transport, quadrature, s_j)
-        except Exception as exc:
-            raise ProfileError(f"spectrum failed at s={s_j}: {exc}",
-                               solver="RTE", x=math.nan, t=t) from exc
-    pts = []
-    for x in sc.grid.points():
-        try:
-            u = invert(
-                lambda s: transport.laplace_density(sc.transport, quadrature,
-                                                    s, x),
-                t, cfg)
-        except Exception as exc:
-            raise ProfileError(f"inversion failed: {exc}",
-                               solver="RTE", x=x, t=t) from exc
-        pts.append((x, u))
-    return tuple(pts)
+    xs = sc.grid.points()
+    s_nodes, weights, prefactor = contour(t, sc.inversion)
+    try:
+        transform = transport.density_transform(
+            sc.transport, gauss_legendre(sc.n_ordinates), s_nodes, xs)
+    except NumericFailureError as exc:
+        raise ProfileError(f"spectrum failed: {exc}", solver="RTE",
+                           x=math.nan, t=t) from exc
+    return tuple(zip(xs, _on_contour(transform, weights, prefactor)))
 
 
 def _fde_values(p: fde.FdeParams, xs, t: float,
@@ -187,8 +181,8 @@ def _fde_values(p: fde.FdeParams, xs, t: float,
     fine = replace(cfg, freq_scale=2.0 * cfg.freq_scale,
                    truncation=2 * cfg.truncation)
     s_nodes, weights, prefactor = contour(t, fine)
-    transform = fde.laplace_density_closed(p, xs, s_nodes)
-    return (prefactor * (transform.real @ weights)).tolist()
+    return _on_contour(fde.laplace_density_closed(p, xs, s_nodes), weights,
+                       prefactor)
 
 
 def _fde_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:

@@ -12,8 +12,9 @@ because they share nothing.
 
 `contour` is the single home of the double-exponential node formula.
 `invert` evaluates a scalar transform on it one node at a time; callers
-with a vectorised transform (the fractional-diffusion profile) evaluate
-a whole (x, node) array and reduce it with the same weights.
+with a vectorised transform (the transport and fractional-diffusion
+profiles) evaluate a whole (x, node) array and reduce it with the same
+weights.
 """
 
 from __future__ import annotations

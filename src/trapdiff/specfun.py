@@ -36,8 +36,7 @@ class QuadratureSet:
     """A Gauss-Legendre rule on the open interval (0, 1).
 
     Nodes are strictly increasing in (0, 1); weights are positive and sum
-    to 1. Stored as tuples so the set is hashable and safe to use as a
-    cache key.
+    to 1. Stored as tuples so the set is immutable and hashable.
     """
 
     order: int

@@ -6,19 +6,20 @@ a trapping reaction picks up an s-dependent total cross-section
 sigma_t(s) = sigma_a + sigma_s + (sigma_trap * LPhi(s) + 1) * s, where
 LPhi is the Laplace transform of the waiting-time survival function. On a
 half-range Gauss-Legendre quadrature with N ordinates +-mu_i, separable
-solutions exp(-x/nu) phi(nu, mu_i) exist for the 2N eigenvalues nu of a
-dense non-symmetric eigenproblem; the spectrum is symmetric under
-nu -> -nu. Superposing the decaying half over x > 0 gives the scalar
-density transform at the source plane offset x.
+solutions exp(-x/nu) phi(nu, mu_i) exist for N pairs of eigenvalues +-nu.
+The half-range reduction of the analytical discrete-ordinates method
+(Barichello & Siewert, JQSRT 1999) finds lambda = 1/nu^2 as the
+eigenvalues of an N x N matrix; the principal root nu = 1/sqrt(lambda)
+is the decaying mode, Re nu >= 0. Superposing the decaying modes gives
+the scalar density transform at distance x from the source plane.
 
-Spectra are cached per (parameters, quadrature, s) since an inversion
-sweep over a spatial grid revisits the same contour nodes for every x.
+`spectra` solves every node of an inversion contour in one stacked
+eigenvalue call and `density_transform` gives the (x, node) transform;
+`ado_spectrum` and `laplace_density` do the same at a single point.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +32,13 @@ __all__ = [
     "TransportParams",
     "AdoSpectrum",
     "sigma_t",
+    "spectra",
     "ado_spectrum",
-    "eigenfunction_phi",
-    "fundamental_solution",
+    "density_transform",
     "laplace_density",
-    "clear_spectrum_cache",
 ]
 
-# relative half-width for deciding an eigenvalue sits on the imaginary axis
-_AXIS_TIE = 1e-12
-# acceptable dispersion-relation residual after polishing
+# acceptable dispersion-relation residual of an eigenvalue
 _RESIDUAL_TOL = 1e-9
 
 
@@ -74,9 +72,9 @@ class TransportParams:
 class AdoSpectrum:
     """Decaying-half discrete-ordinates spectrum at one transform point.
 
-    Holds the N eigenvalues with Re nu > 0 (ties broken toward Im nu > 0),
-    their normalization integrals, and the complex total cross-section
-    they were computed with. Arrays are not to be mutated.
+    Holds the N eigenvalues with Re nu >= 0, their normalization
+    integrals, and the complex total cross-section they were computed
+    with.
     """
 
     params: TransportParams
@@ -87,206 +85,115 @@ class AdoSpectrum:
     normalizations: np.ndarray
 
 
+def _rates(params: TransportParams, s_nodes: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_t(s) and the source factor 1 + sigma_trap * LPhi(s) per node,
+    from one LPhi evaluation per node (none when sigma_trap is zero)."""
+    source = np.ones_like(s_nodes)
+    if params.sigma_trap > 0.0:
+        lphi = [params.waiting.laplace_survival(s) for s in s_nodes.tolist()]
+        source = 1.0 + params.sigma_trap * np.array(lphi)
+    return params.sigma_a + params.sigma_s + source * s_nodes, source
+
+
 def sigma_t(params: TransportParams, s: complex) -> complex:
     """Total cross-section in the Laplace domain.
 
     The trapping term is skipped entirely when sigma_trap is zero, so
     trap-free problems never evaluate the waiting-time transform.
     """
-    s = complex(s)
-    val = params.sigma_a + params.sigma_s + s
-    if params.sigma_trap > 0.0:
-        val += params.sigma_trap * params.waiting.laplace_survival(s) * s
-    return val
+    st, _ = _rates(params, np.array([complex(s)]))
+    return complex(st[0])
 
 
-def _dispersion_residual(st: complex, sigma_s: float, mu: np.ndarray,
-                         w: np.ndarray, nu: complex) -> complex:
-    """Residual of the ordinates dispersion relation at candidate nu."""
-    terms = 1.0 / (st * nu - mu) + 1.0 / (st * nu + mu)
-    return 1.0 - 0.5 * sigma_s * nu * np.dot(w, terms)
+def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decaying discrete-ordinates spectrum at every transform point.
 
-
-def _dispersion_derivative(st: complex, sigma_s: float, mu: np.ndarray,
-                           w: np.ndarray, nu: complex) -> complex:
-    dm = st * nu - mu
-    dp = st * nu + mu
-    # d/dnu of -(sigma_s nu / 2) * sum w (1/dm + 1/dp)
-    return -0.5 * sigma_s * np.dot(w, 1.0 / dm + 1.0 / dp) + 0.5 * sigma_s * nu * st * np.dot(
-        w, 1.0 / dm**2 + 1.0 / dp**2
-    )
-
-
-def _compute_spectrum(params: TransportParams, quadrature: QuadratureSet,
-                      s: complex) -> AdoSpectrum:
+    Returns (sigma_t, source, nu, norm): per node j, the total
+    cross-section, the source factor 1 + sigma_trap * LPhi, the N
+    eigenvalues nu[j] with Re nu >= 0, and their normalization integrals
+    norm[j] = sum_i w_i mu_i (phi(nu, mu_i)^2 - phi(nu, -mu_i)^2) with
+    phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu). Raises
+    NumericFailureError (DegenerateSpectrumError on a ray collision) at
+    the first node whose spectrum fails a check.
+    """
+    s_nodes = np.asarray(s_nodes, dtype=complex)
     mu = np.asarray(quadrature.nodes)
     w = np.asarray(quadrature.weights)
-    n = quadrature.order
-    st = sigma_t(params, s)
+    st, source = _rates(params, s_nodes)
+
+    # lambda = 1/nu^2 are the eigenvalues of
+    # sigma_t M^-2 (sigma_t I - sigma_s 1 w^T), taken in the similar,
+    # complex-symmetric form sigma_t (sigma_t M^-2 - sigma_s v v^T) with
+    # v = sqrt(w) / mu, in which LAPACK resolves them several times better
+    idx = np.arange(quadrature.order)
+    v = np.sqrt(w) / mu
+    scatter = params.sigma_s * np.outer(v, v)
+    matrices = -st[:, None, None] * scatter
+    matrices[:, idx, idx] += st[:, None] ** 2 / mu**2
+    lams = np.linalg.eigvals(matrices)
+    finite = np.isfinite(lams).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NumericFailureError("eigenvalue solve produced non-finite values",
+                                  s=complex(s_nodes[j]))
+    nus = 1.0 / np.sqrt(lams)
+
     c = 0.5 * params.sigma_s
-
-    # rows scale by the inverse direction cosines +-1/mu_i
-    scatter = np.tile(w, (n, 2))  # N x 2N, row i holds w_j twice
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :] = -c * scatter
-    block[n:, :] = c * scatter
-    idx = np.arange(n)
-    block[idx, idx] += st
-    block[n + idx, n + idx] -= st
-    inv_mu = np.concatenate([1.0 / mu, 1.0 / mu])
-    matrix = block * inv_mu[:, None]
-
-    inverse_nus = np.linalg.eigvals(matrix)
-    if not np.all(np.isfinite(inverse_nus)):
-        raise NumericFailureError("eigenvalue solve produced non-finite values", s=s)
-    nus = 1.0 / inverse_nus
-
-    keep = []
-    for nu in nus:
-        if abs(nu.real) < _AXIS_TIE * abs(nu):
-            warnings.warn(
-                f"eigenvalue {nu} sits on the imaginary axis at s={s}; "
-                "classifying by the sign of its imaginary part",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            if nu.imag > 0.0:
-                keep.append(nu)
-        elif nu.real > 0.0:
-            keep.append(nu)
-    if len(keep) != n:
-        raise NumericFailureError(
-            f"expected {n} decaying eigenvalues, found {len(keep)}", s=s
-        )
-
-    # guard against collisions with the quadrature rays mu_i / sigma_t,
-    # where the eigenvector representation breaks down
-    rays = mu / st
-    polished = []
-    for nu in sorted(keep, key=lambda v: (v.real, v.imag)):
-        if np.min(np.abs(nu - rays)) < 1e-12 * max(1.0, abs(nu)):
+    norms = np.empty_like(nus)
+    for j, s in enumerate(s_nodes.tolist()):
+        nu, st_j = nus[j], st[j]
+        # eigenfunctions are singular on the quadrature rays mu_i / sigma_t
+        gap = np.abs(nu[:, None] - mu / st_j).min(axis=1)
+        hit = gap < 1e-12 * np.maximum(1.0, np.abs(nu))
+        if hit.any():
             raise DegenerateSpectrumError(
-                f"eigenvalue {nu} collides with a quadrature ray", s=s
-            )
-        # a couple of Newton steps on the dispersion relation sharpen the
-        # LAPACK eigenvalue without ever leaving its basin
-        for _ in range(3):
-            res = _dispersion_residual(st, params.sigma_s, mu, w, nu)
-            if abs(res) < 1e-13:
-                break
-            step = res / _dispersion_derivative(st, params.sigma_s, mu, w, nu)
-            if not np.isfinite(step) or abs(step) > 1e-6 * abs(nu):
-                break
-            nu = nu - step
-        res = _dispersion_residual(st, params.sigma_s, mu, w, nu)
-        if abs(res) > _RESIDUAL_TOL:
+                f"eigenvalue {nu[hit][0]} collides with a quadrature ray", s=s)
+        phi_plus = c * nu[:, None] / (st_j * nu[:, None] - mu)
+        phi_minus = c * nu[:, None] / (st_j * nu[:, None] + mu)
+        res = np.abs(1.0 - (phi_plus + phi_minus) @ w)
+        bad = ~(res <= _RESIDUAL_TOL)
+        if bad.any():
+            k = int(np.argmax(bad))
             raise NumericFailureError(
-                f"dispersion residual {abs(res):.3e} at eigenvalue {nu}",
-                s=s, nu=nu,
-            )
-        polished.append(nu)
-
-    nus = np.array(polished)
-    phi_plus = 0.5 * params.sigma_s * nus[:, None] / (st * nus[:, None] - mu)
-    phi_minus = 0.5 * params.sigma_s * nus[:, None] / (st * nus[:, None] + mu)
-    norms = ((phi_plus**2 - phi_minus**2) * (w * mu)).sum(axis=1)
-    if np.any(np.abs(norms) < 1e-300):
-        raise NumericFailureError("vanishing mode normalization", s=s)
-    return AdoSpectrum(
-        params=params,
-        quadrature=quadrature,
-        s=s,
-        sigma_t=st,
-        eigenvalues=nus,
-        normalizations=norms,
-    )
-
-
-@functools.lru_cache(maxsize=4096)
-def _cached_spectrum(params: TransportParams, quadrature: QuadratureSet,
-                     s: complex) -> AdoSpectrum:
-    return _compute_spectrum(params, quadrature, s)
+                f"dispersion residual {res[k]:.3e} at eigenvalue {nu[k]}",
+                s=s, nu=complex(nu[k]))
+        norms[j] = (phi_plus**2 - phi_minus**2) @ (w * mu)
+        if np.any(np.abs(norms[j]) < 1e-300):
+            raise NumericFailureError("vanishing mode normalization", s=s)
+    return st, source, nus, norms
 
 
 def ado_spectrum(params: TransportParams, quadrature: QuadratureSet,
-                 s: complex, cache: bool = True) -> AdoSpectrum:
-    """Decaying discrete-ordinates spectrum at transform point s.
-
-    With cache=True (the default) results are memoized on the exact
-    (params, quadrature, s) triple; caching is semantically invisible.
-    """
+                 s: complex) -> AdoSpectrum:
+    """Decaying discrete-ordinates spectrum at transform point s."""
     s = complex(s)
-    if cache:
-        return _cached_spectrum(params, quadrature, s)
-    return _compute_spectrum(params, quadrature, s)
+    st, _, nus, norms = spectra(params, quadrature, [s])
+    return AdoSpectrum(params=params, quadrature=quadrature, s=s,
+                       sigma_t=complex(st[0]), eigenvalues=nus[0],
+                       normalizations=norms[0])
 
 
-def clear_spectrum_cache() -> None:
-    _cached_spectrum.cache_clear()
-
-
-def eigenfunction_phi(spectrum: AdoSpectrum, nu: complex, mu: float) -> complex:
-    """Angular eigenfunction phi(nu, mu) = (sigma_s nu / 2)/(sigma_t nu - mu)."""
-    denom = spectrum.sigma_t * nu - mu
-    if abs(denom) < 1e-14:
-        raise DegenerateSpectrumError(
-            f"eigenfunction pole: sigma_t*nu - mu = {denom}", nu=nu, mu=mu
-        )
-    return 0.5 * spectrum.params.sigma_s * nu / denom
-
-
-def _node_index(quadrature: QuadratureSet, mu: float) -> int:
-    nodes = np.asarray(quadrature.nodes)
-    j = int(np.argmin(np.abs(nodes - abs(mu))))
-    if abs(nodes[j] - abs(mu)) > 1e-12:
-        raise ValueError(f"{mu} is not a signed quadrature node")
-    return j
-
-
-def fundamental_solution(spectrum: AdoSpectrum, x: float, mu_out: float,
-                         y: float, mu_in: float) -> complex:
-    """Green's function of the ordinates system between two planes.
-
-    Propagates from a source plane y in direction mu_in to a field plane
-    x in direction mu_out; only the half of the spectrum that decays from
-    y toward x contributes, so x = y is outside the domain.
-    """
-    if x == y:
-        raise ValueError("fundamental solution is discontinuous at x = y")
-    _node_index(spectrum.quadrature, mu_out)
-    j = _node_index(spectrum.quadrature, mu_in)
-    w_j = spectrum.quadrature.weights[j]
-    total = 0.0 + 0.0j
-    for nu, norm in zip(spectrum.eigenvalues, spectrum.normalizations):
-        if x > y:
-            total += (
-                eigenfunction_phi(spectrum, nu, mu_out)
-                * eigenfunction_phi(spectrum, nu, mu_in)
-                / norm
-                * np.exp(-(x - y) / nu)
-            )
-        else:
-            # mirror modes: phi(-nu, mu) = phi(nu, -mu), N(-nu) = -N(nu)
-            total += (
-                eigenfunction_phi(spectrum, nu, -mu_out)
-                * eigenfunction_phi(spectrum, nu, -mu_in)
-                / norm
-                * np.exp((x - y) / nu)
-            )
-    return w_j * total
-
-
-def laplace_density(params: TransportParams, quadrature: QuadratureSet,
-                    s: complex, x: float, cache: bool = True) -> complex:
-    """Laplace-domain scalar density at distance x from the source plane.
+def density_transform(params: TransportParams, quadrature: QuadratureSet,
+                      s_nodes, xs) -> np.ndarray:
+    """Laplace-domain scalar density as an (x, node) array.
 
     Sums the decaying modes excited by an isotropic unit pulse at x = 0;
     the trapping factor (sigma_trap * LPhi(s) + 1) rescales the effective
-    source. Even in x by symmetry.
+    source. Even in x by symmetry. Works one node at a time so that no
+    (x, node, mode) array is formed.
     """
-    spectrum = ado_spectrum(params, quadrature, s, cache=cache)
-    source = 1.0 + 0.0j
-    if params.sigma_trap > 0.0:
-        source += params.sigma_trap * params.waiting.laplace_survival(complex(s))
-    decay = np.exp(-abs(x) / spectrum.eigenvalues)
-    return source * np.sum(decay / spectrum.normalizations)
+    _, source, nus, norms = spectra(params, quadrature, s_nodes)
+    ax = np.abs(np.asarray(xs, dtype=float))[:, None]
+    out = np.empty((ax.shape[0], nus.shape[0]), dtype=complex)
+    for j in range(nus.shape[0]):
+        out[:, j] = source[j] * np.sum(np.exp(-ax / nus[j]) / norms[j], axis=1)
+    return out
+
+
+def laplace_density(params: TransportParams, quadrature: QuadratureSet,
+                    s: complex, x: float) -> complex:
+    """Laplace-domain scalar density at distance x from the source plane."""
+    values = density_transform(params, quadrature, [complex(s)], [x])
+    return complex(values[0, 0])

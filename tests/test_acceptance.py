@@ -96,7 +96,7 @@ def test_single_ordinate_eigenvalue_closed_form():
             s = rng.uniform(0.01, 3.0)
             p = TransportParams(sigma_a=sigma_a, sigma_s=sigma_s,
                                 sigma_trap=0.0, waiting=None)
-            sp = ado_spectrum(p, q1, s, cache=False)
+            sp = ado_spectrum(p, q1, s)
             st = s + sigma_a + sigma_s
             want = mu1 / math.sqrt(st * (st - sigma_s))
             (nu,) = sp.eigenvalues

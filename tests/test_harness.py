@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from trapdiff import fde
+from trapdiff import fde, transport
+from trapdiff.errors import NumericFailureError, ProfileError
 from trapdiff.harness import (
     CSV_HEADER,
     Scenario,
@@ -18,7 +19,7 @@ from trapdiff.harness import (
     validate,
 )
 from trapdiff.ilt import InversionConfig
-from trapdiff.transport import TransportParams, clear_spectrum_cache
+from trapdiff.transport import TransportParams
 from trapdiff.waiting import Family, WaitingTimeModel
 
 
@@ -166,6 +167,28 @@ def test_reference_profile_values():
             assert got == pytest.approx(want, rel=1e-8), solver
 
 
+def test_rte_reports_only_numeric_failures(monkeypatch):
+    """A numeric failure of the spectrum solve becomes a ProfileError of
+    the RTE solver; a programming error propagates unchanged."""
+    sc = small_scenario(solvers=("RTE",))
+
+    def numeric(*args):
+        raise NumericFailureError("synthetic blow-up", s=1j)
+
+    monkeypatch.setattr(transport, "spectra", numeric)
+    with pytest.raises(ProfileError) as info:
+        run_scenario(sc)
+    assert info.value.solver == "RTE" and info.value.t == 10.0
+    assert isinstance(info.value.__cause__, NumericFailureError)
+
+    def typo(*args):
+        raise TypeError("synthetic typo")
+
+    monkeypatch.setattr(transport, "spectra", typo)
+    with pytest.raises(TypeError, match="synthetic typo"):
+        run_scenario(sc)
+
+
 # ------------------------------------------------------------------- emission
 
 def test_emit_csv_structure(tmp_path):
@@ -205,9 +228,7 @@ def test_emit_csv_blank_cells_for_missing_solvers(tmp_path):
 def test_emit_csv_is_deterministic(tmp_path):
     sc = small_scenario()
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    clear_spectrum_cache()
     emit_csv(run_scenario(sc), str(first))
-    clear_spectrum_cache()
     emit_csv(run_scenario(sc), str(second))
     assert first.read_bytes() == second.read_bytes()
 

@@ -1,11 +1,12 @@
 """Tests for the discrete-ordinates transport solver in the Laplace domain.
 
-The oracles used here are deliberately outside the solver's own code
-path: the dispersion relation and orthogonality sums are recomputed from
-raw quadrature data, the eigenvalue pairing is checked on a freshly
-assembled 2N x 2N matrix, the mass identity comes from integrating the
-governing equation over space and angle, and the fundamental solution is
-pushed back through its differential equation termwise.
+The production solver takes one spectrum per transform point from the
+N x N half-range reduction. The oracles used here are deliberately
+outside that code path: the dispersion relation and orthogonality sums
+are recomputed from raw quadrature data, the eigenvalue pairing is
+checked on a freshly assembled 2N x 2N matrix, the (x, node) density
+transform is rebuilt from that full eigenproblem, and the mass identity
+comes from integrating the governing equation over space and angle.
 """
 
 import cmath
@@ -16,14 +17,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from trapdiff.errors import DegenerateSpectrumError, NumericFailureError
+from trapdiff.errors import NumericFailureError
+from trapdiff.harness import builtin_scenarios
+from trapdiff.ilt import contour
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import (
     TransportParams,
     ado_spectrum,
-    clear_spectrum_cache,
-    eigenfunction_phi,
-    fundamental_solution,
+    density_transform,
     laplace_density,
     sigma_t,
 )
@@ -120,8 +121,6 @@ def test_single_ordinate_closed_form():
     nu = sp.eigenvalues[0]
     assert nu == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-13)
     assert nu == pytest.approx(0.3535534, abs=1e-7)
-    phi = eigenfunction_phi(sp, nu, 0.5)
-    assert phi == pytest.approx(0.8535533905932736, rel=1e-13)
 
 
 def test_single_ordinate_closed_form_random_rates():
@@ -132,7 +131,7 @@ def test_single_ordinate_closed_form_random_rates():
         st_total = ss + rng.uniform(0.6, 3.0)
         p = TransportParams(sigma_a=st_total - ss - 0.5, sigma_s=ss,
                             sigma_trap=0.0, waiting=None)
-        sp = ado_spectrum(p, q1, 0.5, cache=False)
+        sp = ado_spectrum(p, q1, 0.5)
         closed = 0.5 / math.sqrt(st_total * (st_total - ss))
         assert abs(sp.eigenvalues[0] - closed) / closed < 1e-12
 
@@ -187,7 +186,7 @@ def test_scattering_free_limit():
     devs = []
     for ss in (1e-2, 1e-4):
         p = TransportParams(sigma_a=1.0, sigma_s=ss, sigma_trap=0.0, waiting=None)
-        sp = ado_spectrum(p, q8, 0.5, cache=False)
+        sp = ado_spectrum(p, q8, 0.5)
         st = sigma_t(p, 0.5)
         nus = sorted(sp.eigenvalues, key=lambda v: v.real)
         devs.append(max(abs(nu * st / mu - 1.0)
@@ -200,33 +199,10 @@ def test_residual_guard_fires_when_unresolvable():
     # eigenvalues crowd the quadrature rays too tightly to polish
     p = TransportParams(sigma_a=1.0, sigma_s=1e-6, sigma_trap=0.0, waiting=None)
     with pytest.raises(NumericFailureError):
-        ado_spectrum(p, gauss_legendre(8), 0.5, cache=False)
+        ado_spectrum(p, gauss_legendre(8), 0.5)
 
 
 # -------------------------------------------------------------- eigenfunction
-
-def test_phi_normalization_sums_to_one():
-    p = SCENARIOS[0]
-    sp = ado_spectrum(p, Q30, 0.04 + 1.0j)
-    for nu in sp.eigenvalues:
-        total = sum(w * (eigenfunction_phi(sp, nu, m) + eigenfunction_phi(sp, nu, -m))
-                    for m, w in zip(Q30.nodes, Q30.weights))
-        assert abs(total - 1.0) < 1e-9
-
-
-def test_phi_reflection_symmetry():
-    sp = ado_spectrum(SCENARIOS[0], Q30, 0.04 + 1.0j)
-    nu = sp.eigenvalues[7]
-    for m in Q30.nodes[:5]:
-        assert eigenfunction_phi(sp, -nu, m) == eigenfunction_phi(sp, nu, -m)
-
-
-def test_phi_pole_raises():
-    sp = ado_spectrum(SCENARIOS[0], Q30, 0.04 + 1.0j)
-    mu = Q30.nodes[3]
-    with pytest.raises(DegenerateSpectrumError):
-        eigenfunction_phi(sp, mu / sp.sigma_t, mu)
-
 
 def test_orthogonality_weighted_by_mu():
     for p in SCENARIOS:
@@ -239,61 +215,6 @@ def test_orthogonality_weighted_by_mu():
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-9
         assert np.max(np.abs(np.diag(gram) - np.asarray(sp.normalizations))) < 1e-9
-
-
-# -------------------------------------------------------- fundamental solution
-
-def test_fundamental_solution_reciprocity():
-    """Swapping source and detector also reverses both flight directions."""
-    q8 = gauss_legendre(8)
-    sp = ado_spectrum(SCENARIOS[0], q8, 0.3 + 0.7j)
-    mi, mj = q8.nodes[2], q8.nodes[5]
-    wi, wj = q8.weights[2], q8.weights[5]
-    lhs = wi * fundamental_solution(sp, 0.9, mi, 0.2, mj)
-    rhs = wj * fundamental_solution(sp, 0.2, -mj, 0.9, -mi)
-    assert abs(lhs - rhs) / abs(lhs) < 1e-12
-
-
-def test_fundamental_solution_ode_residual():
-    """Insert the solution into the transport system away from the source."""
-    q8 = gauss_legendre(8)
-    p = SCENARIOS[0]
-    sp = ado_spectrum(p, q8, 0.3 + 0.7j)
-    st = sp.sigma_t
-    y, j_in, x = 0.0, 3, 0.7
-    mu_in = q8.nodes[j_in]
-    w_in = q8.weights[j_in]
-    g_plus = [fundamental_solution(sp, x, m, y, mu_in) for m in q8.nodes]
-    g_minus = [fundamental_solution(sp, x, -m, y, mu_in) for m in q8.nodes]
-    scatter = 0.5 * p.sigma_s * sum(
-        w * (gp + gm) for w, gp, gm in zip(q8.weights, g_plus, g_minus))
-    for idx, m in enumerate(q8.nodes):
-        for mu_out, g_val in ((m, g_plus[idx]), (-m, g_minus[idx])):
-            # termwise x-derivative: each decaying mode differentiates to -1/nu
-            dg = sum(
-                -(w_in / nv) / nu * eigenfunction_phi(sp, nu, mu_out)
-                * eigenfunction_phi(sp, nu, mu_in) * cmath.exp(-(x - y) / nu)
-                for nu, nv in zip(sp.eigenvalues, sp.normalizations))
-            residual = mu_out * dg + st * g_val - scatter
-            assert abs(residual) < 1e-8
-
-
-def test_fundamental_solution_decays():
-    q8 = gauss_legendre(8)
-    sp = ado_spectrum(SCENARIOS[0], q8, 0.3 + 0.7j)
-    m = q8.nodes[1]
-    vals = [abs(fundamental_solution(sp, x, m, 0.0, m)) for x in (2.0, 5.0, 9.0)]
-    assert vals[0] > vals[1] > vals[2]
-    assert vals[2] < 1e-3 * vals[0]
-
-
-def test_fundamental_solution_rejects_bad_points():
-    q8 = gauss_legendre(8)
-    sp = ado_spectrum(SCENARIOS[0], q8, 0.3 + 0.7j)
-    with pytest.raises(ValueError):
-        fundamental_solution(sp, 0.5, q8.nodes[0], 0.5, q8.nodes[1])
-    with pytest.raises(ValueError):
-        fundamental_solution(sp, 0.9, 0.123456, 0.0, q8.nodes[1])  # not a node
 
 
 # ------------------------------------------------------------ density transform
@@ -339,17 +260,35 @@ def test_density_monotone_tail():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_spectrum_cache_is_invisible():
-    p = SCENARIOS[0]
-    s = 0.04 + 33.0j
-    clear_spectrum_cache()
-    cold = laplace_density(p, Q30, s, 3.0)
-    warm = laplace_density(p, Q30, s, 3.0)  # second call hits the cache
-    clear_spectrum_cache()
-    recomputed = laplace_density(p, Q30, s, 3.0)
-    assert cold == warm == recomputed
-    # and the cached spectrum matches an explicitly uncached one
-    fresh = ado_spectrum(p, Q30, s, cache=False)
-    held = ado_spectrum(p, Q30, s)
-    assert np.array_equal(fresh.eigenvalues, held.eigenvalues)
-    assert np.array_equal(fresh.normalizations, held.normalizations)
+def test_density_transform_against_full_eigenproblem():
+    """The (x, node) transform on fig1a's contour, rebuilt from the decaying
+    half of a fresh 2N x 2N eigenproblem, the eigenfunction normalization
+    integrals and the trapping source factor."""
+    sc = builtin_scenarios()["fig1a"]
+    p = sc.transport
+    n = sc.n_ordinates
+    q = gauss_legendre(n)
+    mu = np.asarray(q.nodes)
+    w = np.asarray(q.weights)
+    s_all, _, _ = contour(10.0, sc.inversion)
+    s_nodes = s_all[np.linspace(0, len(s_all) - 1, 10).round().astype(int)]
+    xs = np.array([0.0, 2.0, 7.0])
+    got = density_transform(p, q, s_nodes, xs)
+    assert got.shape == (3, 10)
+    c = 0.5 * p.sigma_s
+    for j, s in enumerate(s_nodes.tolist()):
+        lphi = p.waiting.laplace_survival(s)
+        st = p.sigma_a + p.sigma_s + s + p.sigma_trap * lphi * s
+        half = st * np.eye(n) - c * np.tile(w, (n, 1))
+        coupling = -c * np.tile(w, (n, 1))
+        big = np.block([[half, coupling], [coupling, half]])
+        streaming = np.diag(np.concatenate([mu, -mu]))
+        raw = 1.0 / np.linalg.eigvals(np.linalg.solve(streaming, big))
+        nus = raw[raw.real > 0.0]
+        assert len(nus) == n
+        plus = c * nus[:, None] / (st * nus[:, None] - mu)
+        minus = c * nus[:, None] / (st * nus[:, None] + mu)
+        norms = (plus**2 - minus**2) @ (w * mu)
+        want = (1.0 + p.sigma_trap * lphi) * np.array(
+            [np.sum(np.exp(-x / nus) / norms) for x in xs])
+        assert np.all(np.abs(got[:, j] - want) <= 1e-10 * np.abs(want)), s
