@@ -22,11 +22,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import fde, transport
 from .errors import NumericFailureError, ProfileError
 from .ilt import InversionConfig, contour, de_map, invert, invert_reference
-from .specfun import gauss_legendre
+from .specfun import QuadratureSet, gauss_legendre
 from .transport import TransportParams
 from .waiting import Family, WaitingTimeModel
 
@@ -54,6 +55,9 @@ class SpatialGrid:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"grid bounds must be finite, got "
+                             f"[{self.x_min}, {self.x_max}]")
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
         if not self.x_min < self.x_max:
@@ -79,8 +83,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
         object.__setattr__(self, "solvers", frozenset(self.solvers))
-        if not self.times or any(t <= 0.0 for t in self.times):
-            raise ValueError("times must be a nonempty list of positive reals")
+        if not self.times or not all(0.0 < t < math.inf for t in self.times):
+            raise ValueError("times must be a nonempty list of positive, "
+                             "finite reals")
         bad = self.solvers - set(SOLVER_ORDER)
         if bad or not self.solvers:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVER_ORDER}")
@@ -157,12 +162,13 @@ def _on_contour(transform, weights, prefactor: float) -> list[float]:
     return (prefactor * (transform.real @ weights)).tolist()
 
 
-def _rte_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
+def _rte_profile(sc: Scenario, t: float, quadrature: QuadratureSet
+                 ) -> tuple[tuple[float, float], ...]:
     xs = sc.grid.points()
     s_nodes, weights, prefactor = contour(t, sc.inversion)
     try:
-        transform = transport.density_transform(
-            sc.transport, gauss_legendre(sc.n_ordinates), s_nodes, xs)
+        transform = transport.density_transform(sc.transport, quadrature,
+                                                s_nodes, xs)
     except NumericFailureError as exc:
         raise ProfileError(f"spectrum failed: {exc}", solver="RTE",
                            x=math.nan, t=t) from exc
@@ -198,8 +204,10 @@ def _normal_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
 
 def run_scenario(sc: Scenario) -> list[SpatialProfile]:
     """All requested profiles, ordered by time then RTE, FDE, NORMAL."""
-    runners = {"RTE": _rte_profile, "FDE": _fde_profile,
-               "NORMAL": _normal_profile}
+    runners = {"FDE": _fde_profile, "NORMAL": _normal_profile}
+    if "RTE" in sc.solvers:
+        quadrature = gauss_legendre(sc.n_ordinates)
+        runners["RTE"] = partial(_rte_profile, quadrature=quadrature)
     fp = sc.fingerprint()
     profiles = []
     for t in sc.times:

@@ -58,6 +58,10 @@ class InversionConfig:
     steepness: float = 6.0
 
     def __post_init__(self):
+        reals = (self.contour_shift, self.freq_scale, self.steepness)
+        if not all(math.isfinite(v) for v in reals):
+            raise ValueError(f"contour_shift, freq_scale and steepness must "
+                             f"be finite, got {', '.join(map(repr, reals))}")
         if self.contour_shift <= 0.0:
             raise ValueError(
                 f"contour_shift must be positive, got {self.contour_shift}")

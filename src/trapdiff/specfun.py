@@ -184,41 +184,68 @@ def _exp_integral_cf(nu: float, z: complex, maxiter: int = 100000) -> complex:
     )
 
 
+# Euler's constant and zeta(2), ..., zeta(13): the Taylor series
+# log Gamma(1 - e) = EULER e + sum_k zeta(k) e^k / k, to roundoff for
+# |e| < _NEAR_INT
+_EULER = 0.5772156649015329
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+         1.03692775514337, 1.0173430619844492, 1.008349277381923,
+         1.0040773561979444, 1.0020083928260821, 1.000994575127818,
+         1.0004941886041194, 1.000246086553308, 1.0001227133475785)
+# order distance from an integer below which the series pairs its poles
+_NEAR_INT = 0.05
+
+
+def _pole_pair(m: int, eps: float, log_z: complex) -> complex:
+    """(1 - g) / eps with g = Gamma(1 - eps) z^eps / prod_j (1 + eps/j),
+    j = 1..m, computed without cancellation for small eps; its eps -> 0
+    limit is psi(m + 1) - log z."""
+    if eps == 0.0:
+        return sum(1.0 / j for j in range(1, m + 1)) - _EULER - log_z
+    power = eps
+    lgam = _EULER * eps
+    for k, zeta in enumerate(_ZETA, start=2):
+        power *= eps
+        lgam += zeta * power / k
+    ell = lgam - sum(math.log1p(eps / j) for j in range(1, m + 1)) + eps * log_z
+    # complex expm1(ell), accurate for small |ell|
+    a, b = ell.real, ell.imag
+    half = math.sin(0.5 * b)
+    expm1 = complex(math.expm1(a) * math.cos(b) - 2.0 * half * half,
+                    math.exp(a) * math.sin(b))
+    return -expm1 / eps
+
+
 def _exp_integral_series(nu: float, z: complex) -> complex:
     """Power series route for exp(z) E_nu(z).
 
-    E_nu(z) = Gamma(1-nu) z^(nu-1) - sum_k (-z)^k / (k! (1 - nu + k)) for
-    non-integer nu; the classical log series covers integer nu. Converges
-    everywhere off the cut, with cancellation growing like exp(|z|+Re z),
-    so callers keep it away from the far right half plane.
+    E_nu(z) = Gamma(1-nu) z^(nu-1) - sum_k (-z)^k / (k! (1 - nu + k)).
+    Near an integer order n >= 1 both Gamma(1-nu) and the k = n-1 term
+    have a pole; there the two are summed in closed form as
+    (-z)^(n-1)/(n-1)! * `_pole_pair`, which is also the classical
+    log series at integer order. Converges everywhere off the cut, with
+    cancellation growing like exp(|z|+Re z), so callers keep it away from
+    the far right half plane.
     """
-    n_int = round(nu)
-    ez = cmath.exp(z)
-    if abs(nu - n_int) < 1e-12 and n_int >= 1:
-        # E_1 log series, then scaled upward recurrence
-        # e^z E_{m+1} = (1 - z e^z E_m) / m
-        euler = 0.5772156649015328606
-        total = -euler - cmath.log(z)
-        term = complex(1.0)
-        for k in range(1, 400):
-            term *= -z / k
-            total -= term / k
-            if abs(term) < 1e-18 * abs(total):
-                break
-        val = ez * total
-        for m in range(1, n_int):
-            val = (1.0 - z * val) / m
-        return val
+    n = round(nu)
+    eps = nu - n
+    m = n - 1 if n >= 1 and abs(eps) < _NEAR_INT else -1
+    log_z = cmath.log(z)
     total = complex(0.0)
     term = complex(1.0)
-    total += term / (1.0 - nu)
-    for k in range(1, 500):
-        term *= -z / k
-        total += term / (1.0 - nu + k)
-        if abs(term) < 1e-18 * max(abs(total), 1e-30):
+    head = None
+    for k in range(500):
+        if k:
+            term *= -z / k
+        if k == m:
+            head = term * _pole_pair(m, eps, log_z)
+        else:
+            total += term / (1.0 - nu + k)
+        if k > m and abs(term) < 1e-18 * max(abs(total), 1e-30):
             break
-    head = gamma_real(1.0 - nu) * cmath.exp((nu - 1.0) * cmath.log(z))
-    return ez * (head - total)
+    if head is None:
+        head = gamma_real(1.0 - nu) * cmath.exp((nu - 1.0) * log_z)
+    return cmath.exp(z) * (head - total)
 
 
 def _exp_integral_asymptotic(nu: float, z: complex) -> complex:

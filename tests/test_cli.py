@@ -194,6 +194,58 @@ def test_rte_without_exact_transform_is_rejected_up_front(tmp_path, capsys,
     assert len(out_csv.read_text().splitlines()) == 1 + 3
 
 
+def _no_solver_may_run(sc):
+    raise AssertionError("a solver ran")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--times", "nan"],
+    ["--times", "inf"],
+    ["--times", "10,nan"],
+    ["--x-max", "inf"],
+    ["--x-max", "nan"],
+], ids=["times-nan", "times-inf", "times-list-nan", "x-max-inf", "x-max-nan"])
+def test_non_finite_flags_are_rejected_up_front(tmp_path, capsys,
+                                               monkeypatch, flags):
+    """Non-finite times and grid bounds are a usage error (exit 1),
+    raised before any solver runs."""
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "fig1a",
+                   "--out", str(tmp_path / "x.csv")] + flags)
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+
+
+NON_FINITE_CONFIG = """
+[odd]
+sigma_trap = 0.1
+times = 10
+x_max = 4
+x_count = 3
+{line}
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "speed = inf",
+    "speed = nan",
+    "sigma_s = inf",
+    "sigma_a = nan",
+    "contour_shift = inf",
+    "freq_scale = nan",
+    "x_min = -inf",
+])
+def test_non_finite_config_values_are_rejected_up_front(tmp_path, capsys,
+                                                        monkeypatch, line):
+    ini = tmp_path / "odd.ini"
+    ini.write_text(NON_FINITE_CONFIG.format(line=line))
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "odd", "--config", str(ini),
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_validate_fast_json_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = cli.main(["validate", "--level", "fast", "--out", str(report_path)])

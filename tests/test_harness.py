@@ -4,9 +4,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from trapdiff import fde, transport
+from trapdiff import fde, harness, transport
 from trapdiff.errors import NumericFailureError, ProfileError
 from trapdiff.harness import (
     CSV_HEADER,
@@ -64,6 +65,24 @@ def test_scenario_validation():
         small_scenario(solvers=())
     with pytest.raises(ValueError):
         dataclasses.replace(small_scenario(), n_ordinates=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        small_scenario(times=(10.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        SpatialGrid(0.0, bad, 3)
+    with pytest.raises(ValueError, match="finite"):
+        SpatialGrid(bad, 1.0, 3)
+    for field in ("sigma_a", "sigma_s", "sigma_trap", "speed"):
+        rates = dict(sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.0, waiting=None)
+        rates[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TransportParams(**rates)
+    for field in ("contour_shift", "freq_scale", "steepness"):
+        with pytest.raises(ValueError, match="finite"):
+            InversionConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("family", [Family.LOG_LOGISTIC, Family.FRECHET])
@@ -187,6 +206,64 @@ def test_rte_reports_only_numeric_failures(monkeypatch):
     monkeypatch.setattr(transport, "spectra", typo)
     with pytest.raises(TypeError, match="synthetic typo"):
         run_scenario(sc)
+
+
+def test_run_scenario_builds_the_quadrature_once(monkeypatch):
+    """One Gauss-Legendre rule serves every output time of a scenario,
+    and none is built when RTE is not run."""
+    built = []
+    real = harness.gauss_legendre
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(harness, "gauss_legendre", counting)
+    run_scenario(small_scenario(solvers=("RTE",), times=(10.0, 20.0, 30.0)))
+    assert built == [30]
+    run_scenario(small_scenario(solvers=("FDE", "NORMAL"), times=(10.0, 20.0)))
+    assert built == [30]
+
+
+def _with_speed(sc, speed, grid, times):
+    tp = dataclasses.replace(sc.transport, speed=speed)
+    return dataclasses.replace(sc, transport=tp, grid=grid, times=times)
+
+
+def _values(profiles, solver):
+    return np.array([[u for _, u in p.points] for p in profiles
+                     if p.solver == solver])
+
+
+def test_rte_profile_scales_with_speed():
+    """At speed c the transport density is u_1(x/c, t)/c, and it stays
+    below 1e-5 past the ballistic front x = c t."""
+    sc = builtin_scenarios()["fig1a"]
+    slow = run_scenario(_with_speed(sc, 1.0, SpatialGrid(0.0, 15.0, 31),
+                                    (10.0,)))
+    fast = run_scenario(_with_speed(sc, 2.0, SpatialGrid(0.0, 30.0, 31),
+                                    (10.0,)))
+    u1, u2 = _values(slow, "RTE")[0], _values(fast, "RTE")[0]
+    assert np.all(np.abs(u2 - u1 / 2.0) <= 1e-12 + 1e-12 * np.abs(u1))
+    xs = np.array(fast[0].xs())
+    beyond = xs > 1.05 * 2.0 * 10.0
+    assert beyond.any() and np.all(np.abs(u2[beyond]) < 1e-5)
+
+
+def test_rte_fde_gap_does_not_depend_on_speed():
+    """FDE takes the speed through D0 = c^2 / (3 sigma_s) and RTE through
+    its length scale c nu, so at t = 200 on fig1a the relative RTE/FDE gap
+    at matching points x = c x_1 is the same at c = 2 as at c = 1."""
+    sc = dataclasses.replace(builtin_scenarios()["fig1a"],
+                             solvers=frozenset({"RTE", "FDE"}))
+    gaps = []
+    for c in (1.0, 2.0):
+        profiles = run_scenario(_with_speed(
+            sc, c, SpatialGrid(0.0, 15.0 * c, 16), (200.0,)))
+        u_r, u_d = _values(profiles, "RTE")[0], _values(profiles, "FDE")[0]
+        gaps.append(np.abs(u_r - u_d) / np.abs(u_d))
+    assert gaps[0].max() > 1e-4  # the solvers differ at t = 200
+    assert np.allclose(gaps[1], gaps[0], rtol=1e-6, atol=0.0)
 
 
 # ------------------------------------------------------------------- emission

@@ -2,6 +2,7 @@
 
 Every expected number here is either a closed form evaluated with the
 standard library, an independent quadrature of the defining integral,
+a high-precision value from mpmath (skipped when it is not installed),
 or a property (exactness degree, recurrence, normalization) that the
 implementation does not use internally.
 """
@@ -147,6 +148,67 @@ def test_exp_integral_domain_errors():
     for nu, z in ((1.5, -1.0), (1.5, 0.0), (0.0, 1.0), (-1.0, 1.0)):
         with pytest.raises(ValueError):
             gen_exp_integral_scaled(nu, z)
+
+
+# where exp(z) E_nu(z) switches between power series, continued fraction
+# and asymptotic series: |z| = 1, |z| = 40, and the ray Re z = -|Im z|/2
+_SEAM_ANGLE = math.pi - math.atan(2.0)
+
+
+def _series_cancellation(z):
+    """exp(|z| + Re z) where the power series is used at |z| >= 1 (left of
+    the ray), the growth of its cancellation; 1 elsewhere."""
+    if 1.0 <= abs(z) < 40.0 and z.real < -0.5 * abs(z.imag):
+        return math.exp(abs(z) + z.real)
+    return 1.0
+
+
+def test_exp_integral_matches_mpmath_across_routing_seams():
+    """Relative error below 1e-12 (times the documented cancellation
+    growth of the series left of the ray) on both sides of every seam,
+    for orders near and at integers as well as in between."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mpmath = pytest.importorskip("mpmath")
+
+    near_integer = st.builds(
+        lambda n, sign, e: n + sign * 10.0**e,
+        st.integers(1, 3), st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -1.0))
+    orders = st.one_of(st.floats(0.2, 3.0), near_integer,
+                       st.integers(1, 3).map(float))
+    jitter = st.floats(-0.02, 0.02)
+    on_circle = st.builds(
+        lambda r, d, th: r * (1.0 + d) * cmath.exp(1j * th),
+        st.sampled_from([1.0, 40.0]), jitter,
+        st.floats(-math.pi + 0.01, math.pi - 0.01))
+    on_ray = st.builds(
+        lambda r, d, sign: r * cmath.exp(1j * sign * _SEAM_ANGLE * (1.0 + d)),
+        st.floats(0.5, 45.0), jitter, st.sampled_from([-1.0, 1.0]))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(nu=orders, z=st.one_of(on_circle, on_ray))
+    def check(nu, z):
+        with mpmath.workdps(40):
+            zz = mpmath.mpc(z)
+            want = complex(mpmath.exp(zz) * mpmath.expint(mpmath.mpf(nu), zz))
+        got = gen_exp_integral_scaled(nu, z)
+        rel = abs(got - want) / abs(want)
+        assert rel <= 1e-12 * _series_cancellation(z), (nu, z, rel)
+
+    check()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_integral_continuous_in_the_order_at_integers(n):
+    """Orders a hair off an integer, on either side of the series'
+    integer-order pairing, stay within 1e-10 of the integer-order value."""
+    for z in (0.5, 0.3 + 0.8j, -0.39 + 0.69j, -2.9 - 1.1j):
+        at = gen_exp_integral_scaled(float(n), z)
+        for delta in (1e-13, 1.25e-12, 1e-11):
+            for nu in (n - delta, n + delta):
+                got = gen_exp_integral_scaled(nu, z)
+                assert abs(got - at) <= 1e-10 * abs(at), (nu, z)
 
 
 # ------------------------------------------------------------------ mainardi

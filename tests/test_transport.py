@@ -1,12 +1,14 @@
 """Tests for the discrete-ordinates transport solver in the Laplace domain.
 
 The production solver takes one spectrum per transform point from the
-N x N half-range reduction. The oracles used here are deliberately
-outside that code path: the dispersion relation and orthogonality sums
-are recomputed from raw quadrature data, the eigenvalue pairing is
-checked on a freshly assembled 2N x 2N matrix, the (x, node) density
-transform is rebuilt from that full eigenproblem, and the mass identity
-comes from integrating the governing equation over space and angle.
+roots of the secular equation of the N x N half-range reduction. The
+oracles used here are deliberately outside that code path: the
+dispersion relation and orthogonality sums are recomputed from raw
+quadrature data, the eigenvalue pairing is checked on a freshly
+assembled 2N x 2N matrix, which also serves as a dense-eigensolver
+oracle for random scenarios, the (x, node) density transform is rebuilt
+from that full eigenproblem, and the mass identity comes from
+integrating the governing equation over space and angle.
 """
 
 import cmath
@@ -17,9 +19,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from trapdiff import transport
 from trapdiff.errors import NumericFailureError
 from trapdiff.harness import builtin_scenarios
-from trapdiff.ilt import contour
+from trapdiff.ilt import InversionConfig, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import (
     TransportParams,
@@ -27,6 +30,7 @@ from trapdiff.transport import (
     density_transform,
     laplace_density,
     sigma_t,
+    spectra,
 )
 from trapdiff.waiting import Family, WaitingTimeModel
 
@@ -253,6 +257,28 @@ def test_density_mass_identity():
             assert abs(lhs - rhs) / abs(rhs) < 1e-8, (p.sigma_trap, s)
 
 
+def test_density_mass_identity_at_speed_two():
+    """At speed c the transform is u_1(x/c)/c: its x-integral, taken here
+    by adaptive quadrature of the production transform, is still the
+    mass M(s) of the governing equation."""
+    w = WaitingTimeModel(family=Family.PARETO, alpha=0.5, gamma=0.1)
+    p = TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.1,
+                        waiting=w, speed=2.0)
+    q8 = gauss_legendre(8)
+    for s in (0.04 + 0.5j, 0.3 + 2.0j):
+        def part(x, name):
+            return getattr(density_transform(p, q8, [s], [x])[0, 0], name)
+
+        re = integrate.quad(part, 0.0, np.inf, args=("real",), limit=400,
+                            epsabs=1e-13, epsrel=1e-12)[0]
+        im = integrate.quad(part, 0.0, np.inf, args=("imag",), limit=400,
+                            epsabs=1e-13, epsrel=1e-12)[0]
+        lphi = w.laplace_survival(s)
+        mass = 2.0 * (1.0 + p.sigma_trap * lphi) / (
+            s + p.sigma_a + p.sigma_trap * s * lphi)
+        assert abs(2.0 * complex(re, im) - mass) / abs(mass) < 1e-10, s
+
+
 def test_density_monotone_tail():
     p = SCENARIOS[0]
     vals = [abs(laplace_density(p, Q30, 0.1 + 0.2j, x))
@@ -292,3 +318,115 @@ def test_density_transform_against_full_eigenproblem():
         want = (1.0 + p.sigma_trap * lphi) * np.array(
             [np.sum(np.exp(-x / nus) / norms) for x in xs])
         assert np.all(np.abs(got[:, j] - want) <= 1e-10 * np.abs(want)), s
+
+
+# ------------------------------------------- secular roots vs full eigenproblem
+
+def dispersion_residual(p, q, st, nus):
+    """|1 - (sigma_s nu / 2) sum_i w_i (1/(st nu - mu_i) + 1/(st nu + mu_i))|."""
+    mu = np.asarray(q.nodes)
+    w = np.asarray(q.weights)
+    c = 0.5 * p.sigma_s
+    nu = np.asarray(nus)[:, None]
+    return np.abs(1.0 - (c * nu / (st * nu - mu) + c * nu / (st * nu + mu)) @ w)
+
+
+def full_eigenproblem_spectrum(p, q, s):
+    """Decaying half of a fresh 2N x 2N eigenproblem at s. Raises
+    NumericFailureError where that half is not N finite eigenvalues clear
+    of the quadrature rays mu_i / sigma_t (the production solver's
+    collision rule) that satisfy the dispersion relation to 1e-9."""
+    n = q.order
+    mu = np.asarray(q.nodes)
+    w = np.asarray(q.weights)
+    st = sigma_t(p, s)
+    c = 0.5 * p.sigma_s
+    half = st * np.eye(n) - c * np.tile(w, (n, 1))
+    coupling = -c * np.tile(w, (n, 1))
+    big = np.block([[half, coupling], [coupling, half]])
+    streaming = np.diag(np.concatenate([mu, -mu]))
+    raw = 1.0 / np.linalg.eigvals(np.linalg.solve(streaming, big))
+    nus = raw[raw.real > 0.0]
+    if not np.isfinite(raw).all() or len(nus) != n:
+        raise NumericFailureError("no clean decaying half", s=s)
+    gap = np.abs(nus[:, None] - mu / st).min(axis=1)
+    if (gap < 1e-12 * np.maximum(1.0, np.abs(nus))).any():
+        raise NumericFailureError("eigenvalue on a quadrature ray", s=s)
+    if not (dispersion_residual(p, q, st, nus) <= 1e-9).all():
+        raise NumericFailureError("oracle fails the dispersion relation", s=s)
+    return nus
+
+
+def talbot_nodes(t):
+    """The transform points `invert_reference` probes at time t."""
+    probed = []
+    invert_reference(lambda s: probed.append(s) or 0j, t)
+    return np.array(probed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 60, 120])
+def test_spectra_against_full_eigenproblem_property(n):
+    """All N secular roots of each node, random rates and exponents, on
+    the DE contour and on the fixed-Talbot contour (Re s < 0), agree with
+    the full eigenproblem to 1e-10 relative, or both sides fail.
+
+    At N = 120 and |s| of order 100 the dense solve cannot resolve the
+    eigenvalues that sit within a relative 1e-6 of the quadrature rays,
+    and only the oracle fails; there the secular roots must still satisfy
+    the dispersion relation to 1e-9, recomputed here."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st_ = pytest.importorskip("hypothesis.strategies")
+
+    def log_uniform(lo, hi):
+        return st_.floats(lo, hi).map(lambda e: 10.0**e)
+
+    @hypothesis.settings(max_examples=12, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        sigma_a=log_uniform(-9.0, 0.0),
+        sigma_s=log_uniform(-1.0, 1.0),
+        sigma_trap=log_uniform(-3.0, 0.0),
+        gamma=log_uniform(-2.0, 1.0),
+        alpha=st_.floats(0.05, 0.95),
+        t=log_uniform(0.0, 2.5),
+        talbot=st_.booleans(),
+        pick=st_.randoms(use_true_random=False),
+    )
+    def check(sigma_a, sigma_s, sigma_trap, gamma, alpha, t, talbot, pick):
+        waiting = WaitingTimeModel(Family.PARETO, alpha=alpha, gamma=gamma)
+        p = TransportParams(sigma_a=sigma_a, sigma_s=sigma_s,
+                            sigma_trap=sigma_trap, waiting=waiting)
+        q = gauss_legendre(n)
+        if talbot:
+            s_all = talbot_nodes(t)
+        else:
+            s_all, _, _ = contour(t, InversionConfig())
+        s_nodes = s_all[sorted(pick.sample(range(len(s_all)), 4))]
+        try:
+            st, _, nus, _ = spectra(p, q, s_nodes)
+        except NumericFailureError as exc:
+            with pytest.raises(NumericFailureError):
+                full_eigenproblem_spectrum(p, q, exc.context["s"])
+            return
+        for j, s in enumerate(s_nodes.tolist()):
+            try:
+                want = full_eigenproblem_spectrum(p, q, s)
+            except NumericFailureError:
+                assert dispersion_residual(p, q, st[j], nus[j]).max() <= 1e-9
+                continue
+            nearest = np.argmin(np.abs(want[None, :] - nus[j][:, None]), axis=1)
+            assert sorted(nearest) == list(range(n)), s
+            rel = np.abs(nus[j] - want[nearest]) / np.abs(want[nearest])
+            assert rel.max() <= 1e-10, (s, rel.max())
+
+    check()
+
+
+def test_secular_iteration_cap_raises(monkeypatch):
+    """A root that has not converged when the iteration cap is reached
+    is an error, never a silently returned eigenvalue."""
+    sc = builtin_scenarios()["fig1a"]
+    s_nodes, _, _ = contour(10.0, sc.inversion)
+    monkeypatch.setattr(transport, "_MAX_ITER", 1)
+    with pytest.raises(NumericFailureError, match="not converged"):
+        spectra(sc.transport, Q30, s_nodes)
