@@ -8,20 +8,17 @@ same contour, and the classical diffusion kernel as a baseline. A comparison har
 over shared scenarios and emits CSV tables and gnuplot scripts.
 """
 
-from .errors import (CancellationError, DegenerateSpectrumError,
-                     NumericFailureError, ProfileError, QuadratureError,
-                     TransformUnavailableError)
-from .fde import (FdeParams, density, density_half, fourier_laplace,
-                  from_transport, laplace_density_closed, normal_diffusion)
+from .errors import (DegenerateSpectrumError, NumericFailureError,
+                     ProfileError, QuadratureError, TransformUnavailableError)
+from .fde import (FdeParams, density_half, fourier_laplace, from_transport,
+                  laplace_density_closed, normal_diffusion)
 from .fde import laplace_density as fde_laplace_density
 from .harness import (Scenario, SpatialGrid, SpatialProfile,
                       builtin_scenarios, emit_csv, emit_plot_script,
                       run_scenario, validate)
 from .ilt import (InversionConfig, contour, de_map, de_map_derivative,
                   invert, invert_reference)
-from .specfun import (QuadratureSet, gamma_real, gauss_legendre,
-                      gen_exp_integral_scaled, mainardi,
-                      mainardi_asymptotic, reciprocal_gamma, stable_density)
+from .specfun import QuadratureSet, gauss_legendre, gen_exp_integral_scaled
 from .transport import AdoSpectrum, TransportParams, ado_spectrum, sigma_t
 from .transport import laplace_density as transport_laplace_density
 from .waiting import Family, WaitingTimeModel
@@ -30,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdoSpectrum",
-    "CancellationError",
     "DegenerateSpectrumError",
     "Family",
     "FdeParams",
@@ -50,26 +46,20 @@ __all__ = [
     "contour",
     "de_map",
     "de_map_derivative",
-    "density",
     "density_half",
     "emit_csv",
     "emit_plot_script",
     "fde_laplace_density",
     "fourier_laplace",
     "from_transport",
-    "gamma_real",
     "gauss_legendre",
     "gen_exp_integral_scaled",
     "invert",
     "invert_reference",
     "laplace_density_closed",
-    "mainardi",
-    "mainardi_asymptotic",
     "normal_diffusion",
-    "reciprocal_gamma",
     "run_scenario",
     "sigma_t",
-    "stable_density",
     "transport_laplace_density",
     "validate",
 ]

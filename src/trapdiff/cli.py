@@ -15,8 +15,7 @@ import configparser
 import json
 import sys
 
-from .errors import (CancellationError, NumericFailureError, ProfileError,
-                     QuadratureError)
+from .errors import NumericFailureError, ProfileError, QuadratureError
 from .harness import (Scenario, SpatialGrid, builtin_scenarios, emit_csv,
                       emit_plot_script, run_scenario, validate)
 from .ilt import InversionConfig
@@ -205,8 +204,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
-    except (NumericFailureError, QuadratureError, ProfileError,
-            CancellationError) as exc:
+    except (NumericFailureError, QuadratureError, ProfileError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _NUMERIC
 

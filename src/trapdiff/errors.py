@@ -1,19 +1,6 @@
 """Exception types shared across the package."""
 
 
-class CancellationError(ArithmeticError):
-    """An alternating series lost all significant digits in floating point.
-
-    Raised instead of returning a value whose error cannot be bounded.
-    Carries the growth ratio (largest term over partial sum) that tripped
-    the guard.
-    """
-
-    def __init__(self, message: str, ratio: float = float("nan")):
-        super().__init__(message)
-        self.ratio = ratio
-
-
 class NumericFailureError(RuntimeError):
     """A numerical routine produced a non-finite or unusable result.
 

@@ -11,23 +11,21 @@ whole line when absorption is off.
 Production profiles come from `laplace_density_closed`, the Laplace
 transform in closed form in x, evaluated as one (x, node) array on the
 inversion contour of `ilt.contour`; it holds for any alpha. The other
-routes are oracles that share none of its algebra: `density_half` and
-`density` evaluate the subordination formula in the time domain by
+routes are oracles that share none of its algebra: `density_half`
+evaluates the alpha = 1/2 subordination formula in the time domain by
 adaptive quadrature, and `laplace_density` inverts the spatial Fourier
 representation numerically.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import CancellationError, QuadratureError
-from .specfun import gamma_real, mainardi, mainardi_asymptotic
+from .errors import QuadratureError
 from .transport import TransportParams
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "from_transport",
     "fourier_laplace",
     "density_half",
-    "density",
     "normal_diffusion",
     "laplace_density",
     "laplace_density_closed",
@@ -155,7 +152,7 @@ def _peak_ladder(tau_star: float) -> list[float] | None:
     """Breakpoint hints bracketing the integrand ridge at tau_star.
 
     For small trap_strength the integrand lives on a few decades around
-    tau_star (eta sqrt(scale)/2 when alpha = 1/2), far below quadrature
+    tau_star = eta sqrt(scale)/2, far below quadrature
     resolution on (0,1); a geometric ladder of hints steers the
     subdivision there. None when the ridge needs no help.
     """
@@ -224,122 +221,6 @@ def density_half(p: FdeParams, x: float, t: float, tol: float = 1e-8) -> float:
     )
     term2 = outer * eta * eta * math.sqrt(t) / (math.pi * math.sqrt(math.pi * d0))
     return term1 + term2
-
-
-def _kernel_switch(alpha: float) -> float:
-    """Argument where the kernel series hands over to its tail form.
-
-    Series cancellation grows like exp(2(1-alpha) n*) with the dominant
-    index n* = (z alpha^alpha)^{1/(1-alpha)}; capping the loss at ~1e10
-    (two decades inside the hard guard) gives this z. At alpha = 1/2 the
-    series is a closed form and never hands over.
-    """
-    if alpha == 0.5:
-        return math.inf
-    n_star = 11.5 / (1.0 - alpha)
-    return n_star ** (1.0 - alpha) / alpha**alpha
-
-
-def _kernel_series(alpha: float, z: float) -> float:
-    try:
-        return mainardi(alpha, z)
-    except CancellationError:
-        # the guard should only trip deep in the stretched-exponential
-        # tail, where the saddle-point form is good to a few percent of
-        # a vanishing quantity; anything larger is a genuine accuracy
-        # loss and propagates
-        tail = mainardi_asymptotic(alpha, z)
-        if abs(tail) > 1e-3 / gamma_real(1.0 - alpha):
-            raise
-        return tail
-
-
-def _kernel_value(alpha: float, z: float, z_hi: float) -> float:
-    """Subordination kernel M_alpha(z), series below z_hi, tail above.
-
-    The two branches are blended linearly over a 10% window ending at
-    z_hi: a hard switch would put a small jump in the middle of the
-    quadrature interval and stall the extrapolation against it.
-    """
-    z_lo = 0.9 * z_hi
-    if z <= z_lo:
-        return _kernel_series(alpha, z)
-    tail = mainardi_asymptotic(alpha, z)
-    if z >= z_hi:
-        return tail
-    lam = (z - z_lo) / (z_hi - z_lo)
-    return (1.0 - lam) * _kernel_series(alpha, z) + lam * tail
-
-
-def density(p: FdeParams, x: float, t: float, tol: float = 1e-8) -> float:
-    """Density for general tail exponent via the subordination kernel.
-
-    Follows the same delta-plus-power-kernel split as density_half but
-    keeps alpha symbolic, paying for it with kernel evaluations. For
-    alpha != 1/2 the kernel series must hand over to its tail expansion
-    at large argument, which caps the real accuracy near 1e-5 no matter
-    how small tol is; alpha = 1/2 rides the closed-form kernel and is
-    limited only by tol.
-    """
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if p.trap_strength == 0.0:
-        return normal_diffusion(p, x, t)
-    alpha = p.alpha
-    eta = p.trap_strength
-    d0 = p.diffusivity
-    inner_tol = tol / 10.0
-
-    # kernel tail sets in near z ~ B^{alpha-1}, B the stretch constant
-    stretch = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    z_thresh = stretch ** (alpha - 1.0)
-    z_switch = _kernel_switch(alpha)
-
-    def inner(tp: float) -> float:
-        """Kernel integral at elapsed time tp, substituted y = tp(1-tau^2)."""
-        if tp <= 0.0:
-            return 0.0
-        zc = eta * tp ** (1.0 - alpha)
-
-        def f(tau: float) -> float:
-            sq = 1.0 - tau * tau
-            power = tau ** (2.0 * alpha)
-            denom = (tp * tau * tau) ** (1.0 + alpha)
-            if sq <= 0.0 or power == 0.0 or denom == 0.0:
-                return 0.0
-            y = tp * sq
-            z = zc * sq / power
-            arg = x * x / (4.0 * d0 * y) + p.sigma_a * y
-            if arg > 745.0:
-                return 0.0
-            kern = _kernel_value(alpha, z, z_switch)
-            if kern == 0.0:
-                return 0.0
-            return 2.0 * tp * tau * math.sqrt(y) * kern * math.exp(-arg) / denom
-
-        tau_star = (zc / z_thresh) ** (1.0 / (2.0 * alpha)) if zc > 0.0 else 0.0
-        return _quad_checked(f, 0.0, 1.0, inner_tol, inner_tol,
-                             points=_peak_ladder(tau_star),
-                             limit=_INNER_LIMIT)
-
-    def outer_g(tp: float) -> float:
-        if tp <= 0.0:
-            # limit of sqrt(tp)*inner(tp): the kernel has unit mass in
-            # its tail variable, leaving 1/(alpha eta) at x = 0
-            return 0.0 if x != 0.0 else 1.0 / (alpha * eta)
-        return math.sqrt(tp) * inner(tp)
-
-    delta_part = inner(t)
-    # power-kernel part: integrand ~ tp^{-1/2} at 0 and (t-tp)^{-alpha}
-    # at t; both singular factors go to the QAWS weight
-    memory = _quad_checked(
-        outer_g, 0.0, t, tol, tol,
-        weight="alg", wvar=(-0.5, -alpha),
-    )
-    memory *= eta / gamma_real(1.0 - alpha)
-    return alpha * eta / math.sqrt(math.pi * d0) * (delta_part + memory)
 
 
 def normal_diffusion(p: FdeParams, x: float, t: float) -> float:

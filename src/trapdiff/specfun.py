@@ -5,10 +5,8 @@ routines sit underneath the transport and fractional-diffusion solvers and
 are exercised at complex arguments far from the textbook sweet spots, so
 the evaluation regions and failure modes need to be explicit.
 
-Contents: Gauss-Legendre rules on (0, 1), a Lanczos gamma function with
-reflection, the generalized exponential integral in overflow-safe scaled
-form, the Mainardi (Wright-type) function M_alpha, and the one-sided
-stable density built from it.
+Contents: Gauss-Legendre rules on (0, 1) and the generalized exponential
+integral in overflow-safe scaled form.
 """
 
 from __future__ import annotations
@@ -17,17 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import CancellationError, NumericFailureError
+from .errors import NumericFailureError
 
 __all__ = [
     "QuadratureSet",
     "gauss_legendre",
-    "gamma_real",
-    "reciprocal_gamma",
     "gen_exp_integral_scaled",
-    "mainardi",
-    "mainardi_asymptotic",
-    "stable_density",
 ]
 
 
@@ -85,75 +78,6 @@ def gauss_legendre(n: int) -> QuadratureSet:
         order=n,
         nodes=tuple(p[0] for p in pairs),
         weights=tuple(p[1] for p in pairs),
-    )
-
-
-# Lanczos approximation, g = 7, 9 terms: ~15 significant digits on the
-# positive axis, extended below 1/2 by reflection.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _sin_pi(x: float) -> float:
-    """sin(pi*x) with exact period-2 argument reduction via fmod."""
-    return math.sin(math.pi * math.fmod(x, 2.0))
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function on the real line, poles excluded."""
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at {x}")
-    if x < 0.5:
-        # reflection; sin(pi*x) is safe since x is not an integer here
-        return math.pi / (_sin_pi(x) * gamma_real(1.0 - x))
-    y = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    # assemble in log space so large arguments do not overflow midway
-    return math.exp(
-        0.5 * math.log(2.0 * math.pi) + (y + 0.5) * math.log(t) - t + math.log(acc)
-    )
-
-
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), returning exact zeros at the poles of Gamma.
-
-    The zero branch is what lets series over 1/Gamma skip pole terms
-    without special casing at the call site.
-    """
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    if x >= 0.5:
-        return 1.0 / gamma_real(x)
-    # reflection without forming a huge Gamma first when possible
-    return _sin_pi(x) * gamma_real(1.0 - x) / math.pi
-
-
-def _log_abs_reciprocal_gamma(x: float) -> tuple[float, float]:
-    """(log |1/Gamma(x)|, sign), tolerating arguments past overflow.
-
-    Returns sign 0.0 at the poles of Gamma, matching reciprocal_gamma.
-    """
-    if x <= 0.0 and x == math.floor(x):
-        return -math.inf, 0.0
-    if x > 0.0:
-        return -math.lgamma(x), 1.0
-    s = _sin_pi(x)
-    return (
-        math.log(abs(s) / math.pi) + math.lgamma(1.0 - x),
-        math.copysign(1.0, s),
     )
 
 
@@ -244,7 +168,7 @@ def _exp_integral_series(nu: float, z: complex) -> complex:
         if k > m and abs(term) < 1e-18 * max(abs(total), 1e-30):
             break
     if head is None:
-        head = gamma_real(1.0 - nu) * cmath.exp((nu - 1.0) * log_z)
+        head = math.gamma(1.0 - nu) * cmath.exp((nu - 1.0) * log_z)
     return cmath.exp(z) * (head - total)
 
 
@@ -298,100 +222,3 @@ def gen_exp_integral_scaled(nu: float, z: complex) -> complex:
     if z.real >= -0.5 * abs(z.imag):
         return _exp_integral_cf(nu, z)
     return _exp_integral_series(nu, z)
-
-
-def mainardi(alpha: float, z: float) -> float:
-    """Mainardi function M_alpha(z) for 0 < alpha < 1 and z >= 0.
-
-    Defined by the series sum_n (-z)^n / (n! Gamma(-alpha*n + 1 - alpha)).
-    For alpha = 1/2 the closed form exp(-z^2/4)/sqrt(pi) is exact and is
-    always used. For other alpha the alternating series is summed with a
-    hard cancellation guard: if the largest retained term exceeds 1e12
-    times the partial sum, the double-precision result has no certifiable
-    digits left and a CancellationError is raised instead.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if z < 0.0:
-        raise ValueError(f"argument must be >= 0, got {z}")
-    if alpha == 0.5:
-        return math.exp(-0.25 * z * z) / math.sqrt(math.pi)
-    if z == 0.0:
-        return reciprocal_gamma(1.0 - alpha)
-    total = 0.0
-    power = 1.0  # (-z)^n / n!, valid until it under/overflows
-    log_z = math.log(z)
-    largest = 0.0
-    small_run = 0
-    in_log_mode = False
-    converged = False
-    for n in range(0, 2000):
-        x = 1.0 - alpha * (n + 1)
-        if not in_log_mode and (x < -170.0 or abs(power) < 1e-280):
-            # direct products would overflow the reflection or underflow
-            # the factorial factor; switch to log-space term assembly
-            in_log_mode = True
-        if in_log_mode:
-            log_rg, sign_rg = _log_abs_reciprocal_gamma(x)
-            log_term = n * log_z - math.lgamma(n + 1.0) + log_rg
-            if log_term > 705.0:
-                raise CancellationError(
-                    f"Mainardi series for alpha={alpha}, z={z} has terms "
-                    "beyond double-precision range",
-                    ratio=math.inf,
-                )
-            term = 0.0 if log_term < -745.0 else (
-                (1.0 if n % 2 == 0 else -1.0) * sign_rg * math.exp(log_term)
-            )
-        else:
-            term = power * reciprocal_gamma(x)
-            power *= -z / (n + 1)
-        total += term
-        largest = max(largest, abs(term))
-        if abs(term) < 1e-18 * max(abs(total), 1e-300) and n > 4:
-            small_run += 1
-            if small_run >= 3:
-                converged = True
-                break
-        else:
-            small_run = 0
-    if largest > 1e12 * abs(total) or not converged:
-        raise CancellationError(
-            f"Mainardi series for alpha={alpha}, z={z} cancelled beyond repair",
-            ratio=largest / abs(total) if total != 0.0 else math.inf,
-        )
-    return total
-
-
-def mainardi_asymptotic(alpha: float, z: float) -> float:
-    """Leading-order large-argument behaviour of M_alpha(z).
-
-    M_alpha(z) ~ A z^p exp(-b z^q) with q = 1/(1-alpha); relative accuracy
-    is O(z^-q), so this is an estimate for tail bounds and truncation
-    decisions, not a substitute for the series at moderate z.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if z <= 0.0:
-        raise ValueError(f"argument must be > 0, got {z}")
-    q = 1.0 / (1.0 - alpha)
-    b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    p = (alpha - 0.5) / (1.0 - alpha)
-    a = alpha ** ((2.0 * alpha - 1.0) / (2.0 - 2.0 * alpha)) / math.sqrt(
-        2.0 * math.pi * (1.0 - alpha)
-    )
-    arg = -b * z**q
-    if arg < -745.0:
-        return 0.0
-    return a * z**p * math.exp(arg)
-
-
-def stable_density(alpha: float, t: float) -> float:
-    """One-sided stable density with Laplace transform exp(-s^alpha).
-
-    g_alpha(t) = (alpha / t^(1+alpha)) * M_alpha(t^-alpha) for t > 0.
-    Propagates the Mainardi cancellation guard for alpha != 1/2 at small t.
-    """
-    if t <= 0.0:
-        raise ValueError(f"time must be > 0, got {t}")
-    return alpha / t ** (1.0 + alpha) * mainardi(alpha, t**-alpha)

@@ -194,7 +194,7 @@ def _block_spectra(sigma_s: float, mu: np.ndarray, w: np.ndarray,
     nu = 1.0 / np.sqrt(st[:, None] ** 2 * z)
     # eigenfunctions are singular on the quadrature rays mu_i / sigma_t
     gap = np.abs(nu[:, :, None] - mu / st[:, None, None]).min(axis=2)
-    hit = gap < 1e-12 * np.maximum(1.0, np.abs(nu))
+    hit = gap < 1e-12 * np.abs(nu)
     if hit.any():
         j, k = np.argwhere(hit)[0]
         raise DegenerateSpectrumError(

@@ -9,7 +9,6 @@ Laplace transform, built from the generalized exponential integral.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -28,10 +27,6 @@ class Family(enum.Enum):
     FRECHET = "frechet"
 
 
-def _principal_power(s: complex, expo: float) -> complex:
-    return cmath.exp(expo * cmath.log(s))
-
-
 @dataclass(frozen=True)
 class WaitingTimeModel:
     """Waiting-time distribution with tail exponent alpha and scale gamma."""
@@ -48,7 +43,7 @@ class WaitingTimeModel:
 
     @property
     def has_exact_transform(self) -> bool:
-        """Whether `laplace_pdf(mode="exact")` has a closed form."""
+        """Whether `laplace_pdf` has a closed form for this family."""
         return self.family is Family.PARETO
 
     def pdf(self, tau: float) -> float:
@@ -92,22 +87,16 @@ class WaitingTimeModel:
         """Probability that the waiting time exceeds tau; exact complement."""
         return 1.0 - self.cdf(tau)
 
-    def laplace_pdf(self, s: complex, mode: str = "exact") -> complex:
+    def laplace_pdf(self, s: complex) -> complex:
         """Laplace transform of the waiting-time density.
 
-        mode="exact" evaluates alpha * e^(gamma*s) * E_(1+alpha)(gamma*s),
-        which is the Pareto-type transform in closed form; other families
-        raise TransformUnavailableError. mode="asymptotic" returns the
-        small-s tail form 1 - (gamma*s)^alpha shared by all families. Both
-        use principal branches; the exact form is the analytic
-        continuation off the cut along the negative real axis, guaranteed
-        for Re s > 0.
+        Evaluates alpha * e^(gamma*s) * E_(1+alpha)(gamma*s), the
+        Pareto-type transform in closed form; other families raise
+        TransformUnavailableError. Principal branches: the value is the
+        analytic continuation off the cut along the negative real axis,
+        guaranteed for Re s > 0.
         """
         s = complex(s)
-        if mode == "asymptotic":
-            return 1.0 - _principal_power(self.gamma * s, self.alpha)
-        if mode != "exact":
-            raise ValueError(f"unknown transform mode {mode!r}")
         if not self.has_exact_transform:
             raise TransformUnavailableError(
                 f"no closed-form Laplace transform for {self.family.value}"
@@ -122,4 +111,4 @@ class WaitingTimeModel:
         s = complex(s)
         if s == 0.0:
             raise ValueError("transform of the survival function diverges at s = 0")
-        return (1.0 - self.laplace_pdf(s, mode="exact")) / s
+        return (1.0 - self.laplace_pdf(s)) / s

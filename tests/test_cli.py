@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import math
 
 import pytest
 
@@ -156,6 +157,31 @@ def test_profile_fde_general_exponent(tmp_path, alpha):
             continue
         want = invert_reference(lambda s: fde.laplace_density(p, x, s), t)
         assert abs(u - want) <= 1e-10 + 1e-8 * abs(want), (x, t)
+
+
+MANY_ORDINATES_CONFIG = """
+[fine]
+n_ordinates = 120
+times = 1
+x_max = 1
+x_count = 5
+solvers = RTE
+"""
+
+
+def test_profile_many_ordinates_at_short_time(tmp_path):
+    """At N = 120 and t = 1 the smallest eigenvalues lie a relative 1e-6
+    from their quadrature rays, |nu| ~ 1e-6: a valid spectrum, computed
+    and not reported as a ray collision."""
+    ini = tmp_path / "fine.ini"
+    ini.write_text(MANY_ORDINATES_CONFIG)
+    out_csv = tmp_path / "fine.csv"
+    rc = cli.main(["profile", "--scenario", "fine", "--config", str(ini),
+                   "--out", str(out_csv)])
+    assert rc == 0
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(cols[1])) for cols in rows)
 
 
 FAMILY_CONFIG = """

@@ -1,12 +1,12 @@
 """Tests for the fractional diffusion solvers.
 
-Three independent routes to the same density exist: the alpha = 1/2
-subordination integral (`density_half`), the general-alpha kernel route
-(`density`), and numerical inversion of the Fourier-Laplace picture
-(`laplace_density` fed to the Laplace inverters). The tests play them
-against each other and against the closed-form normal-diffusion limit.
-The production transform `laplace_density_closed` is checked against
-the numerical Fourier route it replaces.
+Two independent oracles of the same density exist: the alpha = 1/2
+subordination integral (`density_half`) and numerical inversion of the
+Fourier-Laplace picture (`laplace_density` fed to the Laplace
+inverters). The tests play them against each other and against the
+closed-form normal-diffusion limit. The production transform
+`laplace_density_closed` is checked against the numerical Fourier route
+for every tail exponent.
 """
 
 import cmath
@@ -19,7 +19,6 @@ from trapdiff import ilt
 from trapdiff.errors import QuadratureError
 from trapdiff.fde import (
     FdeParams,
-    density,
     density_half,
     fourier_laplace,
     from_transport,
@@ -171,35 +170,6 @@ def test_density_half_memory_ladder_is_monotone():
                         for x in range(11)))
     assert sups[0] > sups[1] > sups[2]
     assert sups[1] < 1e-3
-
-
-# ----------------------------------------------------------- general exponent
-
-def test_density_matches_half_route():
-    for x, t in ((1.0, 10.0), (5.0, 100.0)):
-        a = density(MAIN, x, t)
-        b = density_half(MAIN, x, t)
-        assert abs(a - b) <= 2e-8, (x, t)
-
-
-@pytest.mark.parametrize("alpha,frozen", [(0.7, 0.308601768),
-                                          (0.3, 0.326350654)])
-def test_density_general_exponent_matches_inversion(alpha, frozen):
-    p = FdeParams(trap_strength=0.1, diffusivity=D0, sigma_a=0.0, alpha=alpha)
-    got = density(p, 1.0, 10.0)
-    oracle = ilt.invert(lambda s: laplace_density(p, 1.0, s), 10.0)
-    assert abs(got - oracle) / oracle < 1e-2
-    assert got == pytest.approx(frozen, rel=1e-4)
-
-
-def test_density_zero_memory_is_normal():
-    p = FdeParams(trap_strength=0.0, diffusivity=D0, sigma_a=0.0, alpha=0.7)
-    assert density(p, 0.8, 5.0) == normal_diffusion(p, 0.8, 5.0)
-
-
-def test_density_rejects_bad_time():
-    with pytest.raises(ValueError):
-        density(MAIN, 1.0, -1.0)
 
 
 # ------------------------------------------------------------- normal limit

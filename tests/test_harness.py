@@ -19,7 +19,8 @@ from trapdiff.harness import (
     run_scenario,
     validate,
 )
-from trapdiff.ilt import InversionConfig
+from trapdiff.ilt import InversionConfig, invert_reference
+from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import TransportParams
 from trapdiff.waiting import Family, WaitingTimeModel
 
@@ -264,6 +265,24 @@ def test_rte_fde_gap_does_not_depend_on_speed():
         gaps.append(np.abs(u_r - u_d) / np.abs(u_d))
     assert gaps[0].max() > 1e-4  # the solvers differ at t = 200
     assert np.allclose(gaps[1], gaps[0], rtol=1e-6, atol=0.0)
+
+
+def test_late_time_profiles_match_their_oracles():
+    """At t = 1000 the contour sum's factor e^{sigma t} would be e^40 at
+    the default shift and swamp the profiles in roundoff: RTE and FDE stay
+    within 1e-8 of Talbot inversion and of the time-domain quadrature."""
+    sc = dataclasses.replace(builtin_scenarios()["fig1a"], times=(1000.0,),
+                             grid=SpatialGrid(0.0, 2.0, 3),
+                             solvers=frozenset({"RTE", "FDE"}))
+    profiles = run_scenario(sc)
+    u_r, u_d = _values(profiles, "RTE")[0], _values(profiles, "FDE")[0]
+    assert np.isfinite(u_r).all() and np.isfinite(u_d).all()
+    q = gauss_legendre(sc.n_ordinates)
+    want_r = invert_reference(
+        lambda s: transport.laplace_density(sc.transport, q, s, 2.0), 1000.0)
+    want_d = fde.density_half(fde.from_transport(sc.transport), 1.0, 1000.0)
+    assert abs(u_r[2] - want_r) <= 1e-8 * abs(want_r)
+    assert abs(u_d[1] - want_d) <= 1e-8 * abs(want_d)
 
 
 # ------------------------------------------------------------------- emission

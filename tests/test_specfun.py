@@ -3,7 +3,7 @@
 Every expected number here is either a closed form evaluated with the
 standard library, an independent quadrature of the defining integral,
 a high-precision value from mpmath (skipped when it is not installed),
-or a property (exactness degree, recurrence, normalization) that the
+or a property (exactness degree, recurrence, symmetry) that the
 implementation does not use internally.
 """
 
@@ -14,16 +14,7 @@ import random
 import pytest
 from scipy import integrate
 
-from trapdiff.errors import CancellationError
-from trapdiff.specfun import (
-    gauss_legendre,
-    gamma_real,
-    gen_exp_integral_scaled,
-    mainardi,
-    mainardi_asymptotic,
-    reciprocal_gamma,
-    stable_density,
-)
+from trapdiff.specfun import gauss_legendre, gen_exp_integral_scaled
 
 
 # ---------------------------------------------------------------- quadrature
@@ -70,31 +61,6 @@ def test_gauss_legendre_node_layout():
 def test_gauss_legendre_rejects_bad_order():
     with pytest.raises(ValueError):
         gauss_legendre(0)
-
-
-# --------------------------------------------------------------------- gamma
-
-def test_gamma_matches_stdlib():
-    pts = [0.01, 0.1, 0.5, 1.0, 1.5, 3.7, 10.0, 20.5,
-           -0.5, -1.5, -2.3, -5.7, -10.2]
-    for x in pts:
-        assert gamma_real(x) == pytest.approx(math.gamma(x), rel=1e-13), x
-
-
-def test_gamma_poles_raise():
-    for x in (0.0, -1.0, -2.0, -17.0):
-        with pytest.raises(ValueError):
-            gamma_real(x)
-
-
-def test_reciprocal_gamma_zeros_at_poles():
-    for x in (0.0, -1.0, -3.0, -12.0):
-        assert reciprocal_gamma(x) == 0.0
-
-
-def test_reciprocal_gamma_matches_inverse():
-    for x in (0.25, 1.0, 4.5, -0.5, -3.3):
-        assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-13)
 
 
 # -------------------------------------------------- exponential integral E_nu
@@ -209,118 +175,3 @@ def test_exp_integral_continuous_in_the_order_at_integers(n):
             for nu in (n - delta, n + delta):
                 got = gen_exp_integral_scaled(nu, z)
                 assert abs(got - at) <= 1e-10 * abs(at), (nu, z)
-
-
-# ------------------------------------------------------------------ mainardi
-
-def test_mainardi_half_closed_form():
-    assert mainardi(0.5, 0.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
-    assert mainardi(0.5, 0.0) == pytest.approx(0.5641896, abs=1e-7)
-    assert mainardi(0.5, 2.0) == pytest.approx(math.exp(-1.0) / math.sqrt(math.pi),
-                                               rel=1e-15)
-    assert mainardi(0.5, 2.0) == pytest.approx(0.2075537, abs=1e-7)
-
-
-def test_mainardi_third_at_origin():
-    assert mainardi(1.0 / 3.0, 0.0) == pytest.approx(1.0 / math.gamma(2.0 / 3.0),
-                                                     rel=1e-12)
-    assert mainardi(1.0 / 3.0, 0.0) == pytest.approx(0.7384881, abs=1e-7)
-
-
-def test_mainardi_origin_is_reciprocal_gamma():
-    for a in (0.3, 0.7):
-        assert mainardi(a, 0.0) == pytest.approx(1.0 / math.gamma(1.0 - a), rel=1e-12)
-
-
-def _wright_series_half(z):
-    """Independent series sum_n (-z)^n / (n! Gamma(1/2 - n/2)), stdlib gamma."""
-    total = 0.0
-    for n in range(200):
-        x = 0.5 - 0.5 * n
-        if x <= 0.0 and abs(x - round(x)) < 1e-12:
-            continue  # reciprocal gamma vanishes at the poles
-        term = (-z) ** n / (math.factorial(n) * math.gamma(x))
-        total += term
-        if n > 10 and abs(term) < 1e-18 * abs(total):
-            break
-    return total
-
-
-def test_mainardi_series_matches_closed_form():
-    for z in (0.0, 0.1, 0.5, 1.0, 2.0, 3.5, 5.0):
-        assert _wright_series_half(z) == pytest.approx(mainardi(0.5, z), rel=1e-10), z
-
-
-def test_mainardi_cancellation_guard():
-    with pytest.raises(CancellationError) as exc:
-        mainardi(0.7, 6.0)
-    assert exc.value.ratio > 1e12
-
-
-def test_mainardi_half_exempt_from_guard():
-    # the closed form has no alternating sum, so large z stays finite
-    assert mainardi(0.5, 50.0) >= 0.0
-
-
-def test_mainardi_rejects_bad_args():
-    for a, z in ((1.2, 1.0), (0.0, 1.0), (1.0, 1.0), (0.5, -1.0)):
-        with pytest.raises(ValueError):
-            mainardi(a, z)
-
-
-def test_mainardi_asymptotic_matches_series_overlap():
-    # alpha=0.3, z=8 sits inside both the series and asymptotic regions
-    s_val = mainardi(0.3, 8.0)
-    a_val = mainardi_asymptotic(0.3, 8.0)
-    assert a_val > 0.0
-    assert abs(a_val - s_val) / s_val < 5e-2
-
-
-# ------------------------------------------------------------ stable density
-
-def test_stable_density_half_closed_form():
-    # one-sided 1/2-stable: (1/(2 sqrt(pi))) t^{-3/2} e^{-1/(4t)}
-    val = stable_density(0.5, 1.0)
-    assert val == pytest.approx(0.5 / math.sqrt(math.pi) * math.exp(-0.25), rel=1e-13)
-    assert val == pytest.approx(0.21969564473386122, rel=1e-13)
-
-
-def test_stable_density_vanishes_at_origin():
-    assert stable_density(0.5, 1e-3) < 1e-100
-
-
-def test_stable_density_rejects_nonpositive_t():
-    for t in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            stable_density(0.5, t)
-
-
-def _recip_gamma_safe(x):
-    if x <= 0.0 and x == round(x):
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
-@pytest.mark.parametrize("alpha,z_cap", [(0.3, 11.5), (0.5, 26.0), (0.7, 4.1)])
-def test_stable_density_normalizes(alpha, z_cap):
-    """Total mass 1 within 1e-8: bulk quadrature plus analytic head and tail.
-
-    The bulk runs in log time between the largest argument the series
-    accepts (t_min = z_cap^{-1/alpha}) and T = 1e8. Below t_min the
-    density is superexponentially small and the asymptotic form is
-    integrated instead; beyond T the survival series of the transform
-    e^{-s^alpha} gives the mass sum_k (-1)^{k+1} T^{-k alpha} / (k! Gamma(1-k alpha)).
-    """
-    t_min = z_cap ** (-1.0 / alpha)
-    big_t = 1e8
-    bulk, eb = integrate.quad(
-        lambda u: stable_density(alpha, math.exp(u)) * math.exp(u),
-        math.log(t_min), math.log(big_t), limit=400,
-        epsabs=1e-10, epsrel=1e-10)
-    head, eh = integrate.quad(
-        lambda t: alpha * t ** (-1.0 - alpha) * mainardi_asymptotic(alpha, t ** (-alpha)),
-        0.0, t_min, limit=200)
-    tail = sum((-1) ** (k + 1) * big_t ** (-k * alpha) / math.factorial(k)
-               * _recip_gamma_safe(1.0 - k * alpha) for k in (1, 2, 3))
-    assert eb + eh < 5e-9
-    assert bulk + head + tail == pytest.approx(1.0, abs=1e-8)

@@ -20,7 +20,7 @@ import pytest
 from scipy import integrate
 
 from trapdiff import transport
-from trapdiff.errors import NumericFailureError
+from trapdiff.errors import DegenerateSpectrumError, NumericFailureError
 from trapdiff.harness import builtin_scenarios
 from trapdiff.ilt import InversionConfig, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
@@ -350,7 +350,7 @@ def full_eigenproblem_spectrum(p, q, s):
     if not np.isfinite(raw).all() or len(nus) != n:
         raise NumericFailureError("no clean decaying half", s=s)
     gap = np.abs(nus[:, None] - mu / st).min(axis=1)
-    if (gap < 1e-12 * np.maximum(1.0, np.abs(nus))).any():
+    if (gap < 1e-12 * np.abs(nus)).any():
         raise NumericFailureError("eigenvalue on a quadrature ray", s=s)
     if not (dispersion_residual(p, q, st, nus) <= 1e-9).all():
         raise NumericFailureError("oracle fails the dispersion relation", s=s)
@@ -429,4 +429,18 @@ def test_secular_iteration_cap_raises(monkeypatch):
     s_nodes, _, _ = contour(10.0, sc.inversion)
     monkeypatch.setattr(transport, "_MAX_ITER", 1)
     with pytest.raises(NumericFailureError, match="not converged"):
+        spectra(sc.transport, Q30, s_nodes)
+
+
+def test_ray_collision_raises(monkeypatch):
+    """Secular roots on the poles d_i = 1/mu_i^2 put every eigenvalue on
+    its quadrature ray mu_i / sigma_t: a degenerate spectrum, not a value."""
+    sc = builtin_scenarios()["fig1a"]
+    s_nodes, _, _ = contour(10.0, sc.inversion)
+
+    def on_the_poles(rho, d, v2, s_nodes):
+        return np.broadcast_to(d, (len(s_nodes), len(d))).astype(complex)
+
+    monkeypatch.setattr(transport, "_secular_roots", on_the_poles)
+    with pytest.raises(DegenerateSpectrumError, match="quadrature ray"):
         spectra(sc.transport, Q30, s_nodes)

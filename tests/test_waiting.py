@@ -165,14 +165,6 @@ def test_survival_tail_power_all_families():
 
 # ----------------------------------------------------------- transform: pdf
 
-def test_laplace_pdf_asymptotic_mode_shared_by_families():
-    s = 0.3 + 0.7j
-    expected = 1.0 - (GAMMA * s) ** ALPHA
-    for m in ALL_FAMILIES:
-        got = m.laplace_pdf(s, mode="asymptotic")
-        assert abs(got - expected) < 1e-15
-
-
 def test_laplace_pdf_exact_near_zero():
     # total probability 1, approached at the Karamata rate
     lw = PARETO.laplace_pdf(1e-8)
@@ -190,11 +182,12 @@ def test_laplace_pdf_exact_matches_quadrature():
 
 
 def test_laplace_pdf_exact_vs_asymptotic_converge():
-    """The gap over (gamma s)^alpha tends to Gamma(1-alpha) - 1, not zero."""
+    """The gap to the tail form 1 - (gamma s)^alpha, over (gamma s)^alpha,
+    tends to Gamma(1-alpha) - 1, not zero."""
     limit = math.gamma(1.0 - ALPHA) - 1.0
     devs = []
     for s in (1e-2, 1e-4, 1e-6):
-        gap = abs(PARETO.laplace_pdf(s) - PARETO.laplace_pdf(s, mode="asymptotic"))
+        gap = abs(PARETO.laplace_pdf(s) - (1.0 - (GAMMA * s) ** ALPHA))
         devs.append(abs(gap / (GAMMA * s) ** ALPHA - limit))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-2 * limit
@@ -207,9 +200,7 @@ def test_laplace_pdf_exact_only_for_pareto():
             m.laplace_pdf(1.0)
 
 
-def test_laplace_pdf_rejects_bad_mode_and_branch_cut():
-    with pytest.raises(ValueError):
-        PARETO.laplace_pdf(1.0, mode="magic")
+def test_laplace_pdf_rejects_branch_cut():
     with pytest.raises(ValueError):
         PARETO.laplace_pdf(-1.0)  # gamma*s on the cut
     with pytest.raises(ValueError):
