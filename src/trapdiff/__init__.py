@@ -9,7 +9,7 @@ over shared scenarios and emits CSV tables and gnuplot scripts.
 """
 
 from .errors import (DegenerateSpectrumError, NumericFailureError,
-                     ProfileError, QuadratureError, TransformUnavailableError)
+                     ProfileError, QuadratureError)
 from .fde import (FdeParams, density_half, fourier_laplace, from_transport,
                   laplace_density_closed, normal_diffusion)
 from .fde import laplace_density as fde_laplace_density
@@ -21,14 +21,13 @@ from .ilt import (InversionConfig, contour, de_map, de_map_derivative,
 from .specfun import QuadratureSet, gauss_legendre, gen_exp_integral_scaled
 from .transport import AdoSpectrum, TransportParams, ado_spectrum, sigma_t
 from .transport import laplace_density as transport_laplace_density
-from .waiting import Family, WaitingTimeModel
+from .waiting import WaitingTimeModel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdoSpectrum",
     "DegenerateSpectrumError",
-    "Family",
     "FdeParams",
     "InversionConfig",
     "NumericFailureError",
@@ -38,7 +37,6 @@ __all__ = [
     "Scenario",
     "SpatialGrid",
     "SpatialProfile",
-    "TransformUnavailableError",
     "TransportParams",
     "WaitingTimeModel",
     "ado_spectrum",

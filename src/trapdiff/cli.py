@@ -4,8 +4,10 @@ Subcommands: profile (compute a scenario and write CSV, optionally a
 plot script), compare (profiles plus solver-difference columns),
 validate (self-check suite, JSON report), scenarios (list built-ins).
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 numeric
-failure inside a solver, 3 validation failures.
+Exit codes: 0 success, 1 usage or configuration problem (a bad flag or
+INI value, an unknown INI key, an unreadable input or unwritable output),
+2 numeric failure inside a solver (a ValueError raised once the scenario
+is built counts as one), 3 validation failures.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import replace
 
 from .errors import NumericFailureError, ProfileError, QuadratureError
 from .harness import (Scenario, SpatialGrid, builtin_scenarios, emit_csv,
                       emit_plot_script, run_scenario, validate)
 from .ilt import InversionConfig
 from .transport import TransportParams
-from .waiting import Family, WaitingTimeModel
+from .waiting import WaitingTimeModel
 
 _USAGE, _NUMERIC, _VALIDATION = 1, 2, 3
 
@@ -29,21 +32,27 @@ class _CliError(Exception):
     """A user-input problem; message goes to stderr, exit code 1."""
 
 
+# every key _parse_config_scenario reads; any other key is an error
+_INI_KEYS = frozenset((
+    "sigma_a", "sigma_s", "sigma_trap", "alpha", "gamma", "speed",
+    "contour_shift", "freq_scale", "truncation", "steepness",
+    "times", "x_min", "x_max", "x_count", "solvers", "n_ordinates"))
+
+
 def _parse_config_scenario(section: configparser.SectionProxy,
                            label: str) -> Scenario:
+    # iterating a section includes the [DEFAULT] keys merged into it
+    unknown = sorted(set(section) - _INI_KEYS)
+    if unknown:
+        raise _CliError(f"unknown key(s) in [{label}]: {', '.join(unknown)}")
+
     def get_float(key, default):
         return section.getfloat(key, fallback=default)
 
     sigma_trap = get_float("sigma_trap", 0.0)
     waiting = None
     if sigma_trap > 0.0:
-        family = section.get("family", fallback="pareto")
-        try:
-            family = Family(family)
-        except ValueError as exc:
-            raise _CliError(f"unknown waiting-time family '{family}'") from exc
-        waiting = WaitingTimeModel(family,
-                                   alpha=get_float("alpha", 0.5),
+        waiting = WaitingTimeModel(alpha=get_float("alpha", 0.5),
                                    gamma=get_float("gamma", 0.1))
     transport = TransportParams(
         sigma_a=get_float("sigma_a", 1e-9),
@@ -70,37 +79,43 @@ def _parse_config_scenario(section: configparser.SectionProxy,
 
 
 def _load_scenario(args) -> Scenario:
+    """The scenario named by --scenario, from --config or the built-ins,
+    with the flag overrides applied; an invalid value is a usage error."""
+    try:
+        return _apply_overrides(_base_scenario(args), args)
+    except (ValueError, configparser.Error) as exc:
+        raise _CliError(str(exc)) from exc
+
+
+def _base_scenario(args) -> Scenario:
     name = args.scenario
     if args.config:
         parser = configparser.ConfigParser()
         if not parser.read(args.config):
             raise _CliError(f"cannot read config file {args.config}")
         if parser.has_section(name):
-            sc = _parse_config_scenario(parser[name], name)
-            return _apply_overrides(sc, args)
+            return _parse_config_scenario(parser[name], name)
     builtins = builtin_scenarios()
     if name not in builtins:
         known = ", ".join(sorted(builtins))
         raise _CliError(f"unknown scenario '{name}' (built-ins: {known})")
-    return _apply_overrides(builtins[name], args)
+    return builtins[name]
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
     """Command-line flags win over config-file and built-in values."""
-    times = sc.times
-    if getattr(args, "times", None):
-        times = tuple(float(v) for v in args.times.split(","))
-    grid = sc.grid
-    if getattr(args, "x_max", None) is not None or getattr(args, "x_count", None) is not None:
-        grid = SpatialGrid(sc.grid.x_min,
-                           args.x_max if args.x_max is not None else sc.grid.x_max,
-                           args.x_count if args.x_count is not None else sc.grid.count)
-    solvers = sc.solvers
-    if getattr(args, "solvers", None):
-        solvers = frozenset(v.strip().upper() for v in args.solvers.split(","))
-    return Scenario(label=sc.label, transport=sc.transport,
-                    inversion=sc.inversion, times=times, grid=grid,
-                    solvers=solvers, n_ordinates=sc.n_ordinates)
+    changes = {}
+    if args.times:
+        changes["times"] = tuple(float(v) for v in args.times.split(","))
+    if args.x_max is not None or args.x_count is not None:
+        changes["grid"] = replace(
+            sc.grid,
+            x_max=sc.grid.x_max if args.x_max is None else args.x_max,
+            count=sc.grid.count if args.x_count is None else args.x_count)
+    if args.solvers:
+        changes["solvers"] = frozenset(
+            v.strip().upper() for v in args.solvers.split(","))
+    return replace(sc, **changes)
 
 
 def _cmd_profile(args) -> int:
@@ -118,9 +133,7 @@ def _cmd_compare(args) -> int:
     sc = _load_scenario(args)
     needed = {"RTE", "FDE"}
     if not needed <= sc.solvers:
-        sc = Scenario(label=sc.label, transport=sc.transport,
-                      inversion=sc.inversion, times=sc.times, grid=sc.grid,
-                      solvers=sc.solvers | needed, n_ordinates=sc.n_ordinates)
+        sc = replace(sc, solvers=sc.solvers | needed)
     emit_csv(run_scenario(sc), args.out, differences=True)
     print(f"{sc.label}: comparison -> {args.out}")
     return 0
@@ -198,13 +211,11 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else _USAGE
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE
-    except (NumericFailureError, QuadratureError, ProfileError) as exc:
+    except (NumericFailureError, QuadratureError, ProfileError,
+            ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _NUMERIC
 

@@ -17,10 +17,6 @@ class DegenerateSpectrumError(NumericFailureError):
     """A discrete-ordinates eigenvalue collided with a quadrature ray."""
 
 
-class TransformUnavailableError(ValueError):
-    """No closed-form Laplace transform is implemented for this family."""
-
-
 class QuadratureError(RuntimeError):
     """Adaptive quadrature could not certify the requested tolerance."""
 

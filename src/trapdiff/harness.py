@@ -11,8 +11,10 @@ evaluates its transform as one (x, node) array and reduces it with the
 contour weights. RTE takes one discrete-ordinates spectrum per node from
 `transport.spectra`; FDE uses its closed form. Where sigma t would pass
 8 (past t = 200 at the default shift), the shift sigma is lowered to
-8/t. `validate --level full`
-checks that FDE profile against the time-domain quadrature
+8/t. RTE values past the ballistic front |x| > speed * t are written
+as 0: neither the exact nor the discrete-ordinates solution has mass
+there, so the contour sum there is only ringing. `validate --level
+full` checks the FDE profile against the time-domain quadrature
 `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
@@ -21,7 +23,6 @@ scenario produces a bit-identical CSV on every run.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -31,7 +32,7 @@ from .errors import NumericFailureError, ProfileError
 from .ilt import InversionConfig, contour, de_map, invert, invert_reference
 from .specfun import QuadratureSet, gauss_legendre
 from .transport import TransportParams
-from .waiting import Family, WaitingTimeModel
+from .waiting import WaitingTimeModel
 
 __all__ = [
     "SpatialGrid",
@@ -99,31 +100,6 @@ class Scenario:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVER_ORDER}")
         if self.n_ordinates < 1:
             raise ValueError(f"need at least one ordinate, got {self.n_ordinates}")
-        tp = self.transport
-        if ("RTE" in self.solvers and tp.sigma_trap > 0.0
-                and not tp.waiting.has_exact_transform):
-            raise ValueError(
-                f"RTE needs the exact waiting-time transform, which the "
-                f"{tp.waiting.family.value} family lacks; use FDE or NORMAL")
-
-    def fingerprint(self) -> str:
-        """Stable hash of every physical and numerical parameter.
-
-        The label is cosmetic and deliberately excluded: two scenarios
-        that compute the same thing fingerprint identically.
-        """
-        tp, w = self.transport, self.transport.waiting
-        parts = [
-            repr(tp.sigma_a), repr(tp.sigma_s), repr(tp.sigma_trap),
-            repr(tp.speed),
-            "none" if w is None else f"{w.family.value}:{w.alpha!r}:{w.gamma!r}",
-            repr(self.inversion),
-            repr(self.times),
-            repr(self.grid),
-            ",".join(sorted(self.solvers)),
-            repr(self.n_ordinates),
-        ]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -134,7 +110,6 @@ class SpatialProfile:
     solver: str
     t: float
     points: tuple[tuple[float, float], ...]
-    fingerprint: str
 
     def xs(self) -> tuple[float, ...]:
         return tuple(x for x, _ in self.points)
@@ -142,7 +117,7 @@ class SpatialProfile:
 
 def _figure_scenario(label: str, sigma_trap: float, gamma: float,
                      t: float) -> Scenario:
-    waiting = WaitingTimeModel(Family.PARETO, alpha=0.5, gamma=gamma)
+    waiting = WaitingTimeModel(alpha=0.5, gamma=gamma)
     return Scenario(
         label=label,
         transport=TransportParams(sigma_a=1e-9, sigma_s=1.0,
@@ -186,7 +161,10 @@ def _rte_profile(sc: Scenario, t: float, quadrature: QuadratureSet
     except NumericFailureError as exc:
         raise ProfileError(f"spectrum failed: {exc}", solver="RTE",
                            x=math.nan, t=t) from exc
-    return tuple(zip(xs, _on_contour(transform, weights, prefactor)))
+    # nothing reaches past the ballistic front; the sum there is ringing
+    front = sc.transport.speed * t
+    values = _on_contour(transform, weights, prefactor)
+    return tuple((x, 0.0 if abs(x) > front else u) for x, u in zip(xs, values))
 
 
 def _fde_values(p: fde.FdeParams, xs, t: float,
@@ -222,7 +200,6 @@ def run_scenario(sc: Scenario) -> list[SpatialProfile]:
     if "RTE" in sc.solvers:
         quadrature = gauss_legendre(sc.n_ordinates)
         runners["RTE"] = partial(_rte_profile, quadrature=quadrature)
-    fp = sc.fingerprint()
     profiles = []
     for t in sc.times:
         for solver in SOLVER_ORDER:
@@ -234,7 +211,7 @@ def run_scenario(sc: Scenario) -> list[SpatialProfile]:
                 raise ProfileError("non-finite density", solver=solver,
                                    x=x_bad, t=t)
             profiles.append(SpatialProfile(scenario=sc.label, solver=solver,
-                                           t=t, points=pts, fingerprint=fp))
+                                           t=t, points=pts))
     return profiles
 
 
@@ -394,12 +371,6 @@ def validate(level: str = "fast",
                          abs(de_map(10.0, k) / 10.0 - 1.0), 1e-12))
     report.append(_check("ilt.de_map_vanishing_tail", de_map(-3.0, k), 1e-20))
 
-    # waiting-time survival is the exact complement of the cdf
-    w = WaitingTimeModel(Family.PARETO, 0.5, 0.1)
-    worst = max(abs(w.survival(tau) + w.cdf(tau) - 1.0)
-                for tau in (0.0, 0.1, 1.0, 10.0, 1e4))
-    report.append(_check("waiting.survival_complement", worst, 0.0))
-
     # transform-space mass at k=0 collapses to 2/s when absorption is off
     p_a = fde.FdeParams(trap_strength=math.sqrt(0.1) * 0.1,
                         diffusivity=1.0 / 3.0, sigma_a=0.0, alpha=0.5)
@@ -447,10 +418,7 @@ def validate(level: str = "fast",
     report.append(_check("fde.closed_form_vs_time_domain", worst, 1e-8))
 
     # inversion convergence: doubling the truncation must not move results
-    wide = InversionConfig(contour_shift=cfg.contour_shift,
-                           freq_scale=cfg.freq_scale,
-                           truncation=2 * cfg.truncation,
-                           steepness=cfg.steepness)
+    wide = replace(cfg, truncation=2 * cfg.truncation)
     worst = 0.0
     for transform_f, _original, t, _budget in pairs:
         a = invert(transform_f, t, cfg)

@@ -22,7 +22,7 @@ from trapdiff.fde import FdeParams, density_half, from_transport, normal_diffusi
 from trapdiff.ilt import InversionConfig, invert
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import TransportParams, ado_spectrum
-from trapdiff.waiting import Family, WaitingTimeModel
+from trapdiff.waiting import WaitingTimeModel
 
 
 @contextlib.contextmanager
@@ -36,7 +36,7 @@ def budget(seconds):
 def trapped(sigma_trap, gamma):
     return TransportParams(
         sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
-        waiting=WaitingTimeModel(family=Family.PARETO, alpha=0.5, gamma=gamma))
+        waiting=WaitingTimeModel(alpha=0.5, gamma=gamma))
 
 
 SCENARIOS = (trapped(0.1, 0.1), trapped(0.01, 0.1), trapped(0.1, 1.0))

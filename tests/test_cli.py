@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import configparser
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from trapdiff import cli, fde
+from trapdiff import cli, fde, harness
 from trapdiff.errors import ProfileError
 from trapdiff.ilt import invert_reference
 
@@ -184,6 +187,10 @@ def test_profile_many_ordinates_at_short_time(tmp_path):
     assert all(math.isfinite(float(cols[1])) for cols in rows)
 
 
+def _no_solver_may_run(sc):
+    raise AssertionError("a solver ran")
+
+
 FAMILY_CONFIG = """
 [llog]
 sigma_trap = 0.1
@@ -195,33 +202,107 @@ solvers = {solvers}
 """
 
 
-@pytest.mark.parametrize("family", ["log-logistic", "frechet"])
+@pytest.mark.parametrize("family", ["pareto", "log-logistic", "frechet"])
 def test_rte_without_exact_transform_is_rejected_up_front(tmp_path, capsys,
                                                           monkeypatch, family):
-    """RTE needs the waiting-time transform in closed form: families
-    without one are a configuration error (exit 1) before any solver
-    runs, whether RTE comes from the file or from --solvers."""
-    def never(sc):
-        raise AssertionError("a solver ran")
-
+    """The waiting-time law is the Pareto type, fixed by alpha and gamma
+    alone, so a `family` line is an unknown key: a configuration error
+    (exit 1) before any solver runs, for every solver set and with
+    profile as with compare; a non-Pareto law can never run silently."""
     ini = tmp_path / "llog.ini"
     out_csv = tmp_path / "l.csv"
-    ini.write_text(FAMILY_CONFIG.format(family=family, solvers="RTE"))
-    monkeypatch.setattr(cli, "run_scenario", never)
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
     base = ["--scenario", "llog", "--config", str(ini), "--out", str(out_csv)]
-    assert cli.main(["profile"] + base) == 1
-    assert family in capsys.readouterr().err
-    assert cli.main(["compare"] + base) == 1
-
-    ini.write_text(FAMILY_CONFIG.format(family=family, solvers="FDE,NORMAL"))
-    assert cli.main(["profile"] + base + ["--solvers", "RTE"]) == 1
-    monkeypatch.undo()
-    assert cli.main(["profile"] + base) == 0
-    assert len(out_csv.read_text().splitlines()) == 1 + 3
+    for solvers in ("RTE", "FDE,NORMAL"):
+        ini.write_text(FAMILY_CONFIG.format(family=family, solvers=solvers))
+        for command in ("profile", "compare"):
+            assert cli.main([command] + base) == 1
+            assert "family" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
-def _no_solver_may_run(sc):
-    raise AssertionError("a solver ran")
+TYPO_CONFIG = """
+[DEFAULT]
+{default}
+
+[typo]
+sigma_trap = 0.1
+{line}
+times = 10
+x_max = 4
+x_count = 3
+solvers = FDE,NORMAL
+"""
+
+
+@pytest.mark.parametrize("default, line", [
+    ("", "sigma_trp = 0.5"),
+    ("sigma_trp = 0.5", ""),
+], ids=["in-section", "in-default"])
+def test_unknown_config_key_is_rejected_up_front(tmp_path, capsys,
+                                                 monkeypatch, default, line):
+    """A misspelt key is an error naming the key (exit 1), not a silent
+    fall-back to the default of the key that was meant; keys that
+    configparser merges in from [DEFAULT] are checked too."""
+    ini = tmp_path / "typo.ini"
+    ini.write_text(TYPO_CONFIG.format(default=default, line=line))
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "typo", "--config", str(ini),
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "sigma_trp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--times", "abc"], ""),
+    (["--times", "10,"], ""),
+    ([], "times = abc"),
+    ([], "x_count = many"),
+    ([], "alpha = 1.5"),
+], ids=["flag-times-abc", "flag-times-trailing-comma", "ini-times-abc",
+        "ini-x-count", "ini-alpha-out-of-range"])
+def test_bad_values_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                     flags, line):
+    ini = tmp_path / "typo.ini"
+    ini.write_text(TYPO_CONFIG.format(default="", line=line))
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "typo", "--config", str(ini),
+                   "--out", str(tmp_path / "x.csv")] + flags)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_value_error_inside_a_solver_is_not_a_usage_error(tmp_path, capsys,
+                                                          monkeypatch):
+    """Only building the scenario from flags and INI turns a ValueError
+    into exit 1; one raised while a solver runs is a solver failure."""
+    def broken(*args):
+        raise ValueError("synthetic solver failure")
+
+    monkeypatch.setattr(harness.transport, "spectra", broken)
+    rc = cli.main(["profile", "--scenario", "fig1a", "--solvers", "RTE",
+                   "--x-count", "3", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "synthetic solver failure" in err
+
+
+def test_readme_ini_example_runs(tmp_path, capsys):
+    """The INI example of the README runs as documented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    ini = tmp_path / "cases.ini"
+    ini.write_text(example)
+    parser = configparser.ConfigParser()
+    parser.read_string(example)
+    (section,) = parser.sections()
+    out_csv = tmp_path / "case.csv"
+    rc = cli.main(["profile", "--scenario", section, "--config", str(ini),
+                   "--out", str(out_csv)])
+    assert rc == 0, capsys.readouterr().err
+    rows = out_csv.read_text().splitlines()[1:]
+    assert len(rows) == (len(parser[section]["times"].split(","))
+                         * int(parser[section]["x_count"]))
 
 
 @pytest.mark.parametrize("flags", [
@@ -277,7 +358,7 @@ def test_validate_fast_json_report(tmp_path, capsys):
     rc = cli.main(["validate", "--level", "fast", "--out", str(report_path)])
     assert rc == 0
     report = json.loads(report_path.read_text())
-    assert isinstance(report, list) and len(report) == 6
+    assert isinstance(report, list) and len(report) == 5
     assert all(e["status"] == "pass" for e in report)
     printed = capsys.readouterr().out
     assert "transport.eigenvalue_n1" in printed

@@ -27,7 +27,7 @@ from trapdiff.fde import (
     normal_diffusion,
 )
 from trapdiff.transport import TransportParams
-from trapdiff.waiting import Family, WaitingTimeModel
+from trapdiff.waiting import WaitingTimeModel
 
 ETA = math.sqrt(0.1) * 0.1  # gamma^alpha * sigma_trap for the main scenario
 D0 = 1.0 / 3.0
@@ -40,7 +40,7 @@ FREE = FdeParams(trap_strength=0.0, diffusivity=D0, sigma_a=0.0, alpha=0.5)
 def transport_set(sigma_trap=0.1, gamma=0.1):
     w = None
     if sigma_trap > 0.0:
-        w = WaitingTimeModel(family=Family.PARETO, alpha=0.5, gamma=gamma)
+        w = WaitingTimeModel(alpha=0.5, gamma=gamma)
     return TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
                            waiting=w)
 
@@ -74,7 +74,7 @@ def test_from_transport_trap_free():
 
 
 def test_from_transport_speed_scaling():
-    w = WaitingTimeModel(family=Family.PARETO, alpha=0.5, gamma=0.1)
+    w = WaitingTimeModel(alpha=0.5, gamma=0.1)
     tp = TransportParams(sigma_a=0.0, sigma_s=2.0, sigma_trap=0.1, waiting=w,
                          speed=3.0)
     assert from_transport(tp).diffusivity == pytest.approx(9.0 / 6.0, rel=1e-15)

@@ -28,7 +28,7 @@ from trapdiff.ilt import (
 )
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import TransportParams, laplace_density
-from trapdiff.waiting import Family, WaitingTimeModel
+from trapdiff.waiting import WaitingTimeModel
 
 K = 6.0  # default steepness
 Q30 = gauss_legendre(30)
@@ -43,7 +43,7 @@ FIGURE_PARAMS = {
 
 def transport_params(key):
     sigma_trap, gamma = FIGURE_PARAMS[key]
-    w = WaitingTimeModel(family=Family.PARETO, alpha=0.5, gamma=gamma)
+    w = WaitingTimeModel(alpha=0.5, gamma=gamma)
     return TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
                            waiting=w)
 

@@ -32,13 +32,13 @@ from trapdiff.transport import (
     sigma_t,
     spectra,
 )
-from trapdiff.waiting import Family, WaitingTimeModel
+from trapdiff.waiting import WaitingTimeModel
 
 
 def scenario_params(sigma_trap=0.1, gamma=0.1):
     waiting = None
     if sigma_trap > 0.0:
-        waiting = WaitingTimeModel(family=Family.PARETO, alpha=0.5, gamma=gamma)
+        waiting = WaitingTimeModel(alpha=0.5, gamma=gamma)
     return TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
                            waiting=waiting)
 
@@ -64,7 +64,7 @@ def phi_matrix(spectrum, mu):
 # ---------------------------------------------------------------- parameters
 
 def test_params_validation():
-    w = WaitingTimeModel(family=Family.PARETO, alpha=0.5, gamma=0.1)
+    w = WaitingTimeModel(alpha=0.5, gamma=0.1)
     with pytest.raises(ValueError):
         TransportParams(sigma_a=-1.0, sigma_s=1.0, sigma_trap=0.0, waiting=None)
     with pytest.raises(ValueError):
@@ -101,7 +101,8 @@ def test_sigma_t_composition_against_quadrature():
 
     def integrand(u, part):
         tau = math.exp(u)
-        damped = p.waiting.survival(tau) * math.exp(-s.real * tau) * tau
+        survival = (1.0 + tau / p.waiting.gamma) ** -p.waiting.alpha  # Pareto
+        damped = survival * math.exp(-s.real * tau) * tau
         if part == "re":
             return damped * math.cos(s.imag * tau)
         return -damped * math.sin(s.imag * tau)
@@ -261,7 +262,7 @@ def test_density_mass_identity_at_speed_two():
     """At speed c the transform is u_1(x/c)/c: its x-integral, taken here
     by adaptive quadrature of the production transform, is still the
     mass M(s) of the governing equation."""
-    w = WaitingTimeModel(family=Family.PARETO, alpha=0.5, gamma=0.1)
+    w = WaitingTimeModel(alpha=0.5, gamma=0.1)
     p = TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.1,
                         waiting=w, speed=2.0)
     q8 = gauss_legendre(8)
@@ -393,7 +394,7 @@ def test_spectra_against_full_eigenproblem_property(n):
         pick=st_.randoms(use_true_random=False),
     )
     def check(sigma_a, sigma_s, sigma_trap, gamma, alpha, t, talbot, pick):
-        waiting = WaitingTimeModel(Family.PARETO, alpha=alpha, gamma=gamma)
+        waiting = WaitingTimeModel(alpha=alpha, gamma=gamma)
         p = TransportParams(sigma_a=sigma_a, sigma_s=sigma_s,
                             sigma_trap=sigma_trap, waiting=waiting)
         q = gauss_legendre(n)
