@@ -4,8 +4,11 @@ The package computes time-domain particle densities three ways: a
 discrete-ordinates solution of the trapped transport equation inverted
 numerically from the Laplace domain, a time-fractional diffusion
 approximation inverted from its closed-form Laplace transform on the
-same contour, and the classical diffusion kernel as a baseline. A comparison harness drives all three
-over shared scenarios and emits CSV tables and gnuplot scripts.
+same contour, and the classical diffusion kernel as a baseline. The
+discrete-ordinates spectra of a whole contour come from one call of
+`transport.spectra`, the only spectrum entry point. A comparison
+harness drives all three over shared scenarios and emits CSV tables and
+gnuplot scripts.
 """
 
 from .errors import (DegenerateSpectrumError, NumericFailureError,
@@ -19,14 +22,13 @@ from .harness import (Scenario, SpatialGrid, SpatialProfile,
 from .ilt import (InversionConfig, contour, de_map, de_map_derivative,
                   invert, invert_reference)
 from .specfun import QuadratureSet, gauss_legendre, gen_exp_integral_scaled
-from .transport import AdoSpectrum, TransportParams, ado_spectrum, sigma_t
+from .transport import TransportParams
 from .transport import laplace_density as transport_laplace_density
 from .waiting import WaitingTimeModel
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdoSpectrum",
     "DegenerateSpectrumError",
     "FdeParams",
     "InversionConfig",
@@ -39,7 +41,6 @@ __all__ = [
     "SpatialProfile",
     "TransportParams",
     "WaitingTimeModel",
-    "ado_spectrum",
     "builtin_scenarios",
     "contour",
     "de_map",
@@ -57,7 +58,6 @@ __all__ = [
     "laplace_density_closed",
     "normal_diffusion",
     "run_scenario",
-    "sigma_t",
     "transport_laplace_density",
     "validate",
 ]

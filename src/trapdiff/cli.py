@@ -4,6 +4,11 @@ Subcommands: profile (compute a scenario and write CSV, optionally a
 plot script), compare (profiles plus solver-difference columns),
 validate (self-check suite, JSON report), scenarios (list built-ins).
 
+Every flag and INI value is checked before a solver runs: INI `alpha`
+and `gamma` also when `sigma_trap` is zero and the waiting-time law goes
+unused, and the section name, which becomes the scenario label, must not
+contain a comma, a quote or a line break.
+
 Exit codes: 0 success, 1 usage or configuration problem (a bad flag or
 INI value, an unknown INI key, an unreadable input or unwritable output),
 2 numeric failure inside a solver (a ValueError raised once the scenario
@@ -39,6 +44,14 @@ _INI_KEYS = frozenset((
     "times", "x_min", "x_max", "x_count", "solvers", "n_ordinates"))
 
 
+def _parse_times(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _parse_solvers(text: str) -> frozenset[str]:
+    return frozenset(v.strip().upper() for v in text.split(","))
+
+
 def _parse_config_scenario(section: configparser.SectionProxy,
                            label: str) -> Scenario:
     # iterating a section includes the [DEFAULT] keys merged into it
@@ -49,33 +62,35 @@ def _parse_config_scenario(section: configparser.SectionProxy,
     def get_float(key, default):
         return section.getfloat(key, fallback=default)
 
-    sigma_trap = get_float("sigma_trap", 0.0)
-    waiting = None
-    if sigma_trap > 0.0:
-        waiting = WaitingTimeModel(alpha=get_float("alpha", 0.5),
-                                   gamma=get_float("gamma", 0.1))
+    # the law is checked even where zero trapping leaves it unused
+    waiting = WaitingTimeModel(alpha=get_float("alpha", 0.5),
+                               gamma=get_float("gamma", 0.1))
     transport = TransportParams(
         sigma_a=get_float("sigma_a", 1e-9),
         sigma_s=get_float("sigma_s", 1.0),
-        sigma_trap=sigma_trap,
+        sigma_trap=get_float("sigma_trap", 0.0),
         waiting=waiting,
-        speed=get_float("speed", 1.0),
+        speed=get_float("speed", TransportParams.speed),
     )
+    # absent keys take the dataclass defaults, as the built-ins do
     inversion = InversionConfig(
-        contour_shift=get_float("contour_shift", 0.04),
-        freq_scale=get_float("freq_scale", 40.0),
-        truncation=section.getint("truncation", fallback=40),
-        steepness=get_float("steepness", 6.0),
+        contour_shift=get_float("contour_shift",
+                                InversionConfig.contour_shift),
+        freq_scale=get_float("freq_scale", InversionConfig.freq_scale),
+        truncation=section.getint("truncation",
+                                  fallback=InversionConfig.truncation),
+        steepness=get_float("steepness", InversionConfig.steepness),
     )
-    times = tuple(float(v) for v in section.get("times", "10").split(","))
     grid = SpatialGrid(get_float("x_min", 0.0), get_float("x_max", 15.0),
                        section.getint("x_count", fallback=151))
-    solvers = frozenset(
-        v.strip().upper()
-        for v in section.get("solvers", "RTE,FDE,NORMAL").split(","))
-    return Scenario(label=label, transport=transport, inversion=inversion,
-                    times=times, grid=grid, solvers=solvers,
-                    n_ordinates=section.getint("n_ordinates", fallback=30))
+    solvers = section.get("solvers")
+    return Scenario(
+        label=label, transport=transport, inversion=inversion,
+        times=_parse_times(section.get("times", "10")), grid=grid,
+        solvers=(Scenario.solvers if solvers is None
+                 else _parse_solvers(solvers)),
+        n_ordinates=section.getint("n_ordinates",
+                                   fallback=Scenario.n_ordinates))
 
 
 def _load_scenario(args) -> Scenario:
@@ -106,15 +121,14 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     """Command-line flags win over config-file and built-in values."""
     changes = {}
     if args.times:
-        changes["times"] = tuple(float(v) for v in args.times.split(","))
+        changes["times"] = _parse_times(args.times)
     if args.x_max is not None or args.x_count is not None:
         changes["grid"] = replace(
             sc.grid,
             x_max=sc.grid.x_max if args.x_max is None else args.x_max,
             count=sc.grid.count if args.x_count is None else args.x_count)
     if args.solvers:
-        changes["solvers"] = frozenset(
-            v.strip().upper() for v in args.solvers.split(","))
+        changes["solvers"] = _parse_solvers(args.solvers)
     return replace(sc, **changes)
 
 

@@ -90,6 +90,10 @@ class Scenario:
     n_ordinates: int = 30
 
     def __post_init__(self):
+        # the label is a CSV cell and a quoted gnuplot string
+        if any(c in self.label for c in ",'\"\n\r"):
+            raise ValueError(f"scenario label {self.label!r} must not contain "
+                             f"a comma, a quote or a line break")
         object.__setattr__(self, "times", tuple(self.times))
         object.__setattr__(self, "solvers", frozenset(self.solvers))
         if not self.times or not all(0.0 < t < math.inf for t in self.times):
@@ -345,9 +349,9 @@ def validate(level: str = "fast",
     for st_val, ss in ((2.0, 1.0), (1.5, 0.25), (3.0, 2.5)):
         params = TransportParams(sigma_a=st_val - ss - 0.5, sigma_s=ss,
                                  sigma_trap=0.0, waiting=None)
-        spec = transport.ado_spectrum(params, q1, 0.5)
+        _, _, nus, _ = transport.spectra(params, q1, [0.5])
         exact = q1.nodes[0] / math.sqrt(st_val * (st_val - ss))
-        worst = max(worst, abs(spec.eigenvalues[0] - exact) / exact)
+        worst = max(worst, abs(nus[0, 0] - exact) / exact)
     report.append(_check("transport.eigenvalue_n1", worst, 1e-12))
 
     # known Laplace pairs through the configured inverter; the ramp has a
@@ -387,13 +391,13 @@ def validate(level: str = "fast",
     quadrature = gauss_legendre(scenario_a.n_ordinates)
 
     # transport mass oracle on a short contour sample
+    s_sample = [complex(cfg.contour_shift, im)
+                for im in (-300.0, -3.0, 0.0, 0.5, 40.0)]
+    _, _, nus, norms = transport.spectra(tp, quadrature, s_sample)
     worst = 0.0
-    for im in (-300.0, -3.0, 0.0, 0.5, 40.0):
-        s = complex(cfg.contour_shift, im)
-        spec = transport.ado_spectrum(tp, quadrature, s)
+    for s, nu, norm in zip(s_sample, nus, norms):
         lphi = tp.waiting.laplace_survival(s)
-        lhs = 2.0 * (tp.sigma_trap * lphi + 1.0) * sum(
-            nu / nn for nu, nn in zip(spec.eigenvalues, spec.normalizations))
+        lhs = 2.0 * (tp.sigma_trap * lphi + 1.0) * sum(nu / norm)
         rhs = 2.0 * (1.0 + tp.sigma_trap * lphi) / (
             s + tp.sigma_a + tp.sigma_trap * s * lphi)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))

@@ -37,6 +37,16 @@ class QuadratureSet:
     weights: tuple[float, ...]
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and its derivative P_n'(x) by the three-term recurrence."""
+    p0, p1 = 1.0, x
+    for m in range(2, n + 1):
+        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+    if n == 1:
+        return p1, 1.0
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 def gauss_legendre(n: int) -> QuadratureSet:
     """Gauss-Legendre nodes and weights on (0, 1) by Newton iteration.
 
@@ -50,27 +60,15 @@ def gauss_legendre(n: int) -> QuadratureSet:
     for k in range(n):
         x = math.cos(math.pi * (k + 0.75) / (n + 0.5))
         for _ in range(100):
-            p0, p1 = 1.0, x
-            for m in range(2, n + 1):
-                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-            if n == 1:
-                dp = 1.0
-            else:
-                dp = n * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
+            p, dp = _legendre(n, x)
+            dx = p / dp
             x -= dx
             if abs(dx) <= 1e-15:
                 break
         else:
             raise NumericFailureError("Legendre root search stalled", order=n, index=k)
         # one clean derivative eval at the converged root for the weight
-        p0, p1 = 1.0, x
-        for m in range(2, n + 1):
-            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-        if n == 1:
-            dp = 1.0
-        else:
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
+        _, dp = _legendre(n, x)
         # weight on (-1,1) is 2/((1-x^2) dp^2); halve it for (0,1)
         pairs.append((0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)))
     pairs.sort()

@@ -34,9 +34,9 @@ shrinks there is rounding noise. Nodes are solved in blocks of
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 
-`spectra` solves every node of an inversion contour and
-`density_transform` gives the (x, node) transform; `ado_spectrum` and
-`laplace_density` do the same at a single point.
+`spectra` solves every node of an inversion contour and is the one way
+to get a spectrum; `density_transform` gives the (x, node) transform and
+`laplace_density` its value at a single point and x.
 """
 
 from __future__ import annotations
@@ -52,10 +52,7 @@ from .waiting import WaitingTimeModel
 
 __all__ = [
     "TransportParams",
-    "AdoSpectrum",
-    "sigma_t",
     "spectra",
-    "ado_spectrum",
     "density_transform",
     "laplace_density",
 ]
@@ -102,23 +99,6 @@ class TransportParams:
             raise ValueError(f"speed must be positive, got {self.speed}")
 
 
-@dataclass(frozen=True)
-class AdoSpectrum:
-    """Decaying-half discrete-ordinates spectrum at one transform point.
-
-    Holds the N eigenvalues with Re nu >= 0, their normalization
-    integrals, and the complex total cross-section they were computed
-    with.
-    """
-
-    params: TransportParams
-    quadrature: QuadratureSet
-    s: complex
-    sigma_t: complex
-    eigenvalues: np.ndarray
-    normalizations: np.ndarray
-
-
 def _rates(params: TransportParams, s_nodes: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """sigma_t(s) and the source factor 1 + sigma_trap * LPhi(s) per node,
@@ -128,16 +108,6 @@ def _rates(params: TransportParams, s_nodes: np.ndarray
         lphi = [params.waiting.laplace_survival(s) for s in s_nodes.tolist()]
         source = 1.0 + params.sigma_trap * np.array(lphi)
     return params.sigma_a + params.sigma_s + source * s_nodes, source
-
-
-def sigma_t(params: TransportParams, s: complex) -> complex:
-    """Total cross-section in the Laplace domain.
-
-    The trapping term is skipped entirely when sigma_trap is zero, so
-    trap-free problems never evaluate the waiting-time transform.
-    """
-    st, _ = _rates(params, np.array([complex(s)]))
-    return complex(st[0])
 
 
 def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
@@ -243,16 +213,6 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
         nus[blk], norms[blk] = _block_spectra(params.sigma_s, mu, w,
                                               st[blk], s_nodes[blk])
     return st, source, nus, norms
-
-
-def ado_spectrum(params: TransportParams, quadrature: QuadratureSet,
-                 s: complex) -> AdoSpectrum:
-    """Decaying discrete-ordinates spectrum at transform point s."""
-    s = complex(s)
-    st, _, nus, norms = spectra(params, quadrature, [s])
-    return AdoSpectrum(params=params, quadrature=quadrature, s=s,
-                       sigma_t=complex(st[0]), eigenvalues=nus[0],
-                       normalizations=norms[0])
 
 
 def density_transform(params: TransportParams, quadrature: QuadratureSet,

@@ -21,7 +21,7 @@ from trapdiff import fde, transport
 from trapdiff.fde import FdeParams, density_half, from_transport, normal_diffusion
 from trapdiff.ilt import InversionConfig, invert
 from trapdiff.specfun import gauss_legendre
-from trapdiff.transport import TransportParams, ado_spectrum
+from trapdiff.transport import TransportParams, spectra
 from trapdiff.waiting import WaitingTimeModel
 
 
@@ -56,9 +56,8 @@ def test_spectrum_dispersion_orthogonality_and_pairing_along_contour():
     with budget(60.0):
         for _ in range(100):
             s = complex(0.04, rng.uniform(-1e3, 1e3))
-            sp = ado_spectrum(p, q, s)
-            st = sp.sigma_t
-            nus = np.asarray(sp.eigenvalues)
+            sts, _, spectrum, _ = spectra(p, q, [s])
+            st, nus = sts[0], spectrum[0]
             dm = st * nus[:, None] - mu[None, :]
             dp = st * nus[:, None] + mu[None, :]
             res = 1.0 - 0.5 * p.sigma_s * nus * np.sum(w * (1.0 / dm + 1.0 / dp),
@@ -96,10 +95,10 @@ def test_single_ordinate_eigenvalue_closed_form():
             s = rng.uniform(0.01, 3.0)
             p = TransportParams(sigma_a=sigma_a, sigma_s=sigma_s,
                                 sigma_trap=0.0, waiting=None)
-            sp = ado_spectrum(p, q1, s)
+            _, _, nus, _ = spectra(p, q1, [s])
             st = s + sigma_a + sigma_s
             want = mu1 / math.sqrt(st * (st - sigma_s))
-            (nu,) = sp.eigenvalues
+            (nu,) = nus[0]
             assert abs(nu - want) / want < 1e-12, (sigma_a, sigma_s, s)
 
 
@@ -166,10 +165,10 @@ def test_transport_mass_identity_on_contour():
         for p in SCENARIOS:
             for _ in range(50):
                 s = complex(0.04, rng.uniform(-1e3, 1e3))
-                sp = ado_spectrum(p, q, s)
+                _, _, nus, norms = spectra(p, q, [s])
                 lphi = p.waiting.laplace_survival(s)
                 lhs = 2.0 * (p.sigma_trap * lphi + 1.0) * np.sum(
-                    np.asarray(sp.eigenvalues) / np.asarray(sp.normalizations))
+                    nus[0] / norms[0])
                 rhs = 2.0 * (1.0 + p.sigma_trap * lphi) / (
                     s + p.sigma_a + p.sigma_trap * s * lphi)
                 assert abs(lhs - rhs) / abs(rhs) < 1e-8, (p.sigma_trap, s)

@@ -203,8 +203,8 @@ solvers = {solvers}
 
 
 @pytest.mark.parametrize("family", ["pareto", "log-logistic", "frechet"])
-def test_rte_without_exact_transform_is_rejected_up_front(tmp_path, capsys,
-                                                          monkeypatch, family):
+def test_family_key_is_rejected_up_front(tmp_path, capsys, monkeypatch,
+                                         family):
     """The waiting-time law is the Pareto type, fixed by alpha and gamma
     alone, so a `family` line is an unknown key: a configuration error
     (exit 1) before any solver runs, for every solver set and with
@@ -218,6 +218,65 @@ def test_rte_without_exact_transform_is_rejected_up_front(tmp_path, capsys,
         for command in ("profile", "compare"):
             assert cli.main([command] + base) == 1
             assert "family" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+TRAP_FREE_CONFIG = """
+[free]
+sigma_trap = 0
+{line}
+times = 10
+x_max = 4
+x_count = 3
+solvers = FDE
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "alpha = 1.5",
+    "gamma = -3",
+    "alpha = 0",
+    "gamma = nan",
+])
+def test_waiting_law_is_checked_without_trapping(tmp_path, capsys,
+                                                 monkeypatch, line):
+    """alpha and gamma are checked even where sigma_trap = 0 leaves the
+    waiting-time law unused: exit 1 before any solver runs, no CSV."""
+    ini = tmp_path / "free.ini"
+    ini.write_text(TRAP_FREE_CONFIG.format(line=line))
+    out_csv = tmp_path / "free.csv"
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "free", "--config", str(ini),
+                   "--out", str(out_csv)])
+    assert rc == 1
+    assert line.split()[0] in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+LABEL_CONFIG = """
+[{label}]
+sigma_trap = 0.1
+times = 10
+x_max = 4
+x_count = 3
+solvers = NORMAL
+"""
+
+
+@pytest.mark.parametrize("label", ["a,b'c", 'a"b'])
+def test_label_that_breaks_the_output_is_rejected(tmp_path, capsys,
+                                                  monkeypatch, label):
+    """A section name becomes the scenario label, a CSV cell and a quoted
+    gnuplot string; one with a comma or a quote exits 1, no CSV."""
+    ini = tmp_path / "label.ini"
+    ini.write_text(LABEL_CONFIG.format(label=label))
+    out_csv = tmp_path / "label.csv"
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    for command in ("profile", "compare"):
+        rc = cli.main([command, "--scenario", label, "--config", str(ini),
+                       "--out", str(out_csv)])
+        assert rc == 1
+        assert "label" in capsys.readouterr().err
     assert not out_csv.exists()
 
 

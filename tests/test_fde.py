@@ -151,7 +151,8 @@ def test_density_half_positive_and_decaying():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+# t = 10 and 100 are test_acceptance's fractional mass conservation check
+@pytest.mark.parametrize("t", [1.0])
 def test_density_half_conserves_mass(t):
     hi = 40.0 if t <= 10.0 else 60.0  # keep the truncated Gaussian tail < 1e-12
     val, err = integrate.quad(lambda x: density_half(NO_ABSORB, x, t),

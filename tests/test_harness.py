@@ -86,6 +86,15 @@ def test_non_finite_inputs_are_rejected(bad):
             InversionConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("label", ["a,b", "a'b", 'a"b', "a\nb", "a\rb"],
+                         ids=["comma", "quote", "double-quote", "lf", "cr"])
+def test_scenario_rejects_labels_that_break_the_output(label):
+    """The label is written as a CSV cell and inside quoted gnuplot
+    strings, so a separator, a quote or a line break is refused."""
+    with pytest.raises(ValueError, match="label"):
+        small_scenario(label=label)
+
+
 def test_scenario_coerces_times_to_tuple():
     sc = small_scenario(times=[5.0, 10.0])
     assert sc.times == (5.0, 10.0)

@@ -26,10 +26,9 @@ from trapdiff.ilt import InversionConfig, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import (
     TransportParams,
-    ado_spectrum,
+    _rates,
     density_transform,
     laplace_density,
-    sigma_t,
     spectra,
 )
 from trapdiff.waiting import WaitingTimeModel
@@ -54,11 +53,10 @@ SCENARIOS = (
 Q30 = gauss_legendre(30)
 
 
-def phi_matrix(spectrum, mu):
+def phi_matrix(p, st, nus, mu):
     """Vectorized eigenfunction table phi(nu_n, mu_i), shape (N, len(mu))."""
-    nus = np.asarray(spectrum.eigenvalues)[:, None]
-    ss = spectrum.params.sigma_s
-    return (ss * nus / 2.0) / (spectrum.sigma_t * nus - np.asarray(mu)[None, :])
+    nus = nus[:, None]
+    return (p.sigma_s * nus / 2.0) / (st * nus - np.asarray(mu)[None, :])
 
 
 # ---------------------------------------------------------------- parameters
@@ -84,14 +82,15 @@ def test_params_validation():
 def test_sigma_t_trap_free():
     p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=None)
     s = 0.3 + 0.9j
-    assert sigma_t(p, s) == 0.5 + 1.0 + s
+    st, _ = _rates(p, np.array([s]))
+    assert st[0] == 0.5 + 1.0 + s
 
 
 def test_sigma_t_small_s_limit():
     # s (LPhi)(s) ~ Gamma(1-alpha)(gamma s)^alpha vanishes with s
     p = SCENARIOS[0]
-    val = sigma_t(p, 1e-10)
-    assert abs(val - (p.sigma_a + p.sigma_s)) < 1e-5
+    st, _ = _rates(p, np.array([1e-10 + 0j]))
+    assert abs(st[0] - (p.sigma_a + p.sigma_s)) < 1e-5
 
 
 def test_sigma_t_composition_against_quadrature():
@@ -113,7 +112,8 @@ def test_sigma_t_composition_against_quadrature():
     vi = integrate.quad(integrand, -34.0, hi, args=("im",), limit=800,
                         epsabs=1e-13, epsrel=1e-13)[0]
     rebuilt = p.sigma_a + p.sigma_s + (p.sigma_trap * complex(vr, vi) + 1.0) * s
-    assert abs(sigma_t(p, s) - rebuilt) / abs(rebuilt) < 1e-12
+    st, _ = _rates(p, np.array([s]))
+    assert abs(st[0] - rebuilt) / abs(rebuilt) < 1e-12
 
 
 # ---------------------------------------------------------------- eigenvalues
@@ -122,8 +122,8 @@ def test_single_ordinate_closed_form():
     """With one ordinate the dispersion relation is a quadratic in nu."""
     p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=None)
     q1 = gauss_legendre(1)
-    sp = ado_spectrum(p, q1, 0.5)  # sigma_t = 2, sigma_s = 1
-    nu = sp.eigenvalues[0]
+    _, _, nus, _ = spectra(p, q1, [0.5])  # sigma_t = 2, sigma_s = 1
+    nu = nus[0, 0]
     assert nu == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-13)
     assert nu == pytest.approx(0.3535534, abs=1e-7)
 
@@ -136,17 +136,17 @@ def test_single_ordinate_closed_form_random_rates():
         st_total = ss + rng.uniform(0.6, 3.0)
         p = TransportParams(sigma_a=st_total - ss - 0.5, sigma_s=ss,
                             sigma_trap=0.0, waiting=None)
-        sp = ado_spectrum(p, q1, 0.5)
+        _, _, nus, _ = spectra(p, q1, [0.5])
         closed = 0.5 / math.sqrt(st_total * (st_total - ss))
-        assert abs(sp.eigenvalues[0] - closed) / closed < 1e-12
+        assert abs(nus[0, 0] - closed) / closed < 1e-12
 
 
 def test_spectrum_shape_and_half_plane():
     for p in SCENARIOS:
-        sp = ado_spectrum(p, Q30, 0.04 + 3.0j)
-        assert len(sp.eigenvalues) == 30
-        assert len(sp.normalizations) == 30
-        assert all(nu.real > 0.0 for nu in sp.eigenvalues)
+        _, _, nus, norms = spectra(p, Q30, [0.04 + 3.0j])
+        assert len(nus[0]) == 30
+        assert len(norms[0]) == 30
+        assert all(nu.real > 0.0 for nu in nus[0])
 
 
 def test_dispersion_residual():
@@ -154,9 +154,9 @@ def test_dispersion_residual():
     w = np.asarray(Q30.weights)
     for p in SCENARIOS:
         for s in (0.04 + 3.0j, 0.04 - 41.0j, 0.04 + 750.0j):
-            sp = ado_spectrum(p, Q30, s)
-            st = sp.sigma_t
-            for nu in sp.eigenvalues:
+            sts, _, nus, _ = spectra(p, Q30, [s])
+            st = sts[0]
+            for nu in nus[0]:
                 lam = 1.0 - (p.sigma_s * nu / 2.0) * np.sum(
                     w * (1.0 / (st * nu - mu) + 1.0 / (st * nu + mu)))
                 assert abs(lam) < 1e-9, (p.sigma_trap, s, nu)
@@ -168,10 +168,10 @@ def test_eigenvalue_pairing_against_raw_matrix():
     q = gauss_legendre(n)
     p = SCENARIOS[0]
     s = 0.04 + 17.0j
-    sp = ado_spectrum(p, q, s)
+    sts, _, nus, _ = spectra(p, q, [s])
     mu = np.asarray(q.nodes)
     w = np.asarray(q.weights)
-    st = sigma_t(p, s)
+    st = sts[0]
     half = st * np.eye(n) - 0.5 * p.sigma_s * np.tile(w, (n, 1))
     coupling = -0.5 * p.sigma_s * np.tile(w, (n, 1))
     big = np.block([[half, coupling], [coupling, half]])
@@ -181,7 +181,7 @@ def test_eigenvalue_pairing_against_raw_matrix():
     for lam in raw:
         assert np.min(np.abs(raw + lam)) / abs(lam) < 1e-10
     # membership of the selected decaying half
-    for nu in sp.eigenvalues:
+    for nu in nus[0]:
         assert np.min(np.abs(raw - nu)) / abs(nu) < 1e-10
 
 
@@ -191,9 +191,9 @@ def test_scattering_free_limit():
     devs = []
     for ss in (1e-2, 1e-4):
         p = TransportParams(sigma_a=1.0, sigma_s=ss, sigma_trap=0.0, waiting=None)
-        sp = ado_spectrum(p, q8, 0.5)
-        st = sigma_t(p, 0.5)
-        nus = sorted(sp.eigenvalues, key=lambda v: v.real)
+        sts, _, spectrum, _ = spectra(p, q8, [0.5])
+        st = sts[0]
+        nus = sorted(spectrum[0], key=lambda v: v.real)
         devs.append(max(abs(nu * st / mu - 1.0)
                         for nu, mu in zip(nus, sorted(q8.nodes))))
     assert devs[0] < 1e-2 and devs[1] < 1e-4
@@ -204,22 +204,22 @@ def test_residual_guard_fires_when_unresolvable():
     # eigenvalues crowd the quadrature rays too tightly to polish
     p = TransportParams(sigma_a=1.0, sigma_s=1e-6, sigma_trap=0.0, waiting=None)
     with pytest.raises(NumericFailureError):
-        ado_spectrum(p, gauss_legendre(8), 0.5)
+        spectra(p, gauss_legendre(8), [0.5])
 
 
 # -------------------------------------------------------------- eigenfunction
 
 def test_orthogonality_weighted_by_mu():
     for p in SCENARIOS:
-        sp = ado_spectrum(p, Q30, 0.04 - 12.0j)
+        sts, _, nus, norms = spectra(p, Q30, [0.04 - 12.0j])
         mu = np.asarray(Q30.nodes)
         w = np.asarray(Q30.weights)
-        plus = phi_matrix(sp, mu)
-        minus = phi_matrix(sp, -mu)
+        plus = phi_matrix(p, sts[0], nus[0], mu)
+        minus = phi_matrix(p, sts[0], nus[0], -mu)
         gram = (plus * w * mu) @ plus.T - (minus * w * mu) @ minus.T
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-9
-        assert np.max(np.abs(np.diag(gram) - np.asarray(sp.normalizations))) < 1e-9
+        assert np.max(np.abs(np.diag(gram) - norms[0])) < 1e-9
 
 
 # ------------------------------------------------------------ density transform
@@ -234,9 +234,8 @@ def test_density_trap_free_reduction():
     """With no trapping the transform is the bare sum over decaying modes."""
     p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=None)
     s = 0.2 + 0.3j
-    sp = ado_spectrum(p, Q30, s)
-    manual = sum(cmath.exp(-2.0 / nu) / nv
-                 for nu, nv in zip(sp.eigenvalues, sp.normalizations))
+    _, _, nus, norms = spectra(p, Q30, [s])
+    manual = sum(cmath.exp(-2.0 / nu) / nv for nu, nv in zip(nus[0], norms[0]))
     assert abs(laplace_density(p, Q30, s, 2.0) - manual) < 1e-14 * abs(manual)
 
 
@@ -249,10 +248,10 @@ def test_density_mass_identity():
     """
     for p in SCENARIOS:
         for s in (0.04 + 0.5j, 0.04 - 7.0j, 0.04 + 120.0j, 0.04 - 450.0j, 0.04 + 999.0j):
-            sp = ado_spectrum(p, Q30, s)
+            _, _, nus, norms = spectra(p, Q30, [s])
             lphi = p.waiting.laplace_survival(s)
             lhs = 2.0 * (p.sigma_trap * lphi + 1.0) * sum(
-                nu / nv for nu, nv in zip(sp.eigenvalues, sp.normalizations))
+                nu / nv for nu, nv in zip(nus[0], norms[0]))
             rhs = 2.0 * (1.0 + p.sigma_trap * lphi) / (
                 s + p.sigma_a + p.sigma_trap * s * lphi)
             assert abs(lhs - rhs) / abs(rhs) < 1e-8, (p.sigma_trap, s)
@@ -340,7 +339,7 @@ def full_eigenproblem_spectrum(p, q, s):
     n = q.order
     mu = np.asarray(q.nodes)
     w = np.asarray(q.weights)
-    st = sigma_t(p, s)
+    st = _rates(p, np.array([complex(s)]))[0][0]
     c = 0.5 * p.sigma_s
     half = st * np.eye(n) - c * np.tile(w, (n, 1))
     coupling = -c * np.tile(w, (n, 1))

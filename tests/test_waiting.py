@@ -108,7 +108,7 @@ def test_laplace_survival_karamata_constant():
     assert abs(ratio - target) < 0.05 * target
 
 
-def test_karamata_constant_all_families_by_quadrature():
+def test_karamata_constant_by_quadrature():
     """The same constant from the quadrature of the survival function
     alone, independent of the closed-form transform."""
     s = 1e-6
