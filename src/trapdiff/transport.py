@@ -35,8 +35,13 @@ Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 
 `spectra` solves every node of an inversion contour and is the one way
-to get a spectrum; `density_transform` gives the (x, node) transform and
-`laplace_density` its value at a single point and x.
+to get a spectrum; `density_transform` gives the (x, node) transform on
+an evenly spaced x grid and `laplace_density` its value at a single
+point and x. On such a grid exp(-|x_k| / nu) is the exponential at the
+first |x| of a side of x = 0 times a power of exp(-h / nu), so the
+transform takes three complex exps per (node, mode) and running
+products along x instead of one exp per (x, node, mode) entry. It works
+one node block at a time, so no (x, node, mode) array is formed.
 """
 
 from __future__ import annotations
@@ -66,6 +71,9 @@ _BLOCK = 16
 _MAX_ITER = 50
 _STEP_TOL = 4e-15
 _NOISE_TOL = 1e-12
+# how far, relative to max |x|, a grid point may sit off the evenly
+# spaced grid through its ends
+_GRID_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -215,6 +223,24 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
     return st, source, nus, norms
 
 
+def _uniform_grid(xs) -> tuple[np.ndarray, float]:
+    """xs as a float array and its step; raises ValueError unless xs is
+    increasing and evenly spaced (a single point has step 0)."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError(f"need a non-empty one-dimensional x grid, "
+                         f"got shape {xs.shape}")
+    if xs.size == 1:
+        return xs, 0.0
+    step = (xs[-1] - xs[0]) / (xs.size - 1)
+    ideal = xs[0] + step * np.arange(xs.size)
+    scale = max(abs(xs[0]), abs(xs[-1]))
+    if not (np.all(np.diff(xs) > 0.0)
+            and np.all(np.abs(xs - ideal) <= _GRID_TOL * scale)):
+        raise ValueError("x grid must be increasing and evenly spaced")
+    return xs, step
+
+
 def density_transform(params: TransportParams, quadrature: QuadratureSet,
                       s_nodes, xs) -> np.ndarray:
     """Laplace-domain scalar density as an (x, node) array.
@@ -223,16 +249,35 @@ def density_transform(params: TransportParams, quadrature: QuadratureSet,
     the trapping factor (sigma_trap * LPhi(s) + 1) rescales the effective
     source, and the speed c stretches space: modes decay as
     exp(-|x| / (c nu)) and carry a factor 1/c. Even in x by symmetry.
-    Works one node at a time so that no (x, node, mode) array is formed.
+
+    xs must be increasing and evenly spaced with step h (ValueError
+    otherwise, before any spectrum is solved). Split at x = 0, each side
+    is a run of |x| growing by h, so a mode's exponentials along it are
+    its first one times powers of r = exp(-h / (c nu)), |r| <= 1: one
+    running product per run, whose rounding grows like k eps at the k-th
+    point. Works one node block at a time so that no (x, node, mode)
+    array is formed.
     """
+    xs, step = _uniform_grid(xs)
     _, source, nus, norms = spectra(params, quadrature, s_nodes)
-    ax = np.abs(np.asarray(xs, dtype=float))[:, None]
-    lengths = params.speed * nus
-    amplitude = source / params.speed
-    out = np.empty((ax.shape[0], nus.shape[0]), dtype=complex)
-    for j in range(nus.shape[0]):
-        out[:, j] = amplitude[j] * np.sum(np.exp(-ax / lengths[j]) / norms[j],
-                                          axis=1)
+    rate = 1.0 / (params.speed * nus)
+    coef = (source / params.speed)[:, None] / norms
+    # x >= 0 and the reversed x < 0: runs of |x| growing away from 0
+    split = int(np.searchsorted(xs, 0.0))
+    runs = [slice(split, None)] + ([slice(split - 1, None, -1)] if split else [])
+    out = np.empty((xs.shape[0], nus.shape[0]), dtype=complex)
+    powers = np.empty((xs.shape[0],) + nus[:_BLOCK].shape, dtype=complex)
+    for lo in range(0, nus.shape[0], _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        block = powers[:, :rate[blk].shape[0]]
+        ratio = np.exp(-step * rate[blk])
+        for run in runs:
+            decay = block[run]
+            if decay.shape[0]:
+                decay[0] = np.exp(-abs(xs[run][0]) * rate[blk])
+                decay[1:] = ratio
+                np.multiply.accumulate(decay, axis=0, out=decay)
+        out[:, blk] = np.einsum("xjk,jk->xj", block, coef[blk])
     return out
 
 

@@ -1,7 +1,7 @@
 """The heavy-tailed waiting-time law of the trapping kernel.
 
-The Pareto-type law with tail exponent alpha in (0, 1) and scale
-gamma > 0 has survival (1 + tau/gamma)^(-alpha), which decays like
+The Pareto-type law with tail exponent alpha in (0, 1) and finite
+scale gamma > 0 has survival (1 + tau/gamma)^(-alpha), which decays like
 (gamma/tau)^alpha: that tail is what produces the fractional time
 derivative in the long-time limit, and alpha and gamma are all of the
 law that any solver sees. Its Laplace transform has a closed form built
@@ -10,6 +10,7 @@ from the generalized exponential integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .specfun import gen_exp_integral_scaled
@@ -27,8 +28,9 @@ class WaitingTimeModel:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"gamma must be positive and finite, "
+                             f"got {self.gamma}")
 
     def laplace_pdf(self, s: complex) -> complex:
         """Laplace transform of the waiting-time density.

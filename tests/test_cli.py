@@ -253,6 +253,37 @@ def test_waiting_law_is_checked_without_trapping(tmp_path, capsys,
     assert not out_csv.exists()
 
 
+INFINITE_SCALE_CONFIG = """
+[slow]
+sigma_trap = 0.1
+gamma = {gamma}
+times = 10
+x_max = 4
+x_count = 3
+solvers = {solvers}
+"""
+
+
+@pytest.mark.parametrize("gamma", ["inf", "nan"])
+@pytest.mark.parametrize("solvers", ["FDE", "RTE"])
+def test_non_finite_waiting_scale_is_rejected_up_front(tmp_path, capsys,
+                                                       monkeypatch, gamma,
+                                                       solvers):
+    """A non-finite gamma with trapping on is a configuration error: exit
+    1 before any solver runs, through profile and compare, no CSV (gamma
+    = inf used to reach the solvers and exit 2 with numpy warnings)."""
+    ini = tmp_path / "slow.ini"
+    ini.write_text(INFINITE_SCALE_CONFIG.format(gamma=gamma, solvers=solvers))
+    out_csv = tmp_path / "slow.csv"
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    for command in ("profile", "compare"):
+        rc = cli.main([command, "--scenario", "slow", "--config", str(ini),
+                       "--out", str(out_csv)])
+        assert rc == 1
+        assert "gamma" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 LABEL_CONFIG = """
 [{label}]
 sigma_trap = 0.1

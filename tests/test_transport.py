@@ -7,21 +7,23 @@ dispersion relation and orthogonality sums are recomputed from raw
 quadrature data, the eigenvalue pairing is checked on a freshly
 assembled 2N x 2N matrix, which also serves as a dense-eigensolver
 oracle for random scenarios, the (x, node) density transform is rebuilt
-from that full eigenproblem, and the mass identity comes from
+from that full eigenproblem and, entry by entry, from direct
+exponentials, and the mass identity comes from
 integrating the governing equation over space and angle.
 """
 
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from trapdiff import transport
+from trapdiff import harness, transport
 from trapdiff.errors import DegenerateSpectrumError, NumericFailureError
-from trapdiff.harness import builtin_scenarios
+from trapdiff.harness import SpatialGrid, builtin_scenarios
 from trapdiff.ilt import InversionConfig, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import (
@@ -299,7 +301,7 @@ def test_density_transform_against_full_eigenproblem():
     s_all, _, _ = contour(10.0, sc.inversion)
     s_nodes = s_all[np.linspace(0, len(s_all) - 1, 10).round().astype(int)]
     xs = np.array([0.0, 2.0, 7.0])
-    got = density_transform(p, q, s_nodes, xs)
+    got = density_transform(p, q, s_nodes, np.arange(8.0))[xs.astype(int)]
     assert got.shape == (3, 10)
     c = 0.5 * p.sigma_s
     for j, s in enumerate(s_nodes.tolist()):
@@ -318,6 +320,96 @@ def test_density_transform_against_full_eigenproblem():
         want = (1.0 + p.sigma_trap * lphi) * np.array(
             [np.sum(np.exp(-x / nus) / norms) for x in xs])
         assert np.all(np.abs(got[:, j] - want) <= 1e-10 * np.abs(want)), s
+
+
+def direct_density_transform(p, q, s_nodes, xs):
+    """The (x, node) transform from one complex exp per (x, node, mode)
+    entry: the reference for the running products along x."""
+    _, source, nus, norms = spectra(p, q, s_nodes)
+    ax = np.abs(np.asarray(xs, dtype=float))
+    out = np.empty((ax.shape[0], nus.shape[0]), dtype=complex)
+    for j in range(nus.shape[0]):
+        modes = np.exp(-ax[:, None] / (p.speed * nus[j])) / norms[j]
+        out[:, j] = source[j] / p.speed * modes.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig2c"])
+def test_density_transform_matches_direct_exponentials(name):
+    """The running products of exp(-h / (c nu)) against one exp per entry,
+    on grids through, beside and off x = 0: every node's column agrees to
+    1e-13 of its largest entry (measured <= 2.7e-14) and the inverted
+    profiles to 1e-12 absolute (measured <= 2e-13, at t = 1000)."""
+    sc = builtin_scenarios()[name]
+    q = gauss_legendre(sc.n_ordinates)
+    grids = [SpatialGrid(0.0, 15.0, 151), SpatialGrid(-3.0, 3.0, 7),
+             SpatialGrid(-2.95, 15.0, 360), SpatialGrid(0.05, 40.0, 400)]
+    for t in (1.0, 10.0, 100.0, 1000.0):
+        s_nodes, weights, prefactor = harness._profile_contour(t, sc.inversion)
+        for grid in grids:
+            xs = grid.points()
+            got = density_transform(sc.transport, q, s_nodes, xs)
+            want = direct_density_transform(sc.transport, q, s_nodes, xs)
+            column = np.abs(want).max(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-13 * column), (t, grid)
+            u_got = harness._on_contour(got, weights, prefactor)
+            u_want = harness._on_contour(want, weights, prefactor)
+            assert np.allclose(u_got, u_want, rtol=0.0, atol=1e-12), (t, grid)
+
+
+@pytest.mark.parametrize("xs", [
+    [0.0, 2.0, 7.0],
+    [2.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0],
+    [0.0, 1.0, 2.0, 3.1],
+    [0.0, math.nan],
+    [[0.0, 1.0]],
+    [],
+], ids=["uneven", "decreasing", "repeated", "off-step", "nan", "2d", "empty"])
+def test_density_transform_rejects_other_grids(monkeypatch, xs):
+    """The running products need an increasing, evenly spaced grid; any
+    other is refused before a spectrum is solved."""
+    def no_spectrum(*args):
+        raise AssertionError("a spectrum was solved")
+
+    monkeypatch.setattr(transport, "spectra", no_spectrum)
+    with pytest.raises(ValueError, match="grid"):
+        density_transform(SCENARIOS[0], Q30, [0.1 + 0.2j], xs)
+
+
+def test_density_transform_accepts_every_profile_grid():
+    """Each built-in grid, grids from SpatialGrid.points() of other
+    spans and counts, and a single point of either sign, each matching
+    the direct exps to 1e-13 of its largest entry."""
+    p = SCENARIOS[0]
+    s = [0.1 + 0.2j]
+    grids = [sc.grid.points() for sc in builtin_scenarios().values()]
+    grids += [SpatialGrid(-1e3, 1e3, 2001).points(),
+              SpatialGrid(1e6, 1e6 + 1.0, 11).points(),
+              SpatialGrid(0.1, 0.7, 7).points(), [-1.7], [0.0], [2.0]]
+    for xs in grids:
+        got = density_transform(p, Q30, s, xs)
+        want = direct_density_transform(p, Q30, s, xs)
+        assert got.shape == (len(xs), 1)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), xs
+
+
+def test_density_transform_memory_peak():
+    """Blocking the nodes keeps the traced peak of fig1a's t = 10 contour
+    on its 151-point grid at the spectra's (1.68 MB measured); one
+    (x, node, mode) array alone would take 5.9 MB."""
+    sc = builtin_scenarios()["fig1a"]
+    q = gauss_legendre(sc.n_ordinates)
+    s_nodes, _, _ = harness._profile_contour(10.0, sc.inversion)
+    xs = sc.grid.points()
+    assert len(xs) == 151 and len(s_nodes) == 81
+    tracemalloc.start()
+    try:
+        density_transform(sc.transport, q, s_nodes, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 # ------------------------------------------- secular roots vs full eigenproblem

@@ -51,6 +51,13 @@ def test_model_rejects_bad_parameters():
             WaitingTimeModel(alpha=alpha, gamma=gamma)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, -math.inf])
+def test_model_rejects_non_finite_scale(gamma):
+    """+inf passes `gamma > 0`, yet no transform is finite with it."""
+    with pytest.raises(ValueError, match="finite"):
+        WaitingTimeModel(alpha=0.5, gamma=gamma)
+
+
 # ----------------------------------------------------------- transform: pdf
 
 def test_laplace_pdf_exact_near_zero():
