@@ -2,19 +2,22 @@
 
 A Scenario bundles everything needed to reproduce one panel of the
 reference figures: transport parameters, inversion configuration, output
-times, the spatial grid, and which solvers to run. The six built-in
-scenarios cover the trapping-strength and trapping-scale variations at
-t = 10 and t = 100 minutes.
+times (no two equal), the spatial grid, and which solvers to run. The
+six built-in scenarios cover the trapping-strength and trapping-scale
+variations at t = 10 and t = 100 minutes.
 
 RTE and FDE both invert on the nodes of `ilt.contour`: each solver
-evaluates its transform as one (x, node) array and reduces it with the
-contour weights. RTE takes one discrete-ordinates spectrum per node from
-`transport.spectra`; FDE uses its closed form. Where sigma t would pass
-8 (past t = 200 at the default shift), the shift sigma is lowered to
-8/t. RTE values past the ballistic front |x| > speed * t are written
-as 0: neither the exact nor the discrete-ordinates solution has mass
-there, so the contour sum there is only ringing. `validate --level
-full` checks the FDE profile against the time-domain quadrature
+evaluates its transform as one (x, node) array per time and reduces it
+with the contour weights. RTE takes one discrete-ordinates spectrum per
+node from a single `transport.spectra` call per scenario, over the
+stacked contour nodes of all its times, and then forms and reduces the
+(x, node) transform one time at a time; FDE uses its closed form, one
+time at a time. The order of the times changes no bit. Where sigma t
+would pass 8 (past t = 200 at the default shift), the shift sigma is
+lowered to 8/t. RTE values past the ballistic front |x| > speed * t
+are written as 0: neither the exact nor the discrete-ordinates solution
+has mass there, so the contour sum there is only ringing. `validate
+--level full` checks the FDE profile against the time-domain quadrature
 `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+
+import numpy as np
 
 from . import fde, transport
 from .errors import NumericFailureError, ProfileError
@@ -99,6 +103,10 @@ class Scenario:
         if not self.times or not all(0.0 < t < math.inf for t in self.times):
             raise ValueError("times must be a nonempty list of positive, "
                              "finite reals")
+        # profiles are keyed by time: two at one time would merge
+        if len(set(self.times)) != len(self.times):
+            raise ValueError(f"times must not repeat, got "
+                             f"{', '.join(f'{t:g}' for t in self.times)}")
         bad = self.solvers - set(SOLVER_ORDER)
         if bad or not self.solvers:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVER_ORDER}")
@@ -155,20 +163,38 @@ def _on_contour(transform, weights, prefactor: float) -> list[float]:
     return (prefactor * (transform.real @ weights)).tolist()
 
 
-def _rte_profile(sc: Scenario, t: float, quadrature: QuadratureSet
-                 ) -> tuple[tuple[float, float], ...]:
+def _time_of_node(times, nodes, exc: NumericFailureError) -> float:
+    """The time whose contour nodes come nearest the transform point s a
+    failure names; nan if it names none."""
+    if "s" not in exc.context:
+        return math.nan
+    near = [np.abs(s_nodes - exc.context["s"]).min() for s_nodes in nodes]
+    return times[int(np.argmin(near))]
+
+
+def _rte_profiles(sc: Scenario, quadrature: QuadratureSet
+                  ) -> dict[float, tuple[tuple[float, float], ...]]:
+    """RTE profiles keyed by time, from one stack of the contour nodes of
+    all times of sc; each time's (x, node) transform is reduced and
+    dropped before the next one is formed."""
     xs = sc.grid.points()
-    s_nodes, weights, prefactor = _profile_contour(t, sc.inversion)
+    rules = [_profile_contour(t, sc.inversion) for t in sc.times]
+    nodes = [s_nodes for s_nodes, _, _ in rules]
     try:
-        transform = transport.density_transform(sc.transport, quadrature,
-                                                s_nodes, xs)
+        transforms = transport.density_transforms(sc.transport, quadrature,
+                                                  nodes, xs)
     except NumericFailureError as exc:
-        raise ProfileError(f"spectrum failed: {exc}", solver="RTE",
-                           x=math.nan, t=t) from exc
-    # nothing reaches past the ballistic front; the sum there is ringing
-    front = sc.transport.speed * t
-    values = _on_contour(transform, weights, prefactor)
-    return tuple((x, 0.0 if abs(x) > front else u) for x, u in zip(xs, values))
+        raise ProfileError(f"spectrum failed: {exc}", solver="RTE", x=math.nan,
+                           t=_time_of_node(sc.times, nodes, exc)) from exc
+    profiles = {}
+    for t, (_, weights, prefactor) in zip(sc.times, rules):
+        # bound to no name, so each transform is freed once it is reduced
+        values = _on_contour(next(transforms), weights, prefactor)
+        # nothing reaches past the ballistic front; the sum there is ringing
+        front = sc.transport.speed * t
+        profiles[t] = tuple((x, 0.0 if abs(x) > front else u)
+                            for x, u in zip(xs, values))
+    return profiles
 
 
 def _fde_values(p: fde.FdeParams, xs, t: float,
@@ -202,8 +228,8 @@ def run_scenario(sc: Scenario) -> list[SpatialProfile]:
     """All requested profiles, ordered by time then RTE, FDE, NORMAL."""
     runners = {"FDE": _fde_profile, "NORMAL": _normal_profile}
     if "RTE" in sc.solvers:
-        quadrature = gauss_legendre(sc.n_ordinates)
-        runners["RTE"] = partial(_rte_profile, quadrature=quadrature)
+        rte = _rte_profiles(sc, gauss_legendre(sc.n_ordinates))
+        runners["RTE"] = lambda _, t: rte[t]
     profiles = []
     for t in sc.times:
         for solver in SOLVER_ORDER:

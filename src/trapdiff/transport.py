@@ -22,31 +22,44 @@ runs over the N roots of the secular equation (Golub, SIAM Rev. 1973)
 which is the dispersion relation in another variable. All N roots of a
 node are found at once by the Aberth-Ehrlich iteration (Aberth, Math.
 Comp. 1973), O(N^2) per sweep instead of the O(N^3) of a dense eigen
-solve. Each root starts from its first-order pole shift
-z_k = d_k - rho v_k^2 (exact when N = 1). The Newton ratio of the
-polynomial prod_i (d_i - z) * f(z) is written f / (f' - f sum_i 1/(d_i - z)),
-so an exact root takes a zero step rather than a 0/0. A root is frozen
-once its step falls to 4e-15 |z|, or once its step stops shrinking below
-1e-12 |z|: the iteration converges cubically, so a step that no longer
-shrinks there is rounding noise. Nodes are solved in blocks of
-`_BLOCK`, so the (root, pole) work arrays stay small.
+solve. The Newton ratio of the polynomial prod_i (d_i - z) * f(z) is
+written f / (f' - f sum_i 1/(d_i - z)), so an exact root takes a zero
+step rather than a 0/0. A root is frozen once its step falls to
+4e-15 |z|, or to within the rounding-error bound of f at the root,
+8 eps sum_i |rho v_i^2 / (d_i - z)| / |f'(z)| (the `erretm` test of
+LAPACK's dlaed4): near rho = 1 the smallest root is fixed by f only to
+more than 1e-12 |z|, so no bound relative to |z| alone would let it go.
+
+Nodes are solved in the order of (Im s, Re s), in B = ceil(nodes / 16)
+strided blocks: block b holds the b-th, (b + B)-th, ... node of that
+order, so the (root, pole) work arrays stay small, and each node of a
+block b >= 1 starts from the converged roots of its predecessor, which
+block b - 1 has solved. Neighbours in s have nearby roots, so a warm
+start takes about 2.5 steps per root where the first-order pole shifts
+z_k = d_k - rho v_k^2 (exact when N = 1), block 0's start, take about 4.
+The nodes of several inversion contours, one per output time, can thus
+be solved as one stack; the results come back in the caller's order.
 
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 
-`spectra` solves every node of an inversion contour and is the one way
-to get a spectrum; `density_transform` gives the (x, node) transform on
-an evenly spaced x grid and `laplace_density` its value at a single
-point and x. On such a grid exp(-|x_k| / nu) is the exponential at the
-first |x| of a side of x = 0 times a power of exp(-h / nu), so the
-transform takes three complex exps per (node, mode) and running
-products along x instead of one exp per (x, node, mode) entry. It works
-one node block at a time, so no (x, node, mode) array is formed.
+`spectra` solves every node of one or more inversion contours and is
+the one way to get a spectrum; `density_transforms` gives one (x, node)
+transform per contour from one `spectra` call on an evenly spaced x
+grid, `density_transform` that of a single contour and
+`laplace_density` its value at a single point and x. On such a grid
+exp(-|x_k| / nu) is the exponential at the first |x| of a side of x = 0
+times a power of exp(-h / nu), so the transform takes three complex exps
+per (node, mode) and running products along x instead of one exp per
+(x, node, mode) entry. It works one node block at a time, so no
+(x, node, mode) array is formed, and one contour at a time, so no
+(x, node) array spans more than one contour.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +72,20 @@ __all__ = [
     "TransportParams",
     "spectra",
     "density_transform",
+    "density_transforms",
     "laplace_density",
 ]
 
 # acceptable dispersion-relation residual of an eigenvalue
 _RESIDUAL_TOL = 1e-9
 # secular roots: nodes solved together, iteration cap, relative step at
-# which a root is frozen, and relative step below which a step that
-# stopped shrinking counts as rounding noise
+# which a root is frozen, and the rounding-error bound of f(z) = 1 -
+# rho sum_i v2_i / (d_i - z) in units of sum_i |rho v2_i / (d_i - z)|
+# (LAPACK dlaed4's erretm), below which a step is rounding noise
 _BLOCK = 16
 _MAX_ITER = 50
 _STEP_TOL = 4e-15
-_NOISE_TOL = 1e-12
+_NOISE_BOUND = 8.0 * np.finfo(float).eps
 # how far, relative to max |x|, a grid point may sit off the evenly
 # spaced grid through its ends
 _GRID_TOL = 1e-12
@@ -118,57 +133,77 @@ def _rates(params: TransportParams, s_nodes: np.ndarray
     return params.sigma_a + params.sigma_s + source * s_nodes, source
 
 
+def _aberth_steps(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
+                  z: np.ndarray, jn: np.ndarray, kn: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One Aberth-Ehrlich sweep over the roots z[jn, kn]: their steps, and
+    whether each step is within the rounding-error bound of f at its
+    root, `_NOISE_BOUND` sum_i |rho v2_i / (d_i - z)| / |f'(z)|.
+
+    The (root, pole) work arrays are updated in place rather than
+    allocated anew for each operation (fresh pages for arrays this large
+    cost about as much as the arithmetic), and freed on return."""
+    zk, rk = z[jn, kn], rho[jn]
+    inv_pole = d - zk[:, None]
+    np.divide(1.0, inv_pole, out=inv_pole)
+    term = inv_pole * v2
+    f = 1.0 - rk * term.sum(axis=1)
+    noise = _NOISE_BOUND * np.abs(rk) * np.abs(term).sum(axis=1)
+    term *= inv_pole
+    df = -rk * term.sum(axis=1)
+    newton = f / (df - f * inv_pole.sum(axis=1))
+    own = np.arange(jn.shape[0])
+    inv_gap = z[jn]  # turned into 1 / (z_k - z_i), 0 at i = k
+    np.subtract(zk[:, None], inv_gap, out=inv_gap)
+    inv_gap[own, kn] = 1.0
+    np.divide(1.0, inv_gap, out=inv_gap)
+    inv_gap[own, kn] = 0.0
+    step = newton / (1.0 - newton * inv_gap.sum(axis=1))
+    return step, np.abs(step) * np.abs(df) <= noise
+
+
 def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
-                   s_nodes: np.ndarray) -> np.ndarray:
+                   s_nodes: np.ndarray, z: np.ndarray | None) -> np.ndarray:
     """All N roots z of 1 = rho_j sum_i v2_i / (d_i - z) for each node j.
 
-    Aberth-Ehrlich iteration from the pole shifts d_k - rho_j v2_k; each
-    sweep updates only the roots still moving, listed by (node, root)
-    index. Returns a (node, N) array; raises NumericFailureError if a
-    root turns non-finite or has not converged after `_MAX_ITER` sweeps.
+    Aberth-Ehrlich iteration from the start guesses z, a (node, N) array
+    that is refined in place and returned, or with z None from the pole
+    shifts d_k - rho_j v2_k. Each sweep updates only the roots still
+    moving, listed by (node, root) index. A root is frozen once its step
+    falls to `_STEP_TOL` |z| or within the rounding-error bound of the
+    step. Raises NumericFailureError if a root turns non-finite or has
+    not converged after `_MAX_ITER` sweeps.
     """
     n = d.shape[0]
-    z = d - rho[:, None] * v2
+    if z is None:
+        z = d - rho[:, None] * v2
     jn, kn = np.divmod(np.arange(z.size), n)
-    last = np.full(z.size, np.inf)
     for _ in range(_MAX_ITER):
-        zk, rk = z[jn, kn], rho[jn]
-        inv_pole = 1.0 / (d - zk[:, None])
-        term = inv_pole * v2
-        f = 1.0 - rk * term.sum(axis=1)
-        df = -rk * (term * inv_pole).sum(axis=1)
-        newton = f / (df - f * inv_pole.sum(axis=1))
-        own = np.arange(jn.shape[0])
-        gaps = zk[:, None] - z[jn]
-        gaps[own, kn] = 1.0
-        inv_gap = 1.0 / gaps
-        inv_gap[own, kn] = 0.0
-        step = newton / (1.0 - newton * inv_gap.sum(axis=1))
-        zk = zk - step
+        step, in_noise = _aberth_steps(rho, d, v2, z, jn, kn)
+        zk = z[jn, kn] - step
         finite = np.isfinite(zk)
         if not finite.all():
             raise NumericFailureError(
                 "secular root iteration produced non-finite values",
                 s=complex(s_nodes[jn[np.argmin(finite)]]))
         z[jn, kn] = zk
-        size, scale = np.abs(step), np.abs(zk)
-        moving = (size > _STEP_TOL * scale) & (
-            (size < last) | (size > _NOISE_TOL * scale))
+        moving = (np.abs(step) > _STEP_TOL * np.abs(zk)) & ~in_noise
         if not moving.any():
             return z
-        jn, kn, last = jn[moving], kn[moving], size[moving]
+        jn, kn = jn[moving], kn[moving]
     raise NumericFailureError(
         f"secular roots not converged after {_MAX_ITER} iterations",
         s=complex(s_nodes[jn[0]]))
 
 
 def _block_spectra(sigma_s: float, mu: np.ndarray, w: np.ndarray,
-                   st: np.ndarray, s_nodes: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues nu and normalizations of one block of nodes, checked
+                   st: np.ndarray, s_nodes: np.ndarray, z: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Secular roots, eigenvalues nu and normalizations of one block of
+    nodes from the start guesses z (None: the pole shifts), checked
     against ray collisions, the dispersion relation and vanishing
     normalizations."""
-    z = _secular_roots(sigma_s / st, 1.0 / mu**2, w / mu**2, s_nodes)
+    z = _secular_roots(sigma_s / st, 1.0 / mu**2, w / mu**2, s_nodes, z)
     nu = 1.0 / np.sqrt(st[:, None] ** 2 * z)
     # eigenfunctions are singular on the quadrature rays mu_i / sigma_t
     gap = np.abs(nu[:, :, None] - mu / st[:, None, None]).min(axis=2)
@@ -178,24 +213,32 @@ def _block_spectra(sigma_s: float, mu: np.ndarray, w: np.ndarray,
         raise DegenerateSpectrumError(
             f"eigenvalue {nu[j, k]} collides with a quadrature ray",
             s=complex(s_nodes[j]))
-    # the dispersion relation from phi(nu, +-mu), independently of z
+    # the dispersion relation from phi(nu, +-mu), independently of z; the
+    # (node, mode, ordinate) arrays are updated in place, as in a sweep
     c = 0.5 * sigma_s
     ray = st[:, None, None] * nu[:, :, None]
-    phi_plus = c * nu[:, :, None] / (ray - mu)
-    phi_minus = c * nu[:, :, None] / (ray + mu)
-    res = np.abs(1.0 - ((phi_plus + phi_minus) * w).sum(axis=2))
+    phi_plus = ray - mu
+    np.divide(c * nu[:, :, None], phi_plus, out=phi_plus)
+    phi_minus = ray + mu
+    np.divide(c * nu[:, :, None], phi_minus, out=phi_minus)
+    total = phi_plus + phi_minus
+    total *= w
+    res = np.abs(1.0 - total.sum(axis=2))
     bad = ~(res <= _RESIDUAL_TOL)
     if bad.any():
         j, k = np.argwhere(bad)[0]
         raise NumericFailureError(
             f"dispersion residual {res[j, k]:.3e} at eigenvalue {nu[j, k]}",
             s=complex(s_nodes[j]), nu=complex(nu[j, k]))
-    norm = ((phi_plus**2 - phi_minus**2) * (w * mu)).sum(axis=2)
+    np.square(phi_plus, out=phi_plus)
+    phi_plus -= np.square(phi_minus, out=phi_minus)
+    phi_plus *= w * mu
+    norm = phi_plus.sum(axis=2)
     tiny = (np.abs(norm) < 1e-300).any(axis=1)
     if tiny.any():
         raise NumericFailureError("vanishing mode normalization",
                                   s=complex(s_nodes[np.argmax(tiny)]))
-    return nu, norm
+    return z, nu, norm
 
 
 def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
@@ -209,6 +252,12 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
     phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu). Raises
     NumericFailureError (DegenerateSpectrumError on a ray collision) if
     the spectrum of a node fails a check.
+
+    The nodes are solved in the order of (Im s, Re s), in B strided
+    blocks of at most `_BLOCK`: block b holds the b-th, (b + B)-th, ...
+    node of that order, so each node of a block b >= 1 starts from the
+    converged roots of its predecessor in block b - 1, and block 0 from
+    the pole shifts. The results come back in the order of s_nodes.
     """
     s_nodes = np.asarray(s_nodes, dtype=complex)
     mu = np.asarray(quadrature.nodes)
@@ -216,10 +265,14 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
     st, source = _rates(params, s_nodes)
     nus = np.empty((s_nodes.shape[0], quadrature.order), dtype=complex)
     norms = np.empty_like(nus)
-    for lo in range(0, s_nodes.shape[0], _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        nus[blk], norms[blk] = _block_spectra(params.sigma_s, mu, w,
-                                              st[blk], s_nodes[blk])
+    order = np.lexsort((s_nodes.real, s_nodes.imag))
+    stride = -(-s_nodes.shape[0] // _BLOCK)
+    roots = None  # of the previous block, whose i-th node precedes ours
+    for b in range(stride):
+        blk = order[b::stride]
+        start = None if roots is None else roots[:blk.shape[0]]
+        roots, nus[blk], norms[blk] = _block_spectra(
+            params.sigma_s, mu, w, st[blk], s_nodes[blk], start)
     return st, source, nus, norms
 
 
@@ -241,33 +294,45 @@ def _uniform_grid(xs) -> tuple[np.ndarray, float]:
     return xs, step
 
 
-def density_transform(params: TransportParams, quadrature: QuadratureSet,
-                      s_nodes, xs) -> np.ndarray:
-    """Laplace-domain scalar density as an (x, node) array.
+def density_transforms(params: TransportParams, quadrature: QuadratureSet,
+                       node_sets, xs) -> Iterator[np.ndarray]:
+    """Laplace-domain scalar density as one (x, node) array per node set.
 
     Sums the decaying modes excited by an isotropic unit pulse at x = 0;
     the trapping factor (sigma_trap * LPhi(s) + 1) rescales the effective
     source, and the speed c stretches space: modes decay as
     exp(-|x| / (c nu)) and carry a factor 1/c. Even in x by symmetry.
 
-    xs must be increasing and evenly spaced with step h (ValueError
-    otherwise, before any spectrum is solved). Split at x = 0, each side
-    is a run of |x| growing by h, so a mode's exponentials along it are
-    its first one times powers of r = exp(-h / (c nu)), |r| <= 1: one
-    running product per run, whose rounding grows like k eps at the k-th
-    point. Works one node block at a time so that no (x, node, mode)
-    array is formed.
+    The spectra of every set come from one `spectra` call over all their
+    nodes, made before this returns; the (x, node) array of a set is
+    formed only when the returned iterator reaches it. xs must be
+    increasing and evenly spaced with step h (ValueError otherwise,
+    before any spectrum is solved). Split at x = 0, each side is a run of
+    |x| growing by h, so a mode's exponentials along it are its first one
+    times powers of r = exp(-h / (c nu)), |r| <= 1: one running product
+    per run, whose rounding grows like k eps at the k-th point. Works one
+    node block at a time so that no (x, node, mode) array is formed.
     """
     xs, step = _uniform_grid(xs)
-    _, source, nus, norms = spectra(params, quadrature, s_nodes)
+    sets = [np.asarray(nodes, dtype=complex) for nodes in node_sets]
+    _, source, nus, norms = spectra(params, quadrature, np.concatenate(sets))
     rate = 1.0 / (params.speed * nus)
     coef = (source / params.speed)[:, None] / norms
+    ends = np.cumsum([nodes.shape[0] for nodes in sets]).tolist()
+    return (_mode_sum(xs, step, rate[lo:hi], coef[lo:hi])
+            for lo, hi in zip([0] + ends, ends))
+
+
+def _mode_sum(xs: np.ndarray, step: float, rate: np.ndarray,
+              coef: np.ndarray) -> np.ndarray:
+    """The (x, node) density transform sum_k coef[j, k] exp(-|x| rate[j, k])
+    by running products along x."""
     # x >= 0 and the reversed x < 0: runs of |x| growing away from 0
     split = int(np.searchsorted(xs, 0.0))
     runs = [slice(split, None)] + ([slice(split - 1, None, -1)] if split else [])
-    out = np.empty((xs.shape[0], nus.shape[0]), dtype=complex)
-    powers = np.empty((xs.shape[0],) + nus[:_BLOCK].shape, dtype=complex)
-    for lo in range(0, nus.shape[0], _BLOCK):
+    out = np.empty((xs.shape[0], rate.shape[0]), dtype=complex)
+    powers = np.empty((xs.shape[0],) + rate[:_BLOCK].shape, dtype=complex)
+    for lo in range(0, rate.shape[0], _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         block = powers[:, :rate[blk].shape[0]]
         ratio = np.exp(-step * rate[blk])
@@ -279,6 +344,12 @@ def density_transform(params: TransportParams, quadrature: QuadratureSet,
                 np.multiply.accumulate(decay, axis=0, out=decay)
         out[:, blk] = np.einsum("xjk,jk->xj", block, coef[blk])
     return out
+
+
+def density_transform(params: TransportParams, quadrature: QuadratureSet,
+                      s_nodes, xs) -> np.ndarray:
+    """`density_transforms` of the one node set s_nodes."""
+    return next(density_transforms(params, quadrature, [s_nodes], xs))
 
 
 def laplace_density(params: TransportParams, quadrature: QuadratureSet,

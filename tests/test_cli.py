@@ -413,6 +413,43 @@ def test_non_finite_flags_are_rejected_up_front(tmp_path, capsys,
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["profile", "compare"])
+@pytest.mark.parametrize("times", ["10,10", "10,20,1e1"],
+                         ids=["adjacent", "spelled-apart"])
+def test_repeated_times_are_rejected_up_front(tmp_path, capsys, monkeypatch,
+                                              command, times):
+    """Two profiles at one time would be merged into one CSV block, so a
+    repeated time is a usage error (exit 1) before any solver runs, and
+    no file is written."""
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    out_csv = tmp_path / "x.csv"
+    rc = cli.main([command, "--scenario", "fig1a", "--times", times,
+                   "--x-count", "3", "--out", str(out_csv)])
+    assert rc == 1
+    assert "repeat" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_profile_at_a_million_minutes(tmp_path):
+    """At t = 1e6 the contour nodes sit where sigma_s / sigma_t is within
+    2e-4 of 1; the RTE profile is computed (it exited 2 when the secular
+    iteration could not freeze the smallest root) and matches the
+    Talbot inversion of the same transform to 1e-8."""
+    out_csv = tmp_path / "late.csv"
+    rc = cli.main(["profile", "--scenario", "fig1a", "--times", "1e6",
+                   "--solvers", "RTE", "--x-count", "3", "--out",
+                   str(out_csv)])
+    assert rc == 0
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    sc = harness.builtin_scenarios()["fig1a"]
+    q = harness.gauss_legendre(sc.n_ordinates)
+    for cols in rows:
+        x = float(cols[0])
+        want = invert_reference(lambda s: harness.transport.laplace_density(
+            sc.transport, q, s, x), 1e6)
+        assert abs(float(cols[1]) - want) <= 1e-8 * abs(want), x
+
+
 NON_FINITE_CONFIG = """
 [odd]
 sigma_trap = 0.1

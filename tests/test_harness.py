@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ def test_scenario_coerces_times_to_tuple():
     assert sc.times == (5.0, 10.0)
 
 
+@pytest.mark.parametrize("times", [(10.0, 10.0), (10.0, 20.0, 1e1)],
+                         ids=["adjacent", "spelled-apart"])
+def test_scenario_rejects_repeated_times(times):
+    """Profiles are keyed by time, so two at one time would be merged
+    into one CSV block: a repeated time is refused."""
+    with pytest.raises(ValueError, match="repeat"):
+        small_scenario(times=times)
+
+
 def test_builtin_scenarios_cover_both_times():
     scs = builtin_scenarios()
     assert sorted(scs) == ["fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c"]
@@ -193,6 +203,96 @@ def test_run_scenario_builds_the_quadrature_once(monkeypatch):
     assert built == [30]
     run_scenario(small_scenario(solvers=("FDE", "NORMAL"), times=(10.0, 20.0)))
     assert built == [30]
+
+
+LATE_TIMES = (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)
+
+
+def late_times_scenario(times=LATE_TIMES, count=16):
+    """fig1a's RTE profiles at the eight times of the late-time compare."""
+    return dataclasses.replace(builtin_scenarios()["fig1a"], times=times,
+                               grid=SpatialGrid(0.0, 15.0, count),
+                               solvers=frozenset({"RTE"}))
+
+
+def test_run_scenario_solves_one_spectra_stack(monkeypatch):
+    """RTE makes one `transport.spectra` call per scenario, over the
+    contour nodes of all its times; FDE and NORMAL make none."""
+    calls = []
+    real = transport.spectra
+
+    def counting(params, quadrature, s_nodes):
+        calls.append(len(s_nodes))
+        return real(params, quadrature, s_nodes)
+
+    monkeypatch.setattr(transport, "spectra", counting)
+    sc = late_times_scenario()
+    run_scenario(sc)
+    sizes = [len(harness._profile_contour(t, sc.inversion)[0])
+             for t in sc.times]
+    assert calls == [sum(sizes)] and sum(sizes) == 648
+    run_scenario(small_scenario(solvers=("RTE", "FDE"), times=(5.0, 10.0)))
+    assert len(calls) == 2
+    run_scenario(small_scenario(solvers=("FDE", "NORMAL"), times=(5.0, 10.0)))
+    assert len(calls) == 2
+
+
+def test_rte_stack_matches_one_time_at_a_time():
+    """The eight late-time RTE profiles, solved as one stack, against one
+    run_scenario per time. Stacked, a node's secular roots start from a
+    neighbour of another time, so they may come out in another order and
+    differ in the last bits (the root sets agree to 5e-15 relative). The
+    contour sum multiplies such differences by its prefactor 2 e^{sigma t} / t,
+    which is 30 at t = 200, so each time is held to 1e-13 absolute times
+    max(1, prefactor): measured <= 1.4e-14 up to t = 100 (prefactor <= 1.1),
+    1.6e-13 at t = 150 (5.4) and 2.3e-13 at t = 200. The order of the
+    times does not change a bit."""
+    sc = late_times_scenario()
+    stacked = run_scenario(sc)
+    assert [p.t for p in stacked] == list(LATE_TIMES)
+    for profile in stacked:
+        (alone,) = run_scenario(dataclasses.replace(sc, times=(profile.t,)))
+        assert alone.xs() == profile.xs()
+        prefactor = harness._profile_contour(profile.t, sc.inversion)[2]
+        got = np.array([u for _, u in profile.points])
+        want = np.array([u for _, u in alone.points])
+        assert np.all(np.abs(got - want) <= 1e-13 * max(1.0, prefactor)), \
+            profile.t
+    reordered = run_scenario(dataclasses.replace(sc, times=LATE_TIMES[::-1]))
+    assert sorted(reordered, key=lambda p: p.t) == stacked
+
+
+def test_rte_failure_names_the_time_of_its_node(monkeypatch):
+    """A spectrum failure in the stack is reported at the time whose
+    contour holds the node it names."""
+    sc = small_scenario(solvers=("RTE",), times=(5.0, 10.0, 20.0))
+    bad = harness._profile_contour(10.0, sc.inversion)[0][7]
+
+    def failing(*args):
+        raise NumericFailureError("synthetic blow-up", s=complex(bad))
+
+    monkeypatch.setattr(transport, "spectra", failing)
+    with pytest.raises(ProfileError) as info:
+        run_scenario(sc)
+    assert info.value.solver == "RTE" and info.value.t == 10.0
+
+
+def test_rte_stack_memory_peak():
+    """Eight times on the 151-point grid peak at <= 1.5x the traced peak
+    of one (2.12 MB against 1.50 MB measured): the stack holds only the
+    spectra of its 648 nodes (0.62 MB), and each time's (x, node)
+    transform is freed once reduced. One (x, node) array over all 648
+    nodes alone would take 1.6 MB."""
+    def peak(times):
+        tracemalloc.start()
+        try:
+            run_scenario(late_times_scenario(times, 151))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak((10.0,))
+    assert peak(LATE_TIMES) <= 1.5 * one
 
 
 def _with_speed(sc, speed, grid, times):
