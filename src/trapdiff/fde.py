@@ -10,7 +10,10 @@ whole line when absorption is off.
 
 Production profiles come from `laplace_density_closed`, the Laplace
 transform in closed form in x, evaluated as one (x, node) array on the
-inversion contour of `ilt.contour`; it holds for any alpha. The other
+inversion contour of `ilt.contour`; it holds for any alpha. It is a
+single decaying mode exp(-|x| sqrt(B/D0)) per node, so it runs through
+`transport.mode_sum`, the running products along an evenly spaced x
+grid that the transport transform uses, with no exp per entry. The other
 routes are oracles that share none of its algebra: `density_half`
 evaluates the alpha = 1/2 subordination formula in the time domain by
 adaptive quadrature, and `laplace_density` inverts the spatial Fourier
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import QuadratureError
-from .transport import TransportParams
+from .transport import TransportParams, mode_sum
 
 __all__ = [
     "FdeParams",
@@ -103,16 +106,17 @@ def laplace_density_closed(p: FdeParams, xs, s) -> np.ndarray:
     Integrating the Fourier-Laplace picture over k gives
     (1 + eta s^{a-1}) / sqrt(D0 B) * exp(-|x| sqrt(B/D0)) with
     B = s + eta s^a + sigma_a, on principal branches (Re s > 0 keeps
-    Re sqrt(B) > 0). Returns the array of shape (len(xs), len(s)); this
-    is the production FDE transform, `laplace_density` its oracle.
+    Re sqrt(B) > 0): the one-mode case of `transport.mode_sum`, with
+    rate sqrt(B/D0). xs must be increasing and evenly spaced, or a
+    single point (ValueError otherwise). Returns the array of shape
+    (len(xs), len(s)); this is the production FDE transform,
+    `laplace_density` its oracle.
     """
-    x = np.abs(np.asarray(xs, dtype=float))[:, None]
-    s = np.asarray(s, dtype=complex)[None, :]
+    s = np.asarray(s, dtype=complex)
     sa = s**p.alpha
-    b = s + p.trap_strength * sa + p.sigma_a
-    root = np.sqrt(b / p.diffusivity)
-    amplitude = (1.0 + p.trap_strength * sa / s) / (p.diffusivity * root)
-    return amplitude * np.exp(-x * root)
+    rate = np.sqrt((s + p.trap_strength * sa + p.sigma_a) / p.diffusivity)
+    amplitude = (1.0 + p.trap_strength * sa / s) / (p.diffusivity * rate)
+    return mode_sum(xs, rate[:, None], amplitude[:, None])
 
 
 def _quad_checked(func, a, b, tol_abs, tol_rel, **kwargs):

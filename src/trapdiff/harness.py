@@ -7,12 +7,14 @@ six built-in scenarios cover the trapping-strength and trapping-scale
 variations at t = 10 and t = 100 minutes.
 
 RTE and FDE both invert on the nodes of `ilt.contour`: each solver
-evaluates its transform as one (x, node) array per time and reduces it
-with the contour weights. RTE takes one discrete-ordinates spectrum per
-node from a single `transport.spectra` call per scenario, over the
-stacked contour nodes of all its times, and then forms and reduces the
-(x, node) transform one time at a time; FDE uses its closed form, one
-time at a time. The order of the times changes no bit. Where sigma t
+evaluates its transform as one (x, node) array per time, through the
+same `transport.mode_sum` (running products along the evenly spaced x
+grid), and reduces it with the contour weights. RTE sums N modes per
+node, taking one discrete-ordinates spectrum per node from a single
+`transport.spectra` call per scenario, over the stacked contour nodes
+of all its times, and then forms and reduces the (x, node) transform
+one time at a time; FDE sums the one mode of its closed form, one time
+at a time. The order of the times changes no bit. Where sigma t
 would pass 8 (past t = 200 at the default shift), the shift sigma is
 lowered to 8/t. RTE values past the ballistic front |x| > speed * t
 are written as 0: neither the exact nor the discrete-ordinates solution
@@ -201,8 +203,9 @@ def _fde_values(p: fde.FdeParams, xs, t: float,
                 cfg: InversionConfig) -> list[float]:
     """FDE densities at every x: the closed-form transform on the contour.
 
-    The rule runs at half the scenario's DE step over the same map
-    reach (twice the nodes). At the scenario's own step it leaves a
+    xs is a profile grid or a single point, as `transport.mode_sum`
+    requires. The rule runs at half the scenario's DE step over the same
+    map reach (twice the nodes). At the scenario's own step it leaves a
     discretization error of ~2e-10 absolute at t = 10, which is too much
     for the small tail values; the halved step brings it to roundoff.
     """

@@ -84,8 +84,9 @@ def _exp_integral_cf(nu: float, z: complex, maxiter: int = 100000) -> complex:
 
     The classical fraction b0 = z + nu, a_i = -i(nu - 1 + i), b_i += 2
     evaluates e^z E_nu(z) directly, so nothing overflows for large |z|.
-    Reliable for Re z >= 0 away from the origin; convergence degrades
-    toward the negative real axis.
+    Reliable for Re z >= 0 away from the origin; convergence slows
+    toward the negative real axis, so left of the ray Re z = -|Im z|/2
+    it is used only where |z| + Re z > 3.
     """
     tiny = 1e-300
     b = z + nu
@@ -198,11 +199,11 @@ def gen_exp_integral_scaled(nu: float, z: complex) -> complex:
     exp(z) keeps the value representable for large |z| anywhere off the
     cut.
 
-    Evaluation is routed by region: power series near the origin and left
-    of the imaginary axis (where the continued fraction crawls), modified
-    Lentz continued fraction in the right half plane at moderate |z|, and
-    the divergent asymptotic series summed to its smallest term for large
-    |z|.
+    Evaluation is routed by region: power series near the origin and
+    close to the negative real axis (where the continued fraction
+    crawls), modified Lentz continued fraction elsewhere at moderate |z|,
+    and the divergent asymptotic series summed to its smallest term for
+    large |z|.
     """
     if nu <= 0.0:
         raise ValueError(f"order must be positive, got {nu}")
@@ -215,8 +216,9 @@ def gen_exp_integral_scaled(nu: float, z: complex) -> complex:
     if r < 1.0:
         return _exp_integral_series(nu, z)
     # moderate |z|: the fraction is solid while the argument stays away
-    # from the cut; otherwise fall back to the series and absorb the
-    # cancellation, which is bounded by exp(|z| + Re z) here
-    if z.real >= -0.5 * abs(z.imag):
+    # from the cut; nearer the cut the series loses exp(|z| + Re z) to
+    # cancellation, so it is kept only where that loss stays below e^3
+    # and the fraction, slower there but still convergent, takes the rest
+    if z.real >= -0.5 * abs(z.imag) or r + z.real > 3.0:
         return _exp_integral_cf(nu, z)
     return _exp_integral_series(nu, z)

@@ -47,13 +47,16 @@ rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 the one way to get a spectrum; `density_transforms` gives one (x, node)
 transform per contour from one `spectra` call on an evenly spaced x
 grid, `density_transform` that of a single contour and
-`laplace_density` its value at a single point and x. On such a grid
-exp(-|x_k| / nu) is the exponential at the first |x| of a side of x = 0
-times a power of exp(-h / nu), so the transform takes three complex exps
-per (node, mode) and running products along x instead of one exp per
-(x, node, mode) entry. It works one node block at a time, so no
-(x, node, mode) array is formed, and one contour at a time, so no
-(x, node) array spans more than one contour.
+`laplace_density` its value at a single point and x. The mode sums are
+`mode_sum`, which the fractional-diffusion transform of `fde` shares as
+its one-mode case: on such a grid exp(-|x_k| rate) is the exponential at
+the first |x| of a side of x = 0 times a power of exp(-h rate), so a
+transform takes three complex exps per (node, mode), and running
+products along x, instead of one exp per (x, node, mode) entry. It fills
+a block of x rows at a time, so no (x, node, mode) array is formed, and
+one contour at a time, so no (x, node) array spans more than one
+contour. The dispersion check takes one reciprocal per (node, mode,
+ordinate) entry.
 """
 
 from __future__ import annotations
@@ -73,15 +76,18 @@ __all__ = [
     "spectra",
     "density_transform",
     "density_transforms",
+    "mode_sum",
     "laplace_density",
 ]
 
 # acceptable dispersion-relation residual of an eigenvalue
 _RESIDUAL_TOL = 1e-9
-# secular roots: nodes solved together, iteration cap, relative step at
-# which a root is frozen, and the rounding-error bound of f(z) = 1 -
-# rho sum_i v2_i / (d_i - z) in units of sum_i |rho v2_i / (d_i - z)|
-# (LAPACK dlaed4's erretm), below which a step is rounding noise
+# secular roots: nodes solved together (also the node count whose
+# (x, node, mode) array bounds the scratch of `mode_sum`), iteration
+# cap, relative step at which a root is frozen, and the rounding-error
+# bound of f(z) = 1 - rho sum_i v2_i / (d_i - z) in units of
+# sum_i |rho v2_i / (d_i - z)| (LAPACK dlaed4's erretm), below which a
+# step is rounding noise
 _BLOCK = 16
 _MAX_ITER = 50
 _STEP_TOL = 4e-15
@@ -196,6 +202,38 @@ def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
         s=complex(s_nodes[jn[0]]))
 
 
+def _dispersion(sigma_s: float, mu: np.ndarray, w: np.ndarray,
+                st: np.ndarray, nu: np.ndarray, s_nodes: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Dispersion residual and normalization of every mode (node, k),
+    independently of the secular roots, after checking that no
+    eigenvalue nu sits on a quadrature ray mu_i / sigma_t.
+
+    With ray = sigma_t nu and q_i = 1 / ((ray - mu_i)(ray + mu_i)), the
+    eigenfunction phi(nu, +-mu) = (sigma_s nu / 2) / (ray -+ mu) gives
+    sum_i w_i (phi(nu, mu_i) + phi(nu, -mu_i)) = sigma_s ray nu sum_i w_i q_i
+    and the normalization sum_i w_i mu_i (phi(nu, mu_i)^2 - phi(nu, -mu_i)^2)
+    = sigma_s^2 ray nu^2 sum_i w_i mu_i^2 q_i^2: one reciprocal per
+    (node, mode, ordinate) entry. Raises DegenerateSpectrumError on a
+    ray collision, |ray - mu_i| < 1e-12 |ray|.
+    """
+    ray = st[:, None] * nu
+    q = ray[:, :, None] - mu
+    hit = np.abs(q).min(axis=2) < 1e-12 * np.abs(ray)
+    if hit.any():
+        j, k = np.argwhere(hit)[0]
+        raise DegenerateSpectrumError(
+            f"eigenvalue {nu[j, k]} collides with a quadrature ray",
+            s=complex(s_nodes[j]))
+    # the (node, mode, ordinate) array is updated in place, as in a sweep
+    q *= ray[:, :, None] + mu
+    np.divide(1.0, q, out=q)
+    res = np.abs(1.0 - sigma_s * ray * nu * np.einsum("jki,i->jk", q, w))
+    norm = (sigma_s**2 * ray * nu**2
+            * np.einsum("jki,jki,i->jk", q, q, w * mu**2))
+    return res, norm
+
+
 def _block_spectra(sigma_s: float, mu: np.ndarray, w: np.ndarray,
                    st: np.ndarray, s_nodes: np.ndarray, z: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,35 +243,13 @@ def _block_spectra(sigma_s: float, mu: np.ndarray, w: np.ndarray,
     normalizations."""
     z = _secular_roots(sigma_s / st, 1.0 / mu**2, w / mu**2, s_nodes, z)
     nu = 1.0 / np.sqrt(st[:, None] ** 2 * z)
-    # eigenfunctions are singular on the quadrature rays mu_i / sigma_t
-    gap = np.abs(nu[:, :, None] - mu / st[:, None, None]).min(axis=2)
-    hit = gap < 1e-12 * np.abs(nu)
-    if hit.any():
-        j, k = np.argwhere(hit)[0]
-        raise DegenerateSpectrumError(
-            f"eigenvalue {nu[j, k]} collides with a quadrature ray",
-            s=complex(s_nodes[j]))
-    # the dispersion relation from phi(nu, +-mu), independently of z; the
-    # (node, mode, ordinate) arrays are updated in place, as in a sweep
-    c = 0.5 * sigma_s
-    ray = st[:, None, None] * nu[:, :, None]
-    phi_plus = ray - mu
-    np.divide(c * nu[:, :, None], phi_plus, out=phi_plus)
-    phi_minus = ray + mu
-    np.divide(c * nu[:, :, None], phi_minus, out=phi_minus)
-    total = phi_plus + phi_minus
-    total *= w
-    res = np.abs(1.0 - total.sum(axis=2))
+    res, norm = _dispersion(sigma_s, mu, w, st, nu, s_nodes)
     bad = ~(res <= _RESIDUAL_TOL)
     if bad.any():
         j, k = np.argwhere(bad)[0]
         raise NumericFailureError(
             f"dispersion residual {res[j, k]:.3e} at eigenvalue {nu[j, k]}",
             s=complex(s_nodes[j]), nu=complex(nu[j, k]))
-    np.square(phi_plus, out=phi_plus)
-    phi_plus -= np.square(phi_minus, out=phi_minus)
-    phi_plus *= w * mu
-    norm = phi_plus.sum(axis=2)
     tiny = (np.abs(norm) < 1e-300).any(axis=1)
     if tiny.any():
         raise NumericFailureError("vanishing mode normalization",
@@ -305,44 +321,57 @@ def density_transforms(params: TransportParams, quadrature: QuadratureSet,
 
     The spectra of every set come from one `spectra` call over all their
     nodes, made before this returns; the (x, node) array of a set is
-    formed only when the returned iterator reaches it. xs must be
-    increasing and evenly spaced with step h (ValueError otherwise,
-    before any spectrum is solved). Split at x = 0, each side is a run of
-    |x| growing by h, so a mode's exponentials along it are its first one
-    times powers of r = exp(-h / (c nu)), |r| <= 1: one running product
-    per run, whose rounding grows like k eps at the k-th point. Works one
-    node block at a time so that no (x, node, mode) array is formed.
+    formed by `mode_sum` only when the returned iterator reaches it. xs
+    must be increasing and evenly spaced (ValueError otherwise, before
+    any spectrum is solved).
     """
-    xs, step = _uniform_grid(xs)
+    xs = _uniform_grid(xs)[0]
     sets = [np.asarray(nodes, dtype=complex) for nodes in node_sets]
     _, source, nus, norms = spectra(params, quadrature, np.concatenate(sets))
     rate = 1.0 / (params.speed * nus)
     coef = (source / params.speed)[:, None] / norms
     ends = np.cumsum([nodes.shape[0] for nodes in sets]).tolist()
-    return (_mode_sum(xs, step, rate[lo:hi], coef[lo:hi])
+    return (mode_sum(xs, rate[lo:hi], coef[lo:hi])
             for lo, hi in zip([0] + ends, ends))
 
 
-def _mode_sum(xs: np.ndarray, step: float, rate: np.ndarray,
-              coef: np.ndarray) -> np.ndarray:
-    """The (x, node) density transform sum_k coef[j, k] exp(-|x| rate[j, k])
-    by running products along x."""
+def mode_sum(xs, rate: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The (x, node) sum sum_k coef[j, k] exp(-|x| rate[j, k]) over the
+    modes k of each node j, for rates with Re rate >= 0.
+
+    xs must be increasing and evenly spaced with step h, or a single
+    point (ValueError otherwise). Split at x = 0, each side is a run of
+    |x| growing by h, so along it a mode's exponentials are the one at
+    its first |x| times powers of r = exp(-h rate), |r| <= 1. The rows
+    of a run are filled m at a time as the previous row times a table of
+    r^1 ... r^m, and each block of rows is contracted with coef in one
+    `einsum`: three complex exps per (node, mode), and rounding that
+    grows like (m + k / m) eps at the k-th point. m is chosen so that
+    table and block together hold no more than `_BLOCK` * len(xs) *
+    modes entries, the (x, node, mode) array of `_BLOCK` nodes.
+    """
+    xs, step = _uniform_grid(xs)
+    count, nodes = xs.shape[0], rate.shape[0]
+    rows = max(1, min(count, _BLOCK * count // (2 * max(nodes, 1))))
+    table = np.empty((rows,) + rate.shape, dtype=complex)
+    table[:] = np.exp(-step * rate)
+    np.multiply.accumulate(table, axis=0, out=table)
+    block = np.empty_like(table)
+    out = np.empty((count, nodes), dtype=complex)
     # x >= 0 and the reversed x < 0: runs of |x| growing away from 0
     split = int(np.searchsorted(xs, 0.0))
     runs = [slice(split, None)] + ([slice(split - 1, None, -1)] if split else [])
-    out = np.empty((xs.shape[0], rate.shape[0]), dtype=complex)
-    powers = np.empty((xs.shape[0],) + rate[:_BLOCK].shape, dtype=complex)
-    for lo in range(0, rate.shape[0], _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        block = powers[:, :rate[blk].shape[0]]
-        ratio = np.exp(-step * rate[blk])
-        for run in runs:
-            decay = block[run]
-            if decay.shape[0]:
-                decay[0] = np.exp(-abs(xs[run][0]) * rate[blk])
-                decay[1:] = ratio
-                np.multiply.accumulate(decay, axis=0, out=decay)
-        out[:, blk] = np.einsum("xjk,jk->xj", block, coef[blk])
+    for run in runs:
+        dest = out[run]
+        if not dest.shape[0]:
+            continue
+        last = np.exp(-abs(xs[run][0]) * rate)
+        np.einsum("jk,jk->j", last, coef, out=dest[0])
+        for lo in range(1, dest.shape[0], rows):
+            size = min(rows, dest.shape[0] - lo)
+            part = np.multiply(table[:size], last, out=block[:size])
+            np.einsum("xjk,jk->xj", part, coef, out=dest[lo:lo + size])
+            last = part[-1].copy()
     return out
 
 

@@ -11,11 +11,13 @@ for every tail exponent.
 
 import cmath
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from scipy import integrate
 
-from trapdiff import ilt
+from trapdiff import harness, ilt
 from trapdiff.errors import QuadratureError
 from trapdiff.fde import (
     FdeParams,
@@ -26,6 +28,7 @@ from trapdiff.fde import (
     laplace_density_closed,
     normal_diffusion,
 )
+from trapdiff.harness import SpatialGrid, builtin_scenarios
 from trapdiff.transport import TransportParams
 from trapdiff.waiting import WaitingTimeModel
 
@@ -209,6 +212,40 @@ def test_laplace_density_quadrature_failure_carries_context():
 
 # ------------------------------------------------------ closed-form transform
 
+def direct_closed_form(p, xs, s):
+    """The (x, s) transform from one complex exp per entry: the reference
+    for the running products along x."""
+    x = np.abs(np.asarray(xs, dtype=float))[:, None]
+    s = np.asarray(s, dtype=complex)[None, :]
+    sa = s**p.alpha
+    root = np.sqrt((s + p.trap_strength * sa + p.sigma_a) / p.diffusivity)
+    amplitude = (1.0 + p.trap_strength * sa / s) / (p.diffusivity * root)
+    return amplitude * np.exp(-x * root)
+
+
+def test_closed_form_transform_matches_direct_exponentials():
+    """The running products of exp(-h sqrt(B/D0)) against one exp per
+    entry, on each panel's FDE contour at t = 1, 10, 100 and 1000, over
+    every built-in grid, grids from SpatialGrid.points() of other spans
+    and counts, and single points of either sign: every node's column
+    agrees to 1e-13 of its largest entry (measured <= 3.0e-15)."""
+    grids = {sc.grid.points() for sc in builtin_scenarios().values()}
+    grids |= {SpatialGrid(-1e3, 1e3, 2001).points(),
+              SpatialGrid(1e6, 1e6 + 1.0, 11).points(),
+              SpatialGrid(0.1, 0.7, 7).points(), (-1.7,), (0.0,), (2.0,)}
+    for sc in builtin_scenarios().values():
+        p = from_transport(sc.transport)
+        fine = replace(sc.inversion, freq_scale=2.0 * sc.inversion.freq_scale,
+                       truncation=2 * sc.inversion.truncation)
+        for t in (1.0, 10.0, 100.0, 1000.0):
+            s_nodes = harness._profile_contour(t, fine)[0]
+            for xs in grids:
+                got = laplace_density_closed(p, xs, s_nodes)
+                want = direct_closed_form(p, xs, s_nodes)
+                column = np.abs(want).max(axis=0)
+                assert np.all(np.abs(got - want) <= 1e-13 * column), (t, xs)
+
+
 CLOSED_S = (2.0, 0.04 - 40.0j, 0.04 + 0.3j, 0.5 + 3.0j, 0.04 + 400.0j)
 
 
@@ -219,20 +256,19 @@ def test_closed_form_transform_matches_fourier_route(alpha):
     below the Fourier oracle's ~1e-14 floor."""
     p = FdeParams(trap_strength=0.1 * 0.1**alpha, diffusivity=D0,
                   sigma_a=1e-9, alpha=alpha)
-    xs = (0.0, 1.0, 5.0)
-    table = laplace_density_closed(p, xs, CLOSED_S)
-    assert table.shape == (len(xs), len(CLOSED_S))
-    for i, x in enumerate(xs):
+    table = laplace_density_closed(p, np.arange(6.0), CLOSED_S)
+    assert table.shape == (6, len(CLOSED_S))
+    for x in (0, 1, 5):
         for j, s in enumerate(CLOSED_S):
             want = laplace_density(p, x, s)
-            assert abs(table[i, j] - want) <= 1e-13 + 1e-9 * abs(want), (x, s)
+            assert abs(table[x, j] - want) <= 1e-13 + 1e-9 * abs(want), (x, s)
 
 
 def test_closed_form_transform_even_in_x():
     s = (0.04 + 3.0j, 1.5 - 0.2j)
-    left = laplace_density_closed(MAIN, (-2.0, -0.5), s)
-    right = laplace_density_closed(MAIN, (2.0, 0.5), s)
-    assert (left == right).all()
+    left = laplace_density_closed(MAIN, (-2.0, -1.5, -1.0, -0.5), s)
+    right = laplace_density_closed(MAIN, (0.5, 1.0, 1.5, 2.0), s)
+    assert (left == right[::-1]).all()
 
 
 @pytest.mark.parametrize("s", [0.7 + 0.3j, 0.04 - 40.0j, 2.0])

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -213,6 +216,34 @@ def late_times_scenario(times=LATE_TIMES, count=16):
     return dataclasses.replace(builtin_scenarios()["fig1a"], times=times,
                                grid=SpatialGrid(0.0, 15.0, count),
                                solvers=frozenset({"RTE"}))
+
+
+# fig1a with RTE and FDE at four times, timed around run_scenario alone
+_CPU_PROBE = """
+import dataclasses, time
+from trapdiff.harness import builtin_scenarios, run_scenario
+sc = dataclasses.replace(builtin_scenarios()["fig1a"], solvers=("RTE", "FDE"),
+                         times=(10.0, 30.0, 100.0, 200.0))
+wall, cpu = time.perf_counter(), time.process_time()
+run_scenario(sc)
+print(time.perf_counter() - wall, time.process_time() - cpu)
+"""
+
+
+def test_run_scenario_keeps_to_one_core():
+    """The profiles are computed on one thread: the process's CPU time
+    stays within 1.25 times the wall time, plus 5 ms, around
+    run_scenario. Measured in a fresh process, because the `eigvals`
+    calls of other tests leave BLAS worker threads spinning; a complex
+    `matmul` in the transform contraction would wake them and fail this."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _CPU_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    wall, cpu = map(float, out.stdout.split())
+    assert cpu <= 1.25 * wall + 0.005, (cpu, wall)
 
 
 def test_run_scenario_solves_one_spectra_stack(monkeypatch):

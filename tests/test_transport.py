@@ -23,6 +23,7 @@ from scipy import integrate
 
 from trapdiff import harness, transport
 from trapdiff.errors import DegenerateSpectrumError, NumericFailureError
+from trapdiff.fde import from_transport, laplace_density_closed
 from trapdiff.harness import SpatialGrid, builtin_scenarios
 from trapdiff.ilt import InversionConfig, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
@@ -162,6 +163,30 @@ def test_dispersion_residual():
                 lam = 1.0 - (p.sigma_s * nu / 2.0) * np.sum(
                     w * (1.0 / (st * nu - mu) + 1.0 / (st * nu + mu)))
                 assert abs(lam) < 1e-9, (p.sigma_trap, s, nu)
+
+
+@pytest.mark.parametrize("name, t", [("fig1a", 10.0), ("fig1a", 200.0),
+                                     ("fig2c", 100.0), ("fig1c", 1.0)])
+def test_dispersion_sums_match_eigenfunction_formulas(name, t):
+    """The residual and normalization, summed from one reciprocal
+    1 / ((ray - mu)(ray + mu)) per entry, against the same sums written
+    with phi(nu, +-mu) on every node of a profile contour: 1e-12 relative
+    to the dispersion sum and to the norm (measured <= 1.9e-15)."""
+    sc = builtin_scenarios()[name]
+    q = gauss_legendre(sc.n_ordinates)
+    mu = np.asarray(q.nodes)
+    w = np.asarray(q.weights)
+    s_nodes = harness._profile_contour(t, sc.inversion)[0]
+    st, _, nus, norms = spectra(sc.transport, q, s_nodes)
+    res, _ = transport._dispersion(sc.transport.sigma_s, mu, w, st, nus, s_nodes)
+    c = 0.5 * sc.transport.sigma_s
+    nu = nus[:, :, None]
+    plus = c * nu / (st[:, None, None] * nu - mu)
+    minus = c * nu / (st[:, None, None] * nu + mu)
+    want_res = np.abs(1.0 - ((plus + minus) * w).sum(axis=2))
+    want_norm = ((plus**2 - minus**2) * w * mu).sum(axis=2)
+    assert np.all(np.abs(res - want_res) <= 1e-12)
+    assert np.all(np.abs(norms - want_norm) <= 1e-12 * np.abs(want_norm))
 
 
 def test_eigenvalue_pairing_against_raw_matrix():
@@ -357,7 +382,8 @@ def test_density_transform_matches_direct_exponentials(name):
             assert np.allclose(u_got, u_want, rtol=0.0, atol=1e-12), (t, grid)
 
 
-@pytest.mark.parametrize("xs", [
+# x grids that are not increasing and evenly spaced
+OTHER_GRIDS = pytest.mark.parametrize("xs", [
     [0.0, 2.0, 7.0],
     [2.0, 1.0, 0.0],
     [0.0, 0.0, 1.0],
@@ -366,6 +392,9 @@ def test_density_transform_matches_direct_exponentials(name):
     [[0.0, 1.0]],
     [],
 ], ids=["uneven", "decreasing", "repeated", "off-step", "nan", "2d", "empty"])
+
+
+@OTHER_GRIDS
 def test_density_transform_rejects_other_grids(monkeypatch, xs):
     """The running products need an increasing, evenly spaced grid; any
     other is refused before a spectrum is solved."""
@@ -375,6 +404,14 @@ def test_density_transform_rejects_other_grids(monkeypatch, xs):
     monkeypatch.setattr(transport, "spectra", no_spectrum)
     with pytest.raises(ValueError, match="grid"):
         density_transform(SCENARIOS[0], Q30, [0.1 + 0.2j], xs)
+
+
+@OTHER_GRIDS
+def test_fde_transform_rejects_other_grids(xs):
+    """The FDE transform runs through the same `mode_sum` and the same
+    grid check."""
+    with pytest.raises(ValueError, match="grid"):
+        laplace_density_closed(from_transport(SCENARIOS[0]), xs, [0.1 + 0.2j])
 
 
 def test_density_transform_accepts_every_profile_grid():
@@ -395,21 +432,24 @@ def test_density_transform_accepts_every_profile_grid():
 
 
 def test_density_transform_memory_peak():
-    """Blocking the nodes keeps the traced peak of fig1a's t = 10 contour
-    on its 151-point grid at the spectra's (1.68 MB measured); one
-    (x, node, mode) array alone would take 5.9 MB."""
+    """Blocking the x rows keeps the traced peak of fig1a's t = 10
+    contour near the spectra's: 1.52 MB on its 151-point grid, where one
+    (x, node, mode) array alone would take 5.9 MB, and 0.893 MB on the
+    16-point grid of the late-times comparison, gated at 1.1 times the
+    0.893 MB that a buffer of 16 nodes on every x took there."""
     sc = builtin_scenarios()["fig1a"]
     q = gauss_legendre(sc.n_ordinates)
     s_nodes, _, _ = harness._profile_contour(10.0, sc.inversion)
-    xs = sc.grid.points()
-    assert len(xs) == 151 and len(s_nodes) == 81
-    tracemalloc.start()
-    try:
-        density_transform(sc.transport, q, s_nodes, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5e6
+    assert len(s_nodes) == 81
+    for count, bound in ((151, 2.5e6), (16, 0.983e6)):
+        xs = SpatialGrid(sc.grid.x_min, sc.grid.x_max, count).points()
+        tracemalloc.start()
+        try:
+            density_transform(sc.transport, q, s_nodes, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, count
 
 
 # ------------------------------------------- secular roots vs full eigenproblem
