@@ -12,9 +12,9 @@ gnuplot scripts.
 """
 
 from .errors import (DegenerateSpectrumError, NumericFailureError,
-                     ProfileError, QuadratureError)
+                     QuadratureError)
 from .fde import (FdeParams, density_half, fourier_laplace, from_transport,
-                  laplace_density_closed, normal_diffusion)
+                  normal_diffusion)
 from .fde import laplace_density as fde_laplace_density
 from .harness import (Scenario, SpatialGrid, SpatialProfile,
                       builtin_scenarios, emit_csv, emit_plot_script,
@@ -33,7 +33,6 @@ __all__ = [
     "FdeParams",
     "InversionConfig",
     "NumericFailureError",
-    "ProfileError",
     "QuadratureError",
     "QuadratureSet",
     "Scenario",
@@ -55,7 +54,6 @@ __all__ = [
     "gen_exp_integral_scaled",
     "invert",
     "invert_reference",
-    "laplace_density_closed",
     "normal_diffusion",
     "run_scenario",
     "transport_laplace_density",

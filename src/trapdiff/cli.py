@@ -12,7 +12,8 @@ contain a comma, a quote or a line break.
 Exit codes: 0 success, 1 usage or configuration problem (a bad flag or
 INI value, an unknown INI key, an unreadable input or unwritable output),
 2 numeric failure inside a solver (a ValueError raised once the scenario
-is built counts as one), 3 validation failures.
+is built counts as one; the message names the solver and time it
+happened at), 3 validation failures.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import NumericFailureError, ProfileError, QuadratureError
+from .errors import NumericFailureError, QuadratureError
 from .harness import (Scenario, SpatialGrid, builtin_scenarios, emit_csv,
                       emit_plot_script, run_scenario, validate)
 from .ilt import InversionConfig
@@ -228,8 +229,7 @@ def main(argv=None) -> int:
     except (_CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
-    except (NumericFailureError, QuadratureError, ProfileError,
-            ValueError) as exc:
+    except (NumericFailureError, QuadratureError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _NUMERIC
 

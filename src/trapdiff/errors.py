@@ -5,12 +5,18 @@ class NumericFailureError(RuntimeError):
     """A numerical routine produced a non-finite or unusable result.
 
     The ``context`` dict carries the offending point (contour node,
-    iteration index, spatial position) for diagnosis.
+    eigenvalue, solver, time, spatial position) for diagnosis; the
+    message ends with it.
     """
 
     def __init__(self, message: str, **context):
         super().__init__(message)
         self.context = context
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        where = ", ".join(f"{k}={v}" for k, v in self.context.items())
+        return f"{message} ({where})" if where else message
 
 
 class DegenerateSpectrumError(NumericFailureError):
@@ -24,16 +30,3 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.bound = bound
-
-
-class ProfileError(RuntimeError):
-    """A solver failed while filling a spatial profile.
-
-    Carries the solver name and the (x, t) point at which it failed.
-    """
-
-    def __init__(self, message: str, solver: str, x: float, t: float):
-        super().__init__(message)
-        self.solver = solver
-        self.x = x
-        self.t = t

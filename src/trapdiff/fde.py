@@ -8,16 +8,15 @@ normalization follows the transport convention (an isotropic unit pulse
 carries angular mass 2), so all densities here integrate to 2 over the
 whole line when absorption is off.
 
-Production profiles come from `laplace_density_closed`, the Laplace
-transform in closed form in x, evaluated as one (x, node) array on the
-inversion contour of `ilt.contour`; it holds for any alpha. It is a
-single decaying mode exp(-|x| sqrt(B/D0)) per node, so it runs through
-`transport.mode_sum`, the running products along an evenly spaced x
-grid that the transport transform uses, with no exp per entry. The other
-routes are oracles that share none of its algebra: `density_half`
-evaluates the alpha = 1/2 subordination formula in the time domain by
-adaptive quadrature, and `laplace_density` inverts the spatial Fourier
-representation numerically.
+Production profiles come from `modes`, the Laplace transform in closed
+form in x, which holds for any alpha: per transform point it is the
+single decaying mode exp(-|x| sqrt(B/D0)), given as the same (rate,
+coef) pair per (node, mode) as the transport modes, so the profile
+driver sums both through `transport.mode_sum` on the inversion contour
+of `ilt.contour`. The other routes are oracles that share none of its
+algebra: `density_half` evaluates the alpha = 1/2 subordination formula
+in the time domain by adaptive quadrature, and `laplace_density` inverts
+the spatial Fourier representation numerically.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import QuadratureError
-from .transport import TransportParams, mode_sum
+from .transport import TransportParams
 
 __all__ = [
     "FdeParams",
@@ -38,7 +37,7 @@ __all__ = [
     "density_half",
     "normal_diffusion",
     "laplace_density",
-    "laplace_density_closed",
+    "modes",
 ]
 
 _INNER_LIMIT = 400  # subdivision cap for the peaked inner integrals
@@ -100,23 +99,24 @@ def fourier_laplace(p: FdeParams, k: float, s: complex) -> complex:
     return num / den
 
 
-def laplace_density_closed(p: FdeParams, xs, s) -> np.ndarray:
-    """Laplace-domain density in closed form on an (x, s) grid.
+def modes(p: FdeParams, s) -> tuple[np.ndarray, np.ndarray]:
+    """The one decaying mode of the Laplace-domain density at every s.
 
     Integrating the Fourier-Laplace picture over k gives
     (1 + eta s^{a-1}) / sqrt(D0 B) * exp(-|x| sqrt(B/D0)) with
     B = s + eta s^a + sigma_a, on principal branches (Re s > 0 keeps
-    Re sqrt(B) > 0): the one-mode case of `transport.mode_sum`, with
-    rate sqrt(B/D0). xs must be increasing and evenly spaced, or a
-    single point (ValueError otherwise). Returns the array of shape
-    (len(xs), len(s)); this is the production FDE transform,
-    `laplace_density` its oracle.
+    Re sqrt(B) > 0). Returns the (node, 1) arrays rate = sqrt(B/D0) and
+    coef = (1 + eta s^{a-1}) / (D0 rate), the one-mode case of
+    `transport.mode_sum`; this is the production FDE transform,
+    `laplace_density` its oracle. Raises ValueError at s = 0.
     """
     s = np.asarray(s, dtype=complex)
+    if (s == 0).any():
+        raise ValueError("transform requires s != 0")
     sa = s**p.alpha
     rate = np.sqrt((s + p.trap_strength * sa + p.sigma_a) / p.diffusivity)
-    amplitude = (1.0 + p.trap_strength * sa / s) / (p.diffusivity * rate)
-    return mode_sum(xs, rate[:, None], amplitude[:, None])
+    coef = (1.0 + p.trap_strength * sa / s) / (p.diffusivity * rate)
+    return rate[:, None], coef[:, None]
 
 
 def _quad_checked(func, a, b, tol_abs, tol_rel, **kwargs):

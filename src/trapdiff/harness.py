@@ -6,21 +6,22 @@ times (no two equal), the spatial grid, and which solvers to run. The
 six built-in scenarios cover the trapping-strength and trapping-scale
 variations at t = 10 and t = 100 minutes.
 
-RTE and FDE both invert on the nodes of `ilt.contour`: each solver
-evaluates its transform as one (x, node) array per time, through the
-same `transport.mode_sum` (running products along the evenly spaced x
-grid), and reduces it with the contour weights. RTE sums N modes per
-node, taking one discrete-ordinates spectrum per node from a single
-`transport.spectra` call per scenario, over the stacked contour nodes
-of all its times, and then forms and reduces the (x, node) transform
-one time at a time; FDE sums the one mode of its closed form, one time
-at a time. The order of the times changes no bit. Where sigma t
-would pass 8 (past t = 200 at the default shift), the shift sigma is
-lowered to 8/t. RTE values past the ballistic front |x| > speed * t
-are written as 0: neither the exact nor the discrete-ordinates solution
-has mass there, so the contour sum there is only ringing. `validate
---level full` checks the FDE profile against the time-domain quadrature
-`fde.density_half`.
+A solver is its modes: RTE and FDE each map a stack of transform points
+to the decay rate and amplitude of every (node, mode), RTE through
+`transport.modes` (N discrete-ordinates modes per node, from one
+`transport.spectra` stack) and FDE through `fde.modes` (the one mode of
+its closed form). Both invert on the nodes of `ilt.contour` along one
+path, `_contour_values`: one `modes` call per solver and scenario, over
+the contour nodes of all its times, then per time one (x, node) array
+from `transport.mode_sum` (running products along the evenly spaced x
+grid), reduced with the contour weights before the next time is formed.
+The order of the times changes no bit. Where sigma t would pass 8 (past
+t = 200 at the default shift), the shift sigma is lowered to 8/t. RTE
+values past the ballistic front |x| > speed * t are written as 0:
+neither the exact nor the discrete-ordinates solution has mass there,
+so the contour sum there is only ringing. NORMAL is the heat kernel at
+each x. `validate --level full` checks the FDE profile against the
+time-domain quadrature `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
 scenario produces a bit-identical CSV on every run.
@@ -30,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import fde, transport
-from .errors import NumericFailureError, ProfileError
+from .errors import NumericFailureError
 from .ilt import InversionConfig, contour, de_map, invert, invert_reference
-from .specfun import QuadratureSet, gauss_legendre
+from .specfun import gauss_legendre
 from .transport import TransportParams
 from .waiting import WaitingTimeModel
 
@@ -51,9 +53,13 @@ __all__ = [
     "validate",
 ]
 
-SOLVER_ORDER = ("RTE", "FDE", "NORMAL")
-
-CSV_HEADER = "x_cm,u_rte,u_de,u_normal,t_min,scenario"
+# the CSV's solver columns in emission order: solver, column, plot title
+_COLUMNS = (("RTE", "u_rte", "transport"),
+            ("FDE", "u_de", "fractional diffusion"),
+            ("NORMAL", "u_normal", "normal diffusion"))
+SOLVER_ORDER = tuple(solver for solver, _, _ in _COLUMNS)
+CSV_HEADER = ",".join(["x_cm", *(col for _, col, _ in _COLUMNS),
+                       "t_min", "scenario"])
 DIFF_HEADER = ",diff_rte_de,reldiff_rte_de"
 
 # largest sigma * t of a profile contour: the sum carries the factor
@@ -159,12 +165,6 @@ def _profile_contour(t: float, cfg: InversionConfig):
     return contour(t, replace(cfg, contour_shift=shift))
 
 
-def _on_contour(transform, weights, prefactor: float) -> list[float]:
-    """Densities at every x from an (x, node) transform array: the
-    `ilt.contour` rule u(x) = prefactor * sum_j weights[j] Re F(x, s_j)."""
-    return (prefactor * (transform.real @ weights)).tolist()
-
-
 def _time_of_node(times, nodes, exc: NumericFailureError) -> float:
     """The time whose contour nodes come nearest the transform point s a
     failure names; nan if it names none."""
@@ -174,77 +174,81 @@ def _time_of_node(times, nodes, exc: NumericFailureError) -> float:
     return times[int(np.argmin(near))]
 
 
-def _rte_profiles(sc: Scenario, quadrature: QuadratureSet
-                  ) -> dict[float, tuple[tuple[float, float], ...]]:
-    """RTE profiles keyed by time, from one stack of the contour nodes of
-    all times of sc; each time's (x, node) transform is reduced and
-    dropped before the next one is formed."""
-    xs = sc.grid.points()
-    rules = [_profile_contour(t, sc.inversion) for t in sc.times]
+def _contour_values(solver: str, modes, times, xs, cfg: InversionConfig):
+    """Each time's densities at every x, in the order of times.
+
+    modes maps a stack of transform points to the (rate, coef) of their
+    modes; it is called once, over the `_profile_contour` nodes of all
+    times, and a failure is reported at the time whose contour holds the
+    node it names. Each time's slice is summed by `transport.mode_sum`
+    and reduced with that contour's weights before it is yielded, so no
+    (x, node) array outlives its time.
+    """
+    rules = [_profile_contour(t, cfg) for t in times]
     nodes = [s_nodes for s_nodes, _, _ in rules]
     try:
-        transforms = transport.density_transforms(sc.transport, quadrature,
-                                                  nodes, xs)
+        rate, coef = modes(np.concatenate(nodes))
     except NumericFailureError as exc:
-        raise ProfileError(f"spectrum failed: {exc}", solver="RTE", x=math.nan,
-                           t=_time_of_node(sc.times, nodes, exc)) from exc
-    profiles = {}
-    for t, (_, weights, prefactor) in zip(sc.times, rules):
+        raise NumericFailureError(
+            exc.args[0], **{**exc.context, "solver": solver,
+                            "t": _time_of_node(times, nodes, exc)}) from exc
+    lo = 0
+    for s_nodes, weights, prefactor in rules:
+        hi = lo + s_nodes.shape[0]
         # bound to no name, so each transform is freed once it is reduced
-        values = _on_contour(next(transforms), weights, prefactor)
-        # nothing reaches past the ballistic front; the sum there is ringing
-        front = sc.transport.speed * t
-        profiles[t] = tuple((x, 0.0 if abs(x) > front else u)
-                            for x, u in zip(xs, values))
-    return profiles
+        yield prefactor * (transport.mode_sum(
+            xs, rate[lo:hi], coef[lo:hi]).real @ weights)
+        lo = hi
 
 
-def _fde_values(p: fde.FdeParams, xs, t: float,
-                cfg: InversionConfig) -> list[float]:
-    """FDE densities at every x: the closed-form transform on the contour.
+def _fde_values(p: fde.FdeParams, times, xs, cfg: InversionConfig):
+    """`_contour_values` of the FDE closed form.
 
-    xs is a profile grid or a single point, as `transport.mode_sum`
-    requires. The rule runs at half the scenario's DE step over the same
-    map reach (twice the nodes). At the scenario's own step it leaves a
+    The rule runs at half the scenario's DE step over the same map reach
+    (twice the nodes). At the scenario's own step it leaves a
     discretization error of ~2e-10 absolute at t = 10, which is too much
     for the small tail values; the halved step brings it to roundoff.
     """
     fine = replace(cfg, freq_scale=2.0 * cfg.freq_scale,
                    truncation=2 * cfg.truncation)
-    s_nodes, weights, prefactor = _profile_contour(t, fine)
-    return _on_contour(fde.laplace_density_closed(p, xs, s_nodes), weights,
-                       prefactor)
-
-
-def _fde_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
-    xs = sc.grid.points()
-    p = fde.from_transport(sc.transport)
-    return tuple(zip(xs, _fde_values(p, xs, t, sc.inversion)))
-
-
-def _normal_profile(sc: Scenario, t: float) -> tuple[tuple[float, float], ...]:
-    p = fde.from_transport(sc.transport)
-    return tuple((x, fde.normal_diffusion(p, x, t)) for x in sc.grid.points())
+    return _contour_values("FDE", partial(fde.modes, p), times, xs, fine)
 
 
 def run_scenario(sc: Scenario) -> list[SpatialProfile]:
-    """All requested profiles, ordered by time then RTE, FDE, NORMAL."""
-    runners = {"FDE": _fde_profile, "NORMAL": _normal_profile}
+    """All requested profiles, ordered by time then RTE, FDE, NORMAL.
+
+    Each solver is one stream of value arrays, one per time; RTE and FDE
+    each make one `modes` call over the stacked contours of all times.
+    """
+    xs = sc.grid.points()
+    p = fde.from_transport(sc.transport)
+    streams = {}
     if "RTE" in sc.solvers:
-        rte = _rte_profiles(sc, gauss_legendre(sc.n_ordinates))
-        runners["RTE"] = lambda _, t: rte[t]
+        rte = _contour_values(
+            "RTE", partial(transport.modes, sc.transport,
+                           gauss_legendre(sc.n_ordinates)),
+            sc.times, xs, sc.inversion)
+        # nothing reaches past the ballistic front; the sum there is ringing
+        streams["RTE"] = (np.where(np.abs(xs) > sc.transport.speed * t, 0.0, u)
+                          for t, u in zip(sc.times, rte))
+    if "FDE" in sc.solvers:
+        streams["FDE"] = _fde_values(p, sc.times, xs, sc.inversion)
+    if "NORMAL" in sc.solvers:
+        streams["NORMAL"] = (np.array([fde.normal_diffusion(p, x, t)
+                                       for x in xs]) for t in sc.times)
     profiles = []
     for t in sc.times:
         for solver in SOLVER_ORDER:
-            if solver not in sc.solvers:
+            if solver not in streams:
                 continue
-            pts = runners[solver](sc, t)
-            if not all(math.isfinite(u) for _, u in pts):
-                x_bad = next(x for x, u in pts if not math.isfinite(u))
-                raise ProfileError("non-finite density", solver=solver,
-                                   x=x_bad, t=t)
-            profiles.append(SpatialProfile(scenario=sc.label, solver=solver,
-                                           t=t, points=pts))
+            values = next(streams[solver])
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise NumericFailureError("non-finite density", solver=solver,
+                                          t=t, x=xs[np.argmin(finite)])
+            profiles.append(SpatialProfile(
+                scenario=sc.label, solver=solver, t=t,
+                points=tuple(zip(xs, values.tolist()))))
     return profiles
 
 
@@ -282,14 +286,8 @@ def emit_csv(profiles: list[SpatialProfile], path: str,
     rows = _profile_table(profiles)
     lines = [CSV_HEADER + (DIFF_HEADER if differences else "")]
     for scenario, t, x, cells in rows:
-        fields = [
-            _fmt(x),
-            _fmt(cells.get("RTE")),
-            _fmt(cells.get("FDE")),
-            _fmt(cells.get("NORMAL")),
-            _fmt(t),
-            scenario,
-        ]
+        fields = [_fmt(x), *(_fmt(cells.get(s)) for s in SOLVER_ORDER),
+                  _fmt(t), scenario]
         if differences:
             try:
                 u_r, u_d = cells["RTE"], cells["FDE"]
@@ -302,10 +300,6 @@ def emit_csv(profiles: list[SpatialProfile], path: str,
         lines.append(",".join(fields))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-_SERIES = (("u_rte", 2, "transport"), ("u_de", 3, "fractional diffusion"),
-           ("u_normal", 4, "normal diffusion"))
 
 
 def emit_plot_script(profiles: list[SpatialProfile], path: str,
@@ -330,16 +324,16 @@ def emit_plot_script(profiles: list[SpatialProfile], path: str,
         lines.append("set logscale y")
     if len(panels) > 1:
         lines.append(f"set multiplot layout 1,{len(panels)}")
-    solver_of = {"u_rte": "RTE", "u_de": "FDE", "u_normal": "NORMAL"}
+    t_col = 2 + len(_COLUMNS)  # 1-based CSV columns, x first
     for scenario, times in panels.items():
         lines.append(f"set title '{scenario}'")
         curves = []
         for t in times:
-            for name, col, label in _SERIES:
-                if solver_of[name] not in solver_cols[scenario]:
+            for col, (solver, _, label) in enumerate(_COLUMNS, start=2):
+                if solver not in solver_cols[scenario]:
                     continue
-                sel = (f"(strcol(6) eq '{scenario}' && column(5) == {t:g} "
-                       f"? column(1) : NaN)")
+                sel = (f"(strcol({t_col + 1}) eq '{scenario}' && "
+                       f"column({t_col}) == {t:g} ? column(1) : NaN)")
                 curves.append(f"'{csv_path}' using {sel}:(column({col})) "
                               f"with lines title '{label} t={t:g}'")
         lines.append("plot \\\n  " + ", \\\n  ".join(curves))
@@ -446,7 +440,7 @@ def validate(level: str = "fast",
     worst = 0.0
     for (x, t) in ((0.0, 10.0), (1.0, 10.0), (5.0, 100.0)):
         direct = fde.density_half(p_fig, x, t)
-        (closed,) = _fde_values(p_fig, [x], t, cfg)
+        (closed,) = next(_fde_values(p_fig, (t,), [x], cfg))
         worst = max(worst, abs(closed - direct) / abs(direct))
     report.append(_check("fde.closed_form_vs_time_domain", worst, 1e-8))
 

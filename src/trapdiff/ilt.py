@@ -1,20 +1,18 @@
 """Numerical inversion of Laplace transforms.
 
-Two independent inverters are provided on purpose. `invert` is the
-workhorse: a double-exponential quadrature of the Bromwich cosine
-integral along a vertical contour, which only ever evaluates the
+Two independent inverters are provided on purpose. `contour` gives the
+nodes and weights of a double-exponential quadrature of the Bromwich
+cosine integral along a vertical contour, which only ever evaluates the
 transform at Re s = sigma and therefore tolerates transforms that are
-expensive or fragile deep in the left half-plane. `invert_reference` is
-a fixed-Talbot rule on a deformed contour; it converges faster per
-evaluation but probes the transform at complex s with negative real
-part. Agreement between the two is a strong end-to-end check precisely
-because they share nothing.
-
-`contour` is the single home of the double-exponential node formula.
-`invert` evaluates a scalar transform on it one node at a time; callers
-with a vectorised transform (the transport and fractional-diffusion
-profiles) evaluate a whole (x, node) array and reduce it with the same
-weights.
+expensive or fragile deep in the left half-plane; it is the single home
+of the node formula and the only inverter on the production path, where
+the profile driver evaluates whole stacks of nodes at once and reduces
+them with its weights. `invert` applies the same rule to a scalar
+transform, one node at a time, for the self-checks and the tests.
+`invert_reference` is a fixed-Talbot rule on a deformed contour; it
+converges faster per evaluation but probes the transform at complex s
+with negative real part. Agreement between the two is a strong
+end-to-end check precisely because they share nothing.
 """
 
 from __future__ import annotations

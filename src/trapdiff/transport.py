@@ -44,25 +44,22 @@ Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 
 `spectra` solves every node of one or more inversion contours and is
-the one way to get a spectrum; `density_transforms` gives one (x, node)
-transform per contour from one `spectra` call on an evenly spaced x
-grid, `density_transform` that of a single contour and
-`laplace_density` its value at a single point and x. The mode sums are
-`mode_sum`, which the fractional-diffusion transform of `fde` shares as
-its one-mode case: on such a grid exp(-|x_k| rate) is the exponential at
-the first |x| of a side of x = 0 times a power of exp(-h rate), so a
-transform takes three complex exps per (node, mode), and running
-products along x, instead of one exp per (x, node, mode) entry. It fills
-a block of x rows at a time, so no (x, node, mode) array is formed, and
-one contour at a time, so no (x, node) array spans more than one
-contour. The dispersion check takes one reciprocal per (node, mode,
-ordinate) entry.
+the one way to get a spectrum; `modes` turns it into the decay rate
+1/(c nu) and the amplitude source/(c norm) of each (node, mode), the
+interface the profile driver shares with the closed form of `fde`, and
+`laplace_density` is their sum at one transform point and one x. The
+mode sums are `mode_sum`: on an evenly spaced x grid exp(-|x_k| rate)
+is the exponential at the first |x| of a side of x = 0 times a power of
+exp(-h rate), so a transform takes three complex exps per (node, mode),
+and running products along x, instead of one exp per (x, node, mode)
+entry. It fills a block of x rows at a time, so no (x, node, mode)
+array is formed. The dispersion check takes one reciprocal per (node,
+mode, ordinate) entry.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +71,7 @@ from .waiting import WaitingTimeModel
 __all__ = [
     "TransportParams",
     "spectra",
-    "density_transform",
-    "density_transforms",
+    "modes",
     "mode_sum",
     "laplace_density",
 ]
@@ -310,29 +306,18 @@ def _uniform_grid(xs) -> tuple[np.ndarray, float]:
     return xs, step
 
 
-def density_transforms(params: TransportParams, quadrature: QuadratureSet,
-                       node_sets, xs) -> Iterator[np.ndarray]:
-    """Laplace-domain scalar density as one (x, node) array per node set.
-
-    Sums the decaying modes excited by an isotropic unit pulse at x = 0;
-    the trapping factor (sigma_trap * LPhi(s) + 1) rescales the effective
-    source, and the speed c stretches space: modes decay as
-    exp(-|x| / (c nu)) and carry a factor 1/c. Even in x by symmetry.
-
-    The spectra of every set come from one `spectra` call over all their
-    nodes, made before this returns; the (x, node) array of a set is
-    formed by `mode_sum` only when the returned iterator reaches it. xs
-    must be increasing and evenly spaced (ValueError otherwise, before
-    any spectrum is solved).
+def modes(params: TransportParams, quadrature: QuadratureSet, s_nodes
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Decay rate and amplitude of every decaying mode (node, k), from
+    one `spectra` call over s_nodes: the (node, N) arrays
+    rate = 1 / (c nu) and coef = source / (c norm), whose `mode_sum`
+    is the Laplace-domain scalar density of an isotropic unit pulse at
+    x = 0. The trapping factor (sigma_trap * LPhi(s) + 1) rescales the
+    effective source, and the speed c stretches space: modes decay as
+    exp(-|x| / (c nu)) and carry a factor 1/c.
     """
-    xs = _uniform_grid(xs)[0]
-    sets = [np.asarray(nodes, dtype=complex) for nodes in node_sets]
-    _, source, nus, norms = spectra(params, quadrature, np.concatenate(sets))
-    rate = 1.0 / (params.speed * nus)
-    coef = (source / params.speed)[:, None] / norms
-    ends = np.cumsum([nodes.shape[0] for nodes in sets]).tolist()
-    return (mode_sum(xs, rate[lo:hi], coef[lo:hi])
-            for lo, hi in zip([0] + ends, ends))
+    _, source, nus, norms = spectra(params, quadrature, s_nodes)
+    return 1.0 / (params.speed * nus), (source / params.speed)[:, None] / norms
 
 
 def mode_sum(xs, rate: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -375,14 +360,7 @@ def mode_sum(xs, rate: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def density_transform(params: TransportParams, quadrature: QuadratureSet,
-                      s_nodes, xs) -> np.ndarray:
-    """`density_transforms` of the one node set s_nodes."""
-    return next(density_transforms(params, quadrature, [s_nodes], xs))
-
-
 def laplace_density(params: TransportParams, quadrature: QuadratureSet,
                     s: complex, x: float) -> complex:
     """Laplace-domain scalar density at distance x from the source plane."""
-    values = density_transform(params, quadrature, [complex(s)], [x])
-    return complex(values[0, 0])
+    return complex(mode_sum([x], *modes(params, quadrature, [complex(s)]))[0, 0])

@@ -32,22 +32,15 @@ class WaitingTimeModel:
             raise ValueError(f"gamma must be positive and finite, "
                              f"got {self.gamma}")
 
-    def laplace_pdf(self, s: complex) -> complex:
-        """Laplace transform of the waiting-time density.
-
-        Evaluates alpha * e^(gamma*s) * E_(1+alpha)(gamma*s) in closed
-        form. Principal branches: the value is the analytic continuation
-        off the cut along the negative real axis, guaranteed for Re s > 0.
-        """
-        s = complex(s)
-        z = self.gamma * s
-        if z == 0.0 or (z.imag == 0.0 and z.real < 0.0):
-            raise ValueError(f"gamma*s = {z} lies on the branch cut")
-        return self.alpha * gen_exp_integral_scaled(1.0 + self.alpha, z)
-
     def laplace_survival(self, s: complex) -> complex:
-        """Laplace transform of the survival function, (1 - L[pdf])/s."""
-        s = complex(s)
-        if s == 0.0:
-            raise ValueError("transform of the survival function diverges at s = 0")
-        return (1.0 - self.laplace_pdf(s)) / s
+        """Laplace transform of the survival function.
+
+        Substituting tau = gamma (u - 1) gives gamma e^z E_alpha(z) with
+        z = gamma s, evaluated directly rather than as (1 - L[pdf])/s,
+        which loses digits to cancellation where |gamma s| is small.
+        Principal branches: the value is the analytic continuation off
+        the cut along the negative real axis, guaranteed for Re s > 0;
+        ValueError for gamma s on the cut or at 0.
+        """
+        z = self.gamma * complex(s)
+        return self.gamma * gen_exp_integral_scaled(self.alpha, z)

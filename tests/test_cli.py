@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from trapdiff import cli, fde, harness
-from trapdiff.errors import ProfileError
+from trapdiff.errors import NumericFailureError
 from trapdiff.ilt import invert_reference
 
 
@@ -497,13 +497,44 @@ def test_validate_rejects_bad_level():
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(sc):
-        raise ProfileError("synthetic blow-up", solver="RTE", x=1.0, t=10.0)
+        raise NumericFailureError("synthetic blow-up", solver="RTE", x=1.0,
+                                  t=10.0)
 
     monkeypatch.setattr(cli, "run_scenario", boom)
     rc = cli.main(["profile", "--scenario", "fig1a",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_numeric_failure_message_says_where(tmp_path, capsys, monkeypatch):
+    """A spectrum failure at a node of the t = 20 contour exits 2 with a
+    line that names the solver and that time."""
+    sc = harness.builtin_scenarios()["fig1a"]
+    bad = harness._profile_contour(20.0, sc.inversion)[0][5]
+
+    def failing(*args):
+        raise NumericFailureError("synthetic spectrum failure", s=complex(bad))
+
+    monkeypatch.setattr(harness.transport, "spectra", failing)
+    rc = cli.main(["profile", "--scenario", "fig1a", "--times", "10,20,30",
+                   "--x-count", "3", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: synthetic spectrum failure (")
+    assert "solver=RTE" in err and "t=20.0" in err
+
+
+def test_numeric_failure_without_context_prints_its_message(tmp_path, capsys,
+                                                            monkeypatch):
+    def boom(sc):
+        raise NumericFailureError("synthetic blow-up")
+
+    monkeypatch.setattr(cli, "run_scenario", boom)
+    rc = cli.main(["profile", "--scenario", "fig1a",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "numeric failure: synthetic blow-up\n"
 
 
 def test_validation_failure_exit_code(monkeypatch, capsys):

@@ -4,9 +4,9 @@ Two independent oracles of the same density exist: the alpha = 1/2
 subordination integral (`density_half`) and numerical inversion of the
 Fourier-Laplace picture (`laplace_density` fed to the Laplace
 inverters). The tests play them against each other and against the
-closed-form normal-diffusion limit. The production transform
-`laplace_density_closed` is checked against the numerical Fourier route
-for every tail exponent.
+closed-form normal-diffusion limit. The production transform, the
+`transport.mode_sum` of `modes`, is checked against the numerical
+Fourier route for every tail exponent.
 """
 
 import cmath
@@ -25,11 +25,11 @@ from trapdiff.fde import (
     fourier_laplace,
     from_transport,
     laplace_density,
-    laplace_density_closed,
+    modes,
     normal_diffusion,
 )
 from trapdiff.harness import SpatialGrid, builtin_scenarios
-from trapdiff.transport import TransportParams
+from trapdiff.transport import TransportParams, mode_sum
 from trapdiff.waiting import WaitingTimeModel
 
 ETA = math.sqrt(0.1) * 0.1  # gamma^alpha * sigma_trap for the main scenario
@@ -240,7 +240,7 @@ def test_closed_form_transform_matches_direct_exponentials():
         for t in (1.0, 10.0, 100.0, 1000.0):
             s_nodes = harness._profile_contour(t, fine)[0]
             for xs in grids:
-                got = laplace_density_closed(p, xs, s_nodes)
+                got = mode_sum(xs, *modes(p, s_nodes))
                 want = direct_closed_form(p, xs, s_nodes)
                 column = np.abs(want).max(axis=0)
                 assert np.all(np.abs(got - want) <= 1e-13 * column), (t, xs)
@@ -256,7 +256,7 @@ def test_closed_form_transform_matches_fourier_route(alpha):
     below the Fourier oracle's ~1e-14 floor."""
     p = FdeParams(trap_strength=0.1 * 0.1**alpha, diffusivity=D0,
                   sigma_a=1e-9, alpha=alpha)
-    table = laplace_density_closed(p, np.arange(6.0), CLOSED_S)
+    table = mode_sum(np.arange(6.0), *modes(p, CLOSED_S))
     assert table.shape == (6, len(CLOSED_S))
     for x in (0, 1, 5):
         for j, s in enumerate(CLOSED_S):
@@ -266,8 +266,8 @@ def test_closed_form_transform_matches_fourier_route(alpha):
 
 def test_closed_form_transform_even_in_x():
     s = (0.04 + 3.0j, 1.5 - 0.2j)
-    left = laplace_density_closed(MAIN, (-2.0, -1.5, -1.0, -0.5), s)
-    right = laplace_density_closed(MAIN, (0.5, 1.0, 1.5, 2.0), s)
+    left = mode_sum((-2.0, -1.5, -1.0, -0.5), *modes(MAIN, s))
+    right = mode_sum((0.5, 1.0, 1.5, 2.0), *modes(MAIN, s))
     assert (left == right[::-1]).all()
 
 
@@ -275,7 +275,7 @@ def test_closed_form_transform_even_in_x():
 def test_closed_form_transform_mass_identity(s):
     """Without absorption the transform integrates to exactly 2/s."""
     def part(x, which):
-        return getattr(complex(laplace_density_closed(NO_ABSORB, (x,), (s,))[0, 0]),
+        return getattr(complex(mode_sum((x,), *modes(NO_ABSORB, (s,)))[0, 0]),
                        which)
 
     re, _ = integrate.quad(part, 0.0, math.inf, args=("real",),
@@ -288,6 +288,15 @@ def test_closed_form_transform_mass_identity(s):
 def test_closed_form_transform_no_memory_is_heat_kernel_transform():
     """eta = 0: the Laplace transform of the heat kernel of mass 2."""
     s = 0.3 + 1.1j
-    got = laplace_density_closed(FREE, (1.5,), (s,))[0, 0]
+    got = mode_sum((1.5,), *modes(FREE, (s,)))[0, 0]
     root = cmath.sqrt(s / D0)
     assert abs(got - cmath.exp(-1.5 * root) / (D0 * root)) <= 1e-15
+
+
+def test_modes_reject_zero_s():
+    """At s = 0 the memory term eta s^{a-1} diverges: ValueError, as
+    `fourier_laplace` raises, instead of a nan transform."""
+    with pytest.raises(ValueError, match="s != 0"):
+        modes(MAIN, [0.5 + 1.0j, 0j])
+    with pytest.raises(ValueError, match="s != 0"):
+        fourier_laplace(MAIN, 1.0, 0j)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from trapdiff import fde, harness, transport
-from trapdiff.errors import NumericFailureError, ProfileError
+from trapdiff.errors import NumericFailureError
 from trapdiff.harness import (
     CSV_HEADER,
     Scenario,
@@ -170,17 +170,18 @@ def test_reference_profile_values():
 
 
 def test_rte_reports_only_numeric_failures(monkeypatch):
-    """A numeric failure of the spectrum solve becomes a ProfileError of
-    the RTE solver; a programming error propagates unchanged."""
+    """A numeric failure of the spectrum solve is reported as one of the
+    RTE solver at its time; a programming error propagates unchanged."""
     sc = small_scenario(solvers=("RTE",))
 
     def numeric(*args):
         raise NumericFailureError("synthetic blow-up", s=1j)
 
     monkeypatch.setattr(transport, "spectra", numeric)
-    with pytest.raises(ProfileError) as info:
+    with pytest.raises(NumericFailureError) as info:
         run_scenario(sc)
-    assert info.value.solver == "RTE" and info.value.t == 10.0
+    context = info.value.context
+    assert context["solver"] == "RTE" and context["t"] == 10.0
     assert isinstance(info.value.__cause__, NumericFailureError)
 
     def typo(*args):
@@ -189,6 +190,18 @@ def test_rte_reports_only_numeric_failures(monkeypatch):
     monkeypatch.setattr(transport, "spectra", typo)
     with pytest.raises(TypeError, match="synthetic typo"):
         run_scenario(sc)
+
+
+def test_non_finite_density_names_solver_time_and_x(monkeypatch):
+    """A non-finite value in a profile is reported with its solver, time
+    and the first x where it occurs."""
+    def blows_up(p, x, t):
+        return math.nan if x >= 2.0 else 1.0
+
+    monkeypatch.setattr(fde, "normal_diffusion", blows_up)
+    with pytest.raises(NumericFailureError, match="non-finite density") as info:
+        run_scenario(small_scenario(solvers=("FDE", "NORMAL")))
+    assert info.value.context == {"solver": "NORMAL", "t": 10.0, "x": 2.0}
 
 
 def test_run_scenario_builds_the_quadrature_once(monkeypatch):
@@ -268,6 +281,22 @@ def test_run_scenario_solves_one_spectra_stack(monkeypatch):
     assert len(calls) == 2
 
 
+def test_run_scenario_makes_one_fde_modes_call(monkeypatch):
+    """FDE, too, maps the contour nodes of all times in one `fde.modes`
+    call: 8 times 161 nodes of the halved-step rule on late-times."""
+    calls = []
+    real = fde.modes
+
+    def counting(p, s_nodes):
+        calls.append(len(s_nodes))
+        return real(p, s_nodes)
+
+    monkeypatch.setattr(fde, "modes", counting)
+    run_scenario(dataclasses.replace(late_times_scenario(),
+                                     solvers=frozenset({"RTE", "FDE"})))
+    assert calls == [1288]
+
+
 def test_rte_stack_matches_one_time_at_a_time():
     """The eight late-time RTE profiles, solved as one stack, against one
     run_scenario per time. Stacked, a node's secular roots start from a
@@ -303,9 +332,10 @@ def test_rte_failure_names_the_time_of_its_node(monkeypatch):
         raise NumericFailureError("synthetic blow-up", s=complex(bad))
 
     monkeypatch.setattr(transport, "spectra", failing)
-    with pytest.raises(ProfileError) as info:
+    with pytest.raises(NumericFailureError) as info:
         run_scenario(sc)
-    assert info.value.solver == "RTE" and info.value.t == 10.0
+    context = info.value.context
+    assert context["solver"] == "RTE" and context["t"] == 10.0
 
 
 def test_rte_stack_memory_peak():
@@ -360,9 +390,9 @@ def test_rte_values_past_the_ballistic_front_are_zero():
     (profile,) = run_scenario(sc)
     xs = sc.grid.points()
     s_nodes, weights, prefactor = harness._profile_contour(1.0, sc.inversion)
-    raw = harness._on_contour(
-        transport.density_transform(sc.transport, gauss_legendre(30),
-                                    s_nodes, xs), weights, prefactor)
+    transform = transport.mode_sum(
+        xs, *transport.modes(sc.transport, gauss_legendre(30), s_nodes))
+    raw = (prefactor * (transform.real @ weights)).tolist()
     assert profile.xs() == xs and 1.0 in xs
     for (x, u), r in zip(profile.points, raw):
         assert u == (r if x <= 1.0 else 0.0), x

@@ -21,17 +21,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from trapdiff import harness, transport
+from trapdiff import fde, harness, transport
 from trapdiff.errors import DegenerateSpectrumError, NumericFailureError
-from trapdiff.fde import from_transport, laplace_density_closed
+from trapdiff.fde import from_transport
 from trapdiff.harness import SpatialGrid, builtin_scenarios
 from trapdiff.ilt import InversionConfig, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import (
     TransportParams,
     _rates,
-    density_transform,
     laplace_density,
+    mode_sum,
+    modes,
     spectra,
 )
 from trapdiff.waiting import WaitingTimeModel
@@ -294,7 +295,7 @@ def test_density_mass_identity_at_speed_two():
     q8 = gauss_legendre(8)
     for s in (0.04 + 0.5j, 0.3 + 2.0j):
         def part(x, name):
-            return getattr(density_transform(p, q8, [s], [x])[0, 0], name)
+            return getattr(mode_sum([x], *modes(p, q8, [s]))[0, 0], name)
 
         re = integrate.quad(part, 0.0, np.inf, args=("real",), limit=400,
                             epsabs=1e-13, epsrel=1e-12)[0]
@@ -326,7 +327,7 @@ def test_density_transform_against_full_eigenproblem():
     s_all, _, _ = contour(10.0, sc.inversion)
     s_nodes = s_all[np.linspace(0, len(s_all) - 1, 10).round().astype(int)]
     xs = np.array([0.0, 2.0, 7.0])
-    got = density_transform(p, q, s_nodes, np.arange(8.0))[xs.astype(int)]
+    got = mode_sum(np.arange(8.0), *modes(p, q, s_nodes))[xs.astype(int)]
     assert got.shape == (3, 10)
     c = 0.5 * p.sigma_s
     for j, s in enumerate(s_nodes.tolist()):
@@ -373,12 +374,12 @@ def test_density_transform_matches_direct_exponentials(name):
         s_nodes, weights, prefactor = harness._profile_contour(t, sc.inversion)
         for grid in grids:
             xs = grid.points()
-            got = density_transform(sc.transport, q, s_nodes, xs)
+            got = mode_sum(xs, *modes(sc.transport, q, s_nodes))
             want = direct_density_transform(sc.transport, q, s_nodes, xs)
             column = np.abs(want).max(axis=0)
             assert np.all(np.abs(got - want) <= 1e-13 * column), (t, grid)
-            u_got = harness._on_contour(got, weights, prefactor)
-            u_want = harness._on_contour(want, weights, prefactor)
+            u_got = prefactor * (got.real @ weights)
+            u_want = prefactor * (want.real @ weights)
             assert np.allclose(u_got, u_want, rtol=0.0, atol=1e-12), (t, grid)
 
 
@@ -395,23 +396,21 @@ OTHER_GRIDS = pytest.mark.parametrize("xs", [
 
 
 @OTHER_GRIDS
-def test_density_transform_rejects_other_grids(monkeypatch, xs):
-    """The running products need an increasing, evenly spaced grid; any
-    other is refused before a spectrum is solved."""
-    def no_spectrum(*args):
-        raise AssertionError("a spectrum was solved")
-
-    monkeypatch.setattr(transport, "spectra", no_spectrum)
+def test_density_transform_rejects_other_grids(xs):
+    """The running products need an increasing, evenly spaced grid;
+    `mode_sum` refuses any other."""
+    rate, coef = modes(SCENARIOS[0], Q30, [0.1 + 0.2j])
     with pytest.raises(ValueError, match="grid"):
-        density_transform(SCENARIOS[0], Q30, [0.1 + 0.2j], xs)
+        mode_sum(xs, rate, coef)
 
 
 @OTHER_GRIDS
 def test_fde_transform_rejects_other_grids(xs):
     """The FDE transform runs through the same `mode_sum` and the same
     grid check."""
+    rate, coef = fde.modes(from_transport(SCENARIOS[0]), [0.1 + 0.2j])
     with pytest.raises(ValueError, match="grid"):
-        laplace_density_closed(from_transport(SCENARIOS[0]), xs, [0.1 + 0.2j])
+        mode_sum(xs, rate, coef)
 
 
 def test_density_transform_accepts_every_profile_grid():
@@ -425,7 +424,7 @@ def test_density_transform_accepts_every_profile_grid():
               SpatialGrid(1e6, 1e6 + 1.0, 11).points(),
               SpatialGrid(0.1, 0.7, 7).points(), [-1.7], [0.0], [2.0]]
     for xs in grids:
-        got = density_transform(p, Q30, s, xs)
+        got = mode_sum(xs, *modes(p, Q30, s))
         want = direct_density_transform(p, Q30, s, xs)
         assert got.shape == (len(xs), 1)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), xs
@@ -445,7 +444,7 @@ def test_density_transform_memory_peak():
         xs = SpatialGrid(sc.grid.x_min, sc.grid.x_max, count).points()
         tracemalloc.start()
         try:
-            density_transform(sc.transport, q, s_nodes, xs)
+            mode_sum(xs, *modes(sc.transport, q, s_nodes))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

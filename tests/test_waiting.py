@@ -6,9 +6,10 @@ L[Phi](s) = int_0^inf Phi(tau) e^{-s tau} dtau, which a quadrature can
 evaluate from the survival function Phi(tau) = (1 + tau/gamma)^(-alpha)
 alone. That gives an oracle that never touches the exponential-integral
 code path. The small-s behaviour follows Karamata:
-1 - L[w](s) = Gamma(1-alpha) (gamma s)^alpha + O(gamma s), and the
+s L[Phi](s) = Gamma(1-alpha) (gamma s)^alpha + O(gamma s), and the
 Gamma(1-alpha) factor (about 1.772 at alpha = 1/2) is asserted
-explicitly below.
+explicitly below. At late-time contour nodes the closed form is also
+held to mpmath's exponential integral.
 """
 
 import math
@@ -16,6 +17,8 @@ import math
 import pytest
 from scipy import integrate
 
+from trapdiff import harness
+from trapdiff.ilt import InversionConfig
 from trapdiff.waiting import WaitingTimeModel
 
 ALPHA, GAMMA = 0.5, 0.1
@@ -58,49 +61,38 @@ def test_model_rejects_non_finite_scale(gamma):
         WaitingTimeModel(alpha=0.5, gamma=gamma)
 
 
-# ----------------------------------------------------------- transform: pdf
-
-def test_laplace_pdf_exact_near_zero():
-    # total probability 1, approached at the Karamata rate
-    lw = PARETO.laplace_pdf(1e-8)
-    gap = abs(lw - 1.0)
-    assert gap < 1e-4
-    karamata = math.gamma(1.0 - ALPHA) * (GAMMA * 1e-8) ** ALPHA
-    assert gap == pytest.approx(karamata, rel=1e-3)
-
-
-def test_laplace_pdf_exact_matches_quadrature():
-    s = 1.0 + 2.0j
-    lphi = laplace_survival_oracle(s)
-    oracle = 1.0 - s * lphi  # transform of the density via the survival identity
-    assert abs(PARETO.laplace_pdf(s) - oracle) / abs(oracle) < 1e-8
-
-
-def test_laplace_pdf_exact_vs_asymptotic_converge():
-    """The gap to the tail form 1 - (gamma s)^alpha, over (gamma s)^alpha,
-    tends to Gamma(1-alpha) - 1, not zero."""
-    limit = math.gamma(1.0 - ALPHA) - 1.0
-    devs = []
-    for s in (1e-2, 1e-4, 1e-6):
-        gap = abs(PARETO.laplace_pdf(s) - (1.0 - (GAMMA * s) ** ALPHA))
-        devs.append(abs(gap / (GAMMA * s) ** ALPHA - limit))
-    assert devs[0] > devs[1] > devs[2]
-    assert devs[2] < 1e-2 * limit
-
-
-def test_laplace_pdf_rejects_branch_cut():
-    with pytest.raises(ValueError):
-        PARETO.laplace_pdf(-1.0)  # gamma*s on the cut
-    with pytest.raises(ValueError):
-        PARETO.laplace_pdf(0.0)
-
-
 # ------------------------------------------------------ transform: survival
 
 def test_laplace_survival_matches_quadrature():
     oracle = laplace_survival_oracle(1.0)
     got = PARETO.laplace_survival(1.0)
     assert abs(got - oracle) / abs(oracle) < 1e-8
+
+
+def test_laplace_survival_matches_quadrature_off_axis():
+    """At complex s, through the density transform L[pdf] = 1 - s L[Phi]."""
+    s = 1.0 + 2.0j
+    oracle = 1.0 - s * laplace_survival_oracle(s)
+    got = 1.0 - s * PARETO.laplace_survival(s)
+    assert abs(got - oracle) / abs(oracle) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.97])
+def test_laplace_survival_matches_mpmath_at_late_times(alpha):
+    """gamma e^z E_alpha(z), z = gamma s, on every 4th node of the capped
+    profile contours at t = 1e4 and 1e6, where |gamma s| falls to 1e-7:
+    within 1e-13 of mpmath (measured <= 8e-16). The form (1 - L[pdf])/s
+    lost up to 1.6e-13 at alpha = 1/2 and 2.2e-11 at alpha = 0.97 there."""
+    mpmath = pytest.importorskip("mpmath")
+    model = WaitingTimeModel(alpha=alpha, gamma=GAMMA)
+    with mpmath.workdps(30):
+        for t in (1e4, 1e6):
+            s_nodes = harness._profile_contour(t, InversionConfig())[0]
+            for s in s_nodes[::4].tolist():
+                z = GAMMA * mpmath.mpc(s)
+                want = complex(GAMMA * mpmath.exp(z) * mpmath.expint(alpha, z))
+                got = model.laplace_survival(s)
+                assert abs(got - want) <= 1e-13 * abs(want), (t, s)
 
 
 def test_laplace_survival_decays_at_large_s():
@@ -126,5 +118,12 @@ def test_karamata_constant_by_quadrature():
 
 
 def test_laplace_survival_rejects_zero():
+    with pytest.raises(ValueError):
+        PARETO.laplace_survival(0.0)
+
+
+def test_laplace_survival_rejects_branch_cut():
+    with pytest.raises(ValueError):
+        PARETO.laplace_survival(-1.0)  # gamma*s on the cut
     with pytest.raises(ValueError):
         PARETO.laplace_survival(0.0)
