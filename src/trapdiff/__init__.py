@@ -19,8 +19,7 @@ from .fde import laplace_density as fde_laplace_density
 from .harness import (Scenario, SpatialGrid, SpatialProfile,
                       builtin_scenarios, emit_csv, emit_plot_script,
                       run_scenario, validate)
-from .ilt import (InversionConfig, contour, de_map, de_map_derivative,
-                  invert, invert_reference)
+from .ilt import InversionConfig, contour, de_map, invert, invert_reference
 from .specfun import QuadratureSet, gauss_legendre, gen_exp_integral_scaled
 from .transport import TransportParams
 from .transport import laplace_density as transport_laplace_density
@@ -43,7 +42,6 @@ __all__ = [
     "builtin_scenarios",
     "contour",
     "de_map",
-    "de_map_derivative",
     "density_half",
     "emit_csv",
     "emit_plot_script",

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import QuadratureError
-from .transport import TransportParams
+from .transport import TransportParams, _node_stack
 
 __all__ = [
     "FdeParams",
@@ -108,9 +108,10 @@ def modes(p: FdeParams, s) -> tuple[np.ndarray, np.ndarray]:
     Re sqrt(B) > 0). Returns the (node, 1) arrays rate = sqrt(B/D0) and
     coef = (1 + eta s^{a-1}) / (D0 rate), the one-mode case of
     `transport.mode_sum`; this is the production FDE transform,
-    `laplace_density` its oracle. Raises ValueError at s = 0.
+    `laplace_density` its oracle. Raises ValueError at s = 0 and unless
+    s is a one-dimensional stack.
     """
-    s = np.asarray(s, dtype=complex)
+    s = _node_stack(s)
     if (s == 0).any():
         raise ValueError("transform requires s != 0")
     sa = s**p.alpha
@@ -227,14 +228,12 @@ def density_half(p: FdeParams, x: float, t: float, tol: float = 1e-8) -> float:
     return term1 + term2
 
 
-def normal_diffusion(p: FdeParams, x: float, t: float) -> float:
+def normal_diffusion(p: FdeParams, x: float | np.ndarray, t: float):
     """Trap-free limit: heat kernel of mass 2 with absorption decay."""
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    arg = x * x / (4.0 * p.diffusivity * t) + p.sigma_a * t
-    if arg > 745.0:
-        return 0.0
-    return math.exp(-arg) / math.sqrt(math.pi * p.diffusivity * t)
+    arg = np.square(x) / (4.0 * p.diffusivity * t) + p.sigma_a * t
+    return np.exp(-arg) / math.sqrt(math.pi * p.diffusivity * t)
 
 
 def laplace_density(p: FdeParams, x: float, s: complex,

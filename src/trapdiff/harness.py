@@ -15,13 +15,14 @@ path, `_contour_values`: one `modes` call per solver and scenario, over
 the contour nodes of all its times, then per time one (x, node) array
 from `transport.mode_sum` (running products along the evenly spaced x
 grid), reduced with the contour weights before the next time is formed.
-The order of the times changes no bit. Where sigma t would pass 8 (past
-t = 200 at the default shift), the shift sigma is lowered to 8/t. RTE
-values past the ballistic front |x| > speed * t are written as 0:
-neither the exact nor the discrete-ordinates solution has mass there,
-so the contour sum there is only ringing. NORMAL is the heat kernel at
-each x. `validate --level full` checks the FDE profile against the
-time-domain quadrature `fde.density_half`.
+The order of the times changes no bit. `ilt.contour` owns the whole
+rule, including the shift it lowers to 8/t past t = 200 (at the default
+shift); the harness only picks FDE's halved step. RTE values past the
+ballistic front |x| > speed * t are written as 0: neither the exact nor
+the discrete-ordinates solution has mass there, so the contour sum there
+is only ringing. NORMAL is the heat kernel, one array call per time.
+`validate --level full` checks the FDE profile against the time-domain
+quadrature `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
 scenario produces a bit-identical CSV on every run.
@@ -61,12 +62,6 @@ SOLVER_ORDER = tuple(solver for solver, _, _ in _COLUMNS)
 CSV_HEADER = ",".join(["x_cm", *(col for _, col, _ in _COLUMNS),
                        "t_min", "scenario"])
 DIFF_HEADER = ",diff_rte_de,reldiff_rte_de"
-
-# largest sigma * t of a profile contour: the sum carries the factor
-# e^{sigma t}, which magnifies the roundoff of the transform values, so
-# at late times sigma is lowered to this over t. Every profile transform
-# is analytic for Re s > 0, so any positive sigma is a valid contour.
-_MAX_SHIFT_TIME = 8.0
 
 
 @dataclass(frozen=True)
@@ -159,12 +154,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
     return out
 
 
-def _profile_contour(t: float, cfg: InversionConfig):
-    """`ilt.contour` at time t with the shift capped at _MAX_SHIFT_TIME / t."""
-    shift = min(cfg.contour_shift, _MAX_SHIFT_TIME / t)
-    return contour(t, replace(cfg, contour_shift=shift))
-
-
 def _time_of_node(times, nodes, exc: NumericFailureError) -> float:
     """The time whose contour nodes come nearest the transform point s a
     failure names; nan if it names none."""
@@ -178,13 +167,13 @@ def _contour_values(solver: str, modes, times, xs, cfg: InversionConfig):
     """Each time's densities at every x, in the order of times.
 
     modes maps a stack of transform points to the (rate, coef) of their
-    modes; it is called once, over the `_profile_contour` nodes of all
+    modes; it is called once, over the `ilt.contour` nodes of all
     times, and a failure is reported at the time whose contour holds the
     node it names. Each time's slice is summed by `transport.mode_sum`
     and reduced with that contour's weights before it is yielded, so no
     (x, node) array outlives its time.
     """
-    rules = [_profile_contour(t, cfg) for t in times]
+    rules = [contour(t, cfg) for t in times]
     nodes = [s_nodes for s_nodes, _, _ in rules]
     try:
         rate, coef = modes(np.concatenate(nodes))
@@ -234,8 +223,8 @@ def run_scenario(sc: Scenario) -> list[SpatialProfile]:
     if "FDE" in sc.solvers:
         streams["FDE"] = _fde_values(p, sc.times, xs, sc.inversion)
     if "NORMAL" in sc.solvers:
-        streams["NORMAL"] = (np.array([fde.normal_diffusion(p, x, t)
-                                       for x in xs]) for t in sc.times)
+        streams["NORMAL"] = (fde.normal_diffusion(p, np.array(xs), t)
+                             for t in sc.times)
     profiles = []
     for t in sc.times:
         for solver in SOLVER_ORDER:

@@ -4,8 +4,9 @@ Two independent inverters are provided on purpose. `contour` gives the
 nodes and weights of a double-exponential quadrature of the Bromwich
 cosine integral along a vertical contour, which only ever evaluates the
 transform at Re s = sigma and therefore tolerates transforms that are
-expensive or fragile deep in the left half-plane; it is the single home
-of the node formula and the only inverter on the production path, where
+expensive or fragile deep in the left half-plane. It is the one home of
+the rule (the node map, one array expression, and the shift, lowered to
+8/t at late times) and the only inverter on the production path, where
 the profile driver evaluates whole stacks of nodes at once and reduces
 them with its weights. `invert` applies the same rule to a scalar
 transform, one node at a time, for the self-checks and the tests.
@@ -30,13 +31,17 @@ __all__ = [
     "InversionConfig",
     "contour",
     "de_map",
-    "de_map_derivative",
     "invert",
     "invert_reference",
 ]
 
 # exp underflow/overflow switchover for the map's tail branches
 _EXP_BIG = 690.0
+# largest sigma * t of a contour: the sum carries the factor e^{sigma t},
+# which magnifies the roundoff of the transform values, so at late times
+# sigma is lowered to this over t. A transform analytic for Re s > 0
+# (every profile transform is) takes any positive sigma.
+_MAX_SHIFT_TIME = 8.0
 
 
 @dataclass(frozen=True)
@@ -44,10 +49,11 @@ class InversionConfig:
     """Tuning knobs of the double-exponential Bromwich rule.
 
     contour_shift is the abscissa sigma (must exceed the rightmost
-    singularity of the transform), freq_scale sets how far up the
-    imaginary axis the rule reaches, truncation is the one-sided term
-    count, and steepness controls how hard the map saturates. Defaults
-    give roughly ten significant digits for transforms with mild decay.
+    singularity of the transform; `contour` caps it at 8/t), freq_scale
+    sets how far up the imaginary axis the rule reaches, truncation is
+    the one-sided term count, and steepness controls how hard the map
+    saturates. Defaults give roughly ten significant digits for
+    transforms with mild decay.
     """
 
     contour_shift: float = 0.04
@@ -69,6 +75,24 @@ class InversionConfig:
             raise ValueError(f"steepness must be positive, got {self.steepness}")
 
 
+def _de_map(y: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """phi and phi' of the node map `de_map` at every y != 0, from one
+    expm1 e = e^{-arg} - 1, arg = K sinh y: phi = -y / e and phi' =
+    (1 + y K cosh(y) (1 + e) / e) / -e. Below arg = -690, where e would
+    overflow, phi = -y e^{arg} and phi' = (|y| K cosh(y) - 1) e^{arg},
+    which underflows to 0 far down the map. Each exponential is clipped
+    to its branch's side of -690, so `np.where` can evaluate both."""
+    arg = k * np.sinh(y)
+    kc = k * np.cosh(y)
+    em = np.expm1(-np.maximum(arg, -_EXP_BIG))
+    tail = np.exp(np.minimum(arg, -_EXP_BIG))
+    deep = arg < -_EXP_BIG
+    phi = np.where(deep, -y * tail, y / -em)
+    dphi = np.where(deep, (np.abs(y) * kc - 1.0) * tail,
+                    (1.0 + y * kc * ((1.0 + em) / em)) / -em)
+    return phi, dphi
+
+
 def de_map(y: float, steepness: float) -> float:
     """Double-exponential node map phi(y) = y / (1 - exp(-K sinh y)).
 
@@ -77,25 +101,7 @@ def de_map(y: float, steepness: float) -> float:
     """
     if y == 0.0:
         return 1.0 / steepness
-    arg = steepness * math.sinh(y)
-    if arg < -_EXP_BIG:
-        # denominator would overflow; use 1 - e^{-arg} ~ -e^{-arg}
-        return -y * math.exp(arg)
-    return y / -math.expm1(-arg)
-
-
-def de_map_derivative(y: float, steepness: float) -> float:
-    """Derivative of `de_map` with respect to y."""
-    if y == 0.0:
-        return 0.5
-    k = steepness
-    arg = k * math.sinh(y)
-    if arg < -_EXP_BIG:
-        return (abs(y) * k * math.cosh(y) - 1.0) * math.exp(arg)
-    denom = -math.expm1(-arg)  # 1 - e^{-K sinh y}
-    ratio = math.exp(-arg) / denom if arg < _EXP_BIG else 0.0
-    # phi' = 1/denom - y K cosh(y) e^{-arg} / denom^2
-    return (1.0 - y * k * math.cosh(y) * ratio) / denom
+    return float(_de_map(np.float64(y), steepness)[0])
 
 
 def contour(t: float, config: InversionConfig = InversionConfig()
@@ -103,30 +109,27 @@ def contour(t: float, config: InversionConfig = InversionConfig()
     """Nodes and weights of the double-exponential Bromwich rule at time t.
 
     Discretizes u(t) = (2 e^{sigma t} / pi) int_0^inf Re F(sigma + i w)
-    cos(w t) dw with the double-exponential map w = (M/t) phi(y); the
-    half-offset node layout places the saturated tail of the map on the
-    zeros of the cosine, so truncation error falls off double
-    exponentially. Nodes where the map has saturated below the underflow
-    floor (phi' == 0) carry no weight and are left out. Returns
-    (s_nodes, weights, prefactor) such that
-    u(t) = prefactor * sum_j weights[j] * Re F(s_nodes[j]).
+    cos(w t) dw with the double-exponential map w = (M/t) phi(y) at the
+    half-offset abscissae y = (j + 1/2) pi / M, |j| <= truncation; the
+    layout places the saturated tail of the map on the zeros of the
+    cosine, so truncation error falls off double exponentially. The
+    shift is sigma = min(contour_shift, `_MAX_SHIFT_TIME` / t). Nodes
+    where the map has saturated below the underflow floor (phi' == 0)
+    carry no weight and are left out. Returns (s_nodes, weights,
+    prefactor) with u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]).
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    sigma = config.contour_shift
+    sigma = min(config.contour_shift, _MAX_SHIFT_TIME / t)
     m = config.freq_scale
-    k = config.steepness
     h = math.pi / m
-    nodes, weights = [], []
-    for j in range(-config.truncation, config.truncation + 1):
-        y = j * h + 0.5 * h
-        dphi = de_map_derivative(y, k)
-        if dphi == 0.0:
-            continue
-        phi = de_map(y, k)
-        nodes.append(complex(sigma, m * phi / t))
-        weights.append(math.cos(m * phi) * dphi)
-    return (np.array(nodes), np.array(weights),
+    # j h + h/2, not (j + 1/2) h, whose rounding flips last CSV digits
+    j = np.arange(-config.truncation, config.truncation + 1)
+    with np.errstate(over="raise"):  # sinh of a reach |y| > 710
+        phi, dphi = _de_map(j * h + 0.5 * h, config.steepness)
+    keep = dphi != 0.0
+    phi = m * phi[keep]
+    return (sigma + 1j * (phi / t), np.cos(phi) * dphi[keep],
             2.0 * math.exp(sigma * t) / t)
 
 

@@ -253,6 +253,15 @@ def _block_spectra(sigma_s: float, mu: np.ndarray, w: np.ndarray,
     return z, nu, norm
 
 
+def _node_stack(s_nodes) -> np.ndarray:
+    """s_nodes as a complex array if it is one-dimensional, else ValueError."""
+    s_nodes = np.asarray(s_nodes, dtype=complex)
+    if s_nodes.ndim != 1:
+        raise ValueError(f"need a one-dimensional stack of transform "
+                         f"points, got shape {s_nodes.shape}")
+    return s_nodes
+
+
 def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decaying discrete-ordinates spectrum at every transform point.
@@ -263,7 +272,8 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
     norm[j] = sum_i w_i mu_i (phi(nu, mu_i)^2 - phi(nu, -mu_i)^2) with
     phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu). Raises
     NumericFailureError (DegenerateSpectrumError on a ray collision) if
-    the spectrum of a node fails a check.
+    the spectrum of a node fails a check, and ValueError, before any
+    solve, unless s_nodes is a one-dimensional stack.
 
     The nodes are solved in the order of (Im s, Re s), in B strided
     blocks of at most `_BLOCK`: block b holds the b-th, (b + B)-th, ...
@@ -271,7 +281,7 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
     converged roots of its predecessor in block b - 1, and block 0 from
     the pole shifts. The results come back in the order of s_nodes.
     """
-    s_nodes = np.asarray(s_nodes, dtype=complex)
+    s_nodes = _node_stack(s_nodes)
     mu = np.asarray(quadrature.nodes)
     w = np.asarray(quadrature.weights)
     st, source = _rates(params, s_nodes)

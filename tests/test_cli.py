@@ -10,7 +10,7 @@ import pytest
 
 from trapdiff import cli, fde, harness
 from trapdiff.errors import NumericFailureError
-from trapdiff.ilt import invert_reference
+from trapdiff.ilt import contour, invert_reference
 
 
 def test_scenarios_lists_builtins(capsys):
@@ -511,7 +511,7 @@ def test_numeric_failure_message_says_where(tmp_path, capsys, monkeypatch):
     """A spectrum failure at a node of the t = 20 contour exits 2 with a
     line that names the solver and that time."""
     sc = harness.builtin_scenarios()["fig1a"]
-    bad = harness._profile_contour(20.0, sc.inversion)[0][5]
+    bad = contour(20.0, sc.inversion)[0][5]
 
     def failing(*args):
         raise NumericFailureError("synthetic spectrum failure", s=complex(bad))

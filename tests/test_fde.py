@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from trapdiff import harness, ilt
+from trapdiff import ilt
 from trapdiff.errors import QuadratureError
 from trapdiff.fde import (
     FdeParams,
@@ -238,7 +238,7 @@ def test_closed_form_transform_matches_direct_exponentials():
         fine = replace(sc.inversion, freq_scale=2.0 * sc.inversion.freq_scale,
                        truncation=2 * sc.inversion.truncation)
         for t in (1.0, 10.0, 100.0, 1000.0):
-            s_nodes = harness._profile_contour(t, fine)[0]
+            s_nodes = ilt.contour(t, fine)[0]
             for xs in grids:
                 got = mode_sum(xs, *modes(p, s_nodes))
                 want = direct_closed_form(p, xs, s_nodes)

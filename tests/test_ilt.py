@@ -20,9 +20,9 @@ from trapdiff import fde
 from trapdiff.errors import NumericFailureError
 from trapdiff.ilt import (
     InversionConfig,
+    _de_map,
     contour,
     de_map,
-    de_map_derivative,
     invert,
     invert_reference,
 )
@@ -66,20 +66,55 @@ def test_de_map_vanishes_double_exponentially():
     assert 0.0 <= de_map(-3.0, K) < 1e-20
 
 
-def test_de_map_derivative_at_zero():
-    assert de_map_derivative(0.0, K) == 0.5
-
-
 def test_de_map_derivative_saturates():
-    assert de_map_derivative(10.0, K) == pytest.approx(1.0, abs=1e-15)
-    assert abs(de_map_derivative(-3.0, K)) < 1e-18
+    dphi = _de_map(np.array([10.0, -3.0]), K)[1]
+    assert dphi[0] == pytest.approx(1.0, abs=1e-15)
+    assert abs(dphi[1]) < 1e-18
 
 
 def test_de_map_derivative_matches_finite_difference():
     h = 1e-6
-    for y in (-1.0, -0.5, 0.5, 1.0, 2.0):
-        fd = (de_map(y + h, K) - de_map(y - h, K)) / (2.0 * h)
-        assert de_map_derivative(y, K) == pytest.approx(fd, rel=1e-6), y
+    y = np.array([-1.0, -0.5, 0.5, 1.0, 2.0])
+    dphi = _de_map(y, K)[1]
+    for v, got in zip(y.tolist(), dphi.tolist()):
+        fd = (de_map(v + h, K) - de_map(v - h, K)) / (2.0 * h)
+        assert got == pytest.approx(fd, rel=1e-6), v
+
+
+def _scalar_phi(y, k):
+    """phi of the node map, one y at a time in scalar math."""
+    arg = k * math.sinh(y)
+    if arg < -690.0:
+        return -y * math.exp(arg)
+    return y / -math.expm1(-arg)
+
+
+def _scalar_dphi(y, k):
+    """phi' of the node map, one y at a time in scalar math, with the
+    exponentials computed directly rather than from one expm1."""
+    arg = k * math.sinh(y)
+    if arg < -690.0:
+        return (abs(y) * k * math.cosh(y) - 1.0) * math.exp(arg)
+    denom = -math.expm1(-arg)
+    ratio = math.exp(-arg) / denom if arg < 690.0 else 0.0
+    return (1.0 - y * k * math.cosh(y) * ratio) / denom
+
+
+@pytest.mark.parametrize("steepness", (0.5, 2.0, 6.0, 20.0))
+@pytest.mark.parametrize("freq_scale", (10.0, 40.0, 80.0))
+def test_de_map_arrays_match_scalar_formulas(steepness, freq_scale):
+    """phi and phi' of the array map on 801 half-offset abscissae, deep
+    into both saturated tails, agree with the scalar formulas to 1e-12
+    relative (measured <= 1.2e-13), and vanish at the same nodes, so
+    `contour` drops the same ones."""
+    y = (np.arange(-400, 401) + 0.5) * (math.pi / freq_scale)
+    phi, dphi = _de_map(y, steepness)
+    want_phi = np.array([_scalar_phi(v, steepness) for v in y.tolist()])
+    want_dphi = np.array([_scalar_dphi(v, steepness) for v in y.tolist()])
+    assert ((dphi == 0.0) == (want_dphi == 0.0)).all()
+    assert (want_dphi == 0.0).any() and (want_dphi != 0.0).sum() > 400
+    np.testing.assert_allclose(phi, want_phi, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(dphi, want_dphi, rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------- configuration
@@ -153,7 +188,7 @@ def test_contour_layout():
     assert (s_nodes.real == cfg.contour_shift).all()
     assert (np.diff(s_nodes.imag) > 0.0).all()  # the map is increasing
     h = math.pi / cfg.freq_scale
-    y = (np.arange(-cfg.truncation, cfg.truncation + 1) + 0.5) * h
+    y = np.arange(-cfg.truncation, cfg.truncation + 1) * h + 0.5 * h
     want = [cfg.freq_scale * de_map(v, cfg.steepness) / t for v in y]
     assert s_nodes.imag.tolist() == want
     assert prefactor == 2.0 * math.exp(cfg.contour_shift * t) / t
@@ -166,9 +201,8 @@ def test_contour_skips_saturated_nodes():
     assert 81 < len(s_nodes) < 2 * cfg.truncation + 1
     assert len(weights) == len(s_nodes)
     h = math.pi / cfg.freq_scale
-    kept = [y for y in ((j + 0.5) * h for j in range(-240, 241))
-            if de_map_derivative(y, cfg.steepness) != 0.0]
-    assert len(kept) == len(s_nodes)
+    dphi = _de_map(np.arange(-240, 241) * h + 0.5 * h, cfg.steepness)[1]
+    assert np.count_nonzero(dphi) == len(s_nodes)
 
 
 def test_contour_batched_reduction_equals_invert():
@@ -178,6 +212,27 @@ def test_contour_batched_reduction_equals_invert():
     batched = prefactor * float((1.0 / (s_nodes + 1.0)).real @ weights)
     scalar = invert(lambda s: 1.0 / (s + 1.0), t)
     assert batched == pytest.approx(scalar, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("t", (1e3, 1e4, 1e6))
+def test_invert_caps_the_shift_at_late_times(t):
+    """Past sigma t = 8 the rule lowers sigma to 8/t, so the factor
+    e^{sigma t} stays e^8: the step and a slow exponential come back to
+    1e-9 and 1e-10 at t = 1e3, 1e4 and 1e6. At the uncapped shift they
+    read 3499.76 and 3307.34 at t = 1e3, -4e158 at t = 1e4, and e^{40000}
+    overflows at t = 1e6."""
+    assert abs(invert(lambda s: 1.0 / s, t) - 1.0) < 1e-9
+    assert abs(invert(lambda s: 1.0 / (s + 1e-3), t)
+               - math.exp(-t / 1e3)) < 1e-10
+    s_nodes, _, prefactor = contour(t)
+    assert (s_nodes.real == 8.0 / t).all()
+    assert prefactor == 2.0 * math.exp(8.0) / t
+
+
+def test_contour_refuses_a_reach_past_overflow():
+    """Abscissae past |y| = 710 overflow sinh: an error, not nan weights."""
+    with pytest.raises(FloatingPointError, match="overflow"):
+        contour(10.0, InversionConfig(freq_scale=10.0, truncation=2300))
 
 
 def test_contour_rejects_nonpositive_time():

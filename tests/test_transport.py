@@ -15,6 +15,7 @@ integrating the governing equation over space and angle.
 import cmath
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_dispersion_sums_match_eigenfunction_formulas(name, t):
     q = gauss_legendre(sc.n_ordinates)
     mu = np.asarray(q.nodes)
     w = np.asarray(q.weights)
-    s_nodes = harness._profile_contour(t, sc.inversion)[0]
+    s_nodes = contour(t, sc.inversion)[0]
     st, _, nus, norms = spectra(sc.transport, q, s_nodes)
     res, _ = transport._dispersion(sc.transport.sigma_s, mu, w, st, nus, s_nodes)
     c = 0.5 * sc.transport.sigma_s
@@ -371,7 +372,7 @@ def test_density_transform_matches_direct_exponentials(name):
     grids = [SpatialGrid(0.0, 15.0, 151), SpatialGrid(-3.0, 3.0, 7),
              SpatialGrid(-2.95, 15.0, 360), SpatialGrid(0.05, 40.0, 400)]
     for t in (1.0, 10.0, 100.0, 1000.0):
-        s_nodes, weights, prefactor = harness._profile_contour(t, sc.inversion)
+        s_nodes, weights, prefactor = contour(t, sc.inversion)
         for grid in grids:
             xs = grid.points()
             got = mode_sum(xs, *modes(sc.transport, q, s_nodes))
@@ -413,6 +414,28 @@ def test_fde_transform_rejects_other_grids(xs):
         mode_sum(xs, rate, coef)
 
 
+@pytest.mark.parametrize("solver", ("RTE", "FDE"))
+@pytest.mark.parametrize("s_nodes", [0.5 + 1.0j, [[0.5 + 1.0j]]],
+                         ids=["scalar", "2d"])
+def test_modes_reject_other_than_one_stack(solver, s_nodes, monkeypatch):
+    """Both solvers take one one-dimensional stack of transform points
+    and refuse a scalar or a 2-D stack, naming its shape, before any
+    spectrum is solved; an empty stack gives empty modes."""
+    def never(*args):
+        raise AssertionError("a spectrum was solved")
+
+    monkeypatch.setattr(transport, "_block_spectra", never)
+    if solver == "RTE":
+        solve = lambda s: modes(SCENARIOS[0], Q30, s)
+    else:
+        solve = lambda s: fde.modes(from_transport(SCENARIOS[0]), s)
+    shape = np.shape(s_nodes)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        solve(s_nodes)
+    rate, coef = solve([])
+    assert rate.shape == coef.shape == (0, Q30.order if solver == "RTE" else 1)
+
+
 def test_density_transform_accepts_every_profile_grid():
     """Each built-in grid, grids from SpatialGrid.points() of other
     spans and counts, and a single point of either sign, each matching
@@ -438,7 +461,7 @@ def test_density_transform_memory_peak():
     0.893 MB that a buffer of 16 nodes on every x took there."""
     sc = builtin_scenarios()["fig1a"]
     q = gauss_legendre(sc.n_ordinates)
-    s_nodes, _, _ = harness._profile_contour(10.0, sc.inversion)
+    s_nodes, _, _ = contour(10.0, sc.inversion)
     assert len(s_nodes) == 81
     for count, bound in ((151, 2.5e6), (16, 0.983e6)):
         xs = SpatialGrid(sc.grid.x_min, sc.grid.x_max, count).points()
@@ -568,7 +591,7 @@ def test_spectra_invariant_to_node_order():
     solve order is that of (Im s, Re s), whatever order the nodes come
     in."""
     sc = builtin_scenarios()["fig1a"]
-    s_nodes = np.concatenate([harness._profile_contour(t, sc.inversion)[0]
+    s_nodes = np.concatenate([contour(t, sc.inversion)[0]
                               for t in (10.0, 100.0)])
     perm = np.random.default_rng(2024).permutation(len(s_nodes))
     st, source, nus, norms = spectra(sc.transport, Q30, s_nodes)
@@ -586,7 +609,7 @@ def test_secular_roots_resolve_near_unit_albedo():
     s = 8e-6 + 1.1e-10i where a relative noise floor stalled, matches the
     full eigenproblem to 1e-10 relative (measured 8.4e-12)."""
     sc = builtin_scenarios()["fig1a"]
-    s_nodes = harness._profile_contour(1e6, sc.inversion)[0]
+    s_nodes = contour(1e6, sc.inversion)[0]
     stalled = np.argmin(np.abs(s_nodes - (8e-6 + 1.1e-10j)))
     assert abs(s_nodes[stalled] - (8e-6 + 1.1e-10j)) < 1e-11
     _, _, nus, _ = spectra(sc.transport, Q30, s_nodes)
@@ -602,7 +625,7 @@ def test_warm_starts_bound_the_root_updates(monkeypatch):
     started from its pole shift), near the floor of two per root."""
     sc = builtin_scenarios()["fig1a"]
     s_nodes = np.concatenate([
-        harness._profile_contour(t, sc.inversion)[0]
+        contour(t, sc.inversion)[0]
         for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
     updates = []
     real = transport._aberth_steps

@@ -17,8 +17,7 @@ import math
 import pytest
 from scipy import integrate
 
-from trapdiff import harness
-from trapdiff.ilt import InversionConfig
+from trapdiff.ilt import InversionConfig, contour
 from trapdiff.waiting import WaitingTimeModel
 
 ALPHA, GAMMA = 0.5, 0.1
@@ -87,7 +86,7 @@ def test_laplace_survival_matches_mpmath_at_late_times(alpha):
     model = WaitingTimeModel(alpha=alpha, gamma=GAMMA)
     with mpmath.workdps(30):
         for t in (1e4, 1e6):
-            s_nodes = harness._profile_contour(t, InversionConfig())[0]
+            s_nodes = contour(t, InversionConfig())[0]
             for s in s_nodes[::4].tolist():
                 z = GAMMA * mpmath.mpc(s)
                 want = complex(GAMMA * mpmath.exp(z) * mpmath.expint(alpha, z))
