@@ -78,6 +78,9 @@ class SpatialGrid:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"grid span x_max - x_min must be finite, got "
+                             f"[{self.x_min}, {self.x_max}]")
 
     def points(self) -> tuple[float, ...]:
         step = (self.x_max - self.x_min) / (self.count - 1)
@@ -115,6 +118,10 @@ class Scenario:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVER_ORDER}")
         if self.n_ordinates < 1:
             raise ValueError(f"need at least one ordinate, got {self.n_ordinates}")
+        # every solver run builds the FDE constants (NORMAL uses them too):
+        # one that is out of range, say a diffusivity speed^2 / (3 sigma_s)
+        # that underflows to 0, is refused here rather than mid-run
+        fde.from_transport(self.transport)
 
 
 @dataclass(frozen=True)

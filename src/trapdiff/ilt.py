@@ -53,7 +53,8 @@ class InversionConfig:
     sets how far up the imaginary axis the rule reaches, truncation is
     the one-sided term count, and steepness controls how hard the map
     saturates. Defaults give roughly ten significant digits for
-    transforms with mild decay.
+    transforms with mild decay. A reach (truncation + 1/2) pi /
+    freq_scale at which the node map overflows is a ValueError.
     """
 
     contour_shift: float = 0.04
@@ -73,6 +74,20 @@ class InversionConfig:
             raise ValueError("freq_scale must be > 0 and truncation >= 1")
         if self.steepness <= 0.0:
             raise ValueError(f"steepness must be positive, got {self.steepness}")
+        # the largest product the node map forms is y K cosh y at the
+        # outermost abscissa, rounded as `contour` rounds it
+        h = math.pi / self.freq_scale
+        reach = self.truncation * h + 0.5 * h
+        try:
+            peak = reach * (self.steepness * math.cosh(reach))
+        except OverflowError:
+            peak = math.inf
+        if math.isinf(peak):
+            raise ValueError(
+                f"truncation {self.truncation} at freq_scale {self.freq_scale} "
+                f"reaches y = {reach:.6g}, where the node map of steepness "
+                f"{self.steepness} overflows; lower truncation or raise "
+                f"freq_scale")
 
 
 def _de_map(y: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +140,7 @@ def contour(t: float, config: InversionConfig = InversionConfig()
     h = math.pi / m
     # j h + h/2, not (j + 1/2) h, whose rounding flips last CSV digits
     j = np.arange(-config.truncation, config.truncation + 1)
-    with np.errstate(over="raise"):  # sinh of a reach |y| > 710
-        phi, dphi = _de_map(j * h + 0.5 * h, config.steepness)
+    phi, dphi = _de_map(j * h + 0.5 * h, config.steepness)
     keep = dphi != 0.0
     phi = m * phi[keep]
     return (sigma + 1j * (phi / t), np.cos(phi) * dphi[keep],

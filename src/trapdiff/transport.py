@@ -32,13 +32,19 @@ more than 1e-12 |z|, so no bound relative to |z| alone would let it go.
 
 Nodes are solved in the order of (Im s, Re s), in B = ceil(nodes / 16)
 strided blocks: block b holds the b-th, (b + B)-th, ... node of that
-order, so the (root, pole) work arrays stay small, and each node of a
-block b >= 1 starts from the converged roots of its predecessor, which
-block b - 1 has solved. Neighbours in s have nearby roots, so a warm
-start takes about 2.5 steps per root where the first-order pole shifts
-z_k = d_k - rho v_k^2 (exact when N = 1), block 0's start, take about 4.
-The nodes of several inversion contours, one per output time, can thus
-be solved as one stack; the results come back in the caller's order.
+order, so the (root, pole) work arrays stay small, and the i-th nodes of
+blocks b - 1 and b - 2, already solved, are the two predecessors of the
+i-th node of block b. The roots depend on s only through rho, so a node
+of block b >= 2 starts from the secant in rho through its predecessors'
+roots, z1 + (z1 - z0) (rho - rho1) / (rho1 - rho0), the first-order
+predictor of continuation methods (Allgower & Georg, Numerical
+Continuation Methods, 1990); block 1 starts from its predecessor's
+roots z1. On fig1a's eight late-time contours a secant start takes
+about 1.8 steps per root, the predecessor's roots alone 2.4, and the
+first-order pole shifts z_k = d_k - rho v_k^2 (exact when N = 1), block
+0's start, take about 4. The nodes of several inversion contours, one
+per output time, can thus be solved as one stack; the results come back
+in the caller's order.
 
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
@@ -277,24 +283,39 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
 
     The nodes are solved in the order of (Im s, Re s), in B strided
     blocks of at most `_BLOCK`: block b holds the b-th, (b + B)-th, ...
-    node of that order, so each node of a block b >= 1 starts from the
-    converged roots of its predecessor in block b - 1, and block 0 from
-    the pole shifts. The results come back in the order of s_nodes.
+    node of that order. Block 0 starts from the pole shifts, and a node
+    of block b >= 1 from the secant z1 + (z1 - z0) (rho - rho1) /
+    (rho1 - rho0) through the converged roots of its predecessors, the
+    i-th nodes of blocks b - 1 and b - 2, at rho = sigma_s / sigma_t;
+    the ratio is 0 (the start is z1) in block 1, where rho1 = rho0 and
+    where it is not finite. The results come back in the order of
+    s_nodes.
     """
     s_nodes = _node_stack(s_nodes)
     mu = np.asarray(quadrature.nodes)
     w = np.asarray(quadrature.weights)
     st, source = _rates(params, s_nodes)
+    rho = params.sigma_s / st
     nus = np.empty((s_nodes.shape[0], quadrature.order), dtype=complex)
     norms = np.empty_like(nus)
     order = np.lexsort((s_nodes.real, s_nodes.imag))
     stride = -(-s_nodes.shape[0] // _BLOCK)
-    roots = None  # of the previous block, whose i-th node precedes ours
+    # (rho, roots) of blocks b - 1 and b - 2, whose i-th nodes precede
+    # ours; each start is a new array, which the solve refines in place
+    last = before = None
     for b in range(stride):
         blk = order[b::stride]
-        start = None if roots is None else roots[:blk.shape[0]]
+        start = None
+        if last is not None:
+            m = blk.shape[0]
+            (rho1, z1), (rho0, z0) = last, before or last
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratio = (rho[blk] - rho1[:m]) / (rho1[:m] - rho0[:m])
+            ratio[~np.isfinite(ratio)] = 0.0
+            start = z1[:m] + (z1[:m] - z0[:m]) * ratio[:, None]
         roots, nus[blk], norms[blk] = _block_spectra(
             params.sigma_s, mu, w, st[blk], s_nodes[blk], start)
+        before, last = last, (rho[blk], roots)
     return st, source, nus, norms
 
 

@@ -284,6 +284,41 @@ def test_non_finite_waiting_scale_is_rejected_up_front(tmp_path, capsys,
     assert not out_csv.exists()
 
 
+REACH_CONFIG = """
+[far]
+sigma_trap = 0.1
+{line}
+times = 10
+x_max = 4
+x_count = 3
+solvers = {solvers}
+"""
+
+
+@pytest.mark.parametrize("line", ["truncation = 10000", "freq_scale = 0.001"])
+@pytest.mark.parametrize("solvers", ["NORMAL", "RTE"])
+def test_overflowing_contour_reach_is_rejected_up_front(tmp_path, capsys,
+                                                        monkeypatch, line,
+                                                        solvers):
+    """A contour whose end abscissa overflows the node map is an error
+    naming truncation and freq_scale: exit 1 before any solver runs,
+    through profile and compare, no CSV (it used to end in a raw
+    FloatingPointError traceback from the RTE or FDE stage, and to run
+    with NORMAL alone)."""
+    ini = tmp_path / "far.ini"
+    ini.write_text(REACH_CONFIG.format(line=line, solvers=solvers))
+    out_csv = tmp_path / "far.csv"
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    for command in ("profile", "compare"):
+        rc = cli.main([command, "--scenario", "far", "--config", str(ini),
+                       "--out", str(out_csv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "truncation" in err and "freq_scale" in err
+    assert not out_csv.exists()
+
+
 LABEL_CONFIG = """
 [{label}]
 sigma_trap = 0.1
@@ -349,8 +384,11 @@ def test_unknown_config_key_is_rejected_up_front(tmp_path, capsys,
     ([], "times = abc"),
     ([], "x_count = many"),
     ([], "alpha = 1.5"),
+    ([], "speed = 1e-200"),
+    (["--x-max", "1e308"], "x_min = -1e308"),
 ], ids=["flag-times-abc", "flag-times-trailing-comma", "ini-times-abc",
-        "ini-x-count", "ini-alpha-out-of-range"])
+        "ini-x-count", "ini-alpha-out-of-range", "ini-speed-underflow",
+        "x-span-overflow"])
 def test_bad_values_are_usage_errors(tmp_path, capsys, monkeypatch,
                                      flags, line):
     ini = tmp_path / "typo.ini"

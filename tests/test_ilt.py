@@ -230,9 +230,29 @@ def test_invert_caps_the_shift_at_late_times(t):
 
 
 def test_contour_refuses_a_reach_past_overflow():
-    """Abscissae past |y| = 710 overflow sinh: an error, not nan weights."""
-    with pytest.raises(FloatingPointError, match="overflow"):
-        contour(10.0, InversionConfig(freq_scale=10.0, truncation=2300))
+    """Abscissae past |y| = 710 overflow sinh: the config is refused up
+    front, naming the two knobs that set the reach, not left to give an
+    error or nan weights inside a solver."""
+    for knobs in ({"freq_scale": 10.0, "truncation": 2300},
+                  {"truncation": 10_000}, {"freq_scale": 0.001}):
+        with pytest.raises(ValueError, match="truncation.*freq_scale"):
+            InversionConfig(**knobs)
+
+
+def test_largest_accepted_reach_still_computes():
+    """At the default freq_scale and steepness, truncation 8939 reaches
+    |y| = 702.1, the last abscissa at which the map's y K cosh y stays
+    finite; 8940 is refused. The widest accepted rule computes finite
+    nodes and weights without a warning, and still inverts 1/(s + 1) and
+    1/s to 1e-10 and 1e-8 (the step is unchanged)."""
+    with pytest.raises(ValueError, match="truncation 8940"):
+        InversionConfig(truncation=8940)
+    cfg = InversionConfig(truncation=8939)
+    s_nodes, weights, prefactor = contour(10.0, cfg)
+    assert np.isfinite(s_nodes).all() and np.isfinite(weights).all()
+    assert abs(invert(lambda s: 1.0 / (s + 1.0), 2.0, cfg)
+               - math.exp(-2.0)) < 1e-10
+    assert abs(invert(lambda s: 1.0 / s, 10.0, cfg) - 1.0) < 1e-8
 
 
 def test_contour_rejects_nonpositive_time():

@@ -17,6 +17,7 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -618,15 +619,8 @@ def test_secular_roots_resolve_near_unit_albedo():
     assert matched_rel(nus, want) <= 1e-10
 
 
-def test_warm_starts_bound_the_root_updates(monkeypatch):
-    """Each node after the first block starts from its solved neighbour's
-    roots: the 648 nodes of fig1a's eight late-time contours take <= 50,000
-    root updates (roots x sweeps; 48,058 measured, 77,446 when every root
-    started from its pole shift), near the floor of two per root."""
-    sc = builtin_scenarios()["fig1a"]
-    s_nodes = np.concatenate([
-        contour(t, sc.inversion)[0]
-        for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
+def count_root_updates(monkeypatch):
+    """A list that collects the roots updated by each Aberth sweep."""
     updates = []
     real = transport._aberth_steps
 
@@ -635,9 +629,96 @@ def test_warm_starts_bound_the_root_updates(monkeypatch):
         return real(rho, d, v2, z, jn, kn)
 
     monkeypatch.setattr(transport, "_aberth_steps", counting)
+    return updates
+
+
+def test_warm_starts_bound_the_root_updates(monkeypatch):
+    """Each node after the first two blocks starts from the secant in rho
+    through its two solved predecessors' roots: the 648 nodes of fig1a's
+    eight late-time contours take <= 38,000 root updates (roots x sweeps;
+    36,359 measured, 48,058 from the predecessor's roots alone and 77,446
+    when every root started from its pole shift). Every root is swept at
+    least once; many predicted roots freeze on that first sweep."""
+    sc = builtin_scenarios()["fig1a"]
+    s_nodes = np.concatenate([
+        contour(t, sc.inversion)[0]
+        for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
+    updates = count_root_updates(monkeypatch)
     spectra(sc.transport, Q30, s_nodes)
     assert len(s_nodes) == 648
-    assert 2 * 648 * 30 <= sum(updates) <= 50_000
+    assert 648 * 30 <= sum(updates) <= 38_000
+
+
+def test_secant_starts_bound_the_panel_root_updates(monkeypatch):
+    """The six built-in panels, one stack per scenario as `run_scenario`
+    solves them, take <= 37,500 root updates (36,177 measured, 41,225
+    from the predecessor's roots alone); it falls less than on the
+    late-time stack because 84 of their 486 nodes are in the stacks'
+    block 0, which starts cold from the pole shifts."""
+    updates = count_root_updates(monkeypatch)
+    count = 0
+    for sc in builtin_scenarios().values():
+        s_nodes = np.concatenate([contour(t, sc.inversion)[0]
+                                  for t in sc.times])
+        spectra(sc.transport, gauss_legendre(sc.n_ordinates), s_nodes)
+        count += len(s_nodes) * sc.n_ordinates
+    assert count == 486 * 30
+    assert count <= sum(updates) <= 37_500
+
+
+def solve_order_spacing(p, s_nodes):
+    """The gaps |rho_1 - rho_0| between neighbours in the (Im s, Re s)
+    solve order, and the spacing ratios |rho - rho_1| / |rho_1 - rho_0|
+    of each node over the gap before it, where that gap is not 0."""
+    s_sorted = s_nodes[np.lexsort((s_nodes.real, s_nodes.imag))]
+    gaps = np.abs(np.diff(p.sigma_s / _rates(p, s_sorted)[0]))
+    before = gaps[:-1] > 0.0
+    return gaps, gaps[1:][before] / gaps[:-1][before]
+
+
+def test_secant_starts_cost_no_accuracy():
+    """fig1a's t = 10 contour with every node repeated (rho_1 = rho_0
+    exactly, where the secant falls back to the plain warm start), the
+    interleaved left tails of t = 10 and t = 100, and the contours of
+    t = 50 and t = 70, whose nodes (j + 1/2) pi / t nearly coincide at
+    j = 27 and 38 (a spacing ratio past 1e9, which magnifies the
+    rounding of the predecessors' roots): solved as one stack without a
+    warning, every node's roots match the node solved alone to 1e-13
+    relative (3.5e-15 measured)."""
+    sc = builtin_scenarios()["fig1a"]
+    cfg = sc.inversion
+    nodes = {t: contour(t, cfg)[0] for t in (10.0, 50.0, 70.0, 100.0)}
+
+    def left_tail(t):
+        """The nodes at y < 0, below phi(0) = 1 / steepness."""
+        s = nodes[t]
+        return s[s.imag * t < cfg.freq_scale / cfg.steepness]
+
+    s_nodes = np.concatenate([np.repeat(nodes[10.0], 2),
+                              left_tail(10.0), left_tail(100.0),
+                              nodes[50.0], nodes[70.0]])
+    gaps, ratios = solve_order_spacing(sc.transport, s_nodes)
+    assert (gaps == 0.0).any() and ratios.max() > 1e9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, nus, _ = spectra(sc.transport, Q30, s_nodes)
+    alone = np.array([spectra(sc.transport, Q30, [s])[2][0]
+                      for s in s_nodes.tolist()])
+    assert matched_rel(nus, alone) <= 1e-13
+
+
+def test_secant_starts_across_contour_shifts():
+    """The t = 10 and t = 1e4 contours of fig1a (Re s = 0.04 and 8e-4)
+    as one stack, whose secants cross from one shift to the other, match
+    the full eigenproblem to 1e-10 relative (7.5e-13 measured)."""
+    sc = builtin_scenarios()["fig1a"]
+    s_nodes = np.concatenate([contour(t, sc.inversion)[0]
+                              for t in (10.0, 1e4)])
+    assert set(s_nodes.real.tolist()) == {0.04, 8e-4}
+    _, _, nus, _ = spectra(sc.transport, Q30, s_nodes)
+    want = np.array([full_eigenproblem_spectrum(sc.transport, Q30, s)
+                     for s in s_nodes.tolist()])
+    assert matched_rel(nus, want) <= 1e-10
 
 
 def test_secular_iteration_cap_raises(monkeypatch):
