@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _INNER_LIMIT = 400  # subdivision cap for the peaked inner integrals
+_HALF_TOL = 1e-8  # QUADPACK tolerance of density_half (inner ones 10x finer)
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def _peak_ladder(tau_star: float) -> list[float] | None:
     return pts or None
 
 
-def density_half(p: FdeParams, x: float, t: float, tol: float = 1e-8) -> float:
+def density_half(p: FdeParams, x: float, t: float) -> float:
     """Density for tail exponent 1/2 by the substituted two-term quadrature.
 
     The first term integrates the subordination kernel at final time
@@ -182,8 +183,6 @@ def density_half(p: FdeParams, x: float, t: float, tol: float = 1e-8) -> float:
         raise ValueError(f"density_half needs alpha = 1/2, got {p.alpha}")
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if p.trap_strength == 0.0:
         # the representation collapses, but the limit is the heat kernel
         return normal_diffusion(p, x, t)
@@ -191,14 +190,14 @@ def density_half(p: FdeParams, x: float, t: float, tol: float = 1e-8) -> float:
     d0 = p.diffusivity
 
     term1 = _quad_checked(
-        _bell, 0.0, 1.0, tol, tol,
+        _bell, 0.0, 1.0, _HALF_TOL, _HALF_TOL,
         args=(t, x, p),
         points=_peak_ladder(0.5 * eta * math.sqrt(t)),
         limit=_INNER_LIMIT,
     )
     term1 *= eta / (math.pi * math.sqrt(d0))
 
-    inner_tol = tol / 10.0
+    inner_tol = _HALF_TOL / 10.0
 
     def inner(t1: float) -> float:
         scale = t * t1
@@ -221,7 +220,7 @@ def density_half(p: FdeParams, x: float, t: float, tol: float = 1e-8) -> float:
     # outer integrand ~ t1^{-1/2} near 0 and (1-t1)^{-1/2} near 1; both
     # powers go to the QAWS weight, the remainder is smooth
     outer = _quad_checked(
-        outer_g, 0.0, 1.0, tol, tol,
+        outer_g, 0.0, 1.0, _HALF_TOL, _HALF_TOL,
         weight="alg", wvar=(-0.5, -0.5),
     )
     term2 = outer * eta * eta * math.sqrt(t) / (math.pi * math.sqrt(math.pi * d0))

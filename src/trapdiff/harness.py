@@ -38,7 +38,7 @@ import numpy as np
 
 from . import fde, transport
 from .errors import NumericFailureError
-from .ilt import InversionConfig, contour, de_map, invert, invert_reference
+from .ilt import InversionConfig, _de_map, contour, invert, invert_reference
 from .specfun import gauss_legendre
 from .transport import TransportParams
 from .waiting import WaitingTimeModel
@@ -389,10 +389,10 @@ def validate(level: str = "fast",
     report.append(_check("ilt.known_pairs", worst, 1.0))
 
     # node map limits
-    k = cfg.steepness
+    phi = _de_map(np.array([10.0, -3.0]), cfg.steepness)[0].tolist()
     report.append(_check("ilt.de_map_linear_tail",
-                         abs(de_map(10.0, k) / 10.0 - 1.0), 1e-12))
-    report.append(_check("ilt.de_map_vanishing_tail", de_map(-3.0, k), 1e-20))
+                         abs(phi[0] / 10.0 - 1.0), 1e-12))
+    report.append(_check("ilt.de_map_vanishing_tail", phi[1], 1e-20))
 
     # transform-space mass at k=0 collapses to 2/s when absorption is off
     p_a = fde.FdeParams(trap_strength=math.sqrt(0.1) * 0.1,

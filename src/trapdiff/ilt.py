@@ -30,7 +30,6 @@ from .errors import NumericFailureError
 __all__ = [
     "InversionConfig",
     "contour",
-    "de_map",
     "invert",
     "invert_reference",
 ]
@@ -42,6 +41,9 @@ _EXP_BIG = 690.0
 # sigma is lowered to this over t. A transform analytic for Re s > 0
 # (every profile transform is) takes any positive sigma.
 _MAX_SHIFT_TIME = 8.0
+# smallest steepness K at which the node map is increasing: below K* =
+# 0.456593 phi' < 0 around y = 1.2 (on [0.50, 2.34] at K = 0.3)
+_MIN_STEEPNESS = 0.4566
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,9 @@ class InversionConfig:
     sets how far up the imaginary axis the rule reaches, truncation is
     the one-sided term count, and steepness controls how hard the map
     saturates. Defaults give roughly ten significant digits for
-    transforms with mild decay. A reach (truncation + 1/2) pi /
-    freq_scale at which the node map overflows is a ValueError.
+    transforms with mild decay. A steepness below 0.4566, where the map
+    stops increasing, and a reach (truncation + 1/2) pi / freq_scale at
+    which the node map overflows are ValueErrors.
     """
 
     contour_shift: float = 0.04
@@ -72,8 +75,9 @@ class InversionConfig:
                 f"contour_shift must be positive, got {self.contour_shift}")
         if self.freq_scale <= 0.0 or self.truncation < 1:
             raise ValueError("freq_scale must be > 0 and truncation >= 1")
-        if self.steepness <= 0.0:
-            raise ValueError(f"steepness must be positive, got {self.steepness}")
+        if self.steepness < _MIN_STEEPNESS:
+            raise ValueError(f"steepness must be >= {_MIN_STEEPNESS}, where "
+                             f"the node map folds, got {self.steepness}")
         # the largest product the node map forms is y K cosh y at the
         # outermost abscissa, rounded as `contour` rounds it
         h = math.pi / self.freq_scale
@@ -91,8 +95,9 @@ class InversionConfig:
 
 
 def _de_map(y: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """phi and phi' of the node map `de_map` at every y != 0, from one
-    expm1 e = e^{-arg} - 1, arg = K sinh y: phi = -y / e and phi' =
+    """phi and phi' of the node map phi(y) = y / (1 - exp(-K sinh y)) (0
+    as y -> -inf, y as y -> +inf) at every y != 0, from one expm1 e =
+    e^{-arg} - 1, arg = K sinh y: phi = -y / e and phi' =
     (1 + y K cosh(y) (1 + e) / e) / -e. Below arg = -690, where e would
     overflow, phi = -y e^{arg} and phi' = (|y| K cosh(y) - 1) e^{arg},
     which underflows to 0 far down the map. Each exponential is clipped
@@ -106,17 +111,6 @@ def _de_map(y: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     dphi = np.where(deep, (np.abs(y) * kc - 1.0) * tail,
                     (1.0 + y * kc * ((1.0 + em) / em)) / -em)
     return phi, dphi
-
-
-def de_map(y: float, steepness: float) -> float:
-    """Double-exponential node map phi(y) = y / (1 - exp(-K sinh y)).
-
-    Tends to 0 double-exponentially as y -> -inf and to y as y -> +inf.
-    The removable singularity at y = 0 is filled with its limit 1/K.
-    """
-    if y == 0.0:
-        return 1.0 / steepness
-    return float(_de_map(np.float64(y), steepness)[0])
 
 
 def contour(t: float, config: InversionConfig = InversionConfig()

@@ -319,6 +319,26 @@ def test_overflowing_contour_reach_is_rejected_up_front(tmp_path, capsys,
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("steepness", ["1e-300", "0.3"])
+@pytest.mark.parametrize("solvers", ["FDE", "RTE"])
+def test_folding_node_map_is_rejected_up_front(tmp_path, capsys, monkeypatch,
+                                               steepness, solvers):
+    """Below steepness 0.4566 the node map is not increasing, so nodes
+    fold back: exit 1 naming steepness before any solver runs, no CSV
+    (FDE used to write u_de = 3.19e149 at x = 0 for 1e-300 and -0.155
+    for 0.3, with exit 0)."""
+    ini = tmp_path / "fold.ini"
+    ini.write_text(REACH_CONFIG.format(line=f"steepness = {steepness}",
+                                       solvers=solvers))
+    out_csv = tmp_path / "fold.csv"
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "far", "--config", str(ini),
+                   "--out", str(out_csv)])
+    assert rc == 1
+    assert "steepness" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 LABEL_CONFIG = """
 [{label}]
 sigma_trap = 0.1

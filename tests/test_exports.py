@@ -1,8 +1,11 @@
-"""Every exported name resolves: the package's `__all__` and that of each
-of its modules."""
+"""Every module's `__all__` resolves, and the solver modules import
+without the oracles' dependencies."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -10,11 +13,28 @@ import trapdiff
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(trapdiff.__path__))
 
+_IMPORT_PROBE = """
+import sys
+import trapdiff.transport, trapdiff.ilt, trapdiff.specfun, trapdiff.waiting
+print(" ".join(sorted(sys.modules)))
+"""
 
-def test_package_exports_resolve():
-    missing = [n for n in trapdiff.__all__ if not hasattr(trapdiff, n)]
-    assert not missing
-    assert len(set(trapdiff.__all__)) == len(trapdiff.__all__)
+
+def test_solver_modules_load_no_scipy():
+    """Importing `transport`, `ilt`, `specfun` and `waiting` in a fresh
+    process loads no scipy module, nor `trapdiff.fde` or
+    `trapdiff.harness`, whose oracles need scipy: the package itself
+    imports none of its modules."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(trapdiff.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    assert "trapdiff.transport" in loaded
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+    assert "trapdiff.fde" not in loaded and "trapdiff.harness" not in loaded
 
 
 @pytest.mark.parametrize("name", MODULES)

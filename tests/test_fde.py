@@ -121,8 +121,6 @@ def test_density_half_requires_half_exponent():
 def test_density_half_rejects_bad_time_and_tol():
     with pytest.raises(ValueError):
         density_half(MAIN, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        density_half(MAIN, 1.0, 10.0, tol=0.0)
 
 
 def test_density_half_weak_memory_approaches_normal():

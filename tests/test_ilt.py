@@ -19,10 +19,10 @@ import pytest
 from trapdiff import fde
 from trapdiff.errors import NumericFailureError
 from trapdiff.ilt import (
+    _MIN_STEEPNESS,
     InversionConfig,
     _de_map,
     contour,
-    de_map,
     invert,
     invert_reference,
 )
@@ -50,20 +50,21 @@ def transport_params(key):
 
 # ------------------------------------------------------------------ node map
 
-def test_de_map_limit_at_zero():
-    assert de_map(0.0, K) == 1.0 / K
+def _phi(y, k=K):
+    """phi of the node map at one abscissa."""
+    return float(_de_map(np.array([y]), k)[0][0])
 
 
 def test_de_map_linear_for_large_argument():
-    assert de_map(10.0, K) / 10.0 == pytest.approx(1.0, abs=1e-12)
+    assert _phi(10.0) / 10.0 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_de_map_near_zero():
-    assert abs(de_map(1e-6, K) - 1.0 / K) < 1e-5
+    assert abs(_phi(1e-6) - 1.0 / K) < 1e-5
 
 
 def test_de_map_vanishes_double_exponentially():
-    assert 0.0 <= de_map(-3.0, K) < 1e-20
+    assert 0.0 <= _phi(-3.0) < 1e-20
 
 
 def test_de_map_derivative_saturates():
@@ -77,7 +78,7 @@ def test_de_map_derivative_matches_finite_difference():
     y = np.array([-1.0, -0.5, 0.5, 1.0, 2.0])
     dphi = _de_map(y, K)[1]
     for v, got in zip(y.tolist(), dphi.tolist()):
-        fd = (de_map(v + h, K) - de_map(v - h, K)) / (2.0 * h)
+        fd = (_phi(v + h) - _phi(v - h)) / (2.0 * h)
         assert got == pytest.approx(fd, rel=1e-6), v
 
 
@@ -117,6 +118,17 @@ def test_de_map_arrays_match_scalar_formulas(steepness, freq_scale):
     np.testing.assert_allclose(dphi, want_dphi, rtol=1e-12, atol=0.0)
 
 
+def test_de_map_increasing_from_the_smallest_steepness():
+    """phi' >= 0 on a fine grid of both tails at the smallest accepted
+    steepness; just below it (K* = 0.456593) phi' turns negative near
+    y = 1.2, and at K = 0.3 on y in [0.50, 2.34], so the nodes fold."""
+    y = np.concatenate([-np.geomspace(10.0, 1e-6, 20001),
+                        np.geomspace(1e-6, 10.0, 20001)])
+    assert (_de_map(y, _MIN_STEEPNESS)[1] >= 0.0).all()
+    for k in (0.4565, 0.3):
+        assert (_de_map(y, k)[1] < 0.0).any(), k
+
+
 # ------------------------------------------------------------- configuration
 
 def test_config_validation():
@@ -128,6 +140,11 @@ def test_config_validation():
         InversionConfig(truncation=0)
     with pytest.raises(ValueError):
         InversionConfig(steepness=0.0)
+    # below 0.4566 the node map folds
+    for k in (0.4565, 0.3, 1e-300):
+        with pytest.raises(ValueError, match="steepness"):
+            InversionConfig(steepness=k)
+    assert InversionConfig(steepness=_MIN_STEEPNESS).steepness == 0.4566
 
 
 def test_config_defaults():
@@ -189,7 +206,7 @@ def test_contour_layout():
     assert (np.diff(s_nodes.imag) > 0.0).all()  # the map is increasing
     h = math.pi / cfg.freq_scale
     y = np.arange(-cfg.truncation, cfg.truncation + 1) * h + 0.5 * h
-    want = [cfg.freq_scale * de_map(v, cfg.steepness) / t for v in y]
+    want = [cfg.freq_scale * _phi(v, cfg.steepness) / t for v in y]
     assert s_nodes.imag.tolist() == want
     assert prefactor == 2.0 * math.exp(cfg.contour_shift * t) / t
 

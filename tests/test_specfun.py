@@ -116,8 +116,10 @@ def test_exp_integral_domain_errors():
             gen_exp_integral_scaled(nu, z)
 
 
-# where exp(z) E_nu(z) switches between power series, continued fraction
-# and asymptotic series: |z| = 1, |z| = 40, and the ray Re z = -|Im z|/2
+# where exp(z) E_nu(z) switches between power series and continued
+# fraction: |z| = 1 and the ray Re z = -|Im z|/2, sampled out to |z| = 45
+# (past |z| = 40 the series keeps only the sliver |z| + Re z <= 3 beside
+# the cut, up to |z| = 60, checked on its own below)
 _SEAM_ANGLE = math.pi - math.atan(2.0)
 
 
@@ -187,6 +189,28 @@ def test_exp_integral_matches_mpmath_in_the_cancellation_band():
                 want = complex(mpmath.exp(zz) * mpmath.expint(nu, zz))
             got = gen_exp_integral_scaled(nu, z)
             assert abs(got - want) <= 1e-13 * abs(want), (nu, z)
+
+
+def test_exp_integral_matches_mpmath_beside_the_cut_past_40():
+    """Within ~1 of the negative real axis at 40 <= |z| < ~55 roundoff
+    stalls the continued fraction's convergence test (alone it raises
+    NumericFailureError at nu = 2, |z| = 40, arg z = 0.999 pi), so the
+    series keeps that sliver up to |z| = 60. That point and 300 with
+    30 <= -Re z <= 120 and 1e-14 <= |Im z| <= 20, across the seam at
+    |z| = 60, agree with mpmath to 1e-13 relative (measured 1.7e-15)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(13)
+    points = [(2.0, cmath.rect(40.0, 0.999 * math.pi))]
+    while len(points) < 301:
+        nu = rng.uniform(0.01, 3.0)
+        im = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, 1.3)
+        points.append((nu, complex(-rng.uniform(30.0, 120.0), im)))
+    for nu, z in points:
+        with mpmath.workdps(40):
+            zz = mpmath.mpc(z)
+            want = complex(mpmath.exp(zz) * mpmath.expint(mpmath.mpf(nu), zz))
+        got = gen_exp_integral_scaled(nu, z)
+        assert abs(got - want) <= 1e-13 * abs(want), (nu, z)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
