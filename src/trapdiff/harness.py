@@ -441,6 +441,9 @@ def validate(level: str = "fast",
     report.append(_check("fde.closed_form_vs_time_domain", worst, 1e-8))
 
     # inversion convergence: doubling the truncation must not move results
+    # (it reads 0 wherever cfg's trimmed rule already ends short of its
+    # truncation, as at the defaults; a truncation that cuts into the
+    # kept nodes shows)
     wide = replace(cfg, truncation=2 * cfg.truncation)
     worst = 0.0
     for transform_f, _original, t, _budget in pairs:

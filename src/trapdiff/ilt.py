@@ -5,11 +5,16 @@ nodes and weights of a double-exponential quadrature of the Bromwich
 cosine integral along a vertical contour, which only ever evaluates the
 transform at Re s = sigma and therefore tolerates transforms that are
 expensive or fragile deep in the left half-plane. It is the one home of
-the rule (the node map, one array expression, and the shift, lowered to
-8/t at late times) and the only inverter on the production path, where
-the profile driver evaluates whole stacks of nodes at once and reduces
-them with its weights. `invert` applies the same rule to a scalar
-transform, one node at a time, for the self-checks and the tests.
+the rule and the only inverter on the production path, where
+`harness.run_scenario` evaluates whole stacks of nodes at once and
+reduces them with its weights. The rule is the node map (one array expression); the
+weights cos(M phi) phi', formed right of the map's centre as
++-sin(M r) phi' from the map's residual r = phi - y, so that the
+saturated tail vanishes as the exact weights do; a trim of both end runs
+of weights below 2^-53 max|w|, under the rounding of the largest term;
+and the shift, lowered to 8/t at late times. `invert` applies the same
+rule to a scalar transform, one node at a time, for the self-checks and
+the tests.
 `invert_reference` is a fixed-Talbot rule on a deformed contour; it
 converges faster per evaluation but probes the transform at complex s
 with negative real part. Agreement between the two is a strong
@@ -53,8 +58,10 @@ class InversionConfig:
     contour_shift is the abscissa sigma (must exceed the rightmost
     singularity of the transform; `contour` caps it at 8/t), freq_scale
     sets how far up the imaginary axis the rule reaches, truncation is
-    the one-sided term count, and steepness controls how hard the map
-    saturates. Defaults give roughly ten significant digits for
+    an upper bound on the one-sided term count (`contour` trims both
+    tails to the nodes whose weight reaches 2^-53 of the largest, so the
+    defaults keep 68 of the 81 nodes), and steepness controls how hard
+    the map saturates. Defaults give roughly ten significant digits for
     transforms with mild decay. A steepness below 0.4566, where the map
     stops increasing, and a reach (truncation + 1/2) pi / freq_scale at
     which the node map overflows are ValueErrors.
@@ -113,31 +120,55 @@ def _de_map(y: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     return phi, dphi
 
 
+def _untrimmed(config: InversionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The phase M phi(y_j) and weight of every node |j| <= truncation of
+    the `contour` rule, before its tails are trimmed."""
+    m = config.freq_scale
+    h = math.pi / m
+    # j h + h/2, not (j + 1/2) h, whose rounding flips last CSV digits
+    j = np.arange(-config.truncation, config.truncation + 1)
+    y = j * h + 0.5 * h
+    phi, dphi = _de_map(y, config.steepness)
+    phi *= m
+    wave = np.cos(phi)
+    right = j >= 0
+    y = y[right]
+    # past a = 690 r is below 3e-300 y; the clip only keeps expm1 finite
+    r = y / np.expm1(np.minimum(config.steepness * np.sinh(y), _EXP_BIG))
+    wave[right] = np.where(j[right] % 2, 1.0, -1.0) * np.sin(m * r)
+    return phi, wave * dphi
+
+
 def contour(t: float, config: InversionConfig = InversionConfig()
             ) -> tuple[np.ndarray, np.ndarray, float]:
     """Nodes and weights of the double-exponential Bromwich rule at time t.
 
     Discretizes u(t) = (2 e^{sigma t} / pi) int_0^inf Re F(sigma + i w)
     cos(w t) dw with the double-exponential map w = (M/t) phi(y) at the
-    half-offset abscissae y = (j + 1/2) pi / M, |j| <= truncation; the
+    half-offset abscissae y_j = (j + 1/2) pi / M, |j| <= truncation; the
     layout places the saturated tail of the map on the zeros of the
     cosine, so truncation error falls off double exponentially. The
-    shift is sigma = min(contour_shift, `_MAX_SHIFT_TIME` / t). Nodes
-    where the map has saturated below the underflow floor (phi' == 0)
-    carry no weight and are left out. Returns (s_nodes, weights,
-    prefactor) with u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]).
+    shift is sigma = min(contour_shift, `_MAX_SHIFT_TIME` / t).
+
+    The weight is cos(M phi) phi'. Right of y = 0, where M y_j =
+    (j + 1/2) pi, it is formed as (-1)^(j+1) sin(M r) phi' from the map's
+    residual r = phi - y = y / (e^a - 1), a = K sinh y, so the tail
+    weights vanish as the exact ones do instead of carrying the rounding
+    of the phase M phi (+-1e-14 at the defaults). Both end runs of weights
+    below 2^-53 max|w| are then left out: each lies under the rounding
+    of the largest term.
+    Only the tails are trimmed, so the kept j stay contiguous, and
+    truncation is an upper bound on the one-sided term count (the
+    defaults keep j = -34..33). Returns (s_nodes, weights, prefactor) with
+    u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]).
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     sigma = min(config.contour_shift, _MAX_SHIFT_TIME / t)
-    m = config.freq_scale
-    h = math.pi / m
-    # j h + h/2, not (j + 1/2) h, whose rounding flips last CSV digits
-    j = np.arange(-config.truncation, config.truncation + 1)
-    phi, dphi = _de_map(j * h + 0.5 * h, config.steepness)
-    keep = dphi != 0.0
-    phi = m * phi[keep]
-    return (sigma + 1j * (phi / t), np.cos(phi) * dphi[keep],
+    phase, weights = _untrimmed(config)
+    big = np.abs(weights) >= 2.0 ** -53 * np.abs(weights).max()
+    lo, hi = big.argmax(), big.size - big[::-1].argmax()
+    return (sigma + 1j * (phase[lo:hi] / t), weights[lo:hi],
             2.0 * math.exp(sigma * t) / t)
 
 

@@ -40,7 +40,7 @@ roots, z1 + (z1 - z0) (rho - rho1) / (rho1 - rho0), the first-order
 predictor of continuation methods (Allgower & Georg, Numerical
 Continuation Methods, 1990); block 1 starts from its predecessor's
 roots z1. On fig1a's eight late-time contours a secant start takes
-about 1.8 steps per root, the predecessor's roots alone 2.4, and the
+about 1.9 steps per root, the predecessor's roots alone 2.6, and the
 first-order pole shifts z_k = d_k - rho v_k^2 (exact when N = 1), block
 0's start, take about 4. The nodes of several inversion contours, one
 per output time, can thus be solved as one stack; the results come back

@@ -137,9 +137,10 @@ def test_inverter_calibration_resolves_deep_exponential_decay():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="measured 2.2e-4 at t=1: the fixed 81-node contour under-resolves "
-           "a growing transform at short times; refining the frequency step "
-           "recovers the target, so the discretization is the limit")
+    reason="measured 2.2e-4 at t=1: the 68-node contour (j = -34..33) "
+           "under-resolves a growing transform at short times; halving the "
+           "frequency step brings it to 1.9e-10, so the discretization is "
+           "the limit")
 def test_inverter_calibration_ramp_at_short_time():
     got = invert(lambda s: 1.0 / (s * s), 1.0, CAL_CFG)
     assert abs(got - 1.0) < 1e-5

@@ -118,7 +118,7 @@ def test_density_half_requires_half_exponent():
         density_half(p, 1.0, 10.0)
 
 
-def test_density_half_rejects_bad_time_and_tol():
+def test_density_half_rejects_nonpositive_time():
     with pytest.raises(ValueError):
         density_half(MAIN, 1.0, 0.0)
 

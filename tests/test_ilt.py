@@ -11,6 +11,7 @@ of the rule at its pinned default configuration.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -18,16 +19,23 @@ import pytest
 
 from trapdiff import fde
 from trapdiff.errors import NumericFailureError
+from trapdiff.harness import builtin_scenarios, run_scenario
 from trapdiff.ilt import (
     _MIN_STEEPNESS,
     InversionConfig,
     _de_map,
+    _untrimmed,
     contour,
     invert,
     invert_reference,
 )
 from trapdiff.specfun import gauss_legendre
-from trapdiff.transport import TransportParams, laplace_density
+from trapdiff.transport import (
+    TransportParams,
+    laplace_density,
+    mode_sum,
+    modes,
+)
 from trapdiff.waiting import WaitingTimeModel
 
 K = 6.0  # default steepness
@@ -197,29 +205,131 @@ def test_invert_matches_sequential_sum_on_known_pairs():
 
 
 def test_contour_layout():
+    """At the defaults the rule keeps j = -34..33 of |j| <= 40. The
+    weights it drops are below 1e-17 on the left, where |w| <= phi', and
+    below 4e-18 on the right, where |w| <= M r phi' with the map's
+    residual r = y / (e^{K sinh y} - 1), since there cos(M phi) =
+    +-sin(M r): all under 2^-53 max|w| = 9.0e-17."""
     cfg = InversionConfig()
     t = 10.0
     s_nodes, weights, prefactor = contour(t, cfg)
-    n = 2 * cfg.truncation + 1
-    assert s_nodes.shape == weights.shape == (n,)
+    assert s_nodes.shape == weights.shape == (68,)
     assert (s_nodes.real == cfg.contour_shift).all()
     assert (np.diff(s_nodes.imag) > 0.0).all()  # the map is increasing
     h = math.pi / cfg.freq_scale
-    y = np.arange(-cfg.truncation, cfg.truncation + 1) * h + 0.5 * h
-    want = [cfg.freq_scale * _phi(v, cfg.steepness) / t for v in y]
+    j = np.arange(-cfg.truncation, cfg.truncation + 1)
+    y = j * h + 0.5 * h
+    kept = (j >= -34) & (j <= 33)
+    want = [cfg.freq_scale * _phi(v, cfg.steepness) / t for v in y[kept]]
     assert s_nodes.imag.tolist() == want
     assert prefactor == 2.0 * math.exp(cfg.contour_shift * t) / t
+    floor = 2.0 ** -53 * np.abs(weights).max()
+    assert np.abs(weights[[0, -1]]).min() >= floor
+    dphi = _de_map(y, cfg.steepness)[1]
+    right = j > 33
+    r = y[right] / np.expm1(cfg.steepness * np.sinh(y[right]))
+    assert np.abs(dphi[j < -34]).max() < 1e-17 < floor
+    assert (cfg.freq_scale * r * np.abs(dphi[right])).max() < 4e-18
 
 
 def test_contour_skips_saturated_nodes():
-    """Far down the map phi' underflows to zero; those nodes are dropped."""
-    cfg = InversionConfig(truncation=240)
-    s_nodes, weights, _ = contour(10.0, cfg)
-    assert 81 < len(s_nodes) < 2 * cfg.truncation + 1
-    assert len(weights) == len(s_nodes)
-    h = math.pi / cfg.freq_scale
-    dphi = _de_map(np.arange(-240, 241) * h + 0.5 * h, cfg.steepness)[1]
-    assert np.count_nonzero(dphi) == len(s_nodes)
+    """truncation is an upper bound: at 240 the 400 extra nodes all lie
+    in the trimmed tails (far down the map phi' underflows to zero), so
+    the rule is the one at 40, node for node and weight for weight."""
+    s_nodes, weights, prefactor = contour(10.0, InversionConfig(truncation=240))
+    base = contour(10.0)
+    assert s_nodes.tolist() == base[0].tolist()
+    assert weights.tolist() == base[1].tolist()
+    assert prefactor == base[2]
+
+
+def _exact_rule(cfg):
+    """phi(y_j) and the weight cos(M phi) phi' of every |j| <= truncation,
+    at 40 digits at the exact abscissae y_j = (j + 1/2) pi / M."""
+    mpmath = pytest.importorskip("mpmath")
+    phis, weights = [], []
+    with mpmath.workdps(40):
+        m, k = mpmath.mpf(cfg.freq_scale), mpmath.mpf(cfg.steepness)
+        for j in range(-cfg.truncation, cfg.truncation + 1):
+            y = (j + mpmath.mpf(1) / 2) * mpmath.pi / m
+            tail = mpmath.exp(-k * mpmath.sinh(y))
+            phi = y / (1 - tail)
+            dphi = (1 - y * k * mpmath.cosh(y) * tail / (1 - tail)) / (1 - tail)
+            phis.append(float(phi))
+            weights.append(float(mpmath.cos(m * phi) * dphi))
+    return np.array(phis), np.array(weights)
+
+
+@pytest.mark.parametrize("cfg, bound", (
+    (InversionConfig(), 2e-15),
+    (InversionConfig(freq_scale=80.0, truncation=80), 2e-15),
+    (InversionConfig(steepness=1.0, truncation=20), 4e-15),
+))
+def test_contour_weights_match_the_exact_rule(cfg, bound):
+    """The kept weights agree with the rule evaluated at 40 digits to
+    2e-15 at the defaults and at FDE's halved step (1.2e-15 and 9.4e-16
+    measured; the rounded phase M phi left 2.8e-14 and 4.6e-14). At
+    steepness 1 the phase reaches M / K = 40 mid-contour, where half an
+    ulp of it is 3.6e-15, so that rule is held to 4e-15 (3.2e-15
+    measured). Every node left out has an exact weight at or below
+    2^-53 max|w|."""
+    phi, exact = _exact_rule(cfg)
+    s_nodes, weights, _ = contour(1.0, cfg)
+    lo = int(np.searchsorted(phi, s_nodes.imag[0] / cfg.freq_scale * (1 - 1e-12)))
+    hi = lo + len(s_nodes)
+    np.testing.assert_allclose(s_nodes.imag / cfg.freq_scale, phi[lo:hi],
+                               rtol=1e-12, atol=0.0)
+    assert np.abs(weights - exact[lo:hi]).max() <= bound
+    dropped = np.concatenate([exact[:lo], exact[hi:]])
+    assert (np.abs(dropped) <= 2.0 ** -53 * np.abs(exact).max()).all()
+
+
+def test_rte_profile_matches_the_exact_weight_sum():
+    """fig1a's RTE profile at t = 200 against the same transform values
+    summed with the 40-digit weights of all 81 nodes: within 2e-12
+    absolute (4.1e-13 measured). The prefactor 2 e^8 / 200 = 30 magnifies
+    weight errors; the rounded phase M phi put the profile 3.2e-11 off."""
+    sc = dataclasses.replace(builtin_scenarios()["fig1a"], times=(200.0,),
+                             solvers=frozenset({"RTE"}))
+    cfg = sc.inversion
+    phi, exact = _exact_rule(cfg)
+    (profile,) = run_scenario(sc)
+    s_nodes, _, prefactor = contour(200.0, cfg)
+    s_all = s_nodes.real[0] + 1j * (cfg.freq_scale * phi / 200.0)
+    xs = sc.grid.points()
+    q = gauss_legendre(sc.n_ordinates)
+    want = prefactor * (mode_sum(xs, *modes(sc.transport, q, s_all)).real
+                        @ exact)
+    got = np.array([u for _, u in profile.points])
+    assert np.abs(got - want).max() <= 2e-12
+
+
+def test_contour_trims_only_the_tails():
+    """Over freq_scale, truncation and steepness, the kept nodes are one
+    contiguous run of j, it holds every weight of at least 2^-53 max|w|,
+    and it has at most 2 truncation + 1 nodes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(freq_scale=st.floats(5.0, 200.0),
+                      truncation=st.integers(1, 200),
+                      steepness=st.floats(_MIN_STEEPNESS, 50.0))
+    def check(freq_scale, truncation, steepness):
+        cfg = InversionConfig(freq_scale=freq_scale, truncation=truncation,
+                              steepness=steepness)
+        phase, weights = _untrimmed(cfg)
+        s_nodes, kept, _ = contour(1.0, cfg)
+        assert len(s_nodes) <= 2 * truncation + 1
+        (lo,) = np.flatnonzero(phase == s_nodes.imag[0])
+        hi = lo + len(s_nodes)
+        assert s_nodes.imag.tolist() == phase[lo:hi].tolist()
+        assert kept.tolist() == weights[lo:hi].tolist()
+        outside = np.concatenate([weights[:lo], weights[hi:]])
+        assert (np.abs(outside) < 2.0 ** -53 * np.abs(weights).max()).all()
+
+    check()
 
 
 def test_contour_batched_reduction_equals_invert():
@@ -278,7 +388,8 @@ def test_contour_rejects_nonpositive_time():
 
 
 def test_truncation_doubling_is_converged():
-    """Doubling the one-sided term count must not move the result."""
+    """Doubling the one-sided term count must not move the result: at
+    the defaults both rules trim to the same 68 nodes."""
     wide = InversionConfig(truncation=80)
     for transform, _original, t, _budget in KNOWN_PAIRS:
         base = invert(transform, t)

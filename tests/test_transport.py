@@ -456,15 +456,15 @@ def test_density_transform_accepts_every_profile_grid():
 
 def test_density_transform_memory_peak():
     """Blocking the x rows keeps the traced peak of fig1a's t = 10
-    contour near the spectra's: 1.52 MB on its 151-point grid, where one
-    (x, node, mode) array alone would take 5.9 MB, and 0.893 MB on the
-    16-point grid of the late-times comparison, gated at 1.1 times the
-    0.893 MB that a buffer of 16 nodes on every x took there."""
+    contour near the spectra's: 1.51 MB on its 151-point grid, where one
+    (x, node, mode) array alone would take 4.9 MB, and 0.880 MB on the
+    16-point grid of the late-times comparison. The bounds keep the
+    headroom they had over the 81-node rule (1.64x and 1.1x)."""
     sc = builtin_scenarios()["fig1a"]
     q = gauss_legendre(sc.n_ordinates)
     s_nodes, _, _ = contour(10.0, sc.inversion)
-    assert len(s_nodes) == 81
-    for count, bound in ((151, 2.5e6), (16, 0.983e6)):
+    assert len(s_nodes) == 68
+    for count, bound in ((151, 2.47e6), (16, 0.968e6)):
         xs = SpatialGrid(sc.grid.x_min, sc.grid.x_max, count).points()
         tracemalloc.start()
         try:
@@ -634,9 +634,9 @@ def count_root_updates(monkeypatch):
 
 def test_warm_starts_bound_the_root_updates(monkeypatch):
     """Each node after the first two blocks starts from the secant in rho
-    through its two solved predecessors' roots: the 648 nodes of fig1a's
-    eight late-time contours take <= 38,000 root updates (roots x sweeps;
-    36,359 measured, 48,058 from the predecessor's roots alone and 77,446
+    through its two solved predecessors' roots: the 544 nodes of fig1a's
+    eight late-time contours take <= 33,000 root updates (roots x sweeps;
+    31,656 measured, 41,746 from the predecessor's roots alone and 65,264
     when every root started from its pole shift). Every root is swept at
     least once; many predicted roots freeze on that first sweep."""
     sc = builtin_scenarios()["fig1a"]
@@ -645,15 +645,15 @@ def test_warm_starts_bound_the_root_updates(monkeypatch):
         for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
     updates = count_root_updates(monkeypatch)
     spectra(sc.transport, Q30, s_nodes)
-    assert len(s_nodes) == 648
-    assert 648 * 30 <= sum(updates) <= 38_000
+    assert len(s_nodes) == 544
+    assert 544 * 30 <= sum(updates) <= 33_000
 
 
 def test_secant_starts_bound_the_panel_root_updates(monkeypatch):
     """The six built-in panels, one stack per scenario as `run_scenario`
-    solves them, take <= 37,500 root updates (36,177 measured, 41,225
+    solves them, take <= 33,250 root updates (32,119 measured, 36,065
     from the predecessor's roots alone); it falls less than on the
-    late-time stack because 84 of their 486 nodes are in the stacks'
+    late-time stack because 84 of their 408 nodes are in the stacks'
     block 0, which starts cold from the pole shifts."""
     updates = count_root_updates(monkeypatch)
     count = 0
@@ -662,8 +662,8 @@ def test_secant_starts_bound_the_panel_root_updates(monkeypatch):
                                   for t in sc.times])
         spectra(sc.transport, gauss_legendre(sc.n_ordinates), s_nodes)
         count += len(s_nodes) * sc.n_ordinates
-    assert count == 486 * 30
-    assert count <= sum(updates) <= 37_500
+    assert count == 408 * 30
+    assert count <= sum(updates) <= 33_250
 
 
 def solve_order_spacing(p, s_nodes):
@@ -680,14 +680,17 @@ def test_secant_starts_cost_no_accuracy():
     """fig1a's t = 10 contour with every node repeated (rho_1 = rho_0
     exactly, where the secant falls back to the plain warm start), the
     interleaved left tails of t = 10 and t = 100, and the contours of
-    t = 50 and t = 70, whose nodes (j + 1/2) pi / t nearly coincide at
-    j = 27 and 38 (a spacing ratio past 1e9, which magnifies the
-    rounding of the predecessors' roots): solved as one stack without a
-    warning, every node's roots match the node solved alone to 1e-13
-    relative (3.5e-15 measured)."""
+    t = 50 and t = 70 with the node j = 38 of t = 70, which the trimmed
+    rule leaves out: on the saturated map it sits at (j + 1/2) pi / t,
+    within 1e-11 of the t = 50 node j = 27 (a spacing ratio past 1e9,
+    which magnifies the rounding of the predecessors' roots). Solved as
+    one stack without a warning, every node's roots match the node
+    solved alone to 1e-13 relative (3.8e-15 measured)."""
     sc = builtin_scenarios()["fig1a"]
     cfg = sc.inversion
     nodes = {t: contour(t, cfg)[0] for t in (10.0, 50.0, 70.0, 100.0)}
+    h = math.pi / cfg.freq_scale
+    partner = cfg.contour_shift + 1j * cfg.freq_scale * (38 * h + 0.5 * h) / 70.0
 
     def left_tail(t):
         """The nodes at y < 0, below phi(0) = 1 / steepness."""
@@ -696,7 +699,7 @@ def test_secant_starts_cost_no_accuracy():
 
     s_nodes = np.concatenate([np.repeat(nodes[10.0], 2),
                               left_tail(10.0), left_tail(100.0),
-                              nodes[50.0], nodes[70.0]])
+                              nodes[50.0], nodes[70.0], [partner]])
     gaps, ratios = solve_order_spacing(sc.transport, s_nodes)
     assert (gaps == 0.0).any() and ratios.max() > 1e9
     with warnings.catch_warnings():
