@@ -41,7 +41,7 @@ class _CliError(Exception):
 # every key _parse_config_scenario reads; any other key is an error
 _INI_KEYS = frozenset((
     "sigma_a", "sigma_s", "sigma_trap", "alpha", "gamma", "speed",
-    "contour_shift", "freq_scale", "truncation", "steepness",
+    "contour_shift", "freq_scale", "steepness",
     "times", "x_min", "x_max", "x_count", "solvers", "n_ordinates"))
 
 
@@ -78,8 +78,6 @@ def _parse_config_scenario(section: configparser.SectionProxy,
         contour_shift=get_float("contour_shift",
                                 InversionConfig.contour_shift),
         freq_scale=get_float("freq_scale", InversionConfig.freq_scale),
-        truncation=section.getint("truncation",
-                                  fallback=InversionConfig.truncation),
         steepness=get_float("steepness", InversionConfig.steepness),
     )
     grid = SpatialGrid(get_float("x_min", 0.0), get_float("x_max", 15.0),

@@ -7,14 +7,16 @@ transform at Re s = sigma and therefore tolerates transforms that are
 expensive or fragile deep in the left half-plane. It is the one home of
 the rule and the only inverter on the production path, where
 `harness.run_scenario` evaluates whole stacks of nodes at once and
-reduces them with its weights. The rule is the node map (one array expression); the
+reduces them with its weights. The rule is the node map (one array
+expression), evaluated at every half-offset abscissa short of the map's
+saturation |K sinh y| = `_MAX_ARG`, so no exponential can overflow; the
 weights cos(M phi) phi', formed right of the map's centre as
 +-sin(M r) phi' from the map's residual r = phi - y, so that the
 saturated tail vanishes as the exact weights do; a trim of both end runs
-of weights below 2^-53 max|w|, under the rounding of the largest term;
-and the shift, lowered to 8/t at late times. `invert` applies the same
-rule to a scalar transform, one node at a time, for the self-checks and
-the tests.
+of weights below 2^-53 max|w|, under the rounding of the largest term,
+which is what sets the node count; and the shift, lowered to 8/t at late
+times. `invert` applies the same rule to a scalar transform, one node at
+a time, for the self-checks and the tests.
 `invert_reference` is a fixed-Talbot rule on a deformed contour; it
 converges faster per evaluation but probes the transform at complex s
 with negative real part. Agreement between the two is a strong
@@ -39,8 +41,6 @@ __all__ = [
     "invert_reference",
 ]
 
-# exp underflow/overflow switchover for the map's tail branches
-_EXP_BIG = 690.0
 # largest sigma * t of a contour: the sum carries the factor e^{sigma t},
 # which magnifies the roundoff of the transform values, so at late times
 # sigma is lowered to this over t. A transform analytic for Re s > 0
@@ -49,6 +49,13 @@ _MAX_SHIFT_TIME = 8.0
 # smallest steepness K at which the node map is increasing: below K* =
 # 0.456593 phi' < 0 around y = 1.2 (on [0.50, 2.34] at K = 0.3)
 _MIN_STEEPNESS = 0.4566
+# reach of the rule: its abscissae stop at |K sinh y| = this. The trim
+# falls at K sinh|y| = 38 to 43; the outermost abscissa, a step h short
+# of the reach, is past 62 for h <= pi / 5 and K <= 50; e^120 is finite.
+_MAX_ARG = 120.0
+# most nodes per time: the solvers hold every node's modes at once, so a
+# needlessly fine step is refused, not left to exhaust memory
+_MAX_NODES = 20_000
 
 
 @dataclass(frozen=True)
@@ -57,19 +64,18 @@ class InversionConfig:
 
     contour_shift is the abscissa sigma (must exceed the rightmost
     singularity of the transform; `contour` caps it at 8/t), freq_scale
-    sets how far up the imaginary axis the rule reaches, truncation is
-    an upper bound on the one-sided term count (`contour` trims both
-    tails to the nodes whose weight reaches 2^-53 of the largest, so the
-    defaults keep 68 of the 81 nodes), and steepness controls how hard
-    the map saturates. Defaults give roughly ten significant digits for
+    M sets the step pi / M of the rule, and steepness K controls how hard
+    the map saturates. The node count follows from them: the rule places
+    every abscissa short of the map's saturation and trims both tails to
+    the weights that reach 2^-53 of the largest, so the defaults keep 68
+    of 94 nodes. Defaults give roughly ten significant digits for
     transforms with mild decay. A steepness below 0.4566, where the map
-    stops increasing, and a reach (truncation + 1/2) pi / freq_scale at
-    which the node map overflows are ValueErrors.
+    stops increasing, a step too coarse to place any node, and one so
+    fine that it places more than `_MAX_NODES` are ValueErrors.
     """
 
     contour_shift: float = 0.04
     freq_scale: float = 40.0
-    truncation: int = 40
     steepness: float = 6.0
 
     def __post_init__(self):
@@ -80,61 +86,55 @@ class InversionConfig:
         if self.contour_shift <= 0.0:
             raise ValueError(
                 f"contour_shift must be positive, got {self.contour_shift}")
-        if self.freq_scale <= 0.0 or self.truncation < 1:
-            raise ValueError("freq_scale must be > 0 and truncation >= 1")
+        if self.freq_scale <= 0.0:
+            raise ValueError(f"freq_scale must be > 0, got {self.freq_scale}")
         if self.steepness < _MIN_STEEPNESS:
             raise ValueError(f"steepness must be >= {_MIN_STEEPNESS}, where "
                              f"the node map folds, got {self.steepness}")
-        # the largest product the node map forms is y K cosh y at the
-        # outermost abscissa, rounded as `contour` rounds it
-        h = math.pi / self.freq_scale
-        reach = self.truncation * h + 0.5 * h
-        try:
-            peak = reach * (self.steepness * math.cosh(reach))
-        except OverflowError:
-            peak = math.inf
-        if math.isinf(peak):
+        nodes = 2 * (_half_count(self) + 1)
+        if not 0 < nodes <= _MAX_NODES:
+            many, fault = ((f"more than {_MAX_NODES}", "fine") if nodes
+                           else ("no", "coarse"))
             raise ValueError(
-                f"truncation {self.truncation} at freq_scale {self.freq_scale} "
-                f"reaches y = {reach:.6g}, where the node map of steepness "
-                f"{self.steepness} overflows; lower truncation or raise "
-                f"freq_scale")
+                f"freq_scale {self.freq_scale} at steepness {self.steepness} "
+                f"places {many} contour nodes: its step pi / freq_scale is "
+                f"too {fault}")
+
+
+def _half_count(config: InversionConfig) -> int:
+    """n such that the abscissae y = +-(k + 1/2) h, k = 0..n, h = pi / M,
+    are every half-offset one with K sinh|y| <= `_MAX_ARG`; -1 if the step
+    places none. Past `_MAX_NODES` it is only a bound, so a freq_scale near
+    the float maximum cannot overflow the count."""
+    h = math.pi / config.freq_scale
+    return math.floor(min(math.asinh(_MAX_ARG / config.steepness) / h - 0.5,
+                          _MAX_NODES))
 
 
 def _de_map(y: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     """phi and phi' of the node map phi(y) = y / (1 - exp(-K sinh y)) (0
-    as y -> -inf, y as y -> +inf) at every y != 0, from one expm1 e =
-    e^{-arg} - 1, arg = K sinh y: phi = -y / e and phi' =
-    (1 + y K cosh(y) (1 + e) / e) / -e. Below arg = -690, where e would
-    overflow, phi = -y e^{arg} and phi' = (|y| K cosh(y) - 1) e^{arg},
-    which underflows to 0 far down the map. Each exponential is clipped
-    to its branch's side of -690, so `np.where` can evaluate both."""
-    arg = k * np.sinh(y)
-    kc = k * np.cosh(y)
-    em = np.expm1(-np.maximum(arg, -_EXP_BIG))
-    tail = np.exp(np.minimum(arg, -_EXP_BIG))
-    deep = arg < -_EXP_BIG
-    phi = np.where(deep, -y * tail, y / -em)
-    dphi = np.where(deep, (np.abs(y) * kc - 1.0) * tail,
-                    (1.0 + y * kc * ((1.0 + em) / em)) / -em)
-    return phi, dphi
+    as y -> -inf, y as y -> +inf) at every y != 0 with |K sinh y| <=
+    `_MAX_ARG`, from one expm1 e = e^{-arg} - 1, arg = K sinh y: phi =
+    -y / e and phi' = (1 + y K cosh(y) (1 + e) / e) / -e."""
+    em = np.expm1(-k * np.sinh(y))
+    return y / -em, (1.0 + y * (k * np.cosh(y)) * ((1.0 + em) / em)) / -em
 
 
 def _untrimmed(config: InversionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The phase M phi(y_j) and weight of every node |j| <= truncation of
-    the `contour` rule, before its tails are trimmed."""
+    """The phase M phi(y_j) and weight of every node j = -n-1..n of the
+    `contour` rule (n = `_half_count`), before its tails are trimmed."""
     m = config.freq_scale
     h = math.pi / m
+    n = _half_count(config)
     # j h + h/2, not (j + 1/2) h, whose rounding flips last CSV digits
-    j = np.arange(-config.truncation, config.truncation + 1)
+    j = np.arange(-n - 1, n + 1)
     y = j * h + 0.5 * h
     phi, dphi = _de_map(y, config.steepness)
     phi *= m
     wave = np.cos(phi)
     right = j >= 0
     y = y[right]
-    # past a = 690 r is below 3e-300 y; the clip only keeps expm1 finite
-    r = y / np.expm1(np.minimum(config.steepness * np.sinh(y), _EXP_BIG))
+    r = y / np.expm1(config.steepness * np.sinh(y))
     wave[right] = np.where(j[right] % 2, 1.0, -1.0) * np.sin(m * r)
     return phi, wave * dphi
 
@@ -145,10 +145,11 @@ def contour(t: float, config: InversionConfig = InversionConfig()
 
     Discretizes u(t) = (2 e^{sigma t} / pi) int_0^inf Re F(sigma + i w)
     cos(w t) dw with the double-exponential map w = (M/t) phi(y) at the
-    half-offset abscissae y_j = (j + 1/2) pi / M, |j| <= truncation; the
-    layout places the saturated tail of the map on the zeros of the
-    cosine, so truncation error falls off double exponentially. The
-    shift is sigma = min(contour_shift, `_MAX_SHIFT_TIME` / t).
+    half-offset abscissae y_j = (j + 1/2) pi / M, out to the map's
+    saturation |K sinh y| = `_MAX_ARG`; the layout places the saturated
+    tail of the map on the zeros of the cosine, so truncation error falls
+    off double exponentially (Ooura & Mori, J. Comput. Appl. Math. 112,
+    1999). The shift is sigma = min(contour_shift, `_MAX_SHIFT_TIME` / t).
 
     The weight is cos(M phi) phi'. Right of y = 0, where M y_j =
     (j + 1/2) pi, it is formed as (-1)^(j+1) sin(M r) phi' from the map's
@@ -156,10 +157,9 @@ def contour(t: float, config: InversionConfig = InversionConfig()
     weights vanish as the exact ones do instead of carrying the rounding
     of the phase M phi (+-1e-14 at the defaults). Both end runs of weights
     below 2^-53 max|w| are then left out: each lies under the rounding
-    of the largest term.
-    Only the tails are trimmed, so the kept j stay contiguous, and
-    truncation is an upper bound on the one-sided term count (the
-    defaults keep j = -34..33). Returns (s_nodes, weights, prefactor) with
+    of the largest term. That trim, not the reach, sets the rule: the
+    kept j are contiguous, and the defaults keep j = -34..33 of -47..46.
+    Returns (s_nodes, weights, prefactor) with
     u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]).
     """
     if t <= 0.0:

@@ -40,8 +40,7 @@ def trapped(sigma_trap, gamma):
 
 
 SCENARIOS = (trapped(0.1, 0.1), trapped(0.01, 0.1), trapped(0.1, 1.0))
-CAL_CFG = InversionConfig(contour_shift=0.04, freq_scale=40.0,
-                          truncation=40, steepness=6.0)
+CAL_CFG = InversionConfig(contour_shift=0.04, freq_scale=40.0, steepness=6.0)
 
 
 def test_spectrum_dispersion_orthogonality_and_pairing_along_contour():
@@ -111,9 +110,8 @@ CAL_CASES = (
 
 def test_inverter_calibration_constant_decay_and_ramp():
     """Known transforms at t in {1, 10, 100}: relative error below 1e-5
-    (1e-4 at t=100); doubling the term count moves nothing beyond 1e-8."""
+    (1e-4 at t=100)."""
     hard = {("decay", 100.0), ("ramp", 1.0)}  # pinned separately below
-    doubled = dataclasses.replace(CAL_CFG, truncation=80)
     with budget(5.0):
         for name, transform, exact in CAL_CASES:
             for t in (1.0, 10.0, 100.0):
@@ -122,8 +120,6 @@ def test_inverter_calibration_constant_decay_and_ramp():
                 if (name, t) not in hard:
                     tol = 1e-5 if t <= 10.0 else 1e-4
                     assert abs(got - want) / abs(want) < tol, (name, t)
-                ref = invert(transform, t, doubled)
-                assert abs(got - ref) <= 1e-8 * max(1.0, abs(got)), (name, t)
 
 
 @pytest.mark.xfail(

@@ -300,11 +300,12 @@ solvers = {solvers}
 def test_overflowing_contour_reach_is_rejected_up_front(tmp_path, capsys,
                                                         monkeypatch, line,
                                                         solvers):
-    """A contour whose end abscissa overflows the node map is an error
-    naming truncation and freq_scale: exit 1 before any solver runs,
-    through profile and compare, no CSV (it used to end in a raw
-    FloatingPointError traceback from the RTE or FDE stage, and to run
-    with NORMAL alone)."""
+    """The two inputs whose contour reach used to overflow the node map
+    (a raw FloatingPointError traceback from the RTE or FDE stage, or a
+    run with NORMAL alone) are still errors naming their key: exit 1
+    before any solver runs, through profile and compare, no CSV. The
+    reach now follows from the map, so `truncation` is an unknown key,
+    and freq_scale 0.001 is a step too coarse to place a node."""
     ini = tmp_path / "far.ini"
     ini.write_text(REACH_CONFIG.format(line=line, solvers=solvers))
     out_csv = tmp_path / "far.csv"
@@ -315,8 +316,60 @@ def test_overflowing_contour_reach_is_rejected_up_front(tmp_path, capsys,
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "truncation" in err and "freq_scale" in err
+        assert line.split()[0] in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("solvers, freq_scale", [("RTE", "1e5"),
+                                                 ("FDE", "5000")])
+def test_too_fine_contour_step_is_rejected_up_front(tmp_path, capsys,
+                                                    monkeypatch, solvers,
+                                                    freq_scale):
+    """A step so fine that a rule would place more than 20,000 nodes per
+    time is refused before any solver runs, rather than left to exhaust
+    memory; FDE runs at half the step, so freq_scale 5000 is refused for
+    it though the RTE rule would fit."""
+    ini = tmp_path / "fine.ini"
+    ini.write_text(REACH_CONFIG.format(line=f"freq_scale = {freq_scale}",
+                                       solvers=solvers))
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "far", "--config", str(ini),
+                   "--out", str(tmp_path / "fine.csv")])
+    assert rc == 1
+    assert "too fine" in capsys.readouterr().err
+
+
+FINE_STEP_CONFIG = """
+[fine]
+sigma_trap = 0.1
+gamma = 0.1
+times = 100
+freq_scale = 200
+solvers = RTE,FDE
+"""
+
+
+def test_fine_contour_step_computes(tmp_path, capsys):
+    """fig2a at t = 100 with the step refined to pi / 200 runs through the
+    CLI with exit 0 and no negative density. While a fixed term count
+    cut the rule short, this wrote u_rte = -8.67 with exit 0."""
+    ini = tmp_path / "fine.ini"
+    ini.write_text(FINE_STEP_CONFIG)
+    out_csv = tmp_path / "fine.csv"
+    rc = cli.main(["profile", "--scenario", "fine", "--config", str(ini),
+                   "--out", str(out_csv)])
+    assert rc == 0, capsys.readouterr().err
+    header, *rows = (line.split(",") for line in
+                     out_csv.read_text().splitlines())
+    assert header[1:3] == ["u_rte", "u_de"] and len(rows) == 151
+    assert min(float(v) for row in rows for v in row[1:3]) >= 0.0
+
+
+def test_readme_lists_the_ini_keys():
+    """The README's list of INI keys is the set the parser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (listing,) = re.findall(r"The keys are (.*?);", readme, flags=re.S)
+    assert set(re.findall(r"`(\w+)`", listing)) == cli._INI_KEYS
 
 
 @pytest.mark.parametrize("steepness", ["1e-300", "0.3"])
@@ -543,7 +596,7 @@ def test_validate_fast_json_report(tmp_path, capsys):
     rc = cli.main(["validate", "--level", "fast", "--out", str(report_path)])
     assert rc == 0
     report = json.loads(report_path.read_text())
-    assert isinstance(report, list) and len(report) == 5
+    assert isinstance(report, list) and len(report) == 3
     assert all(e["status"] == "pass" for e in report)
     printed = capsys.readouterr().out
     assert "transport.eigenvalue_n1" in printed

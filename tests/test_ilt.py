@@ -1,8 +1,9 @@
 """Tests for the numerical Laplace inversion pair.
 
-`invert` is the production double-exponential Bromwich rule; `invert_reference`
-is a fixed-Talbot rule kept deliberately dissimilar (different contour,
-different discretization). Their agreement on the actual physics
+`contour` is the production double-exponential Bromwich rule, and `invert`
+applies it to a scalar transform; `invert_reference` is a fixed-Talbot
+rule kept deliberately dissimilar (different contour, different
+discretization). Their agreement on the actual physics
 transforms is the strongest check in this module: any systematic error
 would have to conspire identically in both.
 
@@ -13,6 +14,7 @@ of the rule at its pinned default configuration.
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +23,11 @@ from trapdiff import fde
 from trapdiff.errors import NumericFailureError
 from trapdiff.harness import builtin_scenarios, run_scenario
 from trapdiff.ilt import (
+    _MAX_ARG,
     _MIN_STEEPNESS,
     InversionConfig,
     _de_map,
+    _half_count,
     _untrimmed,
     contour,
     invert,
@@ -39,6 +43,7 @@ from trapdiff.transport import (
 from trapdiff.waiting import WaitingTimeModel
 
 K = 6.0  # default steepness
+REACH = math.asinh(_MAX_ARG / K)  # outermost |y| of the default rule
 Q30 = gauss_legendre(30)
 
 # trapping / weak-trapping / slow-trap parameter sets used by the figures
@@ -64,7 +69,7 @@ def _phi(y, k=K):
 
 
 def test_de_map_linear_for_large_argument():
-    assert _phi(10.0) / 10.0 == pytest.approx(1.0, abs=1e-12)
+    assert _phi(REACH) / REACH == pytest.approx(1.0, abs=1e-12)
 
 
 def test_de_map_near_zero():
@@ -76,7 +81,7 @@ def test_de_map_vanishes_double_exponentially():
 
 
 def test_de_map_derivative_saturates():
-    dphi = _de_map(np.array([10.0, -3.0]), K)[1]
+    dphi = _de_map(np.array([REACH, -3.0]), K)[1]
     assert dphi[0] == pytest.approx(1.0, abs=1e-15)
     assert abs(dphi[1]) < 1e-18
 
@@ -92,49 +97,49 @@ def test_de_map_derivative_matches_finite_difference():
 
 def _scalar_phi(y, k):
     """phi of the node map, one y at a time in scalar math."""
-    arg = k * math.sinh(y)
-    if arg < -690.0:
-        return -y * math.exp(arg)
-    return y / -math.expm1(-arg)
+    return y / -math.expm1(-k * math.sinh(y))
 
 
 def _scalar_dphi(y, k):
     """phi' of the node map, one y at a time in scalar math, with the
     exponentials computed directly rather than from one expm1."""
     arg = k * math.sinh(y)
-    if arg < -690.0:
-        return (abs(y) * k * math.cosh(y) - 1.0) * math.exp(arg)
     denom = -math.expm1(-arg)
-    ratio = math.exp(-arg) / denom if arg < 690.0 else 0.0
-    return (1.0 - y * k * math.cosh(y) * ratio) / denom
+    return (1.0 - y * k * math.cosh(y) * (math.exp(-arg) / denom)) / denom
+
+
+def _reached(y, k):
+    """The abscissae of y at which `contour` evaluates the map."""
+    return y[np.abs(k * np.sinh(y)) <= _MAX_ARG]
 
 
 @pytest.mark.parametrize("steepness", (0.5, 2.0, 6.0, 20.0))
 @pytest.mark.parametrize("freq_scale", (10.0, 40.0, 80.0))
 def test_de_map_arrays_match_scalar_formulas(steepness, freq_scale):
-    """phi and phi' of the array map on 801 half-offset abscissae, deep
-    into both saturated tails, agree with the scalar formulas to 1e-12
-    relative (measured <= 1.2e-13), and vanish at the same nodes, so
-    `contour` drops the same ones."""
-    y = (np.arange(-400, 401) + 0.5) * (math.pi / freq_scale)
+    """phi and phi' of the array map on the half-offset abscissae out to
+    |K sinh y| = `_MAX_ARG`, deep into both saturated tails, agree with
+    the scalar formulas to 1e-12 relative (measured <= 1.2e-13)."""
+    y = _reached((np.arange(-400, 401) + 0.5) * (math.pi / freq_scale),
+                 steepness)
+    assert np.abs(steepness * np.sinh(y[[0, -1]])).min() > 60.0
     phi, dphi = _de_map(y, steepness)
     want_phi = np.array([_scalar_phi(v, steepness) for v in y.tolist()])
     want_dphi = np.array([_scalar_dphi(v, steepness) for v in y.tolist()])
-    assert ((dphi == 0.0) == (want_dphi == 0.0)).all()
-    assert (want_dphi == 0.0).any() and (want_dphi != 0.0).sum() > 400
     np.testing.assert_allclose(phi, want_phi, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(dphi, want_dphi, rtol=1e-12, atol=0.0)
 
 
 def test_de_map_increasing_from_the_smallest_steepness():
-    """phi' >= 0 on a fine grid of both tails at the smallest accepted
-    steepness; just below it (K* = 0.456593) phi' turns negative near
-    y = 1.2, and at K = 0.3 on y in [0.50, 2.34], so the nodes fold."""
+    """phi' >= 0 on a fine grid of both tails, out to |K sinh y| =
+    `_MAX_ARG`, at the smallest accepted steepness; just below it (K* =
+    0.456593) phi' turns negative near y = 1.2, and at K = 0.3 on y in
+    [0.50, 2.34], so the nodes fold."""
     y = np.concatenate([-np.geomspace(10.0, 1e-6, 20001),
                         np.geomspace(1e-6, 10.0, 20001)])
-    assert (_de_map(y, _MIN_STEEPNESS)[1] >= 0.0).all()
+    assert (_de_map(_reached(y, _MIN_STEEPNESS), _MIN_STEEPNESS)[1]
+            >= 0.0).all()
     for k in (0.4565, 0.3):
-        assert (_de_map(y, k)[1] < 0.0).any(), k
+        assert (_de_map(_reached(y, k), k)[1] < 0.0).any(), k
 
 
 # ------------------------------------------------------------- configuration
@@ -145,8 +150,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         InversionConfig(freq_scale=-1.0)
     with pytest.raises(ValueError):
-        InversionConfig(truncation=0)
-    with pytest.raises(ValueError):
         InversionConfig(steepness=0.0)
     # below 0.4566 the node map folds
     for k in (0.4565, 0.3, 1e-300):
@@ -156,9 +159,11 @@ def test_config_validation():
 
 
 def test_config_defaults():
+    """Three knobs; the node count follows from them."""
     cfg = InversionConfig()
-    assert (cfg.contour_shift, cfg.freq_scale, cfg.truncation, cfg.steepness) == (
-        0.04, 40.0, 40, 6.0)
+    assert dataclasses.astuple(cfg) == (0.04, 40.0, 6.0)
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "contour_shift", "freq_scale", "steepness"]
 
 
 # ------------------------------------------------------------- known originals
@@ -205,11 +210,12 @@ def test_invert_matches_sequential_sum_on_known_pairs():
 
 
 def test_contour_layout():
-    """At the defaults the rule keeps j = -34..33 of |j| <= 40. The
-    weights it drops are below 1e-17 on the left, where |w| <= phi', and
-    below 4e-18 on the right, where |w| <= M r phi' with the map's
-    residual r = y / (e^{K sinh y} - 1), since there cos(M phi) =
-    +-sin(M r): all under 2^-53 max|w| = 9.0e-17."""
+    """At the defaults the rule places j = -47..46, out to |K sinh y| =
+    `_MAX_ARG`, and keeps j = -34..33. The weights it drops are below
+    1e-17 on the left, where |w| <= phi', and below 4e-18 on the right,
+    where |w| <= M r phi' with the map's residual r = y / (e^{K sinh y}
+    - 1), since there cos(M phi) = +-sin(M r): all under 2^-53 max|w| =
+    9.0e-17."""
     cfg = InversionConfig()
     t = 10.0
     s_nodes, weights, prefactor = contour(t, cfg)
@@ -217,7 +223,8 @@ def test_contour_layout():
     assert (s_nodes.real == cfg.contour_shift).all()
     assert (np.diff(s_nodes.imag) > 0.0).all()  # the map is increasing
     h = math.pi / cfg.freq_scale
-    j = np.arange(-cfg.truncation, cfg.truncation + 1)
+    assert _half_count(cfg) == 46
+    j = np.arange(-47, 47)
     y = j * h + 0.5 * h
     kept = (j >= -34) & (j <= 33)
     want = [cfg.freq_scale * _phi(v, cfg.steepness) / t for v in y[kept]]
@@ -233,24 +240,35 @@ def test_contour_layout():
 
 
 def test_contour_skips_saturated_nodes():
-    """truncation is an upper bound: at 240 the 400 extra nodes all lie
-    in the trimmed tails (far down the map phi' underflows to zero), so
-    the rule is the one at 40, node for node and weight for weight."""
-    s_nodes, weights, prefactor = contour(10.0, InversionConfig(truncation=240))
-    base = contour(10.0)
-    assert s_nodes.tolist() == base[0].tolist()
-    assert weights.tolist() == base[1].tolist()
-    assert prefactor == base[2]
+    """The trim, not the reach, sets the rule: at the defaults and at
+    FDE's halved step every node left out lies where the map has
+    saturated, K sinh|y| >= 42 (44.9 and 42.3 measured), and the rule
+    places the 26 and 54 of them out to K sinh|y| = 115.6 and 117.9, so
+    its ends are far under the trim."""
+    for cfg, placed, kept in ((InversionConfig(), 94, 68),
+                              (InversionConfig(freq_scale=80.0), 188, 134)):
+        phase, weights = _untrimmed(cfg)
+        s_nodes, _, _ = contour(1.0, cfg)
+        assert (phase.size, s_nodes.size) == (placed, kept)
+        (lo,) = np.flatnonzero(phase == s_nodes.imag[0])
+        hi = lo + kept
+        h = math.pi / cfg.freq_scale
+        j = np.arange(-placed // 2, placed // 2)
+        arg = np.abs(cfg.steepness * np.sinh(j * h + 0.5 * h))
+        assert np.concatenate([arg[:lo], arg[hi:]]).min() >= 42.0
+        assert arg[[0, -1]].min() > 115.0
 
 
 def _exact_rule(cfg):
-    """phi(y_j) and the weight cos(M phi) phi' of every |j| <= truncation,
-    at 40 digits at the exact abscissae y_j = (j + 1/2) pi / M."""
+    """phi(y_j) and the weight cos(M phi) phi' of every node the rule
+    places, j = -n-1..n (n = `_half_count`), at 40 digits at the exact
+    abscissae y_j = (j + 1/2) pi / M."""
     mpmath = pytest.importorskip("mpmath")
     phis, weights = [], []
     with mpmath.workdps(40):
         m, k = mpmath.mpf(cfg.freq_scale), mpmath.mpf(cfg.steepness)
-        for j in range(-cfg.truncation, cfg.truncation + 1):
+        n = _half_count(cfg)
+        for j in range(-n - 1, n + 1):
             y = (j + mpmath.mpf(1) / 2) * mpmath.pi / m
             tail = mpmath.exp(-k * mpmath.sinh(y))
             phi = y / (1 - tail)
@@ -262,8 +280,8 @@ def _exact_rule(cfg):
 
 @pytest.mark.parametrize("cfg, bound", (
     (InversionConfig(), 2e-15),
-    (InversionConfig(freq_scale=80.0, truncation=80), 2e-15),
-    (InversionConfig(steepness=1.0, truncation=20), 4e-15),
+    (InversionConfig(freq_scale=80.0), 2e-15),
+    (InversionConfig(steepness=1.0), 4e-15),
 ))
 def test_contour_weights_match_the_exact_rule(cfg, bound):
     """The kept weights agree with the rule evaluated at 40 digits to
@@ -286,8 +304,8 @@ def test_contour_weights_match_the_exact_rule(cfg, bound):
 
 def test_rte_profile_matches_the_exact_weight_sum():
     """fig1a's RTE profile at t = 200 against the same transform values
-    summed with the 40-digit weights of all 81 nodes: within 2e-12
-    absolute (4.1e-13 measured). The prefactor 2 e^8 / 200 = 30 magnifies
+    summed with the 40-digit weights of all 94 nodes: within 2e-12
+    absolute (5.3e-13 measured). The prefactor 2 e^8 / 200 = 30 magnifies
     weight errors; the rounded phase M phi put the profile 3.2e-11 off."""
     sc = dataclasses.replace(builtin_scenarios()["fig1a"], times=(200.0,),
                              solvers=frozenset({"RTE"}))
@@ -305,29 +323,37 @@ def test_rte_profile_matches_the_exact_weight_sum():
 
 
 def test_contour_trims_only_the_tails():
-    """Over freq_scale, truncation and steepness, the kept nodes are one
-    contiguous run of j, it holds every weight of at least 2^-53 max|w|,
-    and it has at most 2 truncation + 1 nodes."""
+    """Over freq_scale in [5, 200] and steepness in [0.4566, 50], the trim
+    and not the reach sets the rule: the weights at both ends of the
+    placed rule are below 2^-53 max|w|, the kept nodes are one contiguous
+    run of it, and the node map is finite, without a warning, at every
+    abscissa the rule places."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=50, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(freq_scale=st.floats(5.0, 200.0),
-                      truncation=st.integers(1, 200),
                       steepness=st.floats(_MIN_STEEPNESS, 50.0))
-    def check(freq_scale, truncation, steepness):
-        cfg = InversionConfig(freq_scale=freq_scale, truncation=truncation,
-                              steepness=steepness)
-        phase, weights = _untrimmed(cfg)
+    def check(freq_scale, steepness):
+        cfg = InversionConfig(freq_scale=freq_scale, steepness=steepness)
+        n = _half_count(cfg)
+        h = math.pi / freq_scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, dphi = _de_map(np.arange(-n - 1, n + 1) * h + 0.5 * h,
+                                steepness)
+            phase, weights = _untrimmed(cfg)
+        assert np.isfinite(phi).all() and np.isfinite(dphi).all()
+        floor = 2.0 ** -53 * np.abs(weights).max()
+        assert np.abs(weights[[0, -1]]).max() < floor
         s_nodes, kept, _ = contour(1.0, cfg)
-        assert len(s_nodes) <= 2 * truncation + 1
         (lo,) = np.flatnonzero(phase == s_nodes.imag[0])
         hi = lo + len(s_nodes)
         assert s_nodes.imag.tolist() == phase[lo:hi].tolist()
         assert kept.tolist() == weights[lo:hi].tolist()
         outside = np.concatenate([weights[:lo], weights[hi:]])
-        assert (np.abs(outside) < 2.0 ** -53 * np.abs(weights).max()).all()
+        assert (np.abs(outside) < floor).all()
 
     check()
 
@@ -357,44 +383,43 @@ def test_invert_caps_the_shift_at_late_times(t):
 
 
 def test_contour_refuses_a_reach_past_overflow():
-    """Abscissae past |y| = 710 overflow sinh: the config is refused up
-    front, naming the two knobs that set the reach, not left to give an
-    error or nan weights inside a solver."""
-    for knobs in ({"freq_scale": 10.0, "truncation": 2300},
-                  {"truncation": 10_000}, {"freq_scale": 0.001}):
-        with pytest.raises(ValueError, match="truncation.*freq_scale"):
+    """No reach can overflow the node map any more: the abscissae stop at
+    |K sinh y| = `_MAX_ARG`. What the reach guard used to refuse,
+    freq_scale 0.001, is refused up front as a step too coarse to place
+    a node, as is a steepness at which the map saturates within half a
+    step; a step so fine that the rule would place more than 20,000
+    nodes per time is refused too, rather than left to exhaust memory
+    inside a solver."""
+    for knobs in ({"freq_scale": 0.001}, {"steepness": 1e300}):
+        with pytest.raises(ValueError, match="no contour nodes.*coarse"):
             InversionConfig(**knobs)
+    for freq_scale in (1e5, 1e308):
+        with pytest.raises(ValueError, match="more than 20000.*fine"):
+            InversionConfig(freq_scale=freq_scale)
 
 
 def test_largest_accepted_reach_still_computes():
-    """At the default freq_scale and steepness, truncation 8939 reaches
-    |y| = 702.1, the last abscissa at which the map's y K cosh y stays
-    finite; 8940 is refused. The widest accepted rule computes finite
-    nodes and weights without a warning, and still inverts 1/(s + 1) and
-    1/s to 1e-10 and 1e-8 (the step is unchanged)."""
-    with pytest.raises(ValueError, match="truncation 8940"):
-        InversionConfig(truncation=8940)
-    cfg = InversionConfig(truncation=8939)
-    s_nodes, weights, prefactor = contour(10.0, cfg)
-    assert np.isfinite(s_nodes).all() and np.isfinite(weights).all()
-    assert abs(invert(lambda s: 1.0 / (s + 1.0), 2.0, cfg)
-               - math.exp(-2.0)) < 1e-10
-    assert abs(invert(lambda s: 1.0 / s, 10.0, cfg) - 1.0) < 1e-8
+    """At the smallest steepness, whose map reaches furthest, freq_scale
+    5000 places 19,940 nodes and 5100 is refused. The widest accepted
+    rule computes finite nodes and weights without a warning, and still
+    inverts 1/(s + 1) and 1/s to 1e-10 and 1e-8 (4.5e-15 and 3.2e-14
+    measured)."""
+    with pytest.raises(ValueError, match="freq_scale 5100"):
+        InversionConfig(freq_scale=5100.0, steepness=_MIN_STEEPNESS)
+    cfg = InversionConfig(freq_scale=5000.0, steepness=_MIN_STEEPNESS)
+    assert _half_count(cfg) == 9969
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s_nodes, weights, prefactor = contour(10.0, cfg)
+        assert np.isfinite(s_nodes).all() and np.isfinite(weights).all()
+        assert abs(invert(lambda s: 1.0 / (s + 1.0), 2.0, cfg)
+                   - math.exp(-2.0)) < 1e-10
+        assert abs(invert(lambda s: 1.0 / s, 10.0, cfg) - 1.0) < 1e-8
 
 
 def test_contour_rejects_nonpositive_time():
     with pytest.raises(ValueError):
         contour(0.0)
-
-
-def test_truncation_doubling_is_converged():
-    """Doubling the one-sided term count must not move the result: at
-    the defaults both rules trim to the same 68 nodes."""
-    wide = InversionConfig(truncation=80)
-    for transform, _original, t, _budget in KNOWN_PAIRS:
-        base = invert(transform, t)
-        again = invert(transform, t, wide)
-        assert abs(again - base) <= 1e-8 * max(1.0, abs(base)), t
 
 
 def test_contour_shift_robustness_bounded_pairs():
