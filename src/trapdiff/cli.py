@@ -27,7 +27,6 @@ from dataclasses import replace
 from .errors import NumericFailureError, QuadratureError
 from .harness import (Scenario, SpatialGrid, builtin_scenarios, emit_csv,
                       emit_plot_script, run_scenario, validate)
-from .ilt import InversionConfig
 from .transport import TransportParams
 from .waiting import WaitingTimeModel
 
@@ -38,10 +37,10 @@ class _CliError(Exception):
     """A user-input problem; message goes to stderr, exit code 1."""
 
 
-# every key _parse_config_scenario reads; any other key is an error
+# every key _parse_config_scenario reads; any other key, the inversion
+# rule's fixed constants among them, is an error
 _INI_KEYS = frozenset((
     "sigma_a", "sigma_s", "sigma_trap", "alpha", "gamma", "speed",
-    "contour_shift", "freq_scale", "steepness",
     "times", "x_min", "x_max", "x_count", "solvers", "n_ordinates"))
 
 
@@ -73,18 +72,11 @@ def _parse_config_scenario(section: configparser.SectionProxy,
         waiting=waiting,
         speed=get_float("speed", TransportParams.speed),
     )
-    # absent keys take the dataclass defaults, as the built-ins do
-    inversion = InversionConfig(
-        contour_shift=get_float("contour_shift",
-                                InversionConfig.contour_shift),
-        freq_scale=get_float("freq_scale", InversionConfig.freq_scale),
-        steepness=get_float("steepness", InversionConfig.steepness),
-    )
     grid = SpatialGrid(get_float("x_min", 0.0), get_float("x_max", 15.0),
                        section.getint("x_count", fallback=151))
     solvers = section.get("solvers")
     return Scenario(
-        label=label, transport=transport, inversion=inversion,
+        label=label, transport=transport,
         times=_parse_times(section.get("times", "10")), grid=grid,
         solvers=(Scenario.solvers if solvers is None
                  else _parse_solvers(solvers)),

@@ -1,10 +1,10 @@
 """Scenario driver: profiles, CSV/plot emission, and the validation suite.
 
 A Scenario bundles everything needed to reproduce one panel of the
-reference figures: transport parameters, inversion configuration, output
-times (no two equal), the spatial grid, and which solvers to run. The
-six built-in scenarios cover the trapping-strength and trapping-scale
-variations at t = 10 and t = 100 minutes.
+reference figures: transport parameters, output times (no two equal),
+the spatial grid, and which solvers to run. The six built-in scenarios
+cover the trapping-strength and trapping-scale variations at t = 10 and
+t = 100 minutes.
 
 A solver is its modes: RTE and FDE each map a stack of transform points
 to the decay rate and amplitude of every (node, mode), RTE through
@@ -16,11 +16,11 @@ the contour nodes of all its times, then per time one (x, node) array
 from `transport.mode_sum` (running products along the evenly spaced x
 grid), reduced with the contour weights before the next time is formed.
 The order of the times changes no bit. `ilt.contour` owns the whole
-rule, including the shift it lowers to 8/t past t = 200 (at the default
-shift); the harness only picks FDE's halved step. RTE values past the
-ballistic front |x| > speed * t are written as 0: neither the exact nor
-the discrete-ordinates solution has mass there, so the contour sum there
-is only ringing. NORMAL is the heat kernel, one array call per time.
+rule, including the shift it lowers to 8/t past t = 200; RTE runs at its
+step pi / M and FDE at half of it. RTE values past the ballistic front
+|x| > speed * t are written as 0: neither the exact nor the
+discrete-ordinates solution has mass there, so the contour sum there is
+only ringing. NORMAL is the heat kernel, one array call per time.
 `validate --level full` checks the FDE profile against the time-domain
 quadrature `fde.density_half`.
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import fde, transport
 from .errors import NumericFailureError
-from .ilt import InversionConfig, contour, invert, invert_reference
+from .ilt import M, SHIFT, contour, invert, invert_reference
 from .specfun import gauss_legendre
 from .transport import TransportParams
 from .waiting import WaitingTimeModel
@@ -93,7 +93,6 @@ class Scenario:
 
     label: str
     transport: TransportParams
-    inversion: InversionConfig
     times: tuple[float, ...]
     grid: SpatialGrid
     solvers: frozenset[str] = frozenset(SOLVER_ORDER)
@@ -122,9 +121,6 @@ class Scenario:
         # one that is out of range, say a diffusivity speed^2 / (3 sigma_s)
         # that underflows to 0, is refused here rather than mid-run
         fde.from_transport(self.transport)
-        # so is a step whose rule fits but FDE's, at half the step, does not
-        if "FDE" in self.solvers:
-            _half_step(self.inversion)
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,6 @@ def _figure_scenario(label: str, sigma_trap: float, gamma: float,
         label=label,
         transport=TransportParams(sigma_a=1e-9, sigma_s=1.0,
                                   sigma_trap=sigma_trap, waiting=waiting),
-        inversion=InversionConfig(),
         times=(t,),
         grid=SpatialGrid(0.0, 15.0, 151),
     )
@@ -173,17 +168,17 @@ def _time_of_node(times, nodes, exc: NumericFailureError) -> float:
     return times[int(np.argmin(near))]
 
 
-def _contour_values(solver: str, modes, times, xs, cfg: InversionConfig):
+def _contour_values(solver: str, modes, times, xs, m: float):
     """Each time's densities at every x, in the order of times.
 
     modes maps a stack of transform points to the (rate, coef) of their
-    modes; it is called once, over the `ilt.contour` nodes of all
-    times, and a failure is reported at the time whose contour holds the
-    node it names. Each time's slice is summed by `transport.mode_sum`
-    and reduced with that contour's weights before it is yielded, so no
-    (x, node) array outlives its time.
+    modes; it is called once, over the `ilt.contour` nodes at step
+    pi / m of all times, and a failure is reported at the time whose
+    contour holds the node it names. Each time's slice is summed by
+    `transport.mode_sum` and reduced with that contour's weights before
+    it is yielded, so no (x, node) array outlives its time.
     """
-    rules = [contour(t, cfg) for t in times]
+    rules = [contour(t, m) for t in times]
     nodes = [s_nodes for s_nodes, _, _ in rules]
     try:
         rate, coef = modes(np.concatenate(nodes))
@@ -200,24 +195,20 @@ def _contour_values(solver: str, modes, times, xs, cfg: InversionConfig):
         lo = hi
 
 
-def _half_step(cfg: InversionConfig) -> InversionConfig:
-    """cfg at half its DE step (twice the nodes)."""
-    return replace(cfg, freq_scale=2.0 * cfg.freq_scale)
+def _fde_values(p: fde.FdeParams, times, xs, m: float):
+    """`_contour_values` of the FDE closed form, at half the step pi / m:
+    at RTE's step the rule leaves an error of ~2e-10 absolute at t = 10,
+    too much for the small tail values; at half it is roundoff."""
+    return _contour_values("FDE", partial(fde.modes, p), times, xs, 2.0 * m)
 
 
-def _fde_values(p: fde.FdeParams, times, xs, cfg: InversionConfig):
-    """`_contour_values` of the FDE closed form, at half the scenario's
-    DE step: at its own step the rule leaves an error of ~2e-10 absolute
-    at t = 10, too much for the small tail values; at half it is roundoff."""
-    return _contour_values("FDE", partial(fde.modes, p), times, xs,
-                           _half_step(cfg))
-
-
-def run_scenario(sc: Scenario) -> list[SpatialProfile]:
+def run_scenario(sc: Scenario, m: float = M) -> list[SpatialProfile]:
     """All requested profiles, ordered by time then RTE, FDE, NORMAL.
 
     Each solver is one stream of value arrays, one per time; RTE and FDE
-    each make one `modes` call over the stacked contours of all times.
+    each make one `modes` call over the stacked contours of all times,
+    RTE's at step pi / m and FDE's at half of it. Only the step-halving
+    check moves m off `ilt.M`.
     """
     xs = sc.grid.points()
     p = fde.from_transport(sc.transport)
@@ -226,12 +217,12 @@ def run_scenario(sc: Scenario) -> list[SpatialProfile]:
         rte = _contour_values(
             "RTE", partial(transport.modes, sc.transport,
                            gauss_legendre(sc.n_ordinates)),
-            sc.times, xs, sc.inversion)
+            sc.times, xs, m)
         # nothing reaches past the ballistic front; the sum there is ringing
         streams["RTE"] = (np.where(np.abs(xs) > sc.transport.speed * t, 0.0, u)
                           for t, u in zip(sc.times, rte))
     if "FDE" in sc.solvers:
-        streams["FDE"] = _fde_values(p, sc.times, xs, sc.inversion)
+        streams["FDE"] = _fde_values(p, sc.times, xs, m)
     if "NORMAL" in sc.solvers:
         streams["NORMAL"] = (fde.normal_diffusion(p, np.array(xs), t)
                              for t in sc.times)
@@ -351,19 +342,26 @@ def _check(name: str, measured: float, tolerance: float) -> dict:
     }
 
 
-def validate(level: str = "fast",
-             cfg: InversionConfig | None = None) -> list[dict]:
+def _step_halving(m: float) -> float:
+    """Largest |du| of fig2a's RTE and FDE profiles (t = 100, past the
+    short-time ray effects) between steps pi / m and pi / (2 m)."""
+    fig2a = replace(builtin_scenarios()["fig2a"],
+                    solvers=frozenset(("RTE", "FDE")))
+    return max(abs(a - b) for coarse, fine in zip(run_scenario(fig2a, m),
+                                                  run_scenario(fig2a, 2 * m))
+               for (_, a), (_, b) in zip(coarse.points, fine.points))
+
+
+def validate(level: str = "fast") -> list[dict]:
     """Self-check suite; returns one report entry per check.
 
     fast runs in milliseconds on closed-form material; full adds the
     mass oracles, cross-solver agreement, and a step-halving study of
     the inversion, and takes about 2 s (1.8 s measured from the command
-    line on a 2-core machine). cfg overrides the inversion configuration
-    so degraded settings are visible to the checks.
+    line on a 2-core machine).
     """
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level}")
-    cfg = cfg or InversionConfig()
     report: list[dict] = []
 
     # closed-form eigenvalue, N=1: nu = mu1/sqrt(st(st-ss))
@@ -377,8 +375,8 @@ def validate(level: str = "fast",
         worst = max(worst, abs(nus[0, 0] - exact) / exact)
     report.append(_check("transport.eigenvalue_n1", worst, 1e-12))
 
-    # known Laplace pairs through the configured inverter; the ramp has a
-    # wider budget than the bounded originals, so errors are reported as
+    # known Laplace pairs through the inverter; the ramp has a wider
+    # budget than the bounded originals, so errors are reported as
     # fractions of each pair's own budget
     pairs = [
         (lambda s: 1.0 / s, lambda t: 1.0, 5.0, 1e-6),
@@ -387,7 +385,7 @@ def validate(level: str = "fast",
     ]
     worst = 0.0
     for transform_f, original, t, budget in pairs:
-        got = invert(transform_f, t, cfg)
+        got = invert(transform_f, t)
         rel = abs(got - original(t)) / abs(original(t))
         worst = max(worst, rel / budget)
     report.append(_check("ilt.known_pairs", worst, 1.0))
@@ -408,7 +406,7 @@ def validate(level: str = "fast",
     quadrature = gauss_legendre(scenario_a.n_ordinates)
 
     # transport mass oracle on a short contour sample
-    s_sample = [complex(cfg.contour_shift, im)
+    s_sample = [complex(SHIFT, im)
                 for im in (-300.0, -3.0, 0.0, 0.5, 40.0)]
     _, _, nus, norms = transport.spectra(tp, quadrature, s_sample)
     worst = 0.0
@@ -425,7 +423,7 @@ def validate(level: str = "fast",
     worst = 0.0
     for (x, t) in ((1.0, 10.0), (5.0, 100.0)):
         direct = fde.density_half(p_fig, x, t)
-        oracle = invert(lambda s: fde.laplace_density(p_fig, x, s), t, cfg)
+        oracle = invert(lambda s: fde.laplace_density(p_fig, x, s), t)
         worst = max(worst, abs(direct - oracle) / abs(oracle))
     report.append(_check("fde.oracle_equivalence", worst, 1e-3))
 
@@ -434,19 +432,13 @@ def validate(level: str = "fast",
     worst = 0.0
     for (x, t) in ((0.0, 10.0), (1.0, 10.0), (5.0, 100.0)):
         direct = fde.density_half(p_fig, x, t)
-        (closed,) = next(_fde_values(p_fig, (t,), [x], cfg))
+        (closed,) = next(_fde_values(p_fig, (t,), [x], M))
         worst = max(worst, abs(closed - direct) / abs(direct))
     report.append(_check("fde.closed_form_vs_time_domain", worst, 1e-8))
 
     # inversion convergence: halving the contour step must not move a
-    # real profile (fig2a, at t = 100: past the short-time ray effects)
-    fig2a = replace(builtin_scenarios()["fig2a"], inversion=cfg,
-                    solvers=frozenset(("RTE", "FDE")))
-    halved = replace(fig2a, inversion=_half_step(cfg))
-    worst = max(abs(a - b) for coarse, fine in zip(run_scenario(fig2a),
-                                                   run_scenario(halved))
-                for (_, a), (_, b) in zip(coarse.points, fine.points))
-    report.append(_check("ilt.step_halving", worst, 1e-8))
+    # real profile
+    report.append(_check("ilt.step_halving", _step_halving(M), 1e-8))
 
     # cross-inverter agreement on a transport transform (off the
     # ballistic front, where both originals are smooth)
@@ -455,7 +447,7 @@ def validate(level: str = "fast",
     def f_transport(s: complex) -> complex:
         return transport.laplace_density(tp, quadrature, s, x)
 
-    de_val = invert(f_transport, t, cfg)
+    de_val = invert(f_transport, t)
     tb_val = invert_reference(f_transport, t)
     report.append(_check("ilt.cross_inverter_transport",
                          abs(de_val - tb_val) / abs(de_val), 1e-4))

@@ -7,15 +7,10 @@ transform at Re s = sigma and therefore tolerates transforms that are
 expensive or fragile deep in the left half-plane. It is the one home of
 the rule and the only inverter on the production path, where
 `harness.run_scenario` evaluates whole stacks of nodes at once and
-reduces them with its weights. The rule is the node map (one array
-expression), evaluated at every half-offset abscissa short of the map's
-saturation |K sinh y| = `_MAX_ARG`, so no exponential can overflow; the
-weights cos(M phi) phi', formed right of the map's centre as
-+-sin(M r) phi' from the map's residual r = phi - y, so that the
-saturated tail vanishes as the exact weights do; a trim of both end runs
-of weights below 2^-53 max|w|, under the rounding of the largest term,
-which is what sets the node count; and the shift, lowered to 8/t at late
-times. `invert` applies the same rule to a scalar transform, one node at
+reduces them with its weights. The rule is fixed: shift 0.04, lowered
+to 8/t at late times, node-map steepness 6 and step pi / M, with M = 40;
+only the step is an argument, since FDE and the step-halving check
+halve it. `invert` applies the rule to a scalar transform, one node at
 a time, for the self-checks and the tests.
 `invert_reference` is a fixed-Talbot rule on a deformed contour; it
 converges faster per evaluation but probes the transform at complex s
@@ -27,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,80 +29,37 @@ import numpy as np
 from .errors import NumericFailureError
 
 __all__ = [
-    "InversionConfig",
+    "M",
+    "SHIFT",
     "contour",
     "invert",
     "invert_reference",
 ]
 
+# abscissa sigma of the contour at early times; a transform analytic for
+# Re s > 0 (every profile transform is) takes any positive sigma
+SHIFT = 0.04
 # largest sigma * t of a contour: the sum carries the factor e^{sigma t},
 # which magnifies the roundoff of the transform values, so at late times
-# sigma is lowered to this over t. A transform analytic for Re s > 0
-# (every profile transform is) takes any positive sigma.
+# sigma is lowered to this over t
 _MAX_SHIFT_TIME = 8.0
-# smallest steepness K at which the node map is increasing: below K* =
-# 0.456593 phi' < 0 around y = 1.2 (on [0.50, 2.34] at K = 0.3)
-_MIN_STEEPNESS = 0.4566
+# steepness K of the node map, well above K* = 0.456593, below which the
+# map stops increasing and the nodes fold
+_STEEPNESS = 6.0
+# M of the step pi / M: about ten significant digits for transforms with
+# mild decay, 68 nodes per time
+M = 40.0
 # reach of the rule: its abscissae stop at |K sinh y| = this. The trim
-# falls at K sinh|y| = 38 to 43; the outermost abscissa, a step h short
-# of the reach, is past 62 for h <= pi / 5 and K <= 50; e^120 is finite.
+# falls at K sinh|y| = 38 to 43; the outermost abscissa, a step pi / M
+# short of the reach, is past 100 for M >= 20; e^120 is finite.
 _MAX_ARG = 120.0
-# most nodes per time: the solvers hold every node's modes at once, so a
-# needlessly fine step is refused, not left to exhaust memory
-_MAX_NODES = 20_000
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    """Tuning knobs of the double-exponential Bromwich rule.
-
-    contour_shift is the abscissa sigma (must exceed the rightmost
-    singularity of the transform; `contour` caps it at 8/t), freq_scale
-    M sets the step pi / M of the rule, and steepness K controls how hard
-    the map saturates. The node count follows from them: the rule places
-    every abscissa short of the map's saturation and trims both tails to
-    the weights that reach 2^-53 of the largest, so the defaults keep 68
-    of 94 nodes. Defaults give roughly ten significant digits for
-    transforms with mild decay. A steepness below 0.4566, where the map
-    stops increasing, a step too coarse to place any node, and one so
-    fine that it places more than `_MAX_NODES` are ValueErrors.
-    """
-
-    contour_shift: float = 0.04
-    freq_scale: float = 40.0
-    steepness: float = 6.0
-
-    def __post_init__(self):
-        reals = (self.contour_shift, self.freq_scale, self.steepness)
-        if not all(math.isfinite(v) for v in reals):
-            raise ValueError(f"contour_shift, freq_scale and steepness must "
-                             f"be finite, got {', '.join(map(repr, reals))}")
-        if self.contour_shift <= 0.0:
-            raise ValueError(
-                f"contour_shift must be positive, got {self.contour_shift}")
-        if self.freq_scale <= 0.0:
-            raise ValueError(f"freq_scale must be > 0, got {self.freq_scale}")
-        if self.steepness < _MIN_STEEPNESS:
-            raise ValueError(f"steepness must be >= {_MIN_STEEPNESS}, where "
-                             f"the node map folds, got {self.steepness}")
-        nodes = 2 * (_half_count(self) + 1)
-        if not 0 < nodes <= _MAX_NODES:
-            many, fault = ((f"more than {_MAX_NODES}", "fine") if nodes
-                           else ("no", "coarse"))
-            raise ValueError(
-                f"freq_scale {self.freq_scale} at steepness {self.steepness} "
-                f"places {many} contour nodes: its step pi / freq_scale is "
-                f"too {fault}")
-
-
-def _half_count(config: InversionConfig) -> int:
-    """n such that the abscissae y = +-(k + 1/2) h, k = 0..n, h = pi / M,
-    are every half-offset one with K sinh|y| <= `_MAX_ARG`; -1 if the step
-    places none. Past `_MAX_NODES` it is only a bound, so a freq_scale near
-    the float maximum cannot overflow the count."""
-    h = math.pi / config.freq_scale
-    return math.floor(min(math.asinh(_MAX_ARG / config.steepness) / h - 0.5,
-                          _MAX_NODES))
+def _half_count(m: float) -> int:
+    """n such that the abscissae y = +-(k + 1/2) h, k = 0..n, h = pi / m,
+    are every half-offset one with K sinh|y| <= `_MAX_ARG`."""
+    h = math.pi / m
+    return math.floor(math.asinh(_MAX_ARG / _STEEPNESS) / h - 0.5)
 
 
 def _de_map(y: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -120,27 +71,26 @@ def _de_map(y: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     return y / -em, (1.0 + y * (k * np.cosh(y)) * ((1.0 + em) / em)) / -em
 
 
-def _untrimmed(config: InversionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The phase M phi(y_j) and weight of every node j = -n-1..n of the
-    `contour` rule (n = `_half_count`), before its tails are trimmed."""
-    m = config.freq_scale
+def _untrimmed(m: float) -> tuple[np.ndarray, np.ndarray]:
+    """The phase m phi(y_j) and weight of every node j = -n-1..n of the
+    `contour` rule at step pi / m (n = `_half_count`), before its tails
+    are trimmed."""
     h = math.pi / m
-    n = _half_count(config)
+    n = _half_count(m)
     # j h + h/2, not (j + 1/2) h, whose rounding flips last CSV digits
     j = np.arange(-n - 1, n + 1)
     y = j * h + 0.5 * h
-    phi, dphi = _de_map(y, config.steepness)
+    phi, dphi = _de_map(y, _STEEPNESS)
     phi *= m
     wave = np.cos(phi)
     right = j >= 0
     y = y[right]
-    r = y / np.expm1(config.steepness * np.sinh(y))
+    r = y / np.expm1(_STEEPNESS * np.sinh(y))
     wave[right] = np.where(j[right] % 2, 1.0, -1.0) * np.sin(m * r)
     return phi, wave * dphi
 
 
-def contour(t: float, config: InversionConfig = InversionConfig()
-            ) -> tuple[np.ndarray, np.ndarray, float]:
+def contour(t: float, m: float = M) -> tuple[np.ndarray, np.ndarray, float]:
     """Nodes and weights of the double-exponential Bromwich rule at time t.
 
     Discretizes u(t) = (2 e^{sigma t} / pi) int_0^inf Re F(sigma + i w)
@@ -149,33 +99,33 @@ def contour(t: float, config: InversionConfig = InversionConfig()
     saturation |K sinh y| = `_MAX_ARG`; the layout places the saturated
     tail of the map on the zeros of the cosine, so truncation error falls
     off double exponentially (Ooura & Mori, J. Comput. Appl. Math. 112,
-    1999). The shift is sigma = min(contour_shift, `_MAX_SHIFT_TIME` / t).
+    1999). The steepness is K = 6 and the shift sigma = min(`SHIFT`,
+    `_MAX_SHIFT_TIME` / t); m is the step's M, `M` by default.
 
     The weight is cos(M phi) phi'. Right of y = 0, where M y_j =
     (j + 1/2) pi, it is formed as (-1)^(j+1) sin(M r) phi' from the map's
     residual r = phi - y = y / (e^a - 1), a = K sinh y, so the tail
     weights vanish as the exact ones do instead of carrying the rounding
-    of the phase M phi (+-1e-14 at the defaults). Both end runs of weights
+    of the phase M phi (+-1e-14 at M = 40). Both end runs of weights
     below 2^-53 max|w| are then left out: each lies under the rounding
     of the largest term. That trim, not the reach, sets the rule: the
-    kept j are contiguous, and the defaults keep j = -34..33 of -47..46.
+    kept j are contiguous, and M = 40 keeps j = -34..33 of -47..46.
     Returns (s_nodes, weights, prefactor) with
     u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]).
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    sigma = min(config.contour_shift, _MAX_SHIFT_TIME / t)
-    phase, weights = _untrimmed(config)
+    sigma = min(SHIFT, _MAX_SHIFT_TIME / t)
+    phase, weights = _untrimmed(m)
     big = np.abs(weights) >= 2.0 ** -53 * np.abs(weights).max()
     lo, hi = big.argmax(), big.size - big[::-1].argmax()
     return (sigma + 1j * (phase[lo:hi] / t), weights[lo:hi],
             2.0 * math.exp(sigma * t) / t)
 
 
-def invert(transform: Callable[[complex], complex], t: float,
-           config: InversionConfig = InversionConfig()) -> float:
+def invert(transform: Callable[[complex], complex], t: float) -> float:
     """Invert a Laplace transform at time t > 0 on the `contour` rule."""
-    s_nodes, weights, prefactor = contour(t, config)
+    s_nodes, weights, prefactor = contour(t)
     values = []
     for j, s_j in enumerate(s_nodes.tolist()):
         value = transform(s_j)

@@ -19,7 +19,7 @@ from scipy import integrate
 
 from trapdiff import fde, transport
 from trapdiff.fde import FdeParams, density_half, from_transport, normal_diffusion
-from trapdiff.ilt import InversionConfig, invert
+from trapdiff.ilt import invert
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import TransportParams, spectra
 from trapdiff.waiting import WaitingTimeModel
@@ -40,7 +40,6 @@ def trapped(sigma_trap, gamma):
 
 
 SCENARIOS = (trapped(0.1, 0.1), trapped(0.01, 0.1), trapped(0.1, 1.0))
-CAL_CFG = InversionConfig(contour_shift=0.04, freq_scale=40.0, steepness=6.0)
 
 
 def test_spectrum_dispersion_orthogonality_and_pairing_along_contour():
@@ -115,7 +114,7 @@ def test_inverter_calibration_constant_decay_and_ramp():
     with budget(5.0):
         for name, transform, exact in CAL_CASES:
             for t in (1.0, 10.0, 100.0):
-                got = invert(transform, t, CAL_CFG)
+                got = invert(transform, t)
                 want = exact(t) if name != "decay" else math.exp(-t)
                 if (name, t) not in hard:
                     tol = 1e-5 if t <= 10.0 else 1e-4
@@ -127,7 +126,7 @@ def test_inverter_calibration_constant_decay_and_ramp():
     reason="the contour sum carries an absolute accuracy floor near 1e-10, "
            "which cannot represent exp(-100) ~ 3.7e-44 in relative terms")
 def test_inverter_calibration_resolves_deep_exponential_decay():
-    got = invert(lambda s: 1.0 / (s + 1.0), 100.0, CAL_CFG)
+    got = invert(lambda s: 1.0 / (s + 1.0), 100.0)
     assert abs(got - math.exp(-100.0)) / math.exp(-100.0) < 1e-4
 
 
@@ -138,7 +137,7 @@ def test_inverter_calibration_resolves_deep_exponential_decay():
            "frequency step brings it to 1.9e-10, so the discretization is "
            "the limit")
 def test_inverter_calibration_ramp_at_short_time():
-    got = invert(lambda s: 1.0 / (s * s), 1.0, CAL_CFG)
+    got = invert(lambda s: 1.0 / (s * s), 1.0)
     assert abs(got - 1.0) < 1e-5
 
 
@@ -146,8 +145,7 @@ def test_half_stable_density_recovered_from_its_transform():
     """Inverting exp(-sqrt(s)) matches the closed-form density to 1e-6."""
     with budget(5.0):
         for t in (0.5, 1.0, 2.0):
-            got = invert(lambda s: cmath.exp(-cmath.sqrt(s)), t,
-                         InversionConfig())
+            got = invert(lambda s: cmath.exp(-cmath.sqrt(s)), t)
             want = math.exp(-1.0 / (4.0 * t)) / (
                 2.0 * math.sqrt(math.pi) * t ** 1.5)
             assert abs(got - want) / want < 1e-6, t
@@ -190,13 +188,11 @@ def test_fractional_density_dual_route_agreement():
     1e-3 on a grid of positions and times."""
     p = FdeParams(trap_strength=math.sqrt(0.1) * 0.1, diffusivity=1.0 / 3.0,
                   sigma_a=1e-9, alpha=0.5)
-    cfg = InversionConfig()
     with budget(300.0):
         for t in (10.0, 100.0):
             for x in (0.5, 1.0, 2.0, 5.0):
                 direct = density_half(p, x, t)
-                inverted = invert(lambda s: fde.laplace_density(p, x, s),
-                                  t, cfg)
+                inverted = invert(lambda s: fde.laplace_density(p, x, s), t)
                 assert abs(direct - inverted) / abs(direct) < 1e-3, (x, t)
 
 
@@ -217,8 +213,8 @@ def test_normal_diffusion_recovered_as_memory_fades():
         assert sups[0] > sups[1] > sups[2], sups
 
 
-def _rte_point(tp, q, x, t, cfg):
-    return invert(lambda s: transport.laplace_density(tp, q, s, x), t, cfg)
+def _rte_point(tp, q, x, t):
+    return invert(lambda s: transport.laplace_density(tp, q, s, x), t)
 
 
 def test_transport_profile_relaxes_onto_fractional_diffusion():
@@ -228,15 +224,14 @@ def test_transport_profile_relaxes_onto_fractional_diffusion():
     tp = SCENARIOS[0]
     q = gauss_legendre(30)
     p = from_transport(tp)
-    cfg = InversionConfig()
     with budget(600.0):
         rel, gap = {}, {}
         for x in (2.0, 5.0, 10.0):
-            r = _rte_point(tp, q, x, 100.0, cfg)
+            r = _rte_point(tp, q, x, 100.0)
             d = density_half(p, x, 100.0)
             rel[x] = abs(r - d) / d
             gap[x] = abs(r - d)
-        r5 = _rte_point(tp, q, 5.0, 10.0, cfg)
+        r5 = _rte_point(tp, q, 5.0, 10.0)
         d5 = density_half(p, 5.0, 10.0)
         assert rel[2.0] > rel[5.0], rel
         assert rel[5.0] < abs(r5 - d5) / d5
@@ -252,10 +247,9 @@ def test_transport_fractional_relative_gap_monotone_into_the_tail():
     tp = SCENARIOS[0]
     q = gauss_legendre(30)
     p = from_transport(tp)
-    cfg = InversionConfig()
     rels = []
     for x in (5.0, 10.0):
-        r = _rte_point(tp, q, x, 100.0, cfg)
+        r = _rte_point(tp, q, x, 100.0)
         d = density_half(p, x, 100.0)
         rels.append(abs(r - d) / d)
     assert rels[0] > rels[1]
@@ -268,9 +262,8 @@ def test_trap_free_transport_collapses_to_normal_diffusion():
                          waiting=None)
     q = gauss_legendre(30)
     p = from_transport(tp)
-    cfg = InversionConfig()
     with budget(300.0):
         for x in np.linspace(2.0, 10.0, 33):
-            r = _rte_point(tp, q, float(x), 100.0, cfg)
+            r = _rte_point(tp, q, float(x), 100.0)
             n = normal_diffusion(p, float(x), 100.0)
             assert abs(r - n) < 2e-3, x

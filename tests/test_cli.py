@@ -295,7 +295,9 @@ solvers = {solvers}
 """
 
 
-@pytest.mark.parametrize("line", ["truncation = 10000", "freq_scale = 0.001"])
+@pytest.mark.parametrize("line", ["truncation = 10000", "freq_scale = 0.001",
+                                  "contour_shift = 0.04", "freq_scale = 40",
+                                  "steepness = 6"])
 @pytest.mark.parametrize("solvers", ["NORMAL", "RTE"])
 def test_overflowing_contour_reach_is_rejected_up_front(tmp_path, capsys,
                                                         monkeypatch, line,
@@ -304,8 +306,9 @@ def test_overflowing_contour_reach_is_rejected_up_front(tmp_path, capsys,
     (a raw FloatingPointError traceback from the RTE or FDE stage, or a
     run with NORMAL alone) are still errors naming their key: exit 1
     before any solver runs, through profile and compare, no CSV. The
-    reach now follows from the map, so `truncation` is an unknown key,
-    and freq_scale 0.001 is a step too coarse to place a node."""
+    inversion rule is fixed, so `truncation` and the former knobs
+    `contour_shift`, `freq_scale` and `steepness` are unknown keys, even
+    at the values the rule uses."""
     ini = tmp_path / "far.ini"
     ini.write_text(REACH_CONFIG.format(line=line, solvers=solvers))
     out_csv = tmp_path / "far.csv"
@@ -326,9 +329,8 @@ def test_too_fine_contour_step_is_rejected_up_front(tmp_path, capsys,
                                                     monkeypatch, solvers,
                                                     freq_scale):
     """A step so fine that a rule would place more than 20,000 nodes per
-    time is refused before any solver runs, rather than left to exhaust
-    memory; FDE runs at half the step, so freq_scale 5000 is refused for
-    it though the RTE rule would fit."""
+    time, which would exhaust memory, cannot be asked for: `freq_scale`
+    is an unknown key, refused before any solver runs."""
     ini = tmp_path / "fine.ini"
     ini.write_text(REACH_CONFIG.format(line=f"freq_scale = {freq_scale}",
                                        solvers=solvers))
@@ -336,33 +338,7 @@ def test_too_fine_contour_step_is_rejected_up_front(tmp_path, capsys,
     rc = cli.main(["profile", "--scenario", "far", "--config", str(ini),
                    "--out", str(tmp_path / "fine.csv")])
     assert rc == 1
-    assert "too fine" in capsys.readouterr().err
-
-
-FINE_STEP_CONFIG = """
-[fine]
-sigma_trap = 0.1
-gamma = 0.1
-times = 100
-freq_scale = 200
-solvers = RTE,FDE
-"""
-
-
-def test_fine_contour_step_computes(tmp_path, capsys):
-    """fig2a at t = 100 with the step refined to pi / 200 runs through the
-    CLI with exit 0 and no negative density. While a fixed term count
-    cut the rule short, this wrote u_rte = -8.67 with exit 0."""
-    ini = tmp_path / "fine.ini"
-    ini.write_text(FINE_STEP_CONFIG)
-    out_csv = tmp_path / "fine.csv"
-    rc = cli.main(["profile", "--scenario", "fine", "--config", str(ini),
-                   "--out", str(out_csv)])
-    assert rc == 0, capsys.readouterr().err
-    header, *rows = (line.split(",") for line in
-                     out_csv.read_text().splitlines())
-    assert header[1:3] == ["u_rte", "u_de"] and len(rows) == 151
-    assert min(float(v) for row in rows for v in row[1:3]) >= 0.0
+    assert "unknown key(s) in [far]: freq_scale" in capsys.readouterr().err
 
 
 def test_readme_lists_the_ini_keys():
@@ -377,9 +353,10 @@ def test_readme_lists_the_ini_keys():
 def test_folding_node_map_is_rejected_up_front(tmp_path, capsys, monkeypatch,
                                                steepness, solvers):
     """Below steepness 0.4566 the node map is not increasing, so nodes
-    fold back: exit 1 naming steepness before any solver runs, no CSV
-    (FDE used to write u_de = 3.19e149 at x = 0 for 1e-300 and -0.155
-    for 0.3, with exit 0)."""
+    would fold back (FDE once wrote u_de = 3.19e149 at x = 0 for 1e-300
+    and -0.155 for 0.3, with exit 0). The steepness is fixed at 6, so
+    the key is unknown: exit 1 naming it before any solver runs, no
+    CSV."""
     ini = tmp_path / "fold.ini"
     ini.write_text(REACH_CONFIG.format(line=f"steepness = {steepness}",
                                        solvers=solvers))
@@ -576,8 +553,6 @@ x_count = 3
     "speed = nan",
     "sigma_s = inf",
     "sigma_a = nan",
-    "contour_shift = inf",
-    "freq_scale = nan",
     "x_min = -inf",
 ])
 def test_non_finite_config_values_are_rejected_up_front(tmp_path, capsys,
@@ -621,8 +596,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
 def test_numeric_failure_message_says_where(tmp_path, capsys, monkeypatch):
     """A spectrum failure at a node of the t = 20 contour exits 2 with a
     line that names the solver and that time."""
-    sc = harness.builtin_scenarios()["fig1a"]
-    bad = contour(20.0, sc.inversion)[0][5]
+    bad = contour(20.0)[0][5]
 
     def failing(*args):
         raise NumericFailureError("synthetic spectrum failure", s=complex(bad))

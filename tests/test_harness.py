@@ -23,7 +23,7 @@ from trapdiff.harness import (
     run_scenario,
     validate,
 )
-from trapdiff.ilt import InversionConfig, contour, invert_reference
+from trapdiff.ilt import M, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import TransportParams
 from trapdiff.waiting import WaitingTimeModel
@@ -38,7 +38,6 @@ def small_scenario(label="small", sigma_trap=0.1, solvers=("RTE", "FDE", "NORMAL
         label=label,
         transport=TransportParams(sigma_a=1e-9, sigma_s=1.0,
                                   sigma_trap=sigma_trap, waiting=waiting),
-        inversion=InversionConfig(),
         times=times,
         grid=grid,
         solvers=frozenset(solvers),
@@ -85,9 +84,6 @@ def test_non_finite_inputs_are_rejected(bad):
         rates[field] = bad
         with pytest.raises(ValueError, match="finite"):
             TransportParams(**rates)
-    for field in ("contour_shift", "freq_scale", "steepness"):
-        with pytest.raises(ValueError, match="finite"):
-            InversionConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("label", ["a,b", "a'b", 'a"b', "a\nb", "a\rb"],
@@ -124,7 +120,6 @@ def test_builtin_scenarios_cover_both_times():
     for sc in scs.values():
         assert sc.grid == SpatialGrid(0.0, 15.0, 151)
         assert sc.solvers == frozenset(("RTE", "FDE", "NORMAL"))
-        assert sc.inversion == InversionConfig()
         assert sc.n_ordinates == 30
 
 
@@ -272,8 +267,7 @@ def test_run_scenario_solves_one_spectra_stack(monkeypatch):
     monkeypatch.setattr(transport, "spectra", counting)
     sc = late_times_scenario()
     run_scenario(sc)
-    sizes = [len(contour(t, sc.inversion)[0])
-             for t in sc.times]
+    sizes = [len(contour(t)[0]) for t in sc.times]
     assert calls == [sum(sizes)] and sum(sizes) == 544
     run_scenario(small_scenario(solvers=("RTE", "FDE"), times=(5.0, 10.0)))
     assert len(calls) == 2
@@ -313,7 +307,7 @@ def test_rte_stack_matches_one_time_at_a_time():
     for profile in stacked:
         (alone,) = run_scenario(dataclasses.replace(sc, times=(profile.t,)))
         assert alone.xs() == profile.xs()
-        prefactor = contour(profile.t, sc.inversion)[2]
+        prefactor = contour(profile.t)[2]
         got = np.array([u for _, u in profile.points])
         want = np.array([u for _, u in alone.points])
         assert np.all(np.abs(got - want) <= 1e-13 * max(1.0, prefactor)), \
@@ -326,7 +320,7 @@ def test_rte_failure_names_the_time_of_its_node(monkeypatch):
     """A spectrum failure in the stack is reported at the time whose
     contour holds the node it names."""
     sc = small_scenario(solvers=("RTE",), times=(5.0, 10.0, 20.0))
-    bad = contour(10.0, sc.inversion)[0][7]
+    bad = contour(10.0)[0][7]
 
     def failing(*args):
         raise NumericFailureError("synthetic blow-up", s=complex(bad))
@@ -389,7 +383,7 @@ def test_rte_values_past_the_ballistic_front_are_zero():
                         grid=SpatialGrid(0.0, 4.0, 9))
     (profile,) = run_scenario(sc)
     xs = sc.grid.points()
-    s_nodes, weights, prefactor = contour(1.0, sc.inversion)
+    s_nodes, weights, prefactor = contour(1.0)
     transform = transport.mode_sum(
         xs, *transport.modes(sc.transport, gauss_legendre(30), s_nodes))
     raw = (prefactor * (transform.real @ weights)).tolist()
@@ -417,8 +411,9 @@ def test_rte_fde_gap_does_not_depend_on_speed():
 
 def test_late_time_profiles_match_their_oracles():
     """At t = 1000 the contour sum's factor e^{sigma t} would be e^40 at
-    the default shift and swamp the profiles in roundoff: RTE and FDE stay
-    within 1e-8 of Talbot inversion and of the time-domain quadrature."""
+    the early-time shift 0.04 and swamp the profiles in roundoff: RTE and
+    FDE stay within 1e-8 of Talbot inversion and of the time-domain
+    quadrature."""
     sc = dataclasses.replace(builtin_scenarios()["fig1a"], times=(1000.0,),
                              grid=SpatialGrid(0.0, 2.0, 3),
                              solvers=frozenset({"RTE", "FDE"}))
@@ -572,28 +567,25 @@ def test_validate_full_passes():
 
 def test_validate_flags_degraded_step():
     """Doubling the contour step must be caught by the step-halving check:
-    fig2a at t = 100 moves by 3.8e-6 between steps pi / 20 and pi / 40,
-    against 2.1e-12 between the defaults' pi / 40 and pi / 80."""
-    report = validate("full", cfg=InversionConfig(freq_scale=20.0))
-    entry = {e["check"]: e for e in report}["ilt.step_halving"]
-    assert entry["status"] == "fail"
-    assert entry["measured"] > entry["tolerance"]
+    its measurement, fig2a at t = 100, moves by 3.8e-6 between steps
+    pi / 20 and pi / 40, past its 1e-8 tolerance, against 2.1e-12 between
+    the rule's pi / 40 and pi / 80."""
+    entry = {e["check"]: e for e in validate("full")}["ilt.step_halving"]
+    assert entry["measured"] < 1e-11
+    degraded = harness._step_halving(M / 2)
+    assert 3e-6 < degraded < 5e-6
+    assert degraded > entry["tolerance"]
 
 
-@pytest.mark.parametrize("knob, value", [("freq_scale", 80.0),
-                                         ("freq_scale", 200.0),
-                                         ("steepness", 0.5),
-                                         ("steepness", 1.0)])
-def test_refined_or_softened_rule_keeps_the_profile(knob, value):
-    """fig2a at t = 100 with a finer step or a softer map: RTE and FDE
-    match the defaults' profiles within 1e-9 absolute (<= 2.1e-12
+@pytest.mark.parametrize("m", [2 * M, 5 * M])
+def test_refined_rule_keeps_the_profile(m):
+    """fig2a at t = 100 with the step refined to pi / 80 or pi / 200: RTE
+    and FDE match the rule's profiles within 1e-9 absolute (<= 2.1e-12
     measured). While a fixed term count cut the rule short, these moved
-    by 9.0e-4 to 8.8, and freq_scale 200 wrote u_rte = -8.67."""
+    by 9.0e-4 to 8.8, and pi / 200 wrote u_rte = -8.67 through the CLI."""
     base = dataclasses.replace(builtin_scenarios()["fig2a"],
                                solvers=frozenset(("RTE", "FDE")))
-    moved = dataclasses.replace(base,
-                                inversion=InversionConfig(**{knob: value}))
-    for want, got in zip(run_scenario(base), run_scenario(moved)):
+    for want, got in zip(run_scenario(base), run_scenario(base, m)):
         assert want.solver == got.solver
         diff = max(abs(a - b) for (_, a), (_, b) in zip(want.points,
                                                         got.points))

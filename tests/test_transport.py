@@ -27,7 +27,7 @@ from trapdiff import fde, harness, transport
 from trapdiff.errors import DegenerateSpectrumError, NumericFailureError
 from trapdiff.fde import from_transport
 from trapdiff.harness import SpatialGrid, builtin_scenarios
-from trapdiff.ilt import InversionConfig, contour, invert_reference
+from trapdiff.ilt import _STEEPNESS, M, SHIFT, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import (
     TransportParams,
@@ -179,7 +179,7 @@ def test_dispersion_sums_match_eigenfunction_formulas(name, t):
     q = gauss_legendre(sc.n_ordinates)
     mu = np.asarray(q.nodes)
     w = np.asarray(q.weights)
-    s_nodes = contour(t, sc.inversion)[0]
+    s_nodes = contour(t)[0]
     st, _, nus, norms = spectra(sc.transport, q, s_nodes)
     res, _ = transport._dispersion(sc.transport.sigma_s, mu, w, st, nus, s_nodes)
     c = 0.5 * sc.transport.sigma_s
@@ -326,7 +326,7 @@ def test_density_transform_against_full_eigenproblem():
     q = gauss_legendre(n)
     mu = np.asarray(q.nodes)
     w = np.asarray(q.weights)
-    s_all, _, _ = contour(10.0, sc.inversion)
+    s_all, _, _ = contour(10.0)
     s_nodes = s_all[np.linspace(0, len(s_all) - 1, 10).round().astype(int)]
     xs = np.array([0.0, 2.0, 7.0])
     got = mode_sum(np.arange(8.0), *modes(p, q, s_nodes))[xs.astype(int)]
@@ -373,7 +373,7 @@ def test_density_transform_matches_direct_exponentials(name):
     grids = [SpatialGrid(0.0, 15.0, 151), SpatialGrid(-3.0, 3.0, 7),
              SpatialGrid(-2.95, 15.0, 360), SpatialGrid(0.05, 40.0, 400)]
     for t in (1.0, 10.0, 100.0, 1000.0):
-        s_nodes, weights, prefactor = contour(t, sc.inversion)
+        s_nodes, weights, prefactor = contour(t)
         for grid in grids:
             xs = grid.points()
             got = mode_sum(xs, *modes(sc.transport, q, s_nodes))
@@ -462,7 +462,7 @@ def test_density_transform_memory_peak():
     headroom they had over the 81-node rule (1.64x and 1.1x)."""
     sc = builtin_scenarios()["fig1a"]
     q = gauss_legendre(sc.n_ordinates)
-    s_nodes, _, _ = contour(10.0, sc.inversion)
+    s_nodes, _, _ = contour(10.0)
     assert len(s_nodes) == 68
     for count, bound in ((151, 2.47e6), (16, 0.968e6)):
         xs = SpatialGrid(sc.grid.x_min, sc.grid.x_max, count).points()
@@ -555,7 +555,7 @@ def test_spectra_against_full_eigenproblem_property(n):
         if talbot:
             s_all = talbot_nodes(t)
         else:
-            s_all, _, _ = contour(t, InversionConfig())
+            s_all, _, _ = contour(t)
         s_nodes = s_all[sorted(pick.sample(range(len(s_all)), 4))]
         try:
             st, _, nus, _ = spectra(p, q, s_nodes)
@@ -592,7 +592,7 @@ def test_spectra_invariant_to_node_order():
     solve order is that of (Im s, Re s), whatever order the nodes come
     in."""
     sc = builtin_scenarios()["fig1a"]
-    s_nodes = np.concatenate([contour(t, sc.inversion)[0]
+    s_nodes = np.concatenate([contour(t)[0]
                               for t in (10.0, 100.0)])
     perm = np.random.default_rng(2024).permutation(len(s_nodes))
     st, source, nus, norms = spectra(sc.transport, Q30, s_nodes)
@@ -610,7 +610,7 @@ def test_secular_roots_resolve_near_unit_albedo():
     s = 8e-6 + 1.1e-10i where a relative noise floor stalled, matches the
     full eigenproblem to 1e-10 relative (measured 8.4e-12)."""
     sc = builtin_scenarios()["fig1a"]
-    s_nodes = contour(1e6, sc.inversion)[0]
+    s_nodes = contour(1e6)[0]
     stalled = np.argmin(np.abs(s_nodes - (8e-6 + 1.1e-10j)))
     assert abs(s_nodes[stalled] - (8e-6 + 1.1e-10j)) < 1e-11
     _, _, nus, _ = spectra(sc.transport, Q30, s_nodes)
@@ -641,7 +641,7 @@ def test_warm_starts_bound_the_root_updates(monkeypatch):
     least once; many predicted roots freeze on that first sweep."""
     sc = builtin_scenarios()["fig1a"]
     s_nodes = np.concatenate([
-        contour(t, sc.inversion)[0]
+        contour(t)[0]
         for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
     updates = count_root_updates(monkeypatch)
     spectra(sc.transport, Q30, s_nodes)
@@ -658,7 +658,7 @@ def test_secant_starts_bound_the_panel_root_updates(monkeypatch):
     updates = count_root_updates(monkeypatch)
     count = 0
     for sc in builtin_scenarios().values():
-        s_nodes = np.concatenate([contour(t, sc.inversion)[0]
+        s_nodes = np.concatenate([contour(t)[0]
                                   for t in sc.times])
         spectra(sc.transport, gauss_legendre(sc.n_ordinates), s_nodes)
         count += len(s_nodes) * sc.n_ordinates
@@ -687,15 +687,14 @@ def test_secant_starts_cost_no_accuracy():
     one stack without a warning, every node's roots match the node
     solved alone to 1e-13 relative (3.8e-15 measured)."""
     sc = builtin_scenarios()["fig1a"]
-    cfg = sc.inversion
-    nodes = {t: contour(t, cfg)[0] for t in (10.0, 50.0, 70.0, 100.0)}
-    h = math.pi / cfg.freq_scale
-    partner = cfg.contour_shift + 1j * cfg.freq_scale * (38 * h + 0.5 * h) / 70.0
+    nodes = {t: contour(t)[0] for t in (10.0, 50.0, 70.0, 100.0)}
+    h = math.pi / M
+    partner = SHIFT + 1j * M * (38 * h + 0.5 * h) / 70.0
 
     def left_tail(t):
         """The nodes at y < 0, below phi(0) = 1 / steepness."""
         s = nodes[t]
-        return s[s.imag * t < cfg.freq_scale / cfg.steepness]
+        return s[s.imag * t < M / _STEEPNESS]
 
     s_nodes = np.concatenate([np.repeat(nodes[10.0], 2),
                               left_tail(10.0), left_tail(100.0),
@@ -715,7 +714,7 @@ def test_secant_starts_across_contour_shifts():
     as one stack, whose secants cross from one shift to the other, match
     the full eigenproblem to 1e-10 relative (7.5e-13 measured)."""
     sc = builtin_scenarios()["fig1a"]
-    s_nodes = np.concatenate([contour(t, sc.inversion)[0]
+    s_nodes = np.concatenate([contour(t)[0]
                               for t in (10.0, 1e4)])
     assert set(s_nodes.real.tolist()) == {0.04, 8e-4}
     _, _, nus, _ = spectra(sc.transport, Q30, s_nodes)
@@ -728,7 +727,7 @@ def test_secular_iteration_cap_raises(monkeypatch):
     """A root that has not converged when the iteration cap is reached
     is an error, never a silently returned eigenvalue."""
     sc = builtin_scenarios()["fig1a"]
-    s_nodes, _, _ = contour(10.0, sc.inversion)
+    s_nodes, _, _ = contour(10.0)
     monkeypatch.setattr(transport, "_MAX_ITER", 1)
     with pytest.raises(NumericFailureError, match="not converged"):
         spectra(sc.transport, Q30, s_nodes)
@@ -738,7 +737,7 @@ def test_ray_collision_raises(monkeypatch):
     """Secular roots on the poles d_i = 1/mu_i^2 put every eigenvalue on
     its quadrature ray mu_i / sigma_t: a degenerate spectrum, not a value."""
     sc = builtin_scenarios()["fig1a"]
-    s_nodes, _, _ = contour(10.0, sc.inversion)
+    s_nodes, _, _ = contour(10.0)
 
     def on_the_poles(rho, d, v2, s_nodes, z):
         return np.broadcast_to(d, (len(s_nodes), len(d))).astype(complex)
