@@ -6,14 +6,15 @@ validate (self-check suite, JSON report), scenarios (list built-ins).
 
 Every flag and INI value is checked before a solver runs: INI `alpha`
 and `gamma` also when `sigma_trap` is zero and the waiting-time law goes
-unused, and the section name, which becomes the scenario label, must not
-contain a comma, a quote or a line break.
+unused, the section name, which becomes the scenario label, must not
+contain a comma, a quote or a line break, and RTE times must be long
+enough for its spectra to be certified (`harness.check_rte_times`).
 
 Exit codes: 0 success, 1 usage or configuration problem (a bad flag or
-INI value, an unknown INI key, an unreadable input or unwritable output),
-2 numeric failure inside a solver (a ValueError raised once the scenario
-is built counts as one; the message names the solver and time it
-happened at), 3 validation failures.
+INI value, an unknown INI key, an RTE time too short, an unreadable
+input or unwritable output), 2 numeric failure inside a solver (a
+ValueError raised once the scenario is built counts as one; the message
+names the solver and time it happened at), 3 validation failures.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import NumericFailureError, QuadratureError
-from .harness import (Scenario, SpatialGrid, builtin_scenarios, emit_csv,
-                      emit_plot_script, run_scenario, validate)
+from .errors import NumericFailureError
+from .harness import (Scenario, SpatialGrid, builtin_scenarios,
+                      check_rte_times, emit_csv, emit_plot_script,
+                      run_scenario, validate)
 from .transport import TransportParams
 from .waiting import WaitingTimeModel
 
@@ -84,11 +86,14 @@ def _parse_config_scenario(section: configparser.SectionProxy,
                                    fallback=Scenario.n_ordinates))
 
 
-def _load_scenario(args) -> Scenario:
+def _load_scenario(args, needed: frozenset[str] = frozenset()) -> Scenario:
     """The scenario named by --scenario, from --config or the built-ins,
-    with the flag overrides applied; an invalid value is a usage error."""
+    with the flag overrides applied and the solvers in `needed` added;
+    an invalid value, or a time RTE cannot resolve, is a usage error."""
     try:
-        return _apply_overrides(_base_scenario(args), args)
+        sc = _apply_overrides(_base_scenario(args), args, needed)
+        check_rte_times(sc)
+        return sc
     except (ValueError, configparser.Error) as exc:
         raise _CliError(str(exc)) from exc
 
@@ -108,8 +113,9 @@ def _base_scenario(args) -> Scenario:
     return builtins[name]
 
 
-def _apply_overrides(sc: Scenario, args) -> Scenario:
-    """Command-line flags win over config-file and built-in values."""
+def _apply_overrides(sc: Scenario, args, needed: frozenset[str]) -> Scenario:
+    """Command-line flags win over config-file and built-in values; the
+    solvers in `needed` are added to whichever solvers result."""
     changes = {}
     if args.times:
         changes["times"] = _parse_times(args.times)
@@ -118,9 +124,8 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
             sc.grid,
             x_max=sc.grid.x_max if args.x_max is None else args.x_max,
             count=sc.grid.count if args.x_count is None else args.x_count)
-    if args.solvers:
-        changes["solvers"] = _parse_solvers(args.solvers)
-    return replace(sc, **changes)
+    solvers = _parse_solvers(args.solvers) if args.solvers else sc.solvers
+    return replace(sc, solvers=solvers | needed, **changes)
 
 
 def _cmd_profile(args) -> int:
@@ -135,10 +140,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    sc = _load_scenario(args)
-    needed = {"RTE", "FDE"}
-    if not needed <= sc.solvers:
-        sc = replace(sc, solvers=sc.solvers | needed)
+    sc = _load_scenario(args, needed=frozenset(("RTE", "FDE")))
     emit_csv(run_scenario(sc), args.out, differences=True)
     print(f"{sc.label}: comparison -> {args.out}")
     return 0
@@ -160,8 +162,7 @@ def _cmd_validate(args) -> int:
 def _cmd_scenarios(args) -> int:
     for name, sc in sorted(builtin_scenarios().items()):
         tp = sc.transport
-        gamma = tp.waiting.gamma if tp.waiting else 0.0
-        print(f"{name}: sigma_trap={tp.sigma_trap:g} gamma={gamma:g} "
+        print(f"{name}: sigma_trap={tp.sigma_trap:g} gamma={tp.waiting.gamma:g} "
               f"t={','.join(f'{t:g}' for t in sc.times)} "
               f"x=[{sc.grid.x_min:g},{sc.grid.x_max:g}]x{sc.grid.count}")
     return 0
@@ -219,7 +220,7 @@ def main(argv=None) -> int:
     except (_CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
-    except (NumericFailureError, QuadratureError, ValueError) as exc:
+    except (NumericFailureError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _NUMERIC
 

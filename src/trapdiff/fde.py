@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import QuadratureError
+from .errors import NumericFailureError
 from .transport import TransportParams, _node_stack
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 
 _INNER_LIMIT = 400  # subdivision cap for the peaked inner integrals
 _HALF_TOL = 1e-8  # QUADPACK tolerance of density_half (inner ones 10x finer)
+_FOURIER_TOL = 1e-11  # absolute QUADPACK tolerance of laplace_density
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,9 @@ def _quad_checked(func, a, b, tol_abs, tol_rel, **kwargs):
     """Adaptive quadrature that turns a QUADPACK warning into an error."""
     out = quad(func, a, b, epsabs=tol_abs, epsrel=tol_rel,
                full_output=True, **kwargs)
-    value, bound = out[0], out[1]
     if len(out) > 3:
-        raise QuadratureError(out[3], estimate=value, bound=bound)
-    return value
+        raise NumericFailureError(out[3], estimate=out[0], bound=out[1])
+    return out[0]
 
 
 def _bell(tau: float, scale: float, x: float, p: FdeParams) -> float:
@@ -235,8 +235,7 @@ def normal_diffusion(p: FdeParams, x: float | np.ndarray, t: float):
     return np.exp(-arg) / math.sqrt(math.pi * p.diffusivity * t)
 
 
-def laplace_density(p: FdeParams, x: float, s: complex,
-                    tol_abs: float = 1e-11) -> complex:
+def laplace_density(p: FdeParams, x: float, s: complex) -> complex:
     """Laplace-domain density by numerical Fourier inversion in k.
 
     Integrates the Fourier-Laplace picture against cos(kx) over the
@@ -245,8 +244,8 @@ def laplace_density(p: FdeParams, x: float, s: complex,
     time-domain solvers, which is what makes it useful as an oracle.
 
     The oscillatory rule occasionally hits its roundoff floor just
-    above tol_abs; the tolerance is then stepped up to at most 100x
-    before the failure is allowed through.
+    above its absolute tolerance `_FOURIER_TOL` = 1e-11, which is then
+    stepped up to at most 100x before the failure is allowed through.
     """
     s = complex(s)
     x = abs(x)
@@ -257,13 +256,13 @@ def laplace_density(p: FdeParams, x: float, s: complex,
 
         last = None
         for boost in (1.0, 10.0, 100.0):
+            tol = boost * _FOURIER_TOL
             try:
                 if x == 0.0:
-                    return _quad_checked(f, 0.0, math.inf,
-                                         boost * tol_abs, boost * tol_abs)
-                return _quad_checked(f, 0.0, math.inf, boost * tol_abs, 0.0,
+                    return _quad_checked(f, 0.0, math.inf, tol, tol)
+                return _quad_checked(f, 0.0, math.inf, tol, 0.0,
                                      weight="cos", wvar=x)
-            except QuadratureError as exc:
+            except NumericFailureError as exc:
                 last = exc
         raise last
 

@@ -6,23 +6,20 @@ the spatial grid, and which solvers to run. The six built-in scenarios
 cover the trapping-strength and trapping-scale variations at t = 10 and
 t = 100 minutes.
 
-A solver is its modes: RTE and FDE each map a stack of transform points
-to the decay rate and amplitude of every (node, mode), RTE through
-`transport.modes` (N discrete-ordinates modes per node, from one
-`transport.spectra` stack) and FDE through `fde.modes` (the one mode of
-its closed form). Both invert on the nodes of `ilt.contour` along one
-path, `_contour_values`: one `modes` call per solver and scenario, over
-the contour nodes of all its times, then per time one (x, node) array
-from `transport.mode_sum` (running products along the evenly spaced x
-grid), reduced with the contour weights before the next time is formed.
-The order of the times changes no bit. `ilt.contour` owns the whole
-rule, including the shift it lowers to 8/t past t = 200; RTE runs at its
-step pi / M and FDE at half of it. RTE values past the ballistic front
-|x| > speed * t are written as 0: neither the exact nor the
-discrete-ordinates solution has mass there, so the contour sum there is
-only ringing. NORMAL is the heat kernel, one array call per time.
-`validate --level full` checks the FDE profile against the time-domain
-quadrature `fde.density_half`.
+`run_scenario` runs the solvers one after the other, each over all
+times. A contour solver is its modes: RTE and FDE each map a stack of
+transform points to the decay rate and amplitude of every (node, mode),
+RTE through `transport.modes` (N discrete-ordinates modes per node) and
+FDE through `fde.modes` (the one mode of its closed form), and both go
+through `_contour_values`: one `modes` call over the `ilt.contour` nodes
+of all times, RTE's at step pi / M and FDE's at half of it, then per
+time one (x, node) array from `transport.mode_sum`, reduced with the
+contour weights before the next is formed. RTE values past the ballistic
+front |x| > speed * t are written as 0: no particle gets there, so the
+contour sum there is only ringing. NORMAL is the heat kernel, one array
+call per time. `check_rte_times` refuses up front the times at which
+RTE's spectra cannot be certified. `validate --level full` checks the
+FDE profile against the time-domain quadrature `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
 scenario produces a bit-identical CSV on every run.
@@ -48,6 +45,7 @@ __all__ = [
     "Scenario",
     "SpatialProfile",
     "builtin_scenarios",
+    "check_rte_times",
     "run_scenario",
     "emit_csv",
     "emit_plot_script",
@@ -176,7 +174,7 @@ def _contour_values(solver: str, modes, times, xs, m: float):
     pi / m of all times, and a failure is reported at the time whose
     contour holds the node it names. Each time's slice is summed by
     `transport.mode_sum` and reduced with that contour's weights before
-    it is yielded, so no (x, node) array outlives its time.
+    the next one is formed, so no (x, node) array outlives its time.
     """
     rules = [contour(t, m) for t in times]
     nodes = [s_nodes for s_nodes, _, _ in rules]
@@ -186,13 +184,10 @@ def _contour_values(solver: str, modes, times, xs, m: float):
         raise NumericFailureError(
             exc.args[0], **{**exc.context, "solver": solver,
                             "t": _time_of_node(times, nodes, exc)}) from exc
-    lo = 0
-    for s_nodes, weights, prefactor in rules:
-        hi = lo + s_nodes.shape[0]
-        # bound to no name, so each transform is freed once it is reduced
-        yield prefactor * (transport.mode_sum(
-            xs, rate[lo:hi], coef[lo:hi]).real @ weights)
-        lo = hi
+    ends = np.cumsum([0] + [s_nodes.shape[0] for s_nodes in nodes])
+    return [prefactor * (transport.mode_sum(xs, rate[lo:hi], coef[lo:hi]).real
+                         @ weights)
+            for (_, weights, prefactor), lo, hi in zip(rules, ends, ends[1:])]
 
 
 def _fde_values(p: fde.FdeParams, times, xs, m: float):
@@ -202,43 +197,55 @@ def _fde_values(p: fde.FdeParams, times, xs, m: float):
     return _contour_values("FDE", partial(fde.modes, p), times, xs, 2.0 * m)
 
 
+def check_rte_times(sc: Scenario) -> None:
+    """Raise ValueError if sc runs RTE at a time whose contour's farthest
+    node, where the root-pole gaps are smallest, is not
+    `transport.certifiable` (at 30 ordinates and sigma_s = 1: t < 0.0235)."""
+    if "RTE" in sc.solvers:
+        far = [contour(t)[0][-1] for t in sc.times]
+        ok = transport.certifiable(sc.transport,
+                                   gauss_legendre(sc.n_ordinates), far)
+        if not ok.all():
+            raise ValueError(
+                f"RTE cannot resolve t = {sc.times[np.argmin(ok)]:g} at "
+                f"{sc.n_ordinates} ordinates: its eigenvalues lie too close "
+                "to the quadrature rays (use a later time or fewer ordinates)")
+
+
 def run_scenario(sc: Scenario, m: float = M) -> list[SpatialProfile]:
     """All requested profiles, ordered by time then RTE, FDE, NORMAL.
 
-    Each solver is one stream of value arrays, one per time; RTE and FDE
-    each make one `modes` call over the stacked contours of all times,
-    RTE's at step pi / m and FDE's at half of it. Only the step-halving
-    check moves m off `ilt.M`.
+    Each solver runs over all times before the next starts, so RTE's
+    modes are freed before FDE forms its own. RTE runs at step pi / m,
+    FDE at half of it; only the step-halving check moves m off `ilt.M`.
     """
     xs = sc.grid.points()
     p = fde.from_transport(sc.transport)
-    streams = {}
+    values = {}
     if "RTE" in sc.solvers:
         rte = _contour_values(
             "RTE", partial(transport.modes, sc.transport,
                            gauss_legendre(sc.n_ordinates)),
             sc.times, xs, m)
         # nothing reaches past the ballistic front; the sum there is ringing
-        streams["RTE"] = (np.where(np.abs(xs) > sc.transport.speed * t, 0.0, u)
-                          for t, u in zip(sc.times, rte))
+        values["RTE"] = [np.where(np.abs(xs) > sc.transport.speed * t, 0.0, u)
+                         for t, u in zip(sc.times, rte)]
     if "FDE" in sc.solvers:
-        streams["FDE"] = _fde_values(p, sc.times, xs, m)
+        values["FDE"] = _fde_values(p, sc.times, xs, m)
     if "NORMAL" in sc.solvers:
-        streams["NORMAL"] = (fde.normal_diffusion(p, np.array(xs), t)
-                             for t in sc.times)
+        values["NORMAL"] = [fde.normal_diffusion(p, np.array(xs), t)
+                            for t in sc.times]
     profiles = []
-    for t in sc.times:
-        for solver in SOLVER_ORDER:
-            if solver not in streams:
-                continue
-            values = next(streams[solver])
-            finite = np.isfinite(values)
+    for i, t in enumerate(sc.times):
+        for solver, per_time in values.items():  # in SOLVER_ORDER
+            u = per_time[i]
+            finite = np.isfinite(u)
             if not finite.all():
                 raise NumericFailureError("non-finite density", solver=solver,
                                           t=t, x=xs[np.argmin(finite)])
             profiles.append(SpatialProfile(
                 scenario=sc.label, solver=solver, t=t,
-                points=tuple(zip(xs, values.tolist()))))
+                points=tuple(zip(xs, u.tolist()))))
     return profiles
 
 
@@ -294,15 +301,17 @@ def emit_csv(profiles: list[SpatialProfile], path: str,
 
 def emit_plot_script(profiles: list[SpatialProfile], path: str,
                      csv_path: str, logy: bool = False) -> None:
-    """Write a gnuplot script with one panel per scenario in `profiles`."""
+    """Write a gnuplot script with one panel: the one scenario of
+    `profiles`, one curve per (time, solver). Raises ValueError, before
+    any file is written, if `profiles` holds several scenarios."""
     _profile_table(profiles)  # same emptiness/grid validation as the CSV
-    panels: dict[str, list[float]] = {}
-    solver_cols = {p.scenario: set() for p in profiles}
-    for p in profiles:
-        panels.setdefault(p.scenario, [])
-        if p.t not in panels[p.scenario]:
-            panels[p.scenario].append(p.t)
-        solver_cols[p.scenario].add(p.solver)
+    scenarios = {p.scenario for p in profiles}
+    if len(scenarios) > 1:
+        raise ValueError(f"a plot script shows one scenario, got "
+                         f"{', '.join(sorted(scenarios))}")
+    (scenario,) = scenarios
+    times = list(dict.fromkeys(p.t for p in profiles))
+    solvers = {p.solver for p in profiles}
 
     lines = [
         "# generated plot script; expects the CSV alongside",
@@ -312,23 +321,18 @@ def emit_plot_script(profiles: list[SpatialProfile], path: str,
     ]
     if logy:
         lines.append("set logscale y")
-    if len(panels) > 1:
-        lines.append(f"set multiplot layout 1,{len(panels)}")
+    lines.append(f"set title '{scenario}'")
     t_col = 2 + len(_COLUMNS)  # 1-based CSV columns, x first
-    for scenario, times in panels.items():
-        lines.append(f"set title '{scenario}'")
-        curves = []
-        for t in times:
-            for col, (solver, _, label) in enumerate(_COLUMNS, start=2):
-                if solver not in solver_cols[scenario]:
-                    continue
-                sel = (f"(strcol({t_col + 1}) eq '{scenario}' && "
-                       f"column({t_col}) == {t:g} ? column(1) : NaN)")
-                curves.append(f"'{csv_path}' using {sel}:(column({col})) "
-                              f"with lines title '{label} t={t:g}'")
-        lines.append("plot \\\n  " + ", \\\n  ".join(curves))
-    if len(panels) > 1:
-        lines.append("unset multiplot")
+    curves = []
+    for t in times:
+        for col, (solver, _, label) in enumerate(_COLUMNS, start=2):
+            if solver not in solvers:
+                continue
+            sel = (f"(strcol({t_col + 1}) eq '{scenario}' && "
+                   f"column({t_col}) == {t:g} ? column(1) : NaN)")
+            curves.append(f"'{csv_path}' using {sel}:(column({col})) "
+                          f"with lines title '{label} t={t:g}'")
+    lines.append("plot \\\n  " + ", \\\n  ".join(curves))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -432,7 +436,7 @@ def validate(level: str = "fast") -> list[dict]:
     worst = 0.0
     for (x, t) in ((0.0, 10.0), (1.0, 10.0), (5.0, 100.0)):
         direct = fde.density_half(p_fig, x, t)
-        (closed,) = next(_fde_values(p_fig, (t,), [x], M))
+        ((closed,),) = _fde_values(p_fig, (t,), [x], M)
         worst = max(worst, abs(closed - direct) / abs(direct))
     report.append(_check("fde.closed_form_vs_time_domain", worst, 1e-8))
 

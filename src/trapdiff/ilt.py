@@ -53,6 +53,7 @@ M = 40.0
 # falls at K sinh|y| = 38 to 43; the outermost abscissa, a step pi / M
 # short of the reach, is past 100 for M >= 20; e^120 is finite.
 _MAX_ARG = 120.0
+_TALBOT_ORDER = 28  # points n of the fixed-Talbot rule of `invert_reference`
 
 
 def _half_count(m: float) -> int:
@@ -138,26 +139,23 @@ def invert(transform: Callable[[complex], complex], t: float) -> float:
     return prefactor * float(np.dot(values, weights))
 
 
-def invert_reference(transform: Callable[[complex], complex], t: float,
-                     order: int = 28) -> float:
+def invert_reference(transform: Callable[[complex], complex],
+                     t: float) -> float:
     """Fixed-Talbot inversion, for cross-checking `invert`.
 
     Evaluates the transform on the deformed contour s = (r theta)(cot
-    theta + i) with r = 2 order / (5 t); `order` transform evaluations
-    yield roughly 0.6 * order significant digits until double precision
-    saturates around order 26 to 30. The transform must be analytic on
-    the contour, which dips into Re s < 0.
+    theta + i) with r = 2 n / (5 t) at n = `_TALBOT_ORDER` = 28 points;
+    n evaluations yield roughly 0.6 n significant digits until double
+    precision saturates around n = 26 to 30. The transform must be
+    analytic on the contour, which dips into Re s < 0.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-
-    # theta = 0 endpoint: s t = 2 order / 5, weight 1/2
-    delta0 = 0.4 * order
+    # theta = 0 endpoint: s t = 2 n / 5, weight 1/2
+    delta0 = 0.4 * _TALBOT_ORDER
     acc = 0.5 * math.exp(delta0) * transform(complex(delta0 / t)).real
-    for kk in range(1, order):
-        theta = kk * math.pi / order
+    for kk in range(1, _TALBOT_ORDER):
+        theta = kk * math.pi / _TALBOT_ORDER
         cot = math.cos(theta) / math.sin(theta)
         delta = (2.0 * kk * math.pi / 5.0) * complex(cot, 1.0)
         gamma = (1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot) * cmath.exp(delta)

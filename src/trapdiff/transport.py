@@ -60,7 +60,8 @@ exp(-h rate), so a transform takes three complex exps per (node, mode),
 and running products along x, instead of one exp per (x, node, mode)
 entry. It fills a block of x rows at a time, so no (x, node, mode)
 array is formed. The dispersion check takes one reciprocal per (node,
-mode, ordinate) entry.
+mode, ordinate) entry. `certifiable` tells, before any solve, the nodes
+whose roots lie too close to their poles for that check.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, NumericFailureError
+from .errors import NumericFailureError
 from .specfun import QuadratureSet
 from .waiting import WaitingTimeModel
 
@@ -80,10 +81,14 @@ __all__ = [
     "modes",
     "mode_sum",
     "laplace_density",
+    "certifiable",
 ]
 
 # acceptable dispersion-relation residual of an eigenvalue
 _RESIDUAL_TOL = 1e-9
+# least root-pole gap rho w_i (rho = sigma_s / sigma_t) whose residual
+# rounding, ~eps / (rho w_i), stays below a quarter of _RESIDUAL_TOL
+_MIN_GAP = 4.0 * np.finfo(float).eps / _RESIDUAL_TOL
 # secular roots: nodes solved together (also the node count whose
 # (x, node, mode) array bounds the scratch of `mode_sum`), iteration
 # cap, relative step at which a root is frozen, and the rounding-error
@@ -216,15 +221,15 @@ def _dispersion(sigma_s: float, mu: np.ndarray, w: np.ndarray,
     sum_i w_i (phi(nu, mu_i) + phi(nu, -mu_i)) = sigma_s ray nu sum_i w_i q_i
     and the normalization sum_i w_i mu_i (phi(nu, mu_i)^2 - phi(nu, -mu_i)^2)
     = sigma_s^2 ray nu^2 sum_i w_i mu_i^2 q_i^2: one reciprocal per
-    (node, mode, ordinate) entry. Raises DegenerateSpectrumError on a
-    ray collision, |ray - mu_i| < 1e-12 |ray|.
+    (node, mode, ordinate) entry. Raises NumericFailureError on a ray
+    collision, |ray - mu_i| < 1e-12 |ray|.
     """
     ray = st[:, None] * nu
     q = ray[:, :, None] - mu
     hit = np.abs(q).min(axis=2) < 1e-12 * np.abs(ray)
     if hit.any():
         j, k = np.argwhere(hit)[0]
-        raise DegenerateSpectrumError(
+        raise NumericFailureError(
             f"eigenvalue {nu[j, k]} collides with a quadrature ray",
             s=complex(s_nodes[j]))
     # the (node, mode, ordinate) array is updated in place, as in a sweep
@@ -277,19 +282,15 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
     eigenvalues nu[j] with Re nu >= 0, and their normalization integrals
     norm[j] = sum_i w_i mu_i (phi(nu, mu_i)^2 - phi(nu, -mu_i)^2) with
     phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu). Raises
-    NumericFailureError (DegenerateSpectrumError on a ray collision) if
-    the spectrum of a node fails a check, and ValueError, before any
-    solve, unless s_nodes is a one-dimensional stack.
+    NumericFailureError if the spectrum of a node fails a check (a ray
+    collision among them), and ValueError, before any solve, unless
+    s_nodes is a one-dimensional stack.
 
-    The nodes are solved in the order of (Im s, Re s), in B strided
-    blocks of at most `_BLOCK`: block b holds the b-th, (b + B)-th, ...
-    node of that order. Block 0 starts from the pole shifts, and a node
-    of block b >= 1 from the secant z1 + (z1 - z0) (rho - rho1) /
-    (rho1 - rho0) through the converged roots of its predecessors, the
-    i-th nodes of blocks b - 1 and b - 2, at rho = sigma_s / sigma_t;
-    the ratio is 0 (the start is z1) in block 1, where rho1 = rho0 and
-    where it is not finite. The results come back in the order of
-    s_nodes.
+    The nodes are solved in the strided blocks of the module docstring,
+    from the pole shifts in block 0 and from the secant in rho through
+    the two predecessors' roots after it; its ratio is taken as 0 (the
+    start is z1) in block 1, where rho1 = rho0, and where it is not
+    finite. The results come back in the order of s_nodes.
     """
     s_nodes = _node_stack(s_nodes)
     mu = np.asarray(quadrature.nodes)
@@ -389,6 +390,14 @@ def mode_sum(xs, rate: np.ndarray, coef: np.ndarray) -> np.ndarray:
             np.einsum("xjk,jk->xj", part, coef, out=dest[lo:lo + size])
             last = part[-1].copy()
     return out
+
+
+def certifiable(params: TransportParams, quadrature: QuadratureSet, s_nodes
+                ) -> np.ndarray:
+    """Per node, whether the dispersion check of `spectra` can certify its
+    roots: whether the smallest gap |rho| min_i w_i is `_MIN_GAP` or more."""
+    st, _ = _rates(params, _node_stack(s_nodes))
+    return np.abs(params.sigma_s / st) * min(quadrature.weights) >= _MIN_GAP
 
 
 def laplace_density(params: TransportParams, quadrature: QuadratureSet,

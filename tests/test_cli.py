@@ -4,6 +4,7 @@ import configparser
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ import pytest
 from trapdiff import cli, fde, harness
 from trapdiff.errors import NumericFailureError
 from trapdiff.ilt import contour, invert_reference
+from trapdiff.specfun import gauss_legendre
+from trapdiff.waiting import WaitingTimeModel
 
 
 def test_scenarios_lists_builtins(capsys):
@@ -189,6 +192,74 @@ def test_profile_many_ordinates_at_short_time(tmp_path):
 
 def _no_solver_may_run(sc):
     raise AssertionError("a solver ran")
+
+
+# smallest certifiable relative gap between a secular root and its pole:
+# below it the rounding of the dispersion residual, ~eps / gap, can pass
+# the residual tolerance 1e-9
+_GAP_BOUND = 4.0 * sys.float_info.epsilon / 1e-9
+# (sigma_s, N) and a time near where fig1a's smallest gap meets the
+# bound; the grid puts times at 0.5, 0.95, 1.05 and 2 times that
+_SHORT_TIME_EDGES = [(0.1, 30, 0.235), (1.0, 30, 0.0235), (10.0, 30, 2.35e-3),
+                     (100.0, 30, 2.35e-4), (1.0, 8, 1.85e-3),
+                     (1.0, 60, 0.092), (1.0, 120, 0.37)]
+
+SHORT_TIME_CONFIG = """
+[short]
+sigma_s = {sigma_s}
+sigma_trap = 0.1
+n_ordinates = {n}
+times = {t!r}
+x_max = 1
+x_count = 3
+solvers = RTE
+"""
+
+
+def _smallest_gap(sigma_s, n, t):
+    """min over the contour nodes of |sigma_s / sigma_t(s)| times the
+    smallest ordinate weight, from the law's transform node by node."""
+    waiting = WaitingTimeModel(alpha=0.5, gamma=0.1)
+    rho = [abs(sigma_s / (1e-9 + sigma_s
+                          + (1.0 + 0.1 * waiting.laplace_survival(s)) * s))
+           for s in contour(t)[0].tolist()]
+    return min(rho) * min(gauss_legendre(n).weights)
+
+
+@pytest.mark.parametrize("sigma_s, n, t", [
+    (sigma_s, n, float(f"{factor * edge:.3g}"))
+    for sigma_s, n, edge in _SHORT_TIME_EDGES
+    for factor in (0.5, 0.95, 1.05, 2.0)])
+def test_short_rte_times_are_computed_or_refused_up_front(
+        tmp_path, capsys, sigma_s, n, t):
+    """Where a root lies closer to its pole than the residual check can
+    certify, the time is refused with exit 1 and no CSV; everywhere else
+    the profile is computed. No point of the grid ends in a numeric
+    failure (exit 2)."""
+    ini = tmp_path / "short.ini"
+    ini.write_text(SHORT_TIME_CONFIG.format(sigma_s=sigma_s, n=n, t=t))
+    out_csv = tmp_path / "short.csv"
+    rc = cli.main(["profile", "--scenario", "short", "--config", str(ini),
+                   "--out", str(out_csv)])
+    if _smallest_gap(sigma_s, n, t) < _GAP_BOUND:
+        assert rc == 1
+        assert "RTE cannot resolve" in capsys.readouterr().err
+        assert not out_csv.exists()
+    else:
+        assert rc == 0
+        assert out_csv.exists()
+
+
+def test_compare_refuses_a_short_rte_time(tmp_path, capsys, monkeypatch):
+    """compare adds RTE to the solvers after the flags are read; a time
+    RTE cannot resolve is still a usage error before any solver runs."""
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    out_csv = tmp_path / "c.csv"
+    rc = cli.main(["compare", "--scenario", "fig1a", "--times", "10,1e-3",
+                   "--solvers", "NORMAL", "--out", str(out_csv)])
+    assert rc == 1
+    assert "RTE cannot resolve t = 0.001" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 FAMILY_CONFIG = """

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from trapdiff import ilt
-from trapdiff.errors import QuadratureError
+from trapdiff import fde, ilt
+from trapdiff.errors import NumericFailureError
 from trapdiff.fde import (
     FdeParams,
     density_half,
@@ -201,11 +201,14 @@ def test_laplace_density_even_in_x():
     assert laplace_density(MAIN, 2.0, s) == laplace_density(MAIN, -2.0, s)
 
 
-def test_laplace_density_quadrature_failure_carries_context():
-    with pytest.raises(QuadratureError) as exc:
-        laplace_density(MAIN, 1.0, 0.04 + 1.0j, tol_abs=1e-300)
-    assert exc.value.estimate is not None
-    assert exc.value.bound is not None
+def test_laplace_density_quadrature_failure_carries_context(monkeypatch):
+    """A tolerance no QUADPACK rule can meet, even stepped up 100x, ends
+    in a NumericFailureError that carries the estimate and its bound."""
+    monkeypatch.setattr(fde, "_FOURIER_TOL", 1e-300)
+    with pytest.raises(NumericFailureError) as exc:
+        laplace_density(MAIN, 1.0, 0.04 + 1.0j)
+    assert exc.value.context["estimate"] is not None
+    assert exc.value.context["bound"] is not None
 
 
 # ------------------------------------------------------ closed-form transform

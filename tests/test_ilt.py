@@ -376,8 +376,8 @@ def test_contour_shift_robustness_ramp():
 
 # --------------------------------------------------------- reference inverter
 
-def test_reference_known_pair_high_order():
-    got = invert_reference(lambda s: 1.0 / (s + 1.0), 1.0, order=32)
+def test_reference_known_pair():
+    got = invert_reference(lambda s: 1.0 / (s + 1.0), 1.0)
     assert abs(got - math.exp(-1.0)) / math.exp(-1.0) < 1e-8
 
 
@@ -390,8 +390,6 @@ def test_reference_stable_density():
 def test_reference_rejects_bad_arguments():
     with pytest.raises(ValueError):
         invert_reference(lambda s: 1.0 / s, -1.0)
-    with pytest.raises(ValueError):
-        invert_reference(lambda s: 1.0 / s, 1.0, order=1)
 
 
 def test_inverters_agree_on_memory_diffusion_transform():
