@@ -5,13 +5,13 @@ plot script), compare (profiles plus solver-difference columns),
 validate (self-check suite, JSON report), scenarios (list built-ins).
 
 Every flag and INI value is checked before a solver runs: INI `alpha`
-and `gamma` also when `sigma_trap` is zero and the waiting-time law goes
-unused, the section name, which becomes the scenario label, must not
-contain a comma, a quote or a line break, and RTE times must be long
-enough for its spectra to be certified (`harness.check_rte_times`).
+and `gamma` also when `sigma_trap` is zero and switches the waiting-time
+law off, the section name, which becomes the scenario label, must not
+contain a comma, a quote or a line break, and the times must be long
+enough for the contours and RTE's spectra (`harness.check_times`).
 
 Exit codes: 0 success, 1 usage or configuration problem (a bad flag or
-INI value, an unknown INI key, an RTE time too short, an unreadable
+INI value, an unknown INI key, a time too short, an unreadable
 input or unwritable output), 2 numeric failure inside a solver (a
 ValueError raised once the scenario is built counts as one; the message
 names the solver and time it happened at), 3 validation failures.
@@ -27,7 +27,7 @@ from dataclasses import replace
 
 from .errors import NumericFailureError
 from .harness import (Scenario, SpatialGrid, builtin_scenarios,
-                      check_rte_times, emit_csv, emit_plot_script,
+                      check_times, emit_csv, emit_plot_script,
                       run_scenario, validate)
 from .transport import TransportParams
 from .waiting import WaitingTimeModel
@@ -89,10 +89,10 @@ def _parse_config_scenario(section: configparser.SectionProxy,
 def _load_scenario(args, needed: frozenset[str] = frozenset()) -> Scenario:
     """The scenario named by --scenario, from --config or the built-ins,
     with the flag overrides applied and the solvers in `needed` added;
-    an invalid value, or a time RTE cannot resolve, is a usage error."""
+    an invalid value, or a time too short to resolve, is a usage error."""
     try:
         sc = _apply_overrides(_base_scenario(args), args, needed)
-        check_rte_times(sc)
+        check_times(sc)
         return sc
     except (ValueError, configparser.Error) as exc:
         raise _CliError(str(exc)) from exc

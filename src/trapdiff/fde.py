@@ -74,17 +74,13 @@ class FdeParams:
 def from_transport(params: TransportParams) -> FdeParams:
     """Diffusion constants induced by a transport parameter set.
 
-    Isotropic scattering at unit speed gives D0 = 1/(3 sigma_s); the
-    memory coefficient is gamma^alpha * sigma_trap. A trap-free set has
-    no waiting-time model, so the tail exponent defaults to 1/2 there
-    (it multiplies nothing).
+    Isotropic scattering gives D0 = speed^2/(3 sigma_s); alpha is the
+    waiting-time law's and the memory coefficient is
+    gamma^alpha * sigma_trap, 0 without trapping, where the memory term
+    it multiplies vanishes and FDE is the heat kernel.
     """
-    if params.sigma_trap > 0.0:
-        alpha = params.waiting.alpha
-        eta = params.waiting.gamma**alpha * params.sigma_trap
-    else:
-        alpha = 0.5
-        eta = 0.0
+    alpha = params.waiting.alpha
+    eta = params.waiting.gamma**alpha * params.sigma_trap
     d0 = params.speed**2 / (3.0 * params.sigma_s)
     return FdeParams(trap_strength=eta, diffusivity=d0,
                      sigma_a=params.sigma_a, alpha=alpha)

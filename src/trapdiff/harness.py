@@ -17,9 +17,9 @@ time one (x, node) array from `transport.mode_sum`, reduced with the
 contour weights before the next is formed. RTE values past the ballistic
 front |x| > speed * t are written as 0: no particle gets there, so the
 contour sum there is only ringing. NORMAL is the heat kernel, one array
-call per time. `check_rte_times` refuses up front the times at which
-RTE's spectra cannot be certified. `validate --level full` checks the
-FDE profile against the time-domain quadrature `fde.density_half`.
+call per time. `check_times` refuses up front a time at which a contour
+overflows or RTE's spectra cannot be certified. `validate --level full`
+checks the FDE profile against the time-domain `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
 scenario produces a bit-identical CSV on every run.
@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import fde, transport
 from .errors import NumericFailureError
 from .ilt import M, SHIFT, contour, invert, invert_reference
-from .specfun import gauss_legendre
+from .specfun import QuadratureSet, gauss_legendre
 from .transport import TransportParams
 from .waiting import WaitingTimeModel
 
@@ -45,7 +45,7 @@ __all__ = [
     "Scenario",
     "SpatialProfile",
     "builtin_scenarios",
-    "check_rte_times",
+    "check_times",
     "run_scenario",
     "emit_csv",
     "emit_plot_script",
@@ -60,6 +60,7 @@ SOLVER_ORDER = tuple(solver for solver, _, _ in _COLUMNS)
 CSV_HEADER = ",".join(["x_cm", *(col for _, col, _ in _COLUMNS),
                        "t_min", "scenario"])
 DIFF_HEADER = ",diff_rte_de,reldiff_rte_de"
+_FDE_REFINE = 2.0  # FDE's contour step is RTE's pi / m over this
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One reproducible computation: parameters, times, grid, solvers."""
+    """One reproducible computation: parameters, times, grid, solvers;
+    `quadrature`, RTE's ordinate rule, is built on first use, once."""
 
     label: str
     transport: TransportParams
@@ -119,6 +121,10 @@ class Scenario:
         # one that is out of range, say a diffusivity speed^2 / (3 sigma_s)
         # that underflows to 0, is refused here rather than mid-run
         fde.from_transport(self.transport)
+
+    @cached_property
+    def quadrature(self) -> QuadratureSet:
+        return gauss_legendre(self.n_ordinates)
 
 
 @dataclass(frozen=True)
@@ -191,20 +197,21 @@ def _contour_values(solver: str, modes, times, xs, m: float):
 
 
 def _fde_values(p: fde.FdeParams, times, xs, m: float):
-    """`_contour_values` of the FDE closed form, at half the step pi / m:
-    at RTE's step the rule leaves an error of ~2e-10 absolute at t = 10,
-    too much for the small tail values; at half it is roundoff."""
-    return _contour_values("FDE", partial(fde.modes, p), times, xs, 2.0 * m)
+    """`_contour_values` of the FDE closed form at step pi / (2 m): at RTE's
+    the rule leaves ~2e-10 absolute at t = 10, too much for the tail."""
+    return _contour_values("FDE", partial(fde.modes, p), times, xs,
+                           _FDE_REFINE * m)
 
 
-def check_rte_times(sc: Scenario) -> None:
-    """Raise ValueError if sc runs RTE at a time whose contour's farthest
-    node, where the root-pole gaps are smallest, is not
-    `transport.certifiable` (at 30 ordinates and sigma_s = 1: t < 0.0235)."""
-    if "RTE" in sc.solvers:
-        far = [contour(t)[0][-1] for t in sc.times]
-        ok = transport.certifiable(sc.transport,
-                                   gauss_legendre(sc.n_ordinates), far)
+def check_times(sc: Scenario) -> None:
+    """Raise ValueError if sc runs RTE or FDE at a time whose contour, at
+    that solver's step, overflows (t < 1.2e-306), or RTE at one whose
+    farthest node is not `transport.certifiable` (t < 0.0235 at N = 30)."""
+    far = {solver: [contour(t, m)[0][-1] for t in sc.times]
+           for solver, m in (("RTE", M), ("FDE", _FDE_REFINE * M))
+           if solver in sc.solvers}
+    if "RTE" in far:
+        ok = transport.certifiable(sc.transport, sc.quadrature, far["RTE"])
         if not ok.all():
             raise ValueError(
                 f"RTE cannot resolve t = {sc.times[np.argmin(ok)]:g} at "
@@ -224,8 +231,7 @@ def run_scenario(sc: Scenario, m: float = M) -> list[SpatialProfile]:
     values = {}
     if "RTE" in sc.solvers:
         rte = _contour_values(
-            "RTE", partial(transport.modes, sc.transport,
-                           gauss_legendre(sc.n_ordinates)),
+            "RTE", partial(transport.modes, sc.transport, sc.quadrature),
             sc.times, xs, m)
         # nothing reaches past the ballistic front; the sum there is ringing
         values["RTE"] = [np.where(np.abs(xs) > sc.transport.speed * t, 0.0, u)
@@ -367,13 +373,15 @@ def validate(level: str = "fast") -> list[dict]:
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level}")
     report: list[dict] = []
+    scenario_a = builtin_scenarios()["fig1a"]
+    tp = scenario_a.transport
 
-    # closed-form eigenvalue, N=1: nu = mu1/sqrt(st(st-ss))
+    # closed-form eigenvalue, N=1: nu = mu1/sqrt(st(st-ss)), trap-free
     q1 = gauss_legendre(1)
     worst = 0.0
     for st_val, ss in ((2.0, 1.0), (1.5, 0.25), (3.0, 2.5)):
-        params = TransportParams(sigma_a=st_val - ss - 0.5, sigma_s=ss,
-                                 sigma_trap=0.0, waiting=None)
+        params = replace(tp, sigma_a=st_val - ss - 0.5, sigma_s=ss,
+                         sigma_trap=0.0)
         _, _, nus, _ = transport.spectra(params, q1, [0.5])
         exact = q1.nodes[0] / math.sqrt(st_val * (st_val - ss))
         worst = max(worst, abs(nus[0, 0] - exact) / exact)
@@ -405,14 +413,10 @@ def validate(level: str = "fast") -> list[dict]:
     if level == "fast":
         return report
 
-    scenario_a = builtin_scenarios()["fig1a"]
-    tp = scenario_a.transport
-    quadrature = gauss_legendre(scenario_a.n_ordinates)
-
     # transport mass oracle on a short contour sample
     s_sample = [complex(SHIFT, im)
                 for im in (-300.0, -3.0, 0.0, 0.5, 40.0)]
-    _, _, nus, norms = transport.spectra(tp, quadrature, s_sample)
+    _, _, nus, norms = transport.spectra(tp, scenario_a.quadrature, s_sample)
     worst = 0.0
     for s, nu, norm in zip(s_sample, nus, norms):
         lphi = tp.waiting.laplace_survival(s)
@@ -429,7 +433,7 @@ def validate(level: str = "fast") -> list[dict]:
         direct = fde.density_half(p_fig, x, t)
         oracle = invert(lambda s: fde.laplace_density(p_fig, x, s), t)
         worst = max(worst, abs(direct - oracle) / abs(oracle))
-    report.append(_check("fde.oracle_equivalence", worst, 1e-3))
+    report.append(_check("fde.oracle_equivalence", worst, 1e-8))
 
     # production FDE profile (closed-form transform on the contour) vs
     # the time-domain quadrature, which shares no algebra with it
@@ -449,7 +453,7 @@ def validate(level: str = "fast") -> list[dict]:
     x, t = 2.0, 10.0
 
     def f_transport(s: complex) -> complex:
-        return transport.laplace_density(tp, quadrature, s, x)
+        return transport.laplace_density(tp, scenario_a.quadrature, s, x)
 
     de_val = invert(f_transport, t)
     tb_val = invert_reference(f_transport, t)

@@ -54,6 +54,7 @@ M = 40.0
 # short of the reach, is past 100 for M >= 20; e^120 is finite.
 _MAX_ARG = 120.0
 _TALBOT_ORDER = 28  # points n of the fixed-Talbot rule of `invert_reference`
+_HUGE = np.finfo(float).max
 
 
 def _half_count(m: float) -> int:
@@ -112,7 +113,8 @@ def contour(t: float, m: float = M) -> tuple[np.ndarray, np.ndarray, float]:
     of the largest term. That trim, not the reach, sets the rule: the
     kept j are contiguous, and M = 40 keeps j = -34..33 of -47..46.
     Returns (s_nodes, weights, prefactor) with
-    u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]).
+    u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]); ValueError if t <= 0
+    or if a node or the prefactor would overflow (t < 5.9e-307 at M = 40).
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
@@ -120,6 +122,8 @@ def contour(t: float, m: float = M) -> tuple[np.ndarray, np.ndarray, float]:
     phase, weights = _untrimmed(m)
     big = np.abs(weights) >= 2.0 ** -53 * np.abs(weights).max()
     lo, hi = big.argmax(), big.size - big[::-1].argmax()
+    if max(np.abs(phase[lo:hi]).max(), 2.0 * math.exp(sigma * t)) / _HUGE > t:
+        raise ValueError(f"time {t:g} is too short: the contour overflows")
     return (sigma + 1j * (phase[lo:hi] / t), weights[lo:hi],
             2.0 * math.exp(sigma * t) / t)
 

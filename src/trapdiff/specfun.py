@@ -44,8 +44,6 @@ def _legendre(n: int, x: float) -> tuple[float, float]:
     p0, p1 = 1.0, x
     for m in range(2, n + 1):
         p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    if n == 1:
-        return p1, 1.0
     return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 

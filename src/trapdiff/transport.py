@@ -109,15 +109,14 @@ class TransportParams:
     """Physical inputs of the trapped-transport problem.
 
     Cross-sections are in inverse time units and `speed` converts time to
-    length; `sigma_trap` scales the waiting-time survival term, and
-    `waiting` may be None only when trapping is zero. Every number must
-    be finite.
+    length; `sigma_trap` scales the survival term of the waiting-time law
+    `waiting` (0: no trapping). Every number must be finite.
     """
 
     sigma_a: float
     sigma_s: float
     sigma_trap: float
-    waiting: WaitingTimeModel | None
+    waiting: WaitingTimeModel
     speed: float = 1.0
 
     def __post_init__(self):
@@ -129,8 +128,6 @@ class TransportParams:
             raise ValueError("need sigma_a >= 0 and sigma_s > 0")
         if self.sigma_trap < 0.0:
             raise ValueError(f"trapping rate must be >= 0, got {self.sigma_trap}")
-        if self.sigma_trap > 0.0 and self.waiting is None:
-            raise ValueError("trapping requires a waiting-time model")
         if self.speed <= 0.0:
             raise ValueError(f"speed must be positive, got {self.speed}")
 

@@ -92,7 +92,7 @@ def test_single_ordinate_eigenvalue_closed_form():
             sigma_s = rng.uniform(0.05, 2.0)
             s = rng.uniform(0.01, 3.0)
             p = TransportParams(sigma_a=sigma_a, sigma_s=sigma_s,
-                                sigma_trap=0.0, waiting=None)
+                                sigma_trap=0.0, waiting=SCENARIOS[0].waiting)
             _, _, nus, _ = spectra(p, q1, [s])
             st = s + sigma_a + sigma_s
             want = mu1 / math.sqrt(st * (st - sigma_s))
@@ -258,8 +258,7 @@ def test_transport_fractional_relative_gap_monotone_into_the_tail():
 def test_trap_free_transport_collapses_to_normal_diffusion():
     """Without trapping, transport at t=100 sits within 2e-3 of the normal
     kernel across 2 <= x <= 10."""
-    tp = TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.0,
-                         waiting=None)
+    tp = trapped(0.0, 0.1)  # fig1a's law, switched off
     q = gauss_legendre(30)
     p = from_transport(tp)
     with budget(300.0):

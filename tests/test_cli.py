@@ -262,6 +262,46 @@ def test_compare_refuses_a_short_rte_time(tmp_path, capsys, monkeypatch):
     assert not out_csv.exists()
 
 
+def test_rte_profile_builds_the_ordinate_rule_once(tmp_path, monkeypatch):
+    """The up-front refusal and the run of one RTE command share the
+    scenario's Gauss-Legendre rule, `Scenario.quadrature`."""
+    built = []
+    real = harness.gauss_legendre
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(harness, "gauss_legendre", counting)
+    rc = cli.main(["profile", "--scenario", "fig1a", "--solvers", "RTE",
+                   "--out", str(tmp_path / "p.csv")])
+    assert rc == 0
+    assert built == [30]
+
+
+@pytest.mark.parametrize("solver, t, code", [
+    ("RTE", "1e-308", 1), ("RTE", "1e-300", 1), ("RTE", "1e300", 0),
+    ("FDE", "1e-308", 1), ("FDE", "1e-300", 0), ("FDE", "1e300", 0),
+    ("NORMAL", "1e-300", 0), ("NORMAL", "1e300", 0)])
+def test_extreme_times_are_computed_or_refused_up_front(tmp_path, solver, t,
+                                                        code):
+    """A time whose inversion contour would overflow (t < 5.9e-307 for
+    RTE, 1.2e-306 for FDE), or at which RTE's spectra cannot be
+    certified, exits 1 with no CSV; every other time writes finite
+    values. None ends in a numeric failure (exit 2), and a RuntimeWarning
+    on the way fails the test."""
+    out_csv = tmp_path / "x.csv"
+    rc = cli.main(["profile", "--scenario", "fig1a", "--solvers", solver,
+                   "--times", t, "--x-count", "3", "--out", str(out_csv)])
+    assert rc == code
+    if code == 1:
+        assert not out_csv.exists()
+    else:
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        values = [float(cell) for cols in rows for cell in cols[1:4] if cell]
+        assert len(values) == 3 and all(map(math.isfinite, values))
+
+
 FAMILY_CONFIG = """
 [llog]
 sigma_trap = 0.1

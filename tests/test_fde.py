@@ -40,10 +40,8 @@ NO_ABSORB = FdeParams(trap_strength=ETA, diffusivity=D0, sigma_a=0.0, alpha=0.5)
 FREE = FdeParams(trap_strength=0.0, diffusivity=D0, sigma_a=0.0, alpha=0.5)
 
 
-def transport_set(sigma_trap=0.1, gamma=0.1):
-    w = None
-    if sigma_trap > 0.0:
-        w = WaitingTimeModel(alpha=0.5, gamma=gamma)
+def transport_set(sigma_trap=0.1, gamma=0.1, alpha=0.5):
+    w = WaitingTimeModel(alpha=alpha, gamma=gamma)
     return TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
                            waiting=w)
 
@@ -71,9 +69,11 @@ def test_from_transport_main_scenario():
 
 
 def test_from_transport_trap_free():
-    p = from_transport(transport_set(sigma_trap=0.0))
+    """Without trapping eta is 0 and alpha is still the law's, although
+    the memory term it enters is switched off."""
+    p = from_transport(transport_set(sigma_trap=0.0, gamma=0.7, alpha=0.3))
     assert p.trap_strength == 0.0
-    assert p.alpha == 0.5  # placeholder exponent, multiplies nothing
+    assert p.alpha == 0.3
 
 
 def test_from_transport_speed_scaling():

@@ -18,6 +18,7 @@ from trapdiff.harness import (
     Scenario,
     SpatialGrid,
     builtin_scenarios,
+    check_times,
     emit_csv,
     emit_plot_script,
     run_scenario,
@@ -31,13 +32,12 @@ from trapdiff.waiting import WaitingTimeModel
 
 def small_scenario(label="small", sigma_trap=0.1, solvers=("RTE", "FDE", "NORMAL"),
                    times=(10.0,), grid=SpatialGrid(0.0, 4.0, 3)):
-    waiting = None
-    if sigma_trap > 0.0:
-        waiting = WaitingTimeModel(alpha=0.5, gamma=0.1)
     return Scenario(
         label=label,
         transport=TransportParams(sigma_a=1e-9, sigma_s=1.0,
-                                  sigma_trap=sigma_trap, waiting=waiting),
+                                  sigma_trap=sigma_trap,
+                                  waiting=WaitingTimeModel(alpha=0.5,
+                                                           gamma=0.1)),
         times=times,
         grid=grid,
         solvers=frozenset(solvers),
@@ -80,7 +80,8 @@ def test_non_finite_inputs_are_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         SpatialGrid(bad, 1.0, 3)
     for field in ("sigma_a", "sigma_s", "sigma_trap", "speed"):
-        rates = dict(sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.0, waiting=None)
+        rates = dict(sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.0,
+                     waiting=WaitingTimeModel(alpha=0.5, gamma=0.1))
         rates[field] = bad
         with pytest.raises(ValueError, match="finite"):
             TransportParams(**rates)
@@ -214,6 +215,27 @@ def test_run_scenario_builds_the_quadrature_once(monkeypatch):
     assert built == [30]
     run_scenario(small_scenario(solvers=("FDE", "NORMAL"), times=(10.0, 20.0)))
     assert built == [30]
+
+
+def test_scenario_quadrature_is_built_on_first_use(monkeypatch):
+    """`Scenario.quadrature` is built when first read and then kept; a
+    copy made by `dataclasses.replace` builds its own, at its own order."""
+    built = []
+    real = harness.gauss_legendre
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(harness, "gauss_legendre", counting)
+    sc = small_scenario()
+    assert built == []
+    assert sc.quadrature is sc.quadrature
+    assert sc.quadrature.order == 30 and built == [30]
+    wide = dataclasses.replace(sc, n_ordinates=8)
+    assert wide.quadrature.order == 8 and built == [30, 8]
+    check_times(sc)
+    assert built == [30, 8]
 
 
 LATE_TIMES = (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)

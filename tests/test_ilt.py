@@ -344,6 +344,19 @@ def test_contour_rejects_nonpositive_time():
         contour(0.0)
 
 
+@pytest.mark.parametrize("m, edge", [(M, 5.854e-307), (2 * M, 1.1621e-306)])
+def test_contour_refuses_times_whose_nodes_overflow(m, edge):
+    """The farthest node sits at |phase| / t; below the edge time that
+    overflows, and the rule is refused before it divides (the suite turns
+    a RuntimeWarning into a failure). Just above, every node and the
+    prefactor are finite."""
+    with pytest.raises(ValueError, match="too short"):
+        contour(0.999 * edge, m)
+    s_nodes, weights, prefactor = contour(1.001 * edge, m)
+    assert np.isfinite(s_nodes).all() and math.isfinite(prefactor)
+    assert np.abs(s_nodes.imag).max() > 0.5 * np.finfo(float).max
+
+
 def _invert_at_shift(transform, t, shift):
     """`invert` on the rule moved to Re s = shift, as its lowering to 8/t
     at late times moves it."""

@@ -40,12 +40,14 @@ from trapdiff.transport import (
 from trapdiff.waiting import WaitingTimeModel
 
 
+# the waiting-time law of the trap-free sets, where sigma_trap = 0 switches
+# it off
+LAW = WaitingTimeModel(alpha=0.5, gamma=0.1)
+
+
 def scenario_params(sigma_trap=0.1, gamma=0.1):
-    waiting = None
-    if sigma_trap > 0.0:
-        waiting = WaitingTimeModel(alpha=0.5, gamma=gamma)
     return TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
-                           waiting=waiting)
+                           waiting=WaitingTimeModel(alpha=0.5, gamma=gamma))
 
 
 # the three parameter sets exercised throughout: trapping, weak trapping,
@@ -70,23 +72,20 @@ def phi_matrix(p, st, nus, mu):
 def test_params_validation():
     w = WaitingTimeModel(alpha=0.5, gamma=0.1)
     with pytest.raises(ValueError):
-        TransportParams(sigma_a=-1.0, sigma_s=1.0, sigma_trap=0.0, waiting=None)
+        TransportParams(sigma_a=-1.0, sigma_s=1.0, sigma_trap=0.0, waiting=w)
     with pytest.raises(ValueError):
-        TransportParams(sigma_a=0.0, sigma_s=0.0, sigma_trap=0.0, waiting=None)
+        TransportParams(sigma_a=0.0, sigma_s=0.0, sigma_trap=0.0, waiting=w)
     with pytest.raises(ValueError):
         TransportParams(sigma_a=0.0, sigma_s=1.0, sigma_trap=-0.1, waiting=w)
     with pytest.raises(ValueError):
-        # trapping without a waiting-time model is meaningless
-        TransportParams(sigma_a=0.0, sigma_s=1.0, sigma_trap=0.1, waiting=None)
-    with pytest.raises(ValueError):
-        TransportParams(sigma_a=0.0, sigma_s=1.0, sigma_trap=0.0, waiting=None,
+        TransportParams(sigma_a=0.0, sigma_s=1.0, sigma_trap=0.0, waiting=w,
                         speed=0.0)
 
 
 # ------------------------------------------------------------------- sigma_t
 
 def test_sigma_t_trap_free():
-    p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=None)
+    p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=LAW)
     s = 0.3 + 0.9j
     st, _ = _rates(p, np.array([s]))
     assert st[0] == 0.5 + 1.0 + s
@@ -126,7 +125,7 @@ def test_sigma_t_composition_against_quadrature():
 
 def test_single_ordinate_closed_form():
     """With one ordinate the dispersion relation is a quadratic in nu."""
-    p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=None)
+    p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=LAW)
     q1 = gauss_legendre(1)
     _, _, nus, _ = spectra(p, q1, [0.5])  # sigma_t = 2, sigma_s = 1
     nu = nus[0, 0]
@@ -141,7 +140,7 @@ def test_single_ordinate_closed_form_random_rates():
         ss = rng.uniform(0.1, 2.0)
         st_total = ss + rng.uniform(0.6, 3.0)
         p = TransportParams(sigma_a=st_total - ss - 0.5, sigma_s=ss,
-                            sigma_trap=0.0, waiting=None)
+                            sigma_trap=0.0, waiting=LAW)
         _, _, nus, _ = spectra(p, q1, [0.5])
         closed = 0.5 / math.sqrt(st_total * (st_total - ss))
         assert abs(nus[0, 0] - closed) / closed < 1e-12
@@ -220,7 +219,7 @@ def test_scattering_free_limit():
     q8 = gauss_legendre(8)
     devs = []
     for ss in (1e-2, 1e-4):
-        p = TransportParams(sigma_a=1.0, sigma_s=ss, sigma_trap=0.0, waiting=None)
+        p = TransportParams(sigma_a=1.0, sigma_s=ss, sigma_trap=0.0, waiting=LAW)
         sts, _, spectrum, _ = spectra(p, q8, [0.5])
         st = sts[0]
         nus = sorted(spectrum[0], key=lambda v: v.real)
@@ -232,7 +231,7 @@ def test_scattering_free_limit():
 
 def test_residual_guard_fires_when_unresolvable():
     # eigenvalues crowd the quadrature rays too tightly to polish
-    p = TransportParams(sigma_a=1.0, sigma_s=1e-6, sigma_trap=0.0, waiting=None)
+    p = TransportParams(sigma_a=1.0, sigma_s=1e-6, sigma_trap=0.0, waiting=LAW)
     with pytest.raises(NumericFailureError):
         spectra(p, gauss_legendre(8), [0.5])
 
@@ -262,7 +261,7 @@ def test_density_even_in_x():
 
 def test_density_trap_free_reduction():
     """With no trapping the transform is the bare sum over decaying modes."""
-    p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=None)
+    p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=LAW)
     s = 0.2 + 0.3j
     _, _, nus, norms = spectra(p, Q30, [s])
     manual = sum(cmath.exp(-2.0 / nu) / nv for nu, nv in zip(nus[0], norms[0]))
