@@ -4,11 +4,15 @@ Subcommands: profile (compute a scenario and write CSV, optionally a
 plot script), compare (profiles plus solver-difference columns),
 validate (self-check suite, JSON report), scenarios (list built-ins).
 
-Every flag and INI value is checked before a solver runs: INI `alpha`
-and `gamma` also when `sigma_trap` is zero and switches the waiting-time
-law off, the section name, which becomes the scenario label, must not
-contain a comma, a quote or a line break, and the times must be long
-enough for the contours and RTE's spectra (`harness.check_times`).
+A scenario is a built-in or `Scenario(label=section)` with the INI
+section's keys applied, then the flags --times, --x-max, --x-count and
+--solvers, which are those keys: one table reads both, so an empty
+flag is refused as the empty key is. Every value is checked before a
+solver runs: `alpha` and `gamma` also when `sigma_trap` is zero and
+switches the waiting-time law off, the section name, which becomes the
+scenario label, must not contain a comma, a quote or a line break, and
+the times must be long enough for the contours and RTE's spectra
+(`harness.check_times`).
 
 Exit codes: 0 success, 1 usage or configuration problem (a bad flag or
 INI value, an unknown INI key, a time too short, an unreadable
@@ -26,24 +30,14 @@ import sys
 from dataclasses import replace
 
 from .errors import NumericFailureError
-from .harness import (Scenario, SpatialGrid, builtin_scenarios,
-                      check_times, emit_csv, emit_plot_script,
-                      run_scenario, validate)
-from .transport import TransportParams
-from .waiting import WaitingTimeModel
+from .harness import (Scenario, builtin_scenarios, check_times, emit_csv,
+                      emit_plot_script, run_scenario, validate)
 
 _USAGE, _NUMERIC, _VALIDATION = 1, 2, 3
 
 
 class _CliError(Exception):
     """A user-input problem; message goes to stderr, exit code 1."""
-
-
-# every key _parse_config_scenario reads; any other key, the inversion
-# rule's fixed constants among them, is an error
-_INI_KEYS = frozenset((
-    "sigma_a", "sigma_s", "sigma_trap", "alpha", "gamma", "speed",
-    "times", "x_min", "x_max", "x_count", "solvers", "n_ordinates"))
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
@@ -54,44 +48,52 @@ def _parse_solvers(text: str) -> frozenset[str]:
     return frozenset(v.strip().upper() for v in text.split(","))
 
 
-def _parse_config_scenario(section: configparser.SectionProxy,
-                           label: str) -> Scenario:
-    # iterating a section includes the [DEFAULT] keys merged into it
-    unknown = sorted(set(section) - _INI_KEYS)
-    if unknown:
-        raise _CliError(f"unknown key(s) in [{label}]: {', '.join(unknown)}")
+# every INI key, the flags --times, --x-max, --x-count and --solvers
+# among them: the part of the scenario it sets, that part's field, and
+# the reader of its text; any other key is an error
+_SETTINGS = {
+    "sigma_a": ("transport", "sigma_a", float),
+    "sigma_s": ("transport", "sigma_s", float),
+    "sigma_trap": ("transport", "sigma_trap", float),
+    "speed": ("transport", "speed", float),
+    "alpha": ("law", "alpha", float),
+    "gamma": ("law", "gamma", float),
+    "x_min": ("grid", "x_min", float),
+    "x_max": ("grid", "x_max", float),
+    "x_count": ("grid", "count", int),
+    "times": ("scenario", "times", _parse_times),
+    "solvers": ("scenario", "solvers", _parse_solvers),
+    "n_ordinates": ("scenario", "n_ordinates", int),
+}
 
-    def get_float(key, default):
-        return section.getfloat(key, fallback=default)
 
-    # the law is checked even where zero trapping leaves it unused
-    waiting = WaitingTimeModel(alpha=get_float("alpha", 0.5),
-                               gamma=get_float("gamma", 0.1))
-    transport = TransportParams(
-        sigma_a=get_float("sigma_a", 1e-9),
-        sigma_s=get_float("sigma_s", 1.0),
-        sigma_trap=get_float("sigma_trap", 0.0),
-        waiting=waiting,
-        speed=get_float("speed", TransportParams.speed),
-    )
-    grid = SpatialGrid(get_float("x_min", 0.0), get_float("x_max", 15.0),
-                       section.getint("x_count", fallback=151))
-    solvers = section.get("solvers")
-    return Scenario(
-        label=label, transport=transport,
-        times=_parse_times(section.get("times", "10")), grid=grid,
-        solvers=(Scenario.solvers if solvers is None
-                 else _parse_solvers(solvers)),
-        n_ordinates=section.getint("n_ordinates",
-                                   fallback=Scenario.n_ordinates))
+def _settle(sc: Scenario, values) -> Scenario:
+    """sc with each setting of `values` (key -> text) read and applied;
+    each part is rebuilt once, so its checks see it whole. The law is
+    checked even where zero trapping leaves it unused."""
+    parts = {"law": {}, "transport": {}, "grid": {}, "scenario": {}}
+    for key, text in values.items():
+        part, field, read = _SETTINGS[key]
+        try:
+            parts[part][field] = read(text)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {text!r}: {exc}") from exc
+    law = replace(sc.transport.waiting, **parts["law"])
+    transport = replace(sc.transport, waiting=law, **parts["transport"])
+    grid = replace(sc.grid, **parts["grid"])
+    return replace(sc, transport=transport, grid=grid, **parts["scenario"])
 
 
 def _load_scenario(args, needed: frozenset[str] = frozenset()) -> Scenario:
     """The scenario named by --scenario, from --config or the built-ins,
-    with the flag overrides applied and the solvers in `needed` added;
-    an invalid value, or a time too short to resolve, is a usage error."""
+    with the scenario flags given settled over it and the solvers in
+    `needed` added; an invalid value, or a time too short to resolve,
+    is a usage error."""
+    flags = {key: text for key, text in vars(args).items()
+             if key in _SETTINGS and text is not None}
     try:
-        sc = _apply_overrides(_base_scenario(args), args, needed)
+        sc = _settle(_base_scenario(args), flags)
+        sc = replace(sc, solvers=sc.solvers | needed)
         check_times(sc)
         return sc
     except (ValueError, configparser.Error) as exc:
@@ -105,27 +107,17 @@ def _base_scenario(args) -> Scenario:
         if not parser.read(args.config):
             raise _CliError(f"cannot read config file {args.config}")
         if parser.has_section(name):
-            return _parse_config_scenario(parser[name], name)
+            # iterating a section includes the [DEFAULT] keys merged into it
+            unknown = sorted(set(parser[name]) - set(_SETTINGS))
+            if unknown:
+                raise _CliError(f"unknown key(s) in [{name}]: "
+                                f"{', '.join(unknown)}")
+            return _settle(Scenario(label=name), parser[name])
     builtins = builtin_scenarios()
     if name not in builtins:
         known = ", ".join(sorted(builtins))
         raise _CliError(f"unknown scenario '{name}' (built-ins: {known})")
     return builtins[name]
-
-
-def _apply_overrides(sc: Scenario, args, needed: frozenset[str]) -> Scenario:
-    """Command-line flags win over config-file and built-in values; the
-    solvers in `needed` are added to whichever solvers result."""
-    changes = {}
-    if args.times:
-        changes["times"] = _parse_times(args.times)
-    if args.x_max is not None or args.x_count is not None:
-        changes["grid"] = replace(
-            sc.grid,
-            x_max=sc.grid.x_max if args.x_max is None else args.x_max,
-            count=sc.grid.count if args.x_count is None else args.x_count)
-    solvers = _parse_solvers(args.solvers) if args.solvers else sc.solvers
-    return replace(sc, solvers=solvers | needed, **changes)
 
 
 def _cmd_profile(args) -> int:
@@ -179,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="built-in name or section in --config")
         p.add_argument("--config", help="INI file with scenario sections")
         p.add_argument("--times", help="comma list overriding output times")
-        p.add_argument("--x-max", dest="x_max", type=float)
-        p.add_argument("--x-count", dest="x_count", type=int)
+        p.add_argument("--x-max")
+        p.add_argument("--x-count")
         p.add_argument("--solvers", help="comma list from RTE,FDE,NORMAL")
 
     p_profile = sub.add_parser("profile", help="compute profiles, write CSV")

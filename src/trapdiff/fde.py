@@ -227,7 +227,9 @@ def normal_diffusion(p: FdeParams, x: float | np.ndarray, t: float):
     """Trap-free limit: heat kernel of mass 2 with absorption decay."""
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    arg = np.square(x) / (4.0 * p.diffusivity * t) + p.sigma_a * t
+    # at tiny t the exponent overflows to inf, and exp(-inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        arg = np.square(x) / (4.0 * p.diffusivity * t) + p.sigma_a * t
     return np.exp(-arg) / math.sqrt(math.pi * p.diffusivity * t)
 
 

@@ -89,12 +89,15 @@ class SpatialGrid:
 @dataclass(frozen=True)
 class Scenario:
     """One reproducible computation: parameters, times, grid, solvers;
-    `quadrature`, RTE's ordinate rule, is built on first use, once."""
+    `quadrature`, RTE's ordinate rule, is built on first use, once. The
+    defaults: the figures' medium untrapped, t = 10, x 0-15 at 151 points."""
 
     label: str
-    transport: TransportParams
-    times: tuple[float, ...]
-    grid: SpatialGrid
+    transport: TransportParams = TransportParams(
+        sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.0,
+        waiting=WaitingTimeModel(alpha=0.5, gamma=0.1))
+    times: tuple[float, ...] = (10.0,)
+    grid: SpatialGrid = SpatialGrid(0.0, 15.0, 151)
     solvers: frozenset[str] = frozenset(SOLVER_ORDER)
     n_ordinates: int = 30
 
@@ -115,8 +118,9 @@ class Scenario:
         bad = self.solvers - set(SOLVER_ORDER)
         if bad or not self.solvers:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVER_ORDER}")
-        if self.n_ordinates < 1:
-            raise ValueError(f"need at least one ordinate, got {self.n_ordinates}")
+        # RTE's memory grows as N^2 per time: 40 MB at N = 240
+        if not 1 <= self.n_ordinates <= 240:
+            raise ValueError(f"need 1 to 240 ordinates, got {self.n_ordinates}")
         # every solver run builds the FDE constants (NORMAL uses them too):
         # one that is out of range, say a diffusivity speed^2 / (3 sigma_s)
         # that underflows to 0, is refused here rather than mid-run
@@ -142,14 +146,10 @@ class SpatialProfile:
 
 def _figure_scenario(label: str, sigma_trap: float, gamma: float,
                      t: float) -> Scenario:
-    waiting = WaitingTimeModel(alpha=0.5, gamma=gamma)
-    return Scenario(
-        label=label,
-        transport=TransportParams(sigma_a=1e-9, sigma_s=1.0,
-                                  sigma_trap=sigma_trap, waiting=waiting),
-        times=(t,),
-        grid=SpatialGrid(0.0, 15.0, 151),
-    )
+    tp = Scenario.transport
+    return Scenario(label, replace(tp, sigma_trap=sigma_trap,
+                                   waiting=replace(tp.waiting, gamma=gamma)),
+                    times=(t,))
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
@@ -403,8 +403,7 @@ def validate(level: str = "fast") -> list[dict]:
     report.append(_check("ilt.known_pairs", worst, 1.0))
 
     # transform-space mass at k=0 collapses to 2/s when absorption is off
-    p_a = fde.FdeParams(trap_strength=math.sqrt(0.1) * 0.1,
-                        diffusivity=1.0 / 3.0, sigma_a=0.0, alpha=0.5)
+    p_a = replace(fde.from_transport(tp), sigma_a=0.0)
     s0 = complex(0.7, 0.3)
     report.append(_check("fde.transform_mass",
                          abs(fde.fourier_laplace(p_a, 0.0, s0) - 2.0 / s0),
@@ -448,15 +447,14 @@ def validate(level: str = "fast") -> list[dict]:
     # real profile
     report.append(_check("ilt.step_halving", _step_halving(M), 1e-8))
 
-    # cross-inverter agreement on a transport transform (off the
-    # ballistic front, where both originals are smooth)
+    # the production RTE profile against Talbot's inversion of the
+    # transform at one point (off the ballistic front, where it is smooth)
     x, t = 2.0, 10.0
-
-    def f_transport(s: complex) -> complex:
-        return transport.laplace_density(tp, scenario_a.quadrature, s, x)
-
-    de_val = invert(f_transport, t)
-    tb_val = invert_reference(f_transport, t)
+    (profile,) = run_scenario(replace(scenario_a, solvers=frozenset(("RTE",)),
+                                      grid=SpatialGrid(x, 2 * x, 2)))
+    de_val = profile.points[0][1]
+    tb_val = invert_reference(lambda s: transport.laplace_density(
+        tp, scenario_a.quadrature, s, x), t)
     report.append(_check("ilt.cross_inverter_transport",
                          abs(de_val - tb_val) / abs(de_val), 1e-4))
     return report

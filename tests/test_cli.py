@@ -279,20 +279,47 @@ def test_rte_profile_builds_the_ordinate_rule_once(tmp_path, monkeypatch):
     assert built == [30]
 
 
-@pytest.mark.parametrize("solver, t, code", [
-    ("RTE", "1e-308", 1), ("RTE", "1e-300", 1), ("RTE", "1e300", 0),
-    ("FDE", "1e-308", 1), ("FDE", "1e-300", 0), ("FDE", "1e300", 0),
-    ("NORMAL", "1e-300", 0), ("NORMAL", "1e300", 0)])
+def test_too_many_ordinates_are_refused_before_a_rule_is_built(
+        tmp_path, capsys, monkeypatch):
+    """RTE's memory grows as N^2 per time (40 MB at N = 240 on fig2a),
+    so N = 241 is a usage error before any ordinate rule is built."""
+    def no_rule(n):
+        raise AssertionError("an ordinate rule was built")
+
+    monkeypatch.setattr(harness, "gauss_legendre", no_rule)
+    ini = tmp_path / "many.ini"
+    ini.write_text("[many]\nn_ordinates = 241\n")
+    out_csv = tmp_path / "m.csv"
+    rc = cli.main(["profile", "--scenario", "many", "--config", str(ini),
+                   "--out", str(out_csv)])
+    assert rc == 1
+    assert "240 ordinates, got 241" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+_EXTREME_TIMES = [
+    ("RTE", "1e-308", 1, "15"), ("RTE", "1e-300", 1, "15"),
+    ("RTE", "1e300", 0, "15"), ("FDE", "1e-308", 1, "15"),
+    ("FDE", "1e-300", 0, "15"), ("FDE", "1e300", 0, "15"),
+    ("NORMAL", "1e-308", 0, "15"), ("NORMAL", "1e-300", 0, "15"),
+    ("NORMAL", "1e-300", 0, "1e5"), ("NORMAL", "1e300", 0, "15")]
+
+
+@pytest.mark.parametrize("solver, t, code, x_max", _EXTREME_TIMES, ids=[
+    f"{solver}-{t}-{code}" + ("" if x_max == "15" else f"-x-max-{x_max}")
+    for solver, t, code, x_max in _EXTREME_TIMES])
 def test_extreme_times_are_computed_or_refused_up_front(tmp_path, solver, t,
-                                                        code):
+                                                        code, x_max):
     """A time whose inversion contour would overflow (t < 5.9e-307 for
     RTE, 1.2e-306 for FDE), or at which RTE's spectra cannot be
     certified, exits 1 with no CSV; every other time writes finite
     values. None ends in a numeric failure (exit 2), and a RuntimeWarning
-    on the way fails the test."""
+    on the way fails the test: NORMAL's heat-kernel exponent overflows
+    to inf off x = 0 at such times, and exp(-inf) = 0 is its value."""
     out_csv = tmp_path / "x.csv"
     rc = cli.main(["profile", "--scenario", "fig1a", "--solvers", solver,
-                   "--times", t, "--x-count", "3", "--out", str(out_csv)])
+                   "--times", t, "--x-count", "3", "--x-max", x_max,
+                   "--out", str(out_csv)])
     assert rc == code
     if code == 1:
         assert not out_csv.exists()
@@ -456,7 +483,7 @@ def test_readme_lists_the_ini_keys():
     """The README's list of INI keys is the set the parser accepts."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (listing,) = re.findall(r"The keys are (.*?);", readme, flags=re.S)
-    assert set(re.findall(r"`(\w+)`", listing)) == cli._INI_KEYS
+    assert set(re.findall(r"`(\w+)`", listing)) == set(cli._SETTINGS)
 
 
 @pytest.mark.parametrize("steepness", ["1e-300", "0.3"])
@@ -539,26 +566,79 @@ def test_unknown_config_key_is_rejected_up_front(tmp_path, capsys,
     assert "sigma_trp" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, line", [
-    (["--times", "abc"], ""),
-    (["--times", "10,"], ""),
-    ([], "times = abc"),
-    ([], "x_count = many"),
-    ([], "alpha = 1.5"),
-    ([], "speed = 1e-200"),
-    (["--x-max", "1e308"], "x_min = -1e308"),
+@pytest.mark.parametrize("flags, line, key", [
+    (["--times", "abc"], "", "times"),
+    (["--times", "10,"], "", "times"),
+    ([], "times = abc", "times"),
+    ([], "x_count = many", "x_count"),
+    (["--x-count", "abc"], "", "x_count"),
+    ([], "alpha = 1.5", None),
+    ([], "speed = 1e-200", None),
+    (["--x-max", "1e308"], "x_min = -1e308", None),
 ], ids=["flag-times-abc", "flag-times-trailing-comma", "ini-times-abc",
-        "ini-x-count", "ini-alpha-out-of-range", "ini-speed-underflow",
-        "x-span-overflow"])
+        "ini-x-count", "flag-x-count-abc", "ini-alpha-out-of-range",
+        "ini-speed-underflow", "x-span-overflow"])
 def test_bad_values_are_usage_errors(tmp_path, capsys, monkeypatch,
-                                     flags, line):
-    ini = tmp_path / "typo.ini"
-    ini.write_text(TYPO_CONFIG.format(default="", line=line))
+                                     flags, line, key):
+    """A value that is refused is a usage error before any solver runs; a
+    text that cannot be read as its key's type, from a flag or the INI,
+    is refused with a message that names the key."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[bad]\nsigma_trap = 0.1\n{line}\n")
     monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
-    rc = cli.main(["profile", "--scenario", "typo", "--config", str(ini),
+    rc = cli.main(["profile", "--scenario", "bad", "--config", str(ini),
                    "--out", str(tmp_path / "x.csv")] + flags)
     assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: " if key is None else f"error: {key} = ")
+
+
+@pytest.mark.parametrize("flag, key, text", [
+    ("--times", "times", "7,20"), ("--x-max", "x_max", "6"),
+    ("--x-count", "x_count", "5"), ("--solvers", "solvers", "fde,normal")])
+def test_each_flag_is_its_ini_key(tmp_path, flag, key, text):
+    """A scenario flag over an INI section writes the same bytes as the
+    key of the same name in that section."""
+    csvs = []
+    for lines, flags in ((f"{key} = {text}\n", []), ("", [flag, text])):
+        ini = tmp_path / "one.ini"
+        ini.write_text(f"[one]\nsigma_trap = 0.1\n{lines}")
+        csvs.append(tmp_path / f"{len(csvs)}.csv")
+        assert cli.main(["profile", "--scenario", "one", "--config", str(ini),
+                         "--out", str(csvs[-1])] + flags) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["profile", "compare"])
+@pytest.mark.parametrize("flag", ["--times", "--solvers"])
+def test_empty_flag_is_refused_like_its_ini_key(tmp_path, capsys,
+                                                monkeypatch, command, flag):
+    """An empty --times or --solvers is a usage error before any solver
+    runs, as the empty INI key is, not a flag silently left out."""
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    out_csv = tmp_path / "x.csv"
+    rc = cli.main([command, "--scenario", "fig1a", flag, "",
+                   "--out", str(out_csv)])
+    assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out_csv.exists()
+
+
+def test_empty_ini_section_is_the_default_scenario(tmp_path, monkeypatch):
+    """Every key left out of a section takes `Scenario`'s default."""
+    seen = []
+
+    def capture(sc):
+        seen.append(sc)
+        return []
+
+    monkeypatch.setattr(cli, "run_scenario", capture)
+    monkeypatch.setattr(cli, "emit_csv", lambda *args: None)
+    ini = tmp_path / "empty.ini"
+    ini.write_text("[empty]\n")
+    assert cli.main(["profile", "--scenario", "empty", "--config", str(ini),
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert seen == [harness.Scenario(label="empty")]
 
 
 def test_value_error_inside_a_solver_is_not_a_usage_error(tmp_path, capsys,

@@ -1,6 +1,7 @@
-"""Every module's `__all__` resolves, and the solver modules import
-without the oracles' dependencies."""
+"""Every module's `__all__` resolves, every name a module imports is
+used, and the solver modules import without the oracles' dependencies."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -44,3 +45,20 @@ def test_module_exports_resolve(name):
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing
     assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_are_used(name):
+    """Each name a module imports is read in it or listed in its
+    `__all__`, so a deletion cannot leave a dead import behind."""
+    module = importlib.import_module(f"trapdiff.{name}")
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - read - set(getattr(module, "__all__", ()))

@@ -124,6 +124,40 @@ def test_builtin_scenarios_cover_both_times():
         assert sc.n_ordinates == 30
 
 
+def test_default_scenario_is_the_figures_medium_without_trapping():
+    sc = Scenario(label="default")
+    assert sc.transport == TransportParams(
+        sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.0, speed=1.0,
+        waiting=WaitingTimeModel(alpha=0.5, gamma=0.1))
+    assert sc.times == (10.0,)
+    assert sc.grid == SpatialGrid(0.0, 15.0, 151)
+    assert sc.solvers == frozenset(("RTE", "FDE", "NORMAL"))
+    assert sc.n_ordinates == 30
+
+
+@pytest.mark.parametrize("name, sigma_trap, gamma, t", [
+    ("fig1a", 0.1, 0.1, 10.0), ("fig1b", 0.01, 0.1, 10.0),
+    ("fig1c", 0.1, 1.0, 10.0), ("fig2a", 0.1, 0.1, 100.0),
+    ("fig2b", 0.01, 0.1, 100.0), ("fig2c", 0.1, 1.0, 100.0)])
+def test_builtin_is_the_default_with_three_values_replaced(name, sigma_trap,
+                                                           gamma, t):
+    default = Scenario(label=name)
+    tp = default.transport
+    law = dataclasses.replace(tp.waiting, gamma=gamma)
+    assert builtin_scenarios()[name] == dataclasses.replace(
+        default, times=(t,),
+        transport=dataclasses.replace(tp, sigma_trap=sigma_trap, waiting=law))
+
+
+def test_scenario_takes_at_most_240_ordinates():
+    """RTE's memory grows as N^2 per time (40 MB at N = 240 on fig2a), so
+    a larger N is refused rather than run out of memory."""
+    assert dataclasses.replace(small_scenario(),
+                               n_ordinates=240).n_ordinates == 240
+    with pytest.raises(ValueError, match="240 ordinates, got 241"):
+        dataclasses.replace(small_scenario(), n_ordinates=241)
+
+
 # ---------------------------------------------------------------- run_scenario
 
 def test_run_scenario_order_and_contents():
