@@ -5,12 +5,12 @@ plot script), compare (profiles plus solver-difference columns),
 validate (self-check suite, JSON report), scenarios (list built-ins).
 
 A scenario is a built-in or `Scenario(label=section)` with the INI
-section's keys applied, then the flags --times, --x-max, --x-count and
---solvers, which are those keys: one table reads both, so an empty
-flag is refused as the empty key is. Every value is checked before a
-solver runs: `alpha` and `gamma` also when `sigma_trap` is zero and
-switches the waiting-time law off, the section name, which becomes the
-scenario label, must not contain a comma, a quote or a line break, and
+section's keys and the flags --times, --x-max, --x-count and --solvers,
+which are those keys, applied in one step, a flag over its key: one
+table reads both, so an empty flag is refused as the empty key is.
+Every value is checked before a solver runs: `alpha` and `gamma` also
+when `sigma_trap` is zero and switches the law off; the section name,
+the scenario label, must not contain a comma, a quote or a line break;
 the times must be long enough for the contours and RTE's spectra
 (`harness.check_times`).
 
@@ -85,14 +85,14 @@ def _settle(sc: Scenario, values) -> Scenario:
 
 
 def _load_scenario(args, needed: frozenset[str] = frozenset()) -> Scenario:
-    """The scenario named by --scenario, from --config or the built-ins,
-    with the scenario flags given settled over it and the solvers in
-    `needed` added; an invalid value, or a time too short to resolve,
-    is a usage error."""
+    """The scenario named by --scenario with its INI section and then the
+    flags given settled over it in one step, and the solvers in `needed`
+    added; an invalid value, or a time too short, is a usage error."""
     flags = {key: text for key, text in vars(args).items()
              if key in _SETTINGS and text is not None}
     try:
-        sc = _settle(_base_scenario(args), flags)
+        base, section = _base_scenario(args)
+        sc = _settle(base, {**section, **flags})
         sc = replace(sc, solvers=sc.solvers | needed)
         check_times(sc)
         return sc
@@ -100,7 +100,8 @@ def _load_scenario(args, needed: frozenset[str] = frozenset()) -> Scenario:
         raise _CliError(str(exc)) from exc
 
 
-def _base_scenario(args) -> Scenario:
+def _base_scenario(args) -> tuple[Scenario, dict[str, str]]:
+    """The scenario to settle over, and its INI section (key -> text)."""
     name = args.scenario
     if args.config:
         parser = configparser.ConfigParser()
@@ -112,12 +113,12 @@ def _base_scenario(args) -> Scenario:
             if unknown:
                 raise _CliError(f"unknown key(s) in [{name}]: "
                                 f"{', '.join(unknown)}")
-            return _settle(Scenario(label=name), parser[name])
+            return Scenario(label=name), dict(parser[name])
     builtins = builtin_scenarios()
     if name not in builtins:
         known = ", ".join(sorted(builtins))
         raise _CliError(f"unknown scenario '{name}' (built-ins: {known})")
-    return builtins[name]
+    return builtins[name], {}
 
 
 def _cmd_profile(args) -> int:

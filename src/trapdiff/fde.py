@@ -9,13 +9,14 @@ carries angular mass 2), so all densities here integrate to 2 over the
 whole line when absorption is off.
 
 Production profiles come from `modes`, the Laplace transform in closed
-form in x, which holds for any alpha: per transform point it is the
-single decaying mode exp(-|x| sqrt(B/D0)), given as the same (rate,
-coef) pair per (node, mode) as the transport modes, so the profile
-driver sums both through `transport.mode_sum` on the inversion contour
-of `ilt.contour`. The other routes are oracles that share none of its
-algebra: `density_half` evaluates the alpha = 1/2 subordination formula
-in the time domain by adaptive quadrature, and `laplace_density` inverts
+form in x, which holds for any alpha: the diffusion kernel's one mode
+exp(-|x| sqrt((p + sigma_a)/D0)) under the power-law memory (S, p) of
+`waiting.power_memory`, given as the same (rate, coef) pair per (node,
+mode) as the transport modes, so the profile driver sums both through
+`transport.mode_sum` on the inversion contour of `ilt.contour`. The
+other routes are oracles that share none of its algebra:
+`density_half` evaluates the alpha = 1/2 subordination formula in the
+time domain by adaptive quadrature, and `laplace_density` inverts
 the spatial Fourier representation numerically.
 """
 
@@ -29,6 +30,7 @@ from scipy.integrate import quad
 
 from .errors import NumericFailureError
 from .transport import TransportParams, _node_stack
+from .waiting import power_memory
 
 __all__ = [
     "FdeParams",
@@ -100,22 +102,19 @@ def fourier_laplace(p: FdeParams, k: float, s: complex) -> complex:
 def modes(p: FdeParams, s) -> tuple[np.ndarray, np.ndarray]:
     """The one decaying mode of the Laplace-domain density at every s.
 
-    Integrating the Fourier-Laplace picture over k gives
-    (1 + eta s^{a-1}) / sqrt(D0 B) * exp(-|x| sqrt(B/D0)) with
-    B = s + eta s^a + sigma_a, on principal branches (Re s > 0 keeps
-    Re sqrt(B) > 0). Returns the (node, 1) arrays rate = sqrt(B/D0) and
-    coef = (1 + eta s^{a-1}) / (D0 rate), the one-mode case of
-    `transport.mode_sum`; this is the production FDE transform,
-    `laplace_density` its oracle. Raises ValueError at s = 0 and unless
-    s is a one-dimensional stack.
+    Integrating the Fourier-Laplace picture over k gives, with the
+    power-law memory (S, p) of s and B = p + sigma_a on principal
+    branches (Re s > 0 keeps Re sqrt(B) > 0), the (node, 1) arrays
+    rate = sqrt(B/D0) and coef = S / (D0 rate) of `transport.mode_sum`;
+    `laplace_density` is its oracle. Raises ValueError at s = 0 and
+    unless s is a one-dimensional stack.
     """
     s = _node_stack(s)
     if (s == 0).any():
         raise ValueError("transform requires s != 0")
-    sa = s**p.alpha
-    rate = np.sqrt((s + p.trap_strength * sa + p.sigma_a) / p.diffusivity)
-    coef = (1.0 + p.trap_strength * sa / s) / (p.diffusivity * rate)
-    return rate[:, None], coef[:, None]
+    source, clock = power_memory(p.trap_strength, p.alpha, s)  # S, p
+    rate = np.sqrt((clock + p.sigma_a) / p.diffusivity)
+    return rate[:, None], (source / (p.diffusivity * rate))[:, None]
 
 
 def _quad_checked(func, a, b, tol_abs, tol_rel, **kwargs):

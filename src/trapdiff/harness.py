@@ -7,19 +7,19 @@ cover the trapping-strength and trapping-scale variations at t = 10 and
 t = 100 minutes.
 
 `run_scenario` runs the solvers one after the other, each over all
-times. A contour solver is its modes: RTE and FDE each map a stack of
-transform points to the decay rate and amplitude of every (node, mode),
-RTE through `transport.modes` (N discrete-ordinates modes per node) and
-FDE through `fde.modes` (the one mode of its closed form), and both go
-through `_contour_values`: one `modes` call over the `ilt.contour` nodes
-of all times, RTE's at step pi / M and FDE's at half of it, then per
-time one (x, node) array from `transport.mode_sum`, reduced with the
-contour weights before the next is formed. RTE values past the ballistic
-front |x| > speed * t are written as 0: no particle gets there, so the
-contour sum there is only ringing. NORMAL is the heat kernel, one array
-call per time. `check_times` refuses up front a time at which a contour
-overflows or RTE's spectra cannot be certified. `validate --level full`
-checks the FDE profile against the time-domain `fde.density_half`.
+times. A contour solver is its modes and its step: RTE and FDE map a
+stack of transform points to the decay rate and amplitude of every
+(node, mode), RTE by `transport.modes` (the exact memory under the
+discrete-ordinates kernel), FDE by `fde.modes` (the power law under the
+diffusion kernel), and both go through `_contour_values`: one `modes`
+call over the `ilt.contour` nodes of all times, RTE's at step pi / M
+and FDE's at half of it, then per time one (x, node) array from
+`transport.mode_sum`, reduced with the contour weights before the next
+is formed. RTE values past the ballistic front |x| > speed * t are 0:
+no particle gets there, so the contour sum is ringing. NORMAL is the
+heat kernel, one array call per time. `check_times` refuses up front a
+time at which a contour overflows or RTE's spectra cannot be certified.
+`validate --level full` checks FDE against the oracle `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
 scenario produces a bit-identical CSV on every run.
@@ -60,7 +60,9 @@ SOLVER_ORDER = tuple(solver for solver, _, _ in _COLUMNS)
 CSV_HEADER = ",".join(["x_cm", *(col for _, col, _ in _COLUMNS),
                        "t_min", "scenario"])
 DIFF_HEADER = ",diff_rte_de,reldiff_rte_de"
-_FDE_REFINE = 2.0  # FDE's contour step is RTE's pi / m over this
+# FDE's contour step is RTE's pi / m over this: at RTE's step the rule
+# leaves ~2e-10 absolute at t = 10, too much for the tail
+_FDE_REFINE = 2.0
 
 
 @dataclass(frozen=True)
@@ -163,44 +165,31 @@ def builtin_scenarios() -> dict[str, Scenario]:
     return out
 
 
-def _time_of_node(times, nodes, exc: NumericFailureError) -> float:
-    """The time whose contour nodes come nearest the transform point s a
-    failure names; nan if it names none."""
-    if "s" not in exc.context:
-        return math.nan
-    near = [np.abs(s_nodes - exc.context["s"]).min() for s_nodes in nodes]
-    return times[int(np.argmin(near))]
-
-
 def _contour_values(solver: str, modes, times, xs, m: float):
     """Each time's densities at every x, in the order of times.
 
     modes maps a stack of transform points to the (rate, coef) of their
     modes; it is called once, over the `ilt.contour` nodes at step
-    pi / m of all times, and a failure is reported at the time whose
-    contour holds the node it names. Each time's slice is summed by
-    `transport.mode_sum` and reduced with that contour's weights before
-    the next one is formed, so no (x, node) array outlives its time.
+    pi / m of all times, and a failure naming a node by its index there
+    is reported at its s and time (else at t nan). Each time's slice is
+    summed by `transport.mode_sum` and reduced with its contour's weights
+    before the next is formed, so no (x, node) array outlives its time.
     """
     rules = [contour(t, m) for t in times]
-    nodes = [s_nodes for s_nodes, _, _ in rules]
+    ends = np.cumsum([0] + [s_nodes.shape[0] for s_nodes, _, _ in rules])
+    stack = np.concatenate([s_nodes for s_nodes, _, _ in rules])
     try:
-        rate, coef = modes(np.concatenate(nodes))
+        rate, coef = modes(stack)
     except NumericFailureError as exc:
-        raise NumericFailureError(
-            exc.args[0], **{**exc.context, "solver": solver,
-                            "t": _time_of_node(times, nodes, exc)}) from exc
-    ends = np.cumsum([0] + [s_nodes.shape[0] for s_nodes in nodes])
+        node = exc.context.get("node")
+        where = {"t": math.nan} if node is None else {
+            "s": complex(stack[node]),
+            "t": times[np.searchsorted(ends, node, side="right") - 1]}
+        raise NumericFailureError(exc.args[0], **exc.context,
+                                  solver=solver, **where) from exc
     return [prefactor * (transport.mode_sum(xs, rate[lo:hi], coef[lo:hi]).real
                          @ weights)
             for (_, weights, prefactor), lo, hi in zip(rules, ends, ends[1:])]
-
-
-def _fde_values(p: fde.FdeParams, times, xs, m: float):
-    """`_contour_values` of the FDE closed form at step pi / (2 m): at RTE's
-    the rule leaves ~2e-10 absolute at t = 10, too much for the tail."""
-    return _contour_values("FDE", partial(fde.modes, p), times, xs,
-                           _FDE_REFINE * m)
 
 
 def check_times(sc: Scenario) -> None:
@@ -211,7 +200,8 @@ def check_times(sc: Scenario) -> None:
            for solver, m in (("RTE", M), ("FDE", _FDE_REFINE * M))
            if solver in sc.solvers}
     if "RTE" in far:
-        ok = transport.certifiable(sc.transport, sc.quadrature, far["RTE"])
+        _, p = sc.transport.waiting.memory(sc.transport.sigma_trap, far["RTE"])
+        ok = transport.certifiable(sc.transport, sc.quadrature, p)
         if not ok.all():
             raise ValueError(
                 f"RTE cannot resolve t = {sc.times[np.argmin(ok)]:g} at "
@@ -237,7 +227,8 @@ def run_scenario(sc: Scenario, m: float = M) -> list[SpatialProfile]:
         values["RTE"] = [np.where(np.abs(xs) > sc.transport.speed * t, 0.0, u)
                          for t, u in zip(sc.times, rte)]
     if "FDE" in sc.solvers:
-        values["FDE"] = _fde_values(p, sc.times, xs, m)
+        values["FDE"] = _contour_values("FDE", partial(fde.modes, p),
+                                        sc.times, xs, _FDE_REFINE * m)
     if "NORMAL" in sc.solvers:
         values["NORMAL"] = [fde.normal_diffusion(p, np.array(xs), t)
                             for t in sc.times]
@@ -376,13 +367,12 @@ def validate(level: str = "fast") -> list[dict]:
     scenario_a = builtin_scenarios()["fig1a"]
     tp = scenario_a.transport
 
-    # closed-form eigenvalue, N=1: nu = mu1/sqrt(st(st-ss)), trap-free
+    # closed-form N=1 eigenvalue of the kernel: nu = mu1/sqrt(st(st-ss))
     q1 = gauss_legendre(1)
     worst = 0.0
     for st_val, ss in ((2.0, 1.0), (1.5, 0.25), (3.0, 2.5)):
-        params = replace(tp, sigma_a=st_val - ss - 0.5, sigma_s=ss,
-                         sigma_trap=0.0)
-        _, _, nus, _ = transport.spectra(params, q1, [0.5])
+        params = replace(tp, sigma_a=st_val - ss - 0.5, sigma_s=ss)
+        nus, _ = transport.spectra(params, q1, [0.5])
         exact = q1.nodes[0] / math.sqrt(st_val * (st_val - ss))
         worst = max(worst, abs(nus[0, 0] - exact) / exact)
     report.append(_check("transport.eigenvalue_n1", worst, 1e-12))
@@ -415,11 +405,12 @@ def validate(level: str = "fast") -> list[dict]:
     # transport mass oracle on a short contour sample
     s_sample = [complex(SHIFT, im)
                 for im in (-300.0, -3.0, 0.0, 0.5, 40.0)]
-    _, _, nus, norms = transport.spectra(tp, scenario_a.quadrature, s_sample)
+    source, p_sample = tp.waiting.memory(tp.sigma_trap, s_sample)
+    nus, norms = transport.spectra(tp, scenario_a.quadrature, p_sample)
     worst = 0.0
-    for s, nu, norm in zip(s_sample, nus, norms):
+    for s, factor, nu, norm in zip(s_sample, source, nus, norms):
         lphi = tp.waiting.laplace_survival(s)
-        lhs = 2.0 * (tp.sigma_trap * lphi + 1.0) * sum(nu / norm)
+        lhs = 2.0 * factor * sum(nu / norm)
         rhs = 2.0 * (1.0 + tp.sigma_trap * lphi) / (
             s + tp.sigma_a + tp.sigma_trap * s * lphi)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -439,7 +430,8 @@ def validate(level: str = "fast") -> list[dict]:
     worst = 0.0
     for (x, t) in ((0.0, 10.0), (1.0, 10.0), (5.0, 100.0)):
         direct = fde.density_half(p_fig, x, t)
-        ((closed,),) = _fde_values(p_fig, (t,), [x], M)
+        ((closed,),) = _contour_values("FDE", partial(fde.modes, p_fig),
+                                       (t,), [x], _FDE_REFINE * M)
         worst = max(worst, abs(closed - direct) / abs(direct))
     report.append(_check("fde.closed_form_vs_time_domain", worst, 1e-8))
 

@@ -2,9 +2,10 @@
 Laplace domain.
 
 The one-dimensional transport equation with an isotropic point source and
-a trapping reaction picks up an s-dependent total cross-section
-sigma_t(s) = sigma_a + sigma_s + (sigma_trap * LPhi(s) + 1) * s, where
-LPhi is the Laplace transform of the waiting-time survival function. On a
+a trapping reaction is a trap-free kernel, total cross-section
+sigma_t = sigma_a + sigma_s + p, under the exact memory: the source
+factor S = 1 + sigma_trap LPhi(s) and p = s S, LPhi the Laplace transform
+of the waiting-time survival (`waiting.WaitingTimeModel.memory`). On a
 half-range Gauss-Legendre quadrature with N ordinates +-mu_i, separable
 solutions exp(-x/nu) phi(nu, mu_i) exist for N pairs of eigenvalues +-nu.
 The half-range reduction of the analytical discrete-ordinates method
@@ -30,11 +31,11 @@ step rather than a 0/0. A root is frozen once its step falls to
 LAPACK's dlaed4): near rho = 1 the smallest root is fixed by f only to
 more than 1e-12 |z|, so no bound relative to |z| alone would let it go.
 
-Nodes are solved in the order of (Im s, Re s), in B = ceil(nodes / 16)
+Nodes are solved in the order of (Im p, Re p), in B = ceil(nodes / 16)
 strided blocks: block b holds the b-th, (b + B)-th, ... node of that
 order, so the (root, pole) work arrays stay small, and the i-th nodes of
 blocks b - 1 and b - 2, already solved, are the two predecessors of the
-i-th node of block b. The roots depend on s only through rho, so a node
+i-th node of block b. The roots depend on p only through rho, so a node
 of block b >= 2 starts from the secant in rho through its predecessors'
 roots, z1 + (z1 - z0) (rho - rho1) / (rho1 - rho0), the first-order
 predictor of continuation methods (Allgower & Georg, Numerical
@@ -49,19 +50,20 @@ in the caller's order.
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 
-`spectra` solves every node of one or more inversion contours and is
-the one way to get a spectrum; `modes` turns it into the decay rate
-1/(c nu) and the amplitude source/(c norm) of each (node, mode), the
-interface the profile driver shares with the closed form of `fde`, and
-`laplace_density` is their sum at one transform point and one x. The
-mode sums are `mode_sum`: on an evenly spaced x grid exp(-|x_k| rate)
-is the exponential at the first |x| of a side of x = 0 times a power of
-exp(-h rate), so a transform takes three complex exps per (node, mode),
-and running products along x, instead of one exp per (x, node, mode)
-entry. It fills a block of x rows at a time, so no (x, node, mode)
-array is formed. The dispersion check takes one reciprocal per (node,
-mode, ordinate) entry. `certifiable` tells, before any solve, the nodes
-whose roots lie too close to their poles for that check.
+`spectra`, the kernel, is the one way to get a spectrum: it solves the
+points p of one or more inversion contours and names a failing node by
+its index among them. `modes` is the exact memory, then `spectra`, then
+the decay rate 1/(c nu) and amplitude S/(c norm) of each (node, mode),
+the interface the profile driver shares with `fde`; `laplace_density`
+is their sum at one s and one x. The mode sums are `mode_sum`: on an
+evenly spaced x grid exp(-|x_k| rate) is the exponential at the first
+|x| of a side of x = 0 times a power of exp(-h rate), so a transform
+takes three complex exps per (node, mode) and running products along
+x, not one exp per (x, node, mode) entry; it fills a block of x rows at
+a time, so no (x, node, mode) array is formed. The dispersion check
+takes one reciprocal per (node, mode, ordinate) entry. `certifiable`
+tells, before any solve, the points p whose roots lie too close to
+their poles for that check.
 """
 
 from __future__ import annotations
@@ -132,17 +134,6 @@ class TransportParams:
             raise ValueError(f"speed must be positive, got {self.speed}")
 
 
-def _rates(params: TransportParams, s_nodes: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_t(s) and the source factor 1 + sigma_trap * LPhi(s) per node,
-    from one LPhi evaluation per node (none when sigma_trap is zero)."""
-    source = np.ones_like(s_nodes)
-    if params.sigma_trap > 0.0:
-        lphi = [params.waiting.laplace_survival(s) for s in s_nodes.tolist()]
-        source = 1.0 + params.sigma_trap * np.array(lphi)
-    return params.sigma_a + params.sigma_s + source * s_nodes, source
-
-
 def _aberth_steps(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
                   z: np.ndarray, jn: np.ndarray, kn: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +164,7 @@ def _aberth_steps(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
 
 
 def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
-                   s_nodes: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+                   nodes: np.ndarray, z: np.ndarray | None) -> np.ndarray:
     """All N roots z of 1 = rho_j sum_i v2_i / (d_i - z) for each node j.
 
     Aberth-Ehrlich iteration from the start guesses z, a (node, N) array
@@ -181,8 +172,8 @@ def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
     shifts d_k - rho_j v2_k. Each sweep updates only the roots still
     moving, listed by (node, root) index. A root is frozen once its step
     falls to `_STEP_TOL` |z| or within the rounding-error bound of the
-    step. Raises NumericFailureError if a root turns non-finite or has
-    not converged after `_MAX_ITER` sweeps.
+    step. Raises NumericFailureError, naming the node, if a root turns
+    non-finite or has not converged after `_MAX_ITER` sweeps.
     """
     n = d.shape[0]
     if z is None:
@@ -195,7 +186,7 @@ def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
         if not finite.all():
             raise NumericFailureError(
                 "secular root iteration produced non-finite values",
-                s=complex(s_nodes[jn[np.argmin(finite)]]))
+                node=int(nodes[jn[np.argmin(finite)]]))
         z[jn, kn] = zk
         moving = (np.abs(step) > _STEP_TOL * np.abs(zk)) & ~in_noise
         if not moving.any():
@@ -203,11 +194,11 @@ def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
         jn, kn = jn[moving], kn[moving]
     raise NumericFailureError(
         f"secular roots not converged after {_MAX_ITER} iterations",
-        s=complex(s_nodes[jn[0]]))
+        node=int(nodes[jn[0]]))
 
 
 def _dispersion(sigma_s: float, mu: np.ndarray, w: np.ndarray,
-                st: np.ndarray, nu: np.ndarray, s_nodes: np.ndarray
+                st: np.ndarray, nu: np.ndarray, nodes: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispersion residual and normalization of every mode (node, k),
     independently of the secular roots, after checking that no
@@ -228,7 +219,7 @@ def _dispersion(sigma_s: float, mu: np.ndarray, w: np.ndarray,
         j, k = np.argwhere(hit)[0]
         raise NumericFailureError(
             f"eigenvalue {nu[j, k]} collides with a quadrature ray",
-            s=complex(s_nodes[j]))
+            node=int(nodes[j]))
     # the (node, mode, ordinate) array is updated in place, as in a sweep
     q *= ray[:, :, None] + mu
     np.divide(1.0, q, out=q)
@@ -239,65 +230,63 @@ def _dispersion(sigma_s: float, mu: np.ndarray, w: np.ndarray,
 
 
 def _block_spectra(sigma_s: float, mu: np.ndarray, w: np.ndarray,
-                   st: np.ndarray, s_nodes: np.ndarray, z: np.ndarray | None
+                   st: np.ndarray, nodes: np.ndarray, z: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Secular roots, eigenvalues nu and normalizations of one block of
     nodes from the start guesses z (None: the pole shifts), checked
     against ray collisions, the dispersion relation and vanishing
-    normalizations."""
-    z = _secular_roots(sigma_s / st, 1.0 / mu**2, w / mu**2, s_nodes, z)
+    normalizations; a failure names its node by its entry of `nodes`."""
+    z = _secular_roots(sigma_s / st, 1.0 / mu**2, w / mu**2, nodes, z)
     nu = 1.0 / np.sqrt(st[:, None] ** 2 * z)
-    res, norm = _dispersion(sigma_s, mu, w, st, nu, s_nodes)
+    res, norm = _dispersion(sigma_s, mu, w, st, nu, nodes)
     bad = ~(res <= _RESIDUAL_TOL)
     if bad.any():
         j, k = np.argwhere(bad)[0]
         raise NumericFailureError(
             f"dispersion residual {res[j, k]:.3e} at eigenvalue {nu[j, k]}",
-            s=complex(s_nodes[j]), nu=complex(nu[j, k]))
+            node=int(nodes[j]), nu=complex(nu[j, k]))
     tiny = (np.abs(norm) < 1e-300).any(axis=1)
     if tiny.any():
         raise NumericFailureError("vanishing mode normalization",
-                                  s=complex(s_nodes[np.argmax(tiny)]))
+                                  node=int(nodes[np.argmax(tiny)]))
     return z, nu, norm
 
 
-def _node_stack(s_nodes) -> np.ndarray:
-    """s_nodes as a complex array if it is one-dimensional, else ValueError."""
-    s_nodes = np.asarray(s_nodes, dtype=complex)
-    if s_nodes.ndim != 1:
+def _node_stack(points) -> np.ndarray:
+    """points as a complex array if it is one-dimensional, else ValueError."""
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 1:
         raise ValueError(f"need a one-dimensional stack of transform "
-                         f"points, got shape {s_nodes.shape}")
-    return s_nodes
+                         f"points, got shape {points.shape}")
+    return points
 
 
-def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decaying discrete-ordinates spectrum at every transform point.
-
-    Returns (sigma_t, source, nu, norm): per node j, the total
-    cross-section, the source factor 1 + sigma_trap * LPhi, the N
-    eigenvalues nu[j] with Re nu >= 0, and their normalization integrals
-    norm[j] = sum_i w_i mu_i (phi(nu, mu_i)^2 - phi(nu, -mu_i)^2) with
-    phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu). Raises
-    NumericFailureError if the spectrum of a node fails a check (a ray
-    collision among them), and ValueError, before any solve, unless
-    s_nodes is a one-dimensional stack.
+def spectra(params: TransportParams, quadrature: QuadratureSet, p
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Decaying discrete-ordinates spectrum of the trap-free kernel,
+    sigma_t = sigma_a + sigma_s + p, at every point p (params' trapping is
+    not read): (nu, norm), per node j the N eigenvalues nu[j], Re nu >= 0,
+    and their normalizations norm[j] = sum_i w_i mu_i (phi(nu, mu_i)^2 -
+    phi(nu, -mu_i)^2), phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu).
+    NumericFailureError names a node that fails a check (a ray collision
+    among them) by its index in p; ValueError, before any solve, unless
+    p is a one-dimensional stack.
 
     The nodes are solved in the strided blocks of the module docstring,
     from the pole shifts in block 0 and from the secant in rho through
     the two predecessors' roots after it; its ratio is taken as 0 (the
     start is z1) in block 1, where rho1 = rho0, and where it is not
-    finite. The results come back in the order of s_nodes.
+    finite. The results come back in the order of p.
     """
-    s_nodes = _node_stack(s_nodes)
+    p = _node_stack(p)
     mu = np.asarray(quadrature.nodes)
     w = np.asarray(quadrature.weights)
-    st, source = _rates(params, s_nodes)
+    st = params.sigma_a + params.sigma_s + p
     rho = params.sigma_s / st
-    nus = np.empty((s_nodes.shape[0], quadrature.order), dtype=complex)
+    nus = np.empty((p.shape[0], quadrature.order), dtype=complex)
     norms = np.empty_like(nus)
-    order = np.lexsort((s_nodes.real, s_nodes.imag))
-    stride = -(-s_nodes.shape[0] // _BLOCK)
+    order = np.lexsort((p.real, p.imag))
+    stride = -(-p.shape[0] // _BLOCK)
     # (rho, roots) of blocks b - 1 and b - 2, whose i-th nodes precede
     # ours; each start is a new array, which the solve refines in place
     last = before = None
@@ -312,9 +301,9 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, s_nodes
             ratio[~np.isfinite(ratio)] = 0.0
             start = z1[:m] + (z1[:m] - z0[:m]) * ratio[:, None]
         roots, nus[blk], norms[blk] = _block_spectra(
-            params.sigma_s, mu, w, st[blk], s_nodes[blk], start)
+            params.sigma_s, mu, w, st[blk], blk, start)
         before, last = last, (rho[blk], roots)
-    return st, source, nus, norms
+    return nus, norms
 
 
 def _uniform_grid(xs) -> tuple[np.ndarray, float]:
@@ -337,15 +326,12 @@ def _uniform_grid(xs) -> tuple[np.ndarray, float]:
 
 def modes(params: TransportParams, quadrature: QuadratureSet, s_nodes
           ) -> tuple[np.ndarray, np.ndarray]:
-    """Decay rate and amplitude of every decaying mode (node, k), from
-    one `spectra` call over s_nodes: the (node, N) arrays
-    rate = 1 / (c nu) and coef = source / (c norm), whose `mode_sum`
-    is the Laplace-domain scalar density of an isotropic unit pulse at
-    x = 0. The trapping factor (sigma_trap * LPhi(s) + 1) rescales the
-    effective source, and the speed c stretches space: modes decay as
-    exp(-|x| / (c nu)) and carry a factor 1/c.
-    """
-    _, source, nus, norms = spectra(params, quadrature, s_nodes)
+    """The (node, N) arrays rate = 1 / (c nu) and coef = (S / c) / norm of
+    the decaying modes, from the exact memory (S, p) of s_nodes and one
+    `spectra` call over p: their `mode_sum` is the Laplace-domain density
+    of an isotropic unit pulse at x = 0, which the speed c stretches."""
+    source, p = params.waiting.memory(params.sigma_trap, _node_stack(s_nodes))
+    nus, norms = spectra(params, quadrature, p)
     return 1.0 / (params.speed * nus), (source / params.speed)[:, None] / norms
 
 
@@ -389,11 +375,11 @@ def mode_sum(xs, rate: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def certifiable(params: TransportParams, quadrature: QuadratureSet, s_nodes
+def certifiable(params: TransportParams, quadrature: QuadratureSet, p
                 ) -> np.ndarray:
-    """Per node, whether the dispersion check of `spectra` can certify its
-    roots: whether the smallest gap |rho| min_i w_i is `_MIN_GAP` or more."""
-    st, _ = _rates(params, _node_stack(s_nodes))
+    """Per point p, whether the dispersion check of `spectra` can certify
+    its roots: whether the gap |rho| min_i w_i is `_MIN_GAP` or more."""
+    st = params.sigma_a + params.sigma_s + _node_stack(p)
     return np.abs(params.sigma_s / st) * min(quadrature.weights) >= _MIN_GAP
 
 

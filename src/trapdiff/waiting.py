@@ -1,11 +1,14 @@
-"""The heavy-tailed waiting-time law of the trapping kernel.
+"""The heavy-tailed waiting-time law of trapping and its memory functions.
 
 The Pareto-type law with tail exponent alpha in (0, 1) and finite
 scale gamma > 0 has survival (1 + tau/gamma)^(-alpha), which decays like
 (gamma/tau)^alpha: that tail is what produces the fractional time
 derivative in the long-time limit, and alpha and gamma are all of the
 law that any solver sees. Its Laplace transform has a closed form built
-from the generalized exponential integral.
+from the generalized exponential integral. Trapping changes the clock,
+not the kernel (Barkai, Metzler & Klafter, Phys. Rev. E 61, 132 (2000)):
+at a stack s, `WaitingTimeModel.memory` (exact) and `power_memory` give
+the source factor S(s) and the p = s S(s) a trap-free kernel sees.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import gen_exp_integral_scaled
 
-__all__ = ["WaitingTimeModel"]
+__all__ = ["WaitingTimeModel", "power_memory"]
 
 
 @dataclass(frozen=True)
@@ -44,3 +49,20 @@ class WaitingTimeModel:
         """
         z = self.gamma * complex(s)
         return self.gamma * gen_exp_integral_scaled(self.alpha, z)
+
+    def memory(self, sigma_trap: float, s) -> tuple[np.ndarray, np.ndarray]:
+        """S = 1 + sigma_trap LPhi(s) and p = S s at every point of s, from
+        one LPhi per point (none when sigma_trap is zero)."""
+        s = np.asarray(s, dtype=complex)
+        source = np.ones_like(s)
+        if sigma_trap > 0.0:
+            lphi = [self.laplace_survival(v) for v in s.tolist()]
+            source = 1.0 + sigma_trap * np.array(lphi)
+        return source, source * s
+
+
+def power_memory(eta: float, alpha: float, s: np.ndarray):
+    """S = 1 + eta s^alpha / s and p = s + eta s^alpha at every point of
+    s, on principal branches."""
+    sa = s**alpha
+    return 1.0 + eta * sa / s, s + eta * sa

@@ -94,6 +94,27 @@ def test_config_section_with_cli_override(tmp_path):
     assert float(rows[-1][0]) == 4.0
 
 
+def test_ini_section_and_flags_are_settled_together(tmp_path, capsys):
+    """A section that sets only x_min = 20 is checked with the flags
+    applied: --x-max 30 makes its grid 20 to 30; without the flag the
+    default x_max = 15 is refused as before."""
+    ini = tmp_path / "far.ini"
+    ini.write_text("[far]\nx_min = 20\n")
+    out_csv = tmp_path / "far.csv"
+    args = ["profile", "--scenario", "far", "--config", str(ini),
+            "--solvers", "NORMAL", "--out", str(out_csv)]
+    assert cli.main(args + ["--x-max", "30"]) == 0
+    xs = [float(line.split(",")[0])
+          for line in out_csv.read_text().splitlines()[1:]]
+    assert (xs[0], xs[-1]) == (20.0, 30.0)
+    out_csv.unlink()
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    assert ("need x_min < x_max, got [20.0, 15.0]"
+            in capsys.readouterr().err)
+    assert not out_csv.exists()
+
+
 def test_config_missing_file(tmp_path, capsys):
     rc = cli.main(["profile", "--scenario", "quick",
                    "--config", str(tmp_path / "absent.ini"),
@@ -787,10 +808,10 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
 def test_numeric_failure_message_says_where(tmp_path, capsys, monkeypatch):
     """A spectrum failure at a node of the t = 20 contour exits 2 with a
     line that names the solver and that time."""
-    bad = contour(20.0)[0][5]
+    bad = len(contour(10.0)[0]) + 5
 
     def failing(*args):
-        raise NumericFailureError("synthetic spectrum failure", s=complex(bad))
+        raise NumericFailureError("synthetic spectrum failure", node=bad)
 
     monkeypatch.setattr(harness.transport, "spectra", failing)
     rc = cli.main(["profile", "--scenario", "fig1a", "--times", "10,20,30",

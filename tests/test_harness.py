@@ -205,7 +205,7 @@ def test_rte_reports_only_numeric_failures(monkeypatch):
     sc = small_scenario(solvers=("RTE",))
 
     def numeric(*args):
-        raise NumericFailureError("synthetic blow-up", s=1j)
+        raise NumericFailureError("synthetic blow-up", node=3)
 
     monkeypatch.setattr(transport, "spectra", numeric)
     with pytest.raises(NumericFailureError) as info:
@@ -373,19 +373,46 @@ def test_rte_stack_matches_one_time_at_a_time():
 
 
 def test_rte_failure_names_the_time_of_its_node(monkeypatch):
-    """A spectrum failure in the stack is reported at the time whose
-    contour holds the node it names."""
+    """A spectrum failure in the stack is reported at the s and the time
+    of the node it names by index: node 7 of the t = 10 contour."""
     sc = small_scenario(solvers=("RTE",), times=(5.0, 10.0, 20.0))
-    bad = contour(10.0)[0][7]
+    bad = len(contour(5.0)[0]) + 7
 
     def failing(*args):
-        raise NumericFailureError("synthetic blow-up", s=complex(bad))
+        raise NumericFailureError("synthetic blow-up", node=bad)
 
     monkeypatch.setattr(transport, "spectra", failing)
     with pytest.raises(NumericFailureError) as info:
         run_scenario(sc)
     context = info.value.context
     assert context["solver"] == "RTE" and context["t"] == 10.0
+    assert context["s"] == contour(10.0)[0][7]
+
+
+def test_trapped_stack_failure_names_the_time_and_s_of_its_node(monkeypatch):
+    """fig1a at t = 5, 10, 20 is trapped, so the kernel sees p = s S(s),
+    not s: a dispersion failure of the real kernel at any one of the 204
+    nodes is reported at solver RTE, that node's time and its s. Mapping
+    p back through the nearest s names the wrong time for 71 of them."""
+    sc = late_times_scenario((5.0, 10.0, 20.0), 3)
+    tp = sc.transport
+    real = transport._dispersion
+    nodes = [(t, s) for t in sc.times for s in contour(t)[0].tolist()]
+    assert len(nodes) == 204
+    for t, s in nodes:
+        sigma_t = tp.sigma_a + tp.sigma_s + tp.waiting.memory(
+            tp.sigma_trap, [s])[1][0]
+
+        def failing(*args, sigma_t=sigma_t):
+            res, norm = real(*args)
+            res[args[3] == sigma_t] = 1.0
+            return res, norm
+
+        monkeypatch.setattr(transport, "_dispersion", failing)
+        with pytest.raises(NumericFailureError, match="dispersion") as info:
+            run_scenario(sc)
+        context = info.value.context
+        assert (context["solver"], context["t"], context["s"]) == ("RTE", t, s)
 
 
 def test_rte_stack_memory_peak():

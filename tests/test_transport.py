@@ -31,7 +31,6 @@ from trapdiff.ilt import _STEEPNESS, M, SHIFT, contour, invert_reference
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import (
     TransportParams,
-    _rates,
     laplace_density,
     mode_sum,
     modes,
@@ -61,6 +60,14 @@ SCENARIOS = (
 Q30 = gauss_legendre(30)
 
 
+def trapped_spectra(p, q, s_nodes):
+    """sigma_t, the source factor S, nu and norm at each of s_nodes: the
+    kernel `spectra` at the exact memory's p = s S of the trapped law."""
+    source, clock = p.waiting.memory(p.sigma_trap, s_nodes)
+    nus, norms = spectra(p, q, clock)
+    return p.sigma_a + p.sigma_s + clock, source, nus, norms
+
+
 def phi_matrix(p, st, nus, mu):
     """Vectorized eigenfunction table phi(nu_n, mu_i), shape (N, len(mu))."""
     nus = nus[:, None]
@@ -85,21 +92,24 @@ def test_params_validation():
 # ------------------------------------------------------------------- sigma_t
 
 def test_sigma_t_trap_free():
-    p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=LAW)
+    """Without trapping the exact memory is S = 1 and p = s exactly, so
+    the kernel's sigma_t is sigma_a + sigma_s + s."""
     s = 0.3 + 0.9j
-    st, _ = _rates(p, np.array([s]))
-    assert st[0] == 0.5 + 1.0 + s
+    source, clock = LAW.memory(0.0, [s])
+    assert source[0] == 1.0 and clock[0] == s
 
 
 def test_sigma_t_small_s_limit():
-    # s (LPhi)(s) ~ Gamma(1-alpha)(gamma s)^alpha vanishes with s
+    # p = s + sigma_trap s (LPhi)(s), and s (LPhi)(s) ~
+    # Gamma(1-alpha)(gamma s)^alpha vanishes with s
     p = SCENARIOS[0]
-    st, _ = _rates(p, np.array([1e-10 + 0j]))
-    assert abs(st[0] - (p.sigma_a + p.sigma_s)) < 1e-5
+    _, clock = p.waiting.memory(p.sigma_trap, [1e-10 + 0j])
+    assert abs(clock[0]) < 1e-5
 
 
 def test_sigma_t_composition_against_quadrature():
-    """Rebuild sigma_t from a quadrature of the survival transform."""
+    """Rebuild the exact memory's S and p from a quadrature of the
+    survival transform."""
     p = SCENARIOS[0]
     s = 0.04 + 1.0j
 
@@ -116,9 +126,10 @@ def test_sigma_t_composition_against_quadrature():
                         epsabs=1e-13, epsrel=1e-13)[0]
     vi = integrate.quad(integrand, -34.0, hi, args=("im",), limit=800,
                         epsabs=1e-13, epsrel=1e-13)[0]
-    rebuilt = p.sigma_a + p.sigma_s + (p.sigma_trap * complex(vr, vi) + 1.0) * s
-    st, _ = _rates(p, np.array([s]))
-    assert abs(st[0] - rebuilt) / abs(rebuilt) < 1e-12
+    rebuilt = p.sigma_trap * complex(vr, vi) + 1.0
+    source, clock = p.waiting.memory(p.sigma_trap, [s])
+    assert abs(source[0] - rebuilt) / abs(rebuilt) < 1e-12
+    assert abs(clock[0] - rebuilt * s) / abs(rebuilt * s) < 1e-12
 
 
 # ---------------------------------------------------------------- eigenvalues
@@ -127,7 +138,7 @@ def test_single_ordinate_closed_form():
     """With one ordinate the dispersion relation is a quadratic in nu."""
     p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=LAW)
     q1 = gauss_legendre(1)
-    _, _, nus, _ = spectra(p, q1, [0.5])  # sigma_t = 2, sigma_s = 1
+    nus, _ = spectra(p, q1, [0.5])  # sigma_t = 2, sigma_s = 1
     nu = nus[0, 0]
     assert nu == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-13)
     assert nu == pytest.approx(0.3535534, abs=1e-7)
@@ -141,14 +152,14 @@ def test_single_ordinate_closed_form_random_rates():
         st_total = ss + rng.uniform(0.6, 3.0)
         p = TransportParams(sigma_a=st_total - ss - 0.5, sigma_s=ss,
                             sigma_trap=0.0, waiting=LAW)
-        _, _, nus, _ = spectra(p, q1, [0.5])
+        nus, _ = spectra(p, q1, [0.5])
         closed = 0.5 / math.sqrt(st_total * (st_total - ss))
         assert abs(nus[0, 0] - closed) / closed < 1e-12
 
 
 def test_spectrum_shape_and_half_plane():
     for p in SCENARIOS:
-        _, _, nus, norms = spectra(p, Q30, [0.04 + 3.0j])
+        _, _, nus, norms = trapped_spectra(p, Q30, [0.04 + 3.0j])
         assert len(nus[0]) == 30
         assert len(norms[0]) == 30
         assert all(nu.real > 0.0 for nu in nus[0])
@@ -159,7 +170,7 @@ def test_dispersion_residual():
     w = np.asarray(Q30.weights)
     for p in SCENARIOS:
         for s in (0.04 + 3.0j, 0.04 - 41.0j, 0.04 + 750.0j):
-            sts, _, nus, _ = spectra(p, Q30, [s])
+            sts, _, nus, _ = trapped_spectra(p, Q30, [s])
             st = sts[0]
             for nu in nus[0]:
                 lam = 1.0 - (p.sigma_s * nu / 2.0) * np.sum(
@@ -179,8 +190,9 @@ def test_dispersion_sums_match_eigenfunction_formulas(name, t):
     mu = np.asarray(q.nodes)
     w = np.asarray(q.weights)
     s_nodes = contour(t)[0]
-    st, _, nus, norms = spectra(sc.transport, q, s_nodes)
-    res, _ = transport._dispersion(sc.transport.sigma_s, mu, w, st, nus, s_nodes)
+    st, _, nus, norms = trapped_spectra(sc.transport, q, s_nodes)
+    res, _ = transport._dispersion(sc.transport.sigma_s, mu, w, st, nus,
+                                   np.arange(len(s_nodes)))
     c = 0.5 * sc.transport.sigma_s
     nu = nus[:, :, None]
     plus = c * nu / (st[:, None, None] * nu - mu)
@@ -197,7 +209,7 @@ def test_eigenvalue_pairing_against_raw_matrix():
     q = gauss_legendre(n)
     p = SCENARIOS[0]
     s = 0.04 + 17.0j
-    sts, _, nus, _ = spectra(p, q, [s])
+    sts, _, nus, _ = trapped_spectra(p, q, [s])
     mu = np.asarray(q.nodes)
     w = np.asarray(q.weights)
     st = sts[0]
@@ -220,8 +232,8 @@ def test_scattering_free_limit():
     devs = []
     for ss in (1e-2, 1e-4):
         p = TransportParams(sigma_a=1.0, sigma_s=ss, sigma_trap=0.0, waiting=LAW)
-        sts, _, spectrum, _ = spectra(p, q8, [0.5])
-        st = sts[0]
+        spectrum, _ = spectra(p, q8, [0.5])
+        st = p.sigma_a + p.sigma_s + 0.5
         nus = sorted(spectrum[0], key=lambda v: v.real)
         devs.append(max(abs(nu * st / mu - 1.0)
                         for nu, mu in zip(nus, sorted(q8.nodes))))
@@ -240,7 +252,7 @@ def test_residual_guard_fires_when_unresolvable():
 
 def test_orthogonality_weighted_by_mu():
     for p in SCENARIOS:
-        sts, _, nus, norms = spectra(p, Q30, [0.04 - 12.0j])
+        sts, _, nus, norms = trapped_spectra(p, Q30, [0.04 - 12.0j])
         mu = np.asarray(Q30.nodes)
         w = np.asarray(Q30.weights)
         plus = phi_matrix(p, sts[0], nus[0], mu)
@@ -263,7 +275,7 @@ def test_density_trap_free_reduction():
     """With no trapping the transform is the bare sum over decaying modes."""
     p = TransportParams(sigma_a=0.5, sigma_s=1.0, sigma_trap=0.0, waiting=LAW)
     s = 0.2 + 0.3j
-    _, _, nus, norms = spectra(p, Q30, [s])
+    nus, norms = spectra(p, Q30, [s])
     manual = sum(cmath.exp(-2.0 / nu) / nv for nu, nv in zip(nus[0], norms[0]))
     assert abs(laplace_density(p, Q30, s, 2.0) - manual) < 1e-14 * abs(manual)
 
@@ -277,7 +289,7 @@ def test_density_mass_identity():
     """
     for p in SCENARIOS:
         for s in (0.04 + 0.5j, 0.04 - 7.0j, 0.04 + 120.0j, 0.04 - 450.0j, 0.04 + 999.0j):
-            _, _, nus, norms = spectra(p, Q30, [s])
+            _, _, nus, norms = trapped_spectra(p, Q30, [s])
             lphi = p.waiting.laplace_survival(s)
             lhs = 2.0 * (p.sigma_trap * lphi + 1.0) * sum(
                 nu / nv for nu, nv in zip(nus[0], norms[0]))
@@ -352,7 +364,7 @@ def test_density_transform_against_full_eigenproblem():
 def direct_density_transform(p, q, s_nodes, xs):
     """The (x, node) transform from one complex exp per (x, node, mode)
     entry: the reference for the running products along x."""
-    _, source, nus, norms = spectra(p, q, s_nodes)
+    _, source, nus, norms = trapped_spectra(p, q, s_nodes)
     ax = np.abs(np.asarray(xs, dtype=float))
     out = np.empty((ax.shape[0], nus.shape[0]), dtype=complex)
     for j in range(nus.shape[0]):
@@ -493,7 +505,7 @@ def full_eigenproblem_spectrum(p, q, s):
     n = q.order
     mu = np.asarray(q.nodes)
     w = np.asarray(q.weights)
-    st = _rates(p, np.array([complex(s)]))[0][0]
+    st = p.sigma_a + p.sigma_s + p.waiting.memory(p.sigma_trap, [s])[1][0]
     c = 0.5 * p.sigma_s
     half = st * np.eye(n) - c * np.tile(w, (n, 1))
     coupling = -c * np.tile(w, (n, 1))
@@ -557,10 +569,10 @@ def test_spectra_against_full_eigenproblem_property(n):
             s_all, _, _ = contour(t)
         s_nodes = s_all[sorted(pick.sample(range(len(s_all)), 4))]
         try:
-            st, _, nus, _ = spectra(p, q, s_nodes)
+            st, _, nus, _ = trapped_spectra(p, q, s_nodes)
         except NumericFailureError as exc:
             with pytest.raises(NumericFailureError):
-                full_eigenproblem_spectrum(p, q, exc.context["s"])
+                full_eigenproblem_spectrum(p, q, s_nodes[exc.context["node"]])
             return
         for j, s in enumerate(s_nodes.tolist()):
             try:
@@ -588,14 +600,15 @@ def matched_rel(got, want):
 def test_spectra_invariant_to_node_order():
     """fig1a's t = 10 and t = 100 contour nodes, shuffled together, give
     every node the root set it gets unshuffled, to 1e-13 relative: the
-    solve order is that of (Im s, Re s), whatever order the nodes come
+    solve order is that of (Im p, Re p), whatever order the nodes come
     in."""
     sc = builtin_scenarios()["fig1a"]
     s_nodes = np.concatenate([contour(t)[0]
                               for t in (10.0, 100.0)])
     perm = np.random.default_rng(2024).permutation(len(s_nodes))
-    st, source, nus, norms = spectra(sc.transport, Q30, s_nodes)
-    st_p, source_p, nus_p, norms_p = spectra(sc.transport, Q30, s_nodes[perm])
+    st, source, nus, norms = trapped_spectra(sc.transport, Q30, s_nodes)
+    st_p, source_p, nus_p, norms_p = trapped_spectra(sc.transport, Q30,
+                                                     s_nodes[perm])
     assert np.array_equal(st_p, st[perm])
     assert np.array_equal(source_p, source[perm])
     assert matched_rel(nus_p, nus[perm]) <= 1e-13
@@ -612,7 +625,7 @@ def test_secular_roots_resolve_near_unit_albedo():
     s_nodes = contour(1e6)[0]
     stalled = np.argmin(np.abs(s_nodes - (8e-6 + 1.1e-10j)))
     assert abs(s_nodes[stalled] - (8e-6 + 1.1e-10j)) < 1e-11
-    _, _, nus, _ = spectra(sc.transport, Q30, s_nodes)
+    _, _, nus, _ = trapped_spectra(sc.transport, Q30, s_nodes)
     want = np.array([full_eigenproblem_spectrum(sc.transport, Q30, s)
                      for s in s_nodes.tolist()])
     assert matched_rel(nus, want) <= 1e-10
@@ -643,7 +656,7 @@ def test_warm_starts_bound_the_root_updates(monkeypatch):
         contour(t)[0]
         for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
     updates = count_root_updates(monkeypatch)
-    spectra(sc.transport, Q30, s_nodes)
+    trapped_spectra(sc.transport, Q30, s_nodes)
     assert len(s_nodes) == 544
     assert 544 * 30 <= sum(updates) <= 33_000
 
@@ -659,18 +672,19 @@ def test_secant_starts_bound_the_panel_root_updates(monkeypatch):
     for sc in builtin_scenarios().values():
         s_nodes = np.concatenate([contour(t)[0]
                                   for t in sc.times])
-        spectra(sc.transport, gauss_legendre(sc.n_ordinates), s_nodes)
+        trapped_spectra(sc.transport, gauss_legendre(sc.n_ordinates), s_nodes)
         count += len(s_nodes) * sc.n_ordinates
     assert count == 408 * 30
     assert count <= sum(updates) <= 33_250
 
 
 def solve_order_spacing(p, s_nodes):
-    """The gaps |rho_1 - rho_0| between neighbours in the (Im s, Re s)
+    """The gaps |rho_1 - rho_0| between neighbours in the (Im p, Re p)
     solve order, and the spacing ratios |rho - rho_1| / |rho_1 - rho_0|
     of each node over the gap before it, where that gap is not 0."""
-    s_sorted = s_nodes[np.lexsort((s_nodes.real, s_nodes.imag))]
-    gaps = np.abs(np.diff(p.sigma_s / _rates(p, s_sorted)[0]))
+    _, clock = p.waiting.memory(p.sigma_trap, s_nodes)
+    clock = clock[np.lexsort((clock.real, clock.imag))]
+    gaps = np.abs(np.diff(p.sigma_s / (p.sigma_a + p.sigma_s + clock)))
     before = gaps[:-1] > 0.0
     return gaps, gaps[1:][before] / gaps[:-1][before]
 
@@ -702,8 +716,8 @@ def test_secant_starts_cost_no_accuracy():
     assert (gaps == 0.0).any() and ratios.max() > 1e9
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, _, nus, _ = spectra(sc.transport, Q30, s_nodes)
-    alone = np.array([spectra(sc.transport, Q30, [s])[2][0]
+        _, _, nus, _ = trapped_spectra(sc.transport, Q30, s_nodes)
+    alone = np.array([trapped_spectra(sc.transport, Q30, [s])[2][0]
                       for s in s_nodes.tolist()])
     assert matched_rel(nus, alone) <= 1e-13
 
@@ -716,7 +730,7 @@ def test_secant_starts_across_contour_shifts():
     s_nodes = np.concatenate([contour(t)[0]
                               for t in (10.0, 1e4)])
     assert set(s_nodes.real.tolist()) == {0.04, 8e-4}
-    _, _, nus, _ = spectra(sc.transport, Q30, s_nodes)
+    _, _, nus, _ = trapped_spectra(sc.transport, Q30, s_nodes)
     want = np.array([full_eigenproblem_spectrum(sc.transport, Q30, s)
                      for s in s_nodes.tolist()])
     assert matched_rel(nus, want) <= 1e-10
@@ -729,7 +743,7 @@ def test_secular_iteration_cap_raises(monkeypatch):
     s_nodes, _, _ = contour(10.0)
     monkeypatch.setattr(transport, "_MAX_ITER", 1)
     with pytest.raises(NumericFailureError, match="not converged"):
-        spectra(sc.transport, Q30, s_nodes)
+        trapped_spectra(sc.transport, Q30, s_nodes)
 
 
 def test_ray_collision_raises(monkeypatch):
@@ -738,9 +752,9 @@ def test_ray_collision_raises(monkeypatch):
     sc = builtin_scenarios()["fig1a"]
     s_nodes, _, _ = contour(10.0)
 
-    def on_the_poles(rho, d, v2, s_nodes, z):
-        return np.broadcast_to(d, (len(s_nodes), len(d))).astype(complex)
+    def on_the_poles(rho, d, v2, nodes, z):
+        return np.broadcast_to(d, (len(nodes), len(d))).astype(complex)
 
     monkeypatch.setattr(transport, "_secular_roots", on_the_poles)
     with pytest.raises(NumericFailureError, match="quadrature ray"):
-        spectra(sc.transport, Q30, s_nodes)
+        trapped_spectra(sc.transport, Q30, s_nodes)
