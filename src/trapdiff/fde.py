@@ -12,8 +12,8 @@ Production profiles come from `modes`, the Laplace transform in closed
 form in x, which holds for any alpha: the diffusion kernel's one mode
 exp(-|x| sqrt((p + sigma_a)/D0)) under the power-law memory (S, p) of
 `waiting.power_memory`, given as the same (rate, coef) pair per (node,
-mode) as the transport modes, so the profile driver sums both through
-`transport.mode_sum` on the inversion contour of `ilt.contour`. The
+mode) as the transport modes, so the profile driver sums both into x
+vectors by `transport.mode_sum` on the contour of `ilt.contour`. The
 other routes are oracles that share none of its algebra:
 `density_half` evaluates the alpha = 1/2 subordination formula in the
 time domain by adaptive quadrature, and `laplace_density` inverts

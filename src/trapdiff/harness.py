@@ -13,12 +13,12 @@ stack of transform points to the decay rate and amplitude of every
 discrete-ordinates kernel), FDE by `fde.modes` (the power law under the
 diffusion kernel), and both go through `_contour_values`: one `modes`
 call over the `ilt.contour` nodes of all times, RTE's at step pi / M
-and FDE's at half of it, then per time one (x, node) array from
-`transport.mode_sum`, reduced with the contour weights before the next
-is formed. RTE values past the ballistic front |x| > speed * t are 0:
-no particle gets there, so the contour sum is ringing. NORMAL is the
-heat kernel, one array call per time. `check_times` refuses up front a
-time at which a contour overflows or RTE's spectra cannot be certified.
+and FDE's at half of it, then per time one `transport.mode_sum` of its
+modes, weighted by its contour. RTE's stops at the ballistic front
+|x| = speed * t and reads 0 past it: no particle gets there, so the
+contour sum is ringing. NORMAL is the heat kernel, one array call per
+time. `check_times` refuses up front a time at which a contour
+overflows or RTE's spectra cannot be certified.
 `validate --level full` checks FDE against the oracle `fde.density_half`.
 
 Everything here is deliberately sequential and deterministic: the same
@@ -165,16 +165,16 @@ def builtin_scenarios() -> dict[str, Scenario]:
     return out
 
 
-def _contour_values(solver: str, modes, times, xs, m: float):
-    """Each time's densities at every x, in the order of times.
+def _contour_values(solver: str, modes, times, xs, m: float,
+                    speed: float = math.inf):
+    """Each time's densities at every x, in the order of times; 0, and
+    not summed, past the front |x| > speed * t (none at speed inf).
 
     modes maps a stack of transform points to the (rate, coef) of their
     modes; it is called once, over the `ilt.contour` nodes at step
     pi / m of all times, and a failure naming a node by its index there
-    is reported at its s and time (else at t nan). Each time's slice is
-    summed by `transport.mode_sum` and reduced with its contour's weights
-    before the next is formed, so no (x, node) array outlives its time.
-    """
+    is reported at its s and time (else at t nan). Each time is one
+    `transport.mode_sum` of its slice, coef times its contour weights."""
     rules = [contour(t, m) for t in times]
     ends = np.cumsum([0] + [s_nodes.shape[0] for s_nodes, _, _ in rules])
     stack = np.concatenate([s_nodes for s_nodes, _, _ in rules])
@@ -187,9 +187,10 @@ def _contour_values(solver: str, modes, times, xs, m: float):
             "t": times[np.searchsorted(ends, node, side="right") - 1]}
         raise NumericFailureError(exc.args[0], **exc.context,
                                   solver=solver, **where) from exc
-    return [prefactor * (transport.mode_sum(xs, rate[lo:hi], coef[lo:hi]).real
-                         @ weights)
-            for (_, weights, prefactor), lo, hi in zip(rules, ends, ends[1:])]
+    return [prefactor * transport.mode_sum(xs, rate[lo:hi], coef[lo:hi]
+                                           * weights[:, None], speed * t).real
+            for t, (_, weights, prefactor), lo, hi
+            in zip(times, rules, ends, ends[1:])]
 
 
 def check_times(sc: Scenario) -> None:
@@ -220,12 +221,10 @@ def run_scenario(sc: Scenario, m: float = M) -> list[SpatialProfile]:
     p = fde.from_transport(sc.transport)
     values = {}
     if "RTE" in sc.solvers:
-        rte = _contour_values(
-            "RTE", partial(transport.modes, sc.transport, sc.quadrature),
-            sc.times, xs, m)
         # nothing reaches past the ballistic front; the sum there is ringing
-        values["RTE"] = [np.where(np.abs(xs) > sc.transport.speed * t, 0.0, u)
-                         for t, u in zip(sc.times, rte)]
+        values["RTE"] = _contour_values(
+            "RTE", partial(transport.modes, sc.transport, sc.quadrature),
+            sc.times, xs, m, sc.transport.speed)
     if "FDE" in sc.solvers:
         values["FDE"] = _contour_values("FDE", partial(fde.modes, p),
                                         sc.times, xs, _FDE_REFINE * m)
@@ -246,26 +245,18 @@ def run_scenario(sc: Scenario, m: float = M) -> list[SpatialProfile]:
     return profiles
 
 
-def _profile_table(profiles: list[SpatialProfile]):
-    """Rows (scenario, t, x) -> {solver: u}, ordered for emission."""
+def _profile_groups(profiles: list[SpatialProfile]):
+    """The shared x grid and, in emission order, (scenario, t) -> {solver:
+    profile}; ValueError if there are no profiles or their grids differ."""
     if not profiles:
         raise ValueError("no profiles to emit")
-    by_key: dict[tuple[str, float], dict[str, SpatialProfile]] = {}
+    groups: dict[tuple[str, float], dict[str, SpatialProfile]] = {}
     xs = profiles[0].xs()
     for p in profiles:
         if p.xs() != xs:
             raise ValueError("profiles do not share an x grid")
-        by_key.setdefault((p.scenario, p.t), {})[p.solver] = p
-    rows = []
-    for (scenario, t), group in by_key.items():
-        for i, x in enumerate(xs):
-            cells = {solver: prof.points[i][1] for solver, prof in group.items()}
-            rows.append((scenario, t, x, cells))
-    return rows
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.9g}"
+        groups.setdefault((p.scenario, p.t), {})[p.solver] = p
+    return xs, groups
 
 
 def emit_csv(profiles: list[SpatialProfile], path: str,
@@ -277,21 +268,23 @@ def emit_csv(profiles: list[SpatialProfile], path: str,
     reldiff_rte_de = |diff| / |u_de| (inf where u_de = 0); every row
     then needs both an RTE and an FDE value.
     """
-    rows = _profile_table(profiles)
+    xs, groups = _profile_groups(profiles)
     lines = [CSV_HEADER + (DIFF_HEADER if differences else "")]
-    for scenario, t, x, cells in rows:
-        fields = [_fmt(x), *(_fmt(cells.get(s)) for s in SOLVER_ORDER),
-                  _fmt(t), scenario]
+    for (scenario, t), group in groups.items():
+        u = {solver: [v for _, v in p.points] for solver, p in group.items()}
+        extra = []
         if differences:
-            try:
-                u_r, u_d = cells["RTE"], cells["FDE"]
-            except KeyError as exc:
+            if not {"RTE", "FDE"} <= u.keys():
                 raise ValueError("difference columns need RTE and FDE "
-                                 f"profiles at t={t:g}") from exc
-            diff = u_r - u_d
-            rel = abs(diff) / abs(u_d) if u_d != 0.0 else math.inf
-            fields += [_fmt(diff), _fmt(rel)]
-        lines.append(",".join(fields))
+                                 f"profiles at t={t:g}")
+            diff = [a - b for a, b in zip(u["RTE"], u["FDE"])]
+            extra = [diff, [abs(d) / abs(b) if b != 0.0 else math.inf
+                            for d, b in zip(diff, u["FDE"])]]
+        cells = [[""] * len(xs) if col is None else [f"{v:.9g}" for v in col]
+                 for col in (xs, *map(u.get, SOLVER_ORDER))]
+        cells += [[f"{t:.9g}"] * len(xs), [scenario] * len(xs)]
+        cells += [[f"{v:.9g}" for v in col] for col in extra]
+        lines += map(",".join, zip(*cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -301,7 +294,7 @@ def emit_plot_script(profiles: list[SpatialProfile], path: str,
     """Write a gnuplot script with one panel: the one scenario of
     `profiles`, one curve per (time, solver). Raises ValueError, before
     any file is written, if `profiles` holds several scenarios."""
-    _profile_table(profiles)  # same emptiness/grid validation as the CSV
+    _profile_groups(profiles)  # same emptiness/grid validation as the CSV
     scenarios = {p.scenario for p in profiles}
     if len(scenarios) > 1:
         raise ValueError(f"a plot script shows one scenario, got "

@@ -26,7 +26,8 @@ Comp. 1973), O(N^2) per sweep instead of the O(N^3) of a dense eigen
 solve. The Newton ratio of the polynomial prod_i (d_i - z) * f(z) is
 written f / (f' - f sum_i 1/(d_i - z)), so an exact root takes a zero
 step rather than a 0/0. A root is frozen once its step falls to
-4e-15 |z|, or to within the rounding-error bound of f at the root,
+4e-15 |z| (a Newton step that small skips the O(N) Aberth correction),
+or to within the rounding-error bound of f at the root,
 8 eps sum_i |rho v_i^2 / (d_i - z)| / |f'(z)| (the `erretm` test of
 LAPACK's dlaed4): near rho = 1 the smallest root is fixed by f only to
 more than 1e-12 |z|, so no bound relative to |z| alone would let it go.
@@ -54,16 +55,14 @@ rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 points p of one or more inversion contours and names a failing node by
 its index among them. `modes` is the exact memory, then `spectra`, then
 the decay rate 1/(c nu) and amplitude S/(c norm) of each (node, mode),
-the interface the profile driver shares with `fde`; `laplace_density`
-is their sum at one s and one x. The mode sums are `mode_sum`: on an
-evenly spaced x grid exp(-|x_k| rate) is the exponential at the first
-|x| of a side of x = 0 times a power of exp(-h rate), so a transform
-takes three complex exps per (node, mode) and running products along
-x, not one exp per (x, node, mode) entry; it fills a block of x rows at
-a time, so no (x, node, mode) array is formed. The dispersion check
-takes one reciprocal per (node, mode, ordinate) entry. `certifiable`
-tells, before any solve, the points p whose roots lie too close to
-their poles for that check.
+the interface the profile driver shares with `fde`; `laplace_density` is
+their sum at one s and one x. `mode_sum` sums a stack's modes into an x
+vector, up to a front: on an evenly spaced grid exp(-|x_k| rate) is the
+one at the first |x| of a side of x = 0 times a power of exp(-h rate),
+three complex exps per (node, mode) and no (x, node) array. The
+dispersion check takes one reciprocal per (node, mode, ordinate) entry.
+`certifiable` tells, before any solve, the points p whose roots lie too
+close to their poles for that check.
 """
 
 from __future__ import annotations
@@ -91,16 +90,17 @@ _RESIDUAL_TOL = 1e-9
 # least root-pole gap rho w_i (rho = sigma_s / sigma_t) whose residual
 # rounding, ~eps / (rho w_i), stays below a quarter of _RESIDUAL_TOL
 _MIN_GAP = 4.0 * np.finfo(float).eps / _RESIDUAL_TOL
-# secular roots: nodes solved together (also the node count whose
-# (x, node, mode) array bounds the scratch of `mode_sum`), iteration
-# cap, relative step at which a root is frozen, and the rounding-error
-# bound of f(z) = 1 - rho sum_i v2_i / (d_i - z) in units of
-# sum_i |rho v2_i / (d_i - z)| (LAPACK dlaed4's erretm), below which a
-# step is rounding noise
+# secular roots: nodes solved together, iteration cap, relative step at
+# which a root is frozen, and the rounding-error bound of f(z) = 1 - rho
+# sum_i v2_i / (d_i - z) in units of sum_i |rho v2_i / (d_i - z)|
+# (LAPACK dlaed4's erretm), below which a step is rounding noise
 _BLOCK = 16
 _MAX_ITER = 50
 _STEP_TOL = 4e-15
 _NOISE_BOUND = 8.0 * np.finfo(float).eps
+# most entries of `mode_sum`'s table (4 rows at 68 nodes, 30 modes): einsum
+# sums a lone row over 8192, its buffer, unlike a row of a larger block
+_TABLE = 2**13
 # how far, relative to max |x|, a grid point may sit off the evenly
 # spaced grid through its ends
 _GRID_TOL = 1e-12
@@ -134,16 +134,27 @@ class TransportParams:
             raise ValueError(f"speed must be positive, got {self.speed}")
 
 
+def _gap_sums(z: np.ndarray, jn: np.ndarray, kn: np.ndarray) -> np.ndarray:
+    """sum_{i != k} 1 / (z_k - z_i) over the node of each root z[jn, kn]."""
+    own = np.arange(jn.shape[0])
+    inv_gap = z[jn]  # turned into 1 / (z_k - z_i), 0 at i = k
+    np.subtract(z[jn, kn][:, None], inv_gap, out=inv_gap)
+    inv_gap[own, kn] = 1.0
+    np.divide(1.0, inv_gap, out=inv_gap)
+    inv_gap[own, kn] = 0.0
+    return inv_gap.sum(axis=1)
+
+
 def _aberth_steps(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
                   z: np.ndarray, jn: np.ndarray, kn: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """One Aberth-Ehrlich sweep over the roots z[jn, kn]: their steps, and
     whether each step is within the rounding-error bound of f at its
-    root, `_NOISE_BOUND` sum_i |rho v2_i / (d_i - z)| / |f'(z)|.
-
-    The (root, pole) work arrays are updated in place rather than
-    allocated anew for each operation (fresh pages for arrays this large
-    cost about as much as the arithmetic), and freed on return."""
+    root, `_NOISE_BOUND` sum_i |rho v2_i / (d_i - z)| / |f'(z)|. A Newton
+    step of `_STEP_TOL` |z| or less is taken without the gap sum, whose
+    correction would move z by far less than an ulp. Work arrays are
+    updated in place, not allocated anew for each operation: fresh
+    pages for arrays this large cost about as much as the arithmetic."""
     zk, rk = z[jn, kn], rho[jn]
     inv_pole = d - zk[:, None]
     np.divide(1.0, inv_pole, out=inv_pole)
@@ -152,14 +163,10 @@ def _aberth_steps(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
     noise = _NOISE_BOUND * np.abs(rk) * np.abs(term).sum(axis=1)
     term *= inv_pole
     df = -rk * term.sum(axis=1)
-    newton = f / (df - f * inv_pole.sum(axis=1))
-    own = np.arange(jn.shape[0])
-    inv_gap = z[jn]  # turned into 1 / (z_k - z_i), 0 at i = k
-    np.subtract(zk[:, None], inv_gap, out=inv_gap)
-    inv_gap[own, kn] = 1.0
-    np.divide(1.0, inv_gap, out=inv_gap)
-    inv_gap[own, kn] = 0.0
-    step = newton / (1.0 - newton * inv_gap.sum(axis=1))
+    step = f / (df - f * inv_pole.sum(axis=1))
+    del inv_pole, term  # freed before the gap sums' work array is formed
+    busy = np.abs(step) > _STEP_TOL * np.abs(zk)  # Newton steps, so far
+    step[busy] /= 1.0 - step[busy] * _gap_sums(z, jn[busy], kn[busy])
     return step, np.abs(step) * np.abs(df) <= noise
 
 
@@ -335,43 +342,43 @@ def modes(params: TransportParams, quadrature: QuadratureSet, s_nodes
     return 1.0 / (params.speed * nus), (source / params.speed)[:, None] / norms
 
 
-def mode_sum(xs, rate: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The (x, node) sum sum_k coef[j, k] exp(-|x| rate[j, k]) over the
-    modes k of each node j, for rates with Re rate >= 0.
+def mode_sum(xs, rate: np.ndarray, coef: np.ndarray,
+             front: float = math.inf) -> np.ndarray:
+    """At each x, sum_{j,k} coef[j, k] exp(-|x| rate[j, k]) over a stack,
+    Re rate >= 0; 0, and not summed, past |x| > front. xs must be
+    increasing and evenly spaced with step h, or one point (ValueError).
 
-    xs must be increasing and evenly spaced with step h, or a single
-    point (ValueError otherwise). Split at x = 0, each side is a run of
-    |x| growing by h, so along it a mode's exponentials are the one at
-    its first |x| times powers of r = exp(-h rate), |r| <= 1. The rows
-    of a run are filled m at a time as the previous row times a table of
-    r^1 ... r^m, and each block of rows is contracted with coef in one
-    `einsum`: three complex exps per (node, mode), and rounding that
-    grows like (m + k / m) eps at the k-th point. m is chosen so that
-    table and block together hold no more than `_BLOCK` * len(xs) *
-    modes entries, the (x, node, mode) array of `_BLOCK` nodes.
-    """
+    Each side of x = 0 is a run of |x| growing by h: the amplitudes
+    a = coef exp(-|x| rate) at its first point are carried m rows at a
+    time, a <- a r^m, r = exp(-h rate), and each block is the `einsum`
+    of a table of r^1 ... r^m with a. Rounding grows like (m + k / m) eps
+    at the k-th point; m depends on the stack alone, so no value depends
+    on where the front lies."""
     xs, step = _uniform_grid(xs)
-    count, nodes = xs.shape[0], rate.shape[0]
-    rows = max(1, min(count, _BLOCK * count // (2 * max(nodes, 1))))
-    table = np.empty((rows,) + rate.shape, dtype=complex)
-    table[:] = np.exp(-step * rate)
-    np.multiply.accumulate(table, axis=0, out=table)
-    block = np.empty_like(table)
-    out = np.empty((count, nodes), dtype=complex)
-    # x >= 0 and the reversed x < 0: runs of |x| growing away from 0
-    split = int(np.searchsorted(xs, 0.0))
-    runs = [slice(split, None)] + ([slice(split - 1, None, -1)] if split else [])
-    for run in runs:
-        dest = out[run]
+    rate, coef = rate.ravel(), coef.ravel()
+    rows = max(1, _TABLE // max(rate.shape[0], 1))
+    out = np.zeros(xs.shape[0], dtype=complex)
+    split, lo = np.searchsorted(xs, [0.0, -front])
+    hi = np.searchsorted(xs, front, side="right")
+    table = np.empty((max(0, min(rows, max(hi - split, split - lo) - 1)),
+                      rate.shape[0]), dtype=complex)
+    if table.shape[0]:
+        np.exp(-step * rate, out=table[0])
+    for row in range(1, table.shape[0]):  # accumulate's bits vary by length
+        np.multiply(table[row - 1], table[0], out=table[row])
+    # x >= 0 and the reversed x < 0, each from its point nearest 0
+    for dest, first in ((out[split:hi], split),
+                        (out[lo:split][::-1], split - 1)):
         if not dest.shape[0]:
             continue
-        last = np.exp(-abs(xs[run][0]) * rate)
-        np.einsum("jk,jk->j", last, coef, out=dest[0])
-        for lo in range(1, dest.shape[0], rows):
-            size = min(rows, dest.shape[0] - lo)
-            part = np.multiply(table[:size], last, out=block[:size])
-            np.einsum("xjk,jk->xj", part, coef, out=dest[lo:lo + size])
-            last = part[-1].copy()
+        amp = -abs(xs[first]) * rate
+        np.exp(amp, out=amp)
+        amp *= coef
+        dest[0] = amp.sum()
+        for row in range(1, dest.shape[0], rows):
+            size = min(rows, dest.shape[0] - row)
+            np.einsum("xs,s->x", table[:size], amp, out=dest[row:row + size])
+            amp *= table[-1]
     return out
 
 
@@ -386,4 +393,4 @@ def certifiable(params: TransportParams, quadrature: QuadratureSet, p
 def laplace_density(params: TransportParams, quadrature: QuadratureSet,
                     s: complex, x: float) -> complex:
     """Laplace-domain scalar density at distance x from the source plane."""
-    return complex(mode_sum([x], *modes(params, quadrature, [complex(s)]))[0, 0])
+    return complex(mode_sum([x], *modes(params, quadrature, [complex(s)]))[0])

@@ -243,12 +243,19 @@ def direct_closed_form(p, xs, s):
     return amplitude * np.exp(-x * root)
 
 
+def node_columns(xs, rate, coef):
+    """The (x, node) transform, one `mode_sum` over each node's mode."""
+    return np.stack([mode_sum(xs, rate[j:j + 1], coef[j:j + 1])
+                     for j in range(rate.shape[0])], axis=1)
+
+
 def test_closed_form_transform_matches_direct_exponentials():
     """The running products of exp(-h sqrt(B/D0)) against one exp per
     entry, on each panel's FDE contour at t = 1, 10, 100 and 1000, over
     every built-in grid, grids from SpatialGrid.points() of other spans
-    and counts, and single points of either sign: every node's column
-    agrees to 1e-13 of its largest entry (measured <= 3.0e-15)."""
+    and counts, and single points of either sign: every node's column,
+    one `mode_sum` per node, agrees to 1e-13 of its largest entry
+    (measured <= 3.1e-15)."""
     grids = {sc.grid.points() for sc in builtin_scenarios().values()}
     grids |= {SpatialGrid(-1e3, 1e3, 2001).points(),
               SpatialGrid(1e6, 1e6 + 1.0, 11).points(),
@@ -258,7 +265,7 @@ def test_closed_form_transform_matches_direct_exponentials():
         for t in (1.0, 10.0, 100.0, 1000.0):
             s_nodes = ilt.contour(t, 2 * ilt.M)[0]
             for xs in grids:
-                got = mode_sum(xs, *modes(p, s_nodes))
+                got = node_columns(xs, *modes(p, s_nodes))
                 want = direct_closed_form(p, xs, s_nodes)
                 column = np.abs(want).max(axis=0)
                 assert np.all(np.abs(got - want) <= 1e-13 * column), (t, xs)
@@ -274,7 +281,7 @@ def test_closed_form_transform_matches_fourier_route(alpha):
     below the Fourier oracle's ~1e-14 floor."""
     p = FdeParams(trap_strength=0.1 * 0.1**alpha, diffusivity=D0,
                   sigma_a=1e-9, alpha=alpha)
-    table = mode_sum(np.arange(6.0), *modes(p, CLOSED_S))
+    table = node_columns(np.arange(6.0), *modes(p, CLOSED_S))
     assert table.shape == (6, len(CLOSED_S))
     for x in (0, 1, 5):
         for j, s in enumerate(CLOSED_S):
@@ -324,7 +331,7 @@ def test_closed_form_transform_even_in_x():
 def test_closed_form_transform_mass_identity(s):
     """Without absorption the transform integrates to exactly 2/s."""
     def part(x, which):
-        return getattr(complex(mode_sum((x,), *modes(NO_ABSORB, (s,)))[0, 0]),
+        return getattr(complex(mode_sum((x,), *modes(NO_ABSORB, (s,)))[0]),
                        which)
 
     re, _ = integrate.quad(part, 0.0, math.inf, args=("real",),
@@ -337,7 +344,7 @@ def test_closed_form_transform_mass_identity(s):
 def test_closed_form_transform_no_memory_is_heat_kernel_transform():
     """eta = 0: the Laplace transform of the heat kernel of mass 2."""
     s = 0.3 + 1.1j
-    got = mode_sum((1.5,), *modes(FREE, (s,)))[0, 0]
+    got = mode_sum((1.5,), *modes(FREE, (s,)))[0]
     root = cmath.sqrt(s / D0)
     assert abs(got - cmath.exp(-1.5 * root) / (D0 * root)) <= 1e-15
 

@@ -416,27 +416,28 @@ def test_trapped_stack_failure_names_the_time_and_s_of_its_node(monkeypatch):
 
 
 def test_rte_stack_memory_peak():
-    """Eight times on the 151-point grid peak at <= 1.5x the traced peak
-    of one (2.06 MB against 1.52 MB measured): the stack holds only the
-    spectra of its 544 nodes (0.52 MB), and each time's (x, node)
-    transform is freed once reduced. One (x, node) array over all 544
-    nodes alone would take 1.3 MB."""
-    def peak(times):
+    """Eight times peak at no more traced memory on the 151-point grid
+    than on the 16-point one (1.51 MB on both, measured): the peak is
+    the spectra solve of the 544 nodes, and each time's coefficients are
+    summed over x with no (x, node) array. The bound, a quarter of the
+    1.31 MB one (x, node) array over all 544 nodes at 151 x would take,
+    fails such an array, and also one (x, node) array per time with a
+    block of (x, node, mode) scratch (0.51 MB more at 151 x than at 16)."""
+    def peak(count):
         tracemalloc.start()
         try:
-            run_scenario(late_times_scenario(times, 151))
+            run_scenario(late_times_scenario(LATE_TIMES, count))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    one = peak((10.0,))
-    assert peak(LATE_TIMES) <= 1.5 * one
+    assert peak(151) <= peak(16) + 0.25 * 151 * 544 * 16
 
 
 def test_solvers_run_one_after_another_memory_peak():
     """With FDE and NORMAL beside RTE, fig1a at the eight late times on
     the 151-point grid peaks at <= 1.02x the traced peak of RTE alone
-    (1.005x measured): each solver runs over all times before the next
+    (1.000x measured): each solver runs over all times before the next
     starts, so RTE's (rate, coef) of all 544 nodes is freed before FDE
     forms its own. Interleaving the solvers time by time would keep both
     alive (1.15x RTE alone)."""
@@ -478,6 +479,16 @@ def test_rte_profile_scales_with_speed():
     assert beyond.any() and np.all(np.abs(u2[beyond]) < 1e-5)
 
 
+def front_rule(sc, t):
+    """RTE's contour sum at t over the whole grid, then 0 where
+    |x| > speed t: the rule the front cut must reproduce."""
+    xs = sc.grid.points()
+    s_nodes, weights, prefactor = contour(t)
+    rate, coef = transport.modes(sc.transport, sc.quadrature, s_nodes)
+    raw = prefactor * transport.mode_sum(xs, rate, coef * weights[:, None]).real
+    return raw, np.where(np.abs(xs) > sc.transport.speed * t, 0.0, raw)
+
+
 def test_rte_values_past_the_ballistic_front_are_zero():
     """At t = 1 the contour sum rings to ~1 % of the peak past the front
     x = speed t = 1, where no particle can be: those points read exactly
@@ -486,14 +497,54 @@ def test_rte_values_past_the_ballistic_front_are_zero():
                         grid=SpatialGrid(0.0, 4.0, 9))
     (profile,) = run_scenario(sc)
     xs = sc.grid.points()
-    s_nodes, weights, prefactor = contour(1.0)
-    transform = transport.mode_sum(
-        xs, *transport.modes(sc.transport, gauss_legendre(30), s_nodes))
-    raw = (prefactor * (transform.real @ weights)).tolist()
+    raw, want = front_rule(sc, 1.0)
     assert profile.xs() == xs and 1.0 in xs
-    for (x, u), r in zip(profile.points, raw):
-        assert u == (r if x <= 1.0 else 0.0), x
+    assert [u for _, u in profile.points] == want.tolist()
     assert max(abs(r) for x, r in zip(xs, raw) if x > 1.0) > 1e-3
+
+
+@pytest.mark.parametrize("speed, grid, t", [
+    (1.0, SpatialGrid(-15.0, 15.0, 61), 10.0),
+    (2.0, SpatialGrid(0.0, 30.0, 31), 5.0),
+    (1.0, SpatialGrid(0.0, 10.0, 21), 10.0),
+    (1.0, SpatialGrid(-3.0, 4.5, 16), 2.0),
+], ids=["both-runs-cut", "speed-two", "last-point-on-front", "offset-grid"])
+def test_front_cut_matches_the_full_grid_rule(speed, grid, t):
+    """`run_scenario` sums RTE only up to the front |x| <= speed t: the
+    profile equals the full-grid sum, then 0 past the front, bit for bit,
+    on a grid cut on both sides of x = 0, at speed 2, on a grid whose
+    last point sits on the front, and on a grid off 0's step."""
+    sc = small_scenario(solvers=("RTE",), times=(t,), grid=grid)
+    sc = dataclasses.replace(sc, transport=dataclasses.replace(
+        sc.transport, speed=speed))
+    (profile,) = run_scenario(sc)
+    _, want = front_rule(sc, t)
+    assert np.array_equal([u for _, u in profile.points], want)
+    assert (np.abs(grid.points()) <= speed * t).any()
+
+
+def test_grid_past_the_front_forms_no_sum(monkeypatch):
+    """A grid wholly past the front reads 0 everywhere, and its
+    `mode_sum` calls form nothing of the stack's size: they peak below
+    one (node, mode) array of the t = 1 contour."""
+    sc = small_scenario(solvers=("RTE",), times=(1.0,),
+                        grid=SpatialGrid(1.5, 4.0, 6))
+    peaks = []
+    real = transport.mode_sum
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return real(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(transport, "mode_sum", traced)
+    (profile,) = run_scenario(sc)
+    assert [u for _, u in profile.points] == [0.0] * 6
+    nodes = len(contour(1.0)[0])
+    assert len(peaks) == 1 and peaks[0] < nodes * sc.n_ordinates * 16
 
 
 def test_rte_fde_gap_does_not_depend_on_speed():

@@ -273,9 +273,10 @@ def test_contour_weights_match_the_exact_rule(m):
 
 def test_rte_profile_matches_the_exact_weight_sum():
     """fig1a's RTE profile at t = 200 against the same transform values
-    summed with the 40-digit weights of all 94 nodes: within 2e-12
-    absolute (5.3e-13 measured). The prefactor 2 e^8 / 200 = 30 magnifies
-    weight errors; the rounded phase M phi put the profile 3.2e-11 off."""
+    summed with the 40-digit weights of all 94 nodes, folded into the
+    mode coefficients: within 2e-12 absolute (5.6e-13 measured). The
+    prefactor 2 e^8 / 200 = 30 magnifies weight errors; the rounded phase
+    M phi put the profile 3.2e-11 off."""
     sc = dataclasses.replace(builtin_scenarios()["fig1a"], times=(200.0,),
                              solvers=frozenset({"RTE"}))
     phi, exact = _exact_rule(M)
@@ -284,8 +285,8 @@ def test_rte_profile_matches_the_exact_weight_sum():
     s_all = s_nodes.real[0] + 1j * (M * phi / 200.0)
     xs = sc.grid.points()
     q = gauss_legendre(sc.n_ordinates)
-    want = prefactor * (mode_sum(xs, *modes(sc.transport, q, s_all)).real
-                        @ exact)
+    rate, coef = modes(sc.transport, q, s_all)
+    want = prefactor * mode_sum(xs, rate, coef * exact[:, None]).real
     got = np.array([u for _, u in profile.points])
     assert np.abs(got - want).max() <= 2e-12
 

@@ -308,7 +308,7 @@ def test_density_mass_identity_at_speed_two():
     q8 = gauss_legendre(8)
     for s in (0.04 + 0.5j, 0.3 + 2.0j):
         def part(x, name):
-            return getattr(mode_sum([x], *modes(p, q8, [s]))[0, 0], name)
+            return getattr(mode_sum([x], *modes(p, q8, [s]))[0], name)
 
         re = integrate.quad(part, 0.0, np.inf, args=("real",), limit=400,
                             epsabs=1e-13, epsrel=1e-12)[0]
@@ -327,10 +327,16 @@ def test_density_monotone_tail():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def node_columns(xs, rate, coef):
+    """The (x, node) transform, one `mode_sum` over each node's modes."""
+    return np.stack([mode_sum(xs, rate[j:j + 1], coef[j:j + 1])
+                     for j in range(rate.shape[0])], axis=1)
+
+
 def test_density_transform_against_full_eigenproblem():
-    """The (x, node) transform on fig1a's contour, rebuilt from the decaying
-    half of a fresh 2N x 2N eigenproblem, the eigenfunction normalization
-    integrals and the trapping source factor."""
+    """The transform of each node of fig1a's contour, rebuilt from the
+    decaying half of a fresh 2N x 2N eigenproblem, the eigenfunction
+    normalization integrals and the trapping source factor."""
     sc = builtin_scenarios()["fig1a"]
     p = sc.transport
     n = sc.n_ordinates
@@ -340,7 +346,7 @@ def test_density_transform_against_full_eigenproblem():
     s_all, _, _ = contour(10.0)
     s_nodes = s_all[np.linspace(0, len(s_all) - 1, 10).round().astype(int)]
     xs = np.array([0.0, 2.0, 7.0])
-    got = mode_sum(np.arange(8.0), *modes(p, q, s_nodes))[xs.astype(int)]
+    got = node_columns(np.arange(8.0), *modes(p, q, s_nodes))[xs.astype(int)]
     assert got.shape == (3, 10)
     c = 0.5 * p.sigma_s
     for j, s in enumerate(s_nodes.tolist()):
@@ -376,9 +382,11 @@ def direct_density_transform(p, q, s_nodes, xs):
 @pytest.mark.parametrize("name", ["fig1a", "fig2c"])
 def test_density_transform_matches_direct_exponentials(name):
     """The running products of exp(-h / (c nu)) against one exp per entry,
-    on grids through, beside and off x = 0: every node's column agrees to
-    1e-13 of its largest entry (measured <= 2.7e-14) and the inverted
-    profiles to 1e-12 absolute (measured <= 2e-13, at t = 1000)."""
+    on grids through, beside and off x = 0: every node's column, one
+    `mode_sum` per node, agrees to 1e-13 of its largest entry (measured
+    <= 2.0e-14), and the inverted profiles, one `mode_sum` over the
+    coefficients times the contour weights, to 1e-12 absolute (measured
+    <= 2.7e-13)."""
     sc = builtin_scenarios()[name]
     q = gauss_legendre(sc.n_ordinates)
     grids = [SpatialGrid(0.0, 15.0, 151), SpatialGrid(-3.0, 3.0, 7),
@@ -387,11 +395,12 @@ def test_density_transform_matches_direct_exponentials(name):
         s_nodes, weights, prefactor = contour(t)
         for grid in grids:
             xs = grid.points()
-            got = mode_sum(xs, *modes(sc.transport, q, s_nodes))
+            rate, coef = modes(sc.transport, q, s_nodes)
+            got = node_columns(xs, rate, coef)
             want = direct_density_transform(sc.transport, q, s_nodes, xs)
             column = np.abs(want).max(axis=0)
             assert np.all(np.abs(got - want) <= 1e-13 * column), (t, grid)
-            u_got = prefactor * (got.real @ weights)
+            u_got = prefactor * mode_sum(xs, rate, coef * weights[:, None]).real
             u_want = prefactor * (want.real @ weights)
             assert np.allclose(u_got, u_want, rtol=0.0, atol=1e-12), (t, grid)
 
@@ -460,17 +469,17 @@ def test_density_transform_accepts_every_profile_grid():
               SpatialGrid(0.1, 0.7, 7).points(), [-1.7], [0.0], [2.0]]
     for xs in grids:
         got = mode_sum(xs, *modes(p, Q30, s))
-        want = direct_density_transform(p, Q30, s, xs)
-        assert got.shape == (len(xs), 1)
+        want = direct_density_transform(p, Q30, s, xs)[:, 0]
+        assert got.shape == (len(xs),)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), xs
 
 
 def test_density_transform_memory_peak():
-    """Blocking the x rows keeps the traced peak of fig1a's t = 10
-    contour near the spectra's: 1.51 MB on its 151-point grid, where one
-    (x, node, mode) array alone would take 4.9 MB, and 0.880 MB on the
-    16-point grid of the late-times comparison. The bounds keep the
-    headroom they had over the 81-node rule (1.64x and 1.1x)."""
+    """Carrying the amplitudes from block to block keeps the traced peak
+    of fig1a's t = 10 contour at the spectra's: 0.887 MB on its
+    151-point grid, where one (x, node, mode) array alone would take
+    4.9 MB, and 0.886 MB on the 16-point grid of the late-times
+    comparison. The bounds are those set for the 81-node rule."""
     sc = builtin_scenarios()["fig1a"]
     q = gauss_legendre(sc.n_ordinates)
     s_nodes, _, _ = contour(10.0)
@@ -484,6 +493,52 @@ def test_density_transform_memory_peak():
         finally:
             tracemalloc.stop()
         assert peak <= bound, count
+
+
+@pytest.mark.parametrize("solver, times", [
+    ("RTE", (10.0,)), ("RTE", (10.0, 20.0)),
+    ("RTE", (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)),
+    ("FDE", (10.0,))], ids=["rte-one", "rte-two", "rte-eight", "fde"])
+def test_mode_sum_front_keeps_each_value(solver, times):
+    """Cut at a front f, the sums at |x| <= f equal the uncut ones bit for
+    bit and are exactly 0 past it, for f at and between the points of a
+    grid through x = 0, on stacks of 2,040, 4,080, 16,320 and 134
+    (node, mode) pairs, whose tables have 4, 2, 1 and 61 rows."""
+    sc = builtin_scenarios()["fig1a"]
+    if solver == "RTE":
+        stack = np.concatenate([contour(t)[0] for t in times])
+        rate, coef = modes(sc.transport, Q30, stack)
+    else:
+        stack = contour(times[0], 2 * M)[0]
+        rate, coef = fde.modes(from_transport(sc.transport), stack)
+    xs = np.array(SpatialGrid(-3.0, 15.0, 91).points())
+    full = mode_sum(xs, rate, coef)
+    for front in np.concatenate([np.abs(xs), np.abs(xs) + 0.05]):
+        cut = mode_sum(xs, rate, coef, front)
+        kept = np.abs(xs) <= front
+        assert np.array_equal(cut[kept], full[kept]), front
+        assert not cut[~kept].any(), front
+
+
+def test_mode_sum_memory_peak_on_a_stack():
+    """One `mode_sum` over the 544 nodes of fig1a's eight late-time
+    contours on the 151-point grid peaks below the 1.31 MB one (x, node)
+    array would take (0.53 MB traced, measured: one table row and the
+    amplitudes of the 16,320 (node, mode) pairs)."""
+    sc = builtin_scenarios()["fig1a"]
+    s_nodes = np.concatenate([
+        contour(t)[0]
+        for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
+    rate, coef = modes(sc.transport, Q30, s_nodes)
+    xs = sc.grid.points()
+    tracemalloc.start()
+    try:
+        mode_sum(xs, rate, coef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s_nodes) == 544 and len(xs) == 151
+    assert peak < 151 * 544 * 16
 
 
 # ------------------------------------------- secular roots vs full eigenproblem
@@ -676,6 +731,66 @@ def test_secant_starts_bound_the_panel_root_updates(monkeypatch):
         count += len(s_nodes) * sc.n_ordinates
     assert count == 408 * 30
     assert count <= sum(updates) <= 33_250
+
+
+def count_gap_sums(monkeypatch):
+    """A list that collects the roots whose gap sum each sweep forms."""
+    rows = []
+    real = transport._gap_sums
+
+    def counting(z, jn, kn):
+        rows.append(len(jn))
+        return real(z, jn, kn)
+
+    monkeypatch.setattr(transport, "_gap_sums", counting)
+    return rows
+
+
+def test_settled_roots_form_no_gap_sum(monkeypatch):
+    """A root whose Newton step is already within the freeze tolerance
+    takes it without the O(N) Aberth gap sum: <= 15,700 of the root
+    updates of fig1a's eight late-time contours form one (15,416 of
+    31,656 measured), and <= 20,300 of the six panels' stacks (19,935 of
+    32,119)."""
+    sc = builtin_scenarios()["fig1a"]
+    rows = count_gap_sums(monkeypatch)
+    trapped_spectra(sc.transport, Q30, np.concatenate([
+        contour(t)[0]
+        for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)]))
+    assert 0 < sum(rows) <= 15_700
+    rows.clear()
+    for sc in builtin_scenarios().values():
+        trapped_spectra(sc.transport, gauss_legendre(sc.n_ordinates),
+                        np.concatenate([contour(t)[0] for t in sc.times]))
+    assert 0 < sum(rows) <= 20_300
+
+
+def full_aberth_steps(rho, d, v2, z, jn, kn):
+    """The Aberth sweep with every root's gap sum formed."""
+    zk, rk = z[jn, kn], rho[jn]
+    inv_pole = 1.0 / (d - zk[:, None])
+    term = inv_pole * v2
+    f = 1.0 - rk * term.sum(axis=1)
+    noise = transport._NOISE_BOUND * np.abs(rk) * np.abs(term).sum(axis=1)
+    df = -rk * (term * inv_pole).sum(axis=1)
+    newton = f / (df - f * inv_pole.sum(axis=1))
+    step = newton / (1.0 - newton * transport._gap_sums(z, jn, kn))
+    return step, np.abs(step) * np.abs(df) <= noise
+
+
+def test_settled_root_skip_moves_no_eigenvalue(monkeypatch):
+    """Skipping the gap sum of settled roots moves each eigenvalue of
+    fig1a's late-time stack by less than an ulp of its modulus against
+    the sweep that forms every gap sum (2.2e-28 relative measured, in a
+    handful of eigenvalues; the rest agree bit for bit)."""
+    sc = builtin_scenarios()["fig1a"]
+    s_nodes = np.concatenate([
+        contour(t)[0]
+        for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
+    _, _, got, _ = trapped_spectra(sc.transport, Q30, s_nodes)
+    monkeypatch.setattr(transport, "_aberth_steps", full_aberth_steps)
+    _, _, want, _ = trapped_spectra(sc.transport, Q30, s_nodes)
+    assert np.all(np.abs(got - want) <= 2.0**-52 * np.abs(want))
 
 
 def solve_order_spacing(p, s_nodes):
