@@ -15,9 +15,11 @@ exp(-|x| sqrt((p + sigma_a)/D0)) under the power-law memory (S, p) of
 mode) as the transport modes, so the profile driver sums both into x
 vectors by `transport.mode_sum` on the contour of `ilt.contour`. The
 other routes are oracles that share none of its algebra:
-`density_half` evaluates the alpha = 1/2 subordination formula in the
-time domain by adaptive quadrature, and `laplace_density` inverts
-the spatial Fourier representation numerically.
+`subordinated_density` averages the heat kernel over the inverse
+stable clock in the time domain, by a tanh-sinh rule on Kanter's
+representation of the stable law, for alpha >= 1/4 and on numpy alone;
+`laplace_density` inverts the spatial Fourier representation
+numerically.
 """
 
 from __future__ import annotations
@@ -36,14 +38,18 @@ __all__ = [
     "FdeParams",
     "from_transport",
     "fourier_laplace",
-    "density_half",
+    "subordinated_density",
     "normal_diffusion",
     "laplace_density",
     "modes",
 ]
 
-_INNER_LIMIT = 400  # subdivision cap for the peaked inner integrals
-_HALF_TOL = 1e-8  # QUADPACK tolerance of density_half (inner ones 10x finer)
+# subordinated_density's tanh-sinh rule, 2 * 100 + 1 nodes per axis out
+# to |u| = 4, and the smallest tail exponent it resolves to 1e-10
+_TS_STEP = 0.04
+_TS_HALF = 100
+_MIN_ALPHA = 0.25
+_NEWTON_STEPS = 50  # cap on its Newton steps for the clock (about 5 used)
 _FOURIER_TOL = 1e-11  # absolute QUADPACK tolerance of laplace_density
 
 
@@ -126,100 +132,73 @@ def _quad_checked(func, a, b, tol_abs, tol_rel, **kwargs):
     return out[0]
 
 
-def _bell(tau: float, scale: float, x: float, p: FdeParams) -> float:
-    """Common integrand of both terms of the alpha = 1/2 solution.
+def _tanh_sinh() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tanh-sinh rule on (0, 1): each node q, its complement 1 - q (both
+    to full relative precision out to the ends) and its weight."""
+    u = _TS_STEP * np.arange(-_TS_HALF, _TS_HALF + 1)
+    e = np.pi * np.sinh(u)
+    q, rest = 1.0 / (1.0 + np.exp(-e)), 1.0 / (1.0 + np.exp(e))
+    return q, rest, _TS_STEP * np.pi * np.cosh(u) * q * rest
 
-    scale is the elapsed-time factor multiplying (1 - tau^2): t itself
-    in the single-integral term, t*t1 inside the nested term. The 1/tau^2
-    blowup at tau -> 0 is always beaten by the first Gaussian factor.
+
+def subordinated_density(p: FdeParams, x: float, t: float) -> float:
+    """Density as the heat kernel read at the inverse stable clock, for
+    alpha >= 1/4.
+
+    The transform S(s) G(x, s S(s)) makes u(x, t) = E G(x, E_t), with G
+    the heat kernel of `normal_diffusion` and E_t the inverse of the
+    subordinator D(tau) = tau + (eta tau)^{1/alpha} Z, Z one-sided
+    stable with E e^{-sZ} = e^{-s^alpha} (Meerschaert & Scheffler, J.
+    Appl. Probab. 41, 623 (2004)). P(E_t <= tau) = P(D(tau) >= t), so
+    E_t has the law of the root tau of tau + Z (eta tau)^{1/alpha} = t.
+    Kanter's Z = (A(phi)/w)^{(1-alpha)/alpha}, with A(phi) =
+    (sin(alpha phi)/sin phi)^{1/(1-alpha)} sin((1-alpha) phi)/sin(alpha phi),
+    phi ~ U(0, pi) and w = -log(1 - q) ~ Exp(1) (Ann. Probab. 3, 697
+    (1975)), turns the mean into
+    (1/pi) int_0^pi dphi int_0^1 dq G(x, tau), one tanh-sinh rule per
+    axis. The root solves log(tau + z (eta tau)^{1/alpha}) =
+    log t by Newton in log tau: the left side is convex and the start
+    lies above the root, so the iterates descend onto it. Below
+    alpha = 1/4 the root bends from tau growing like w to tau = t within
+    about alpha in log w, too sharply for the rule (1.2e-9 at alpha =
+    0.15, against 2.2e-12 at 1/4), so ValueError.
     """
-    sq = 1.0 - tau * tau
-    if sq <= 0.0 or tau * tau == 0.0 or scale <= 0.0:
-        return 0.0
-    eta = p.trap_strength
-    arg = (eta * eta * scale * sq * sq / (4.0 * tau * tau)
-           + p.sigma_a * scale * sq)
-    if x != 0.0:
-        gauss = 4.0 * p.diffusivity * scale * sq
-        if gauss == 0.0:
-            return 0.0
-        arg += x * x / gauss
-    if arg > 745.0:
-        return 0.0
-    return math.sqrt(sq) / (tau * tau) * math.exp(-arg)
-
-
-def _peak_ladder(tau_star: float) -> list[float] | None:
-    """Breakpoint hints bracketing the integrand ridge at tau_star.
-
-    For small trap_strength the integrand lives on a few decades around
-    tau_star = eta sqrt(scale)/2, far below quadrature
-    resolution on (0,1); a geometric ladder of hints steers the
-    subdivision there. None when the ridge needs no help.
-    """
-    pts = []
-    tau = tau_star / 8.0
-    while 0.0 < tau < 0.9:
-        pts.append(tau)
-        tau *= 4.0
-    return pts or None
-
-
-def density_half(p: FdeParams, x: float, t: float) -> float:
-    """Density for tail exponent 1/2 by the substituted two-term quadrature.
-
-    The first term integrates the subordination kernel at final time
-    directly; the second carries the memory of earlier arrivals through
-    a nested integral. Both use the square-root substitution that
-    flattens the kernel endpoint, leaving a sharp interior ridge that is
-    located analytically and passed to the quadrature as breakpoints.
-    """
-    if p.alpha != 0.5:
-        raise ValueError(f"density_half needs alpha = 1/2, got {p.alpha}")
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
+    a = p.alpha
+    if a < _MIN_ALPHA:
+        raise ValueError(f"the subordinated density needs alpha >= "
+                         f"{_MIN_ALPHA}, got {a}")
     if p.trap_strength == 0.0:
-        # the representation collapses, but the limit is the heat kernel
-        return normal_diffusion(p, x, t)
-    eta = p.trap_strength
-    d0 = p.diffusivity
-
-    term1 = _quad_checked(
-        _bell, 0.0, 1.0, _HALF_TOL, _HALF_TOL,
-        args=(t, x, p),
-        points=_peak_ladder(0.5 * eta * math.sqrt(t)),
-        limit=_INNER_LIMIT,
-    )
-    term1 *= eta / (math.pi * math.sqrt(d0))
-
-    inner_tol = _HALF_TOL / 10.0
-
-    def inner(t1: float) -> float:
-        scale = t * t1
-        return _quad_checked(
-            _bell, 0.0, 1.0, inner_tol, inner_tol,
-            args=(scale, x, p),
-            points=_peak_ladder(0.5 * eta * math.sqrt(scale)),
-            limit=_INNER_LIMIT,
-        )
-
-    def outer_g(t1: float) -> float:
-        if t1 <= 0.0:
-            # sqrt(t1)*inner(t1) has a finite limit at 0: the inner
-            # Gaussian ridge carries mass sqrt(pi)/(eta sqrt(t t1)) as
-            # t1 -> 0 when x = 0, and is crushed by the spatial factor
-            # otherwise; QAWS samples the endpoint, so supply the limit
-            return 0.0 if x != 0.0 else math.sqrt(math.pi) / (eta * math.sqrt(t))
-        return math.sqrt(t1) * inner(t1)
-
-    # outer integrand ~ t1^{-1/2} near 0 and (1-t1)^{-1/2} near 1; both
-    # powers go to the QAWS weight, the remainder is smooth
-    outer = _quad_checked(
-        outer_g, 0.0, 1.0, _HALF_TOL, _HALF_TOL,
-        weight="alg", wvar=(-0.5, -0.5),
-    )
-    term2 = outer * eta * eta * math.sqrt(t) / (math.pi * math.sqrt(math.pi * d0))
-    return term1 + term2
+        # no memory: the clock is t itself
+        return float(normal_diffusion(p, x, t))
+    frac, rest, weight = _tanh_sinh()
+    phi = np.pi * frac
+    sin_phi = np.sin(np.pi * np.minimum(frac, rest))  # exact next to pi too
+    log_a = (np.log(np.sin(a * phi) / sin_phi) / (1.0 - a)
+             + np.log(np.sin((1.0 - a) * phi) / np.sin(a * phi)))
+    log_w = np.log(np.log1p(frac / rest))  # w = -log(1 - q)
+    # lc = log(z eta^{1/alpha}) at each (phi, q) node
+    lc = ((1.0 - a) * (log_a[:, None] - log_w)
+          + math.log(p.trap_strength)) / a
+    lt = math.log(t)
+    # y = log tau, started where either term alone reaches t
+    y = np.minimum(lt, a * (lt - lc))
+    for _ in range(_NEWTON_STEPS):
+        # the slope is 1 + (1/alpha - 1) * (the z term's share of the sum)
+        share = 0.5 - 0.5 * np.tanh(0.5 * (y - lc - y / a))
+        step = ((np.logaddexp(y, lc + y / a) - lt)
+                / (1.0 + (1.0 / a - 1.0) * share))
+        y -= step
+        if np.abs(step).max() < 1e-12:
+            break
+    else:
+        raise NumericFailureError("clock roots did not converge",
+                                  alpha=a, t=t)
+    log_g = (-x * x / (4.0 * p.diffusivity) * np.exp(-y)
+             - p.sigma_a * np.exp(y)
+             - 0.5 * (math.log(math.pi * p.diffusivity) + y))
+    return float(weight @ np.exp(log_g) @ weight)
 
 
 def normal_diffusion(p: FdeParams, x: float | np.ndarray, t: float):

@@ -183,10 +183,12 @@ def gen_exp_integral_scaled(nu: float, z: complex) -> complex:
     near the origin and, at |z| < 60, close to the negative real axis
     (where the continued fraction crawls or stalls), and the modified
     Lentz continued fraction everywhere else, large |z| included.
-    Measured for orders up to 3.
+    Measured for orders up to 4 (the waiting law passes alpha < 1), and
+    refused above: from order 7 the fraction also stalls beside the cut
+    at |z| of 60 to 80.
     """
-    if nu <= 0.0:
-        raise ValueError(f"order must be positive, got {nu}")
+    if not 0.0 < nu <= 4.0:
+        raise ValueError(f"order must lie in (0, 4], got {nu}")
     z = complex(z)
     if z == 0.0 or (z.imag == 0.0 and z.real < 0.0):
         raise ValueError(f"argument {z} is on the branch cut")

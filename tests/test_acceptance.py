@@ -19,7 +19,8 @@ import pytest
 from scipy import integrate
 
 from trapdiff import fde, harness, transport
-from trapdiff.fde import FdeParams, density_half, from_transport, normal_diffusion
+from trapdiff.fde import (FdeParams, from_transport, normal_diffusion,
+                          subordinated_density)
 from trapdiff.ilt import M, invert
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import TransportParams, spectra
@@ -179,7 +180,7 @@ def test_fractional_mass_conserved_without_absorption():
     with budget(120.0):
         for t in (10.0, 100.0):
             hi = 40.0 if t <= 10.0 else 60.0
-            val, err = integrate.quad(lambda x: density_half(p, x, t),
+            val, err = integrate.quad(lambda x: subordinated_density(p, x, t),
                                       0.0, hi, limit=200,
                                       points=[0.1, 1.0, 5.0])
             assert err < 1e-7
@@ -187,14 +188,14 @@ def test_fractional_mass_conserved_without_absorption():
 
 
 def test_fractional_density_dual_route_agreement():
-    """Subordination quadrature and numerical transform inversion agree to
-    1e-3 on a grid of positions and times."""
+    """Subordination in the time domain and numerical transform inversion
+    agree to 1e-3 on a grid of positions and times."""
     p = FdeParams(trap_strength=math.sqrt(0.1) * 0.1, diffusivity=1.0 / 3.0,
                   sigma_a=1e-9, alpha=0.5)
     with budget(300.0):
         for t in (10.0, 100.0):
             for x in (0.5, 1.0, 2.0, 5.0):
-                direct = density_half(p, x, t)
+                direct = subordinated_density(p, x, t)
                 inverted = invert(lambda s: fde.laplace_density(p, x, s), t)
                 assert abs(direct - inverted) / abs(direct) < 1e-3, (x, t)
 
@@ -209,7 +210,7 @@ def test_normal_diffusion_recovered_as_memory_fades():
         sups = []
         for eta in (1e-2, 1e-4, 1e-6):
             p = dataclasses.replace(free, trap_strength=eta)
-            sups.append(max(abs(density_half(p, x, 10.0)
+            sups.append(max(abs(subordinated_density(p, x, 10.0)
                                 - normal_diffusion(free, x, 10.0))
                             for x in xs))
         assert sups[1] < 1e-3, sups
@@ -231,11 +232,11 @@ def test_transport_profile_relaxes_onto_fractional_diffusion():
         rel, gap = {}, {}
         for x in (2.0, 5.0, 10.0):
             r = _rte_point(tp, q, x, 100.0)
-            d = density_half(p, x, 100.0)
+            d = subordinated_density(p, x, 100.0)
             rel[x] = abs(r - d) / d
             gap[x] = abs(r - d)
         r5 = _rte_point(tp, q, 5.0, 10.0)
-        d5 = density_half(p, 5.0, 10.0)
+        d5 = subordinated_density(p, 5.0, 10.0)
         assert rel[2.0] > rel[5.0], rel
         assert rel[5.0] < abs(r5 - d5) / d5
         assert gap[10.0] < 0.5 * gap[2.0], gap
@@ -253,7 +254,7 @@ def test_transport_fractional_relative_gap_monotone_into_the_tail():
     rels = []
     for x in (5.0, 10.0):
         r = _rte_point(tp, q, x, 100.0)
-        d = density_half(p, x, 100.0)
+        d = subordinated_density(p, x, 100.0)
         rels.append(abs(r - d) / d)
     assert rels[0] > rels[1]
 

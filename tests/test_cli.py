@@ -50,6 +50,21 @@ def test_profile_writes_plot_script(tmp_path):
     assert str(out_csv) in text
 
 
+def test_plot_script_selects_each_time_by_its_csv_cell(tmp_path):
+    """A time with more than 6 significant digits: the plot script's
+    selector compares column 5 against the CSV's own t text, so the
+    curve is not empty."""
+    out_csv = tmp_path / "p.csv"
+    out_gp = tmp_path / "p.gp"
+    rc = cli.main(["profile", "--scenario", "fig1a", "--out", str(out_csv),
+                   "--plot", str(out_gp), "--times", "12.3456789",
+                   "--solvers", "NORMAL", "--x-count", "3"])
+    assert rc == 0
+    cell = out_csv.read_text().splitlines()[1].split(",")[4]
+    (literal,) = re.findall(r"column\(5\) == (\S+) \?", out_gp.read_text())
+    assert literal == cell == "12.3456789"
+
+
 def test_profile_unknown_scenario(tmp_path, capsys):
     rc = cli.main(["profile", "--scenario", "fig9z",
                    "--out", str(tmp_path / "x.csv")])
@@ -776,6 +791,53 @@ def test_non_finite_config_values_are_rejected_up_front(tmp_path, capsys,
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "finite" in capsys.readouterr().err
+
+
+def test_every_settings_draw_is_refused_or_finite():
+    """Whole scenarios drawn over the INI keys, log-uniform where a key
+    spans decades, each key's text read through `cli._settle`: every draw
+    is refused with ValueError by the settings or `check_times`, before
+    a solver runs, or all three solvers compute finite values."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def log_uniform(lo, hi):
+        return st.floats(math.log10(lo), math.log10(hi)).map(
+            lambda e: 10.0**e)
+
+    def zero_or(lo, hi):
+        return st.one_of(st.just(0.0), log_uniform(lo, hi))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True,
+                         database=None)
+    # a step that underflows to 0 stacked every point on x = 0, and the
+    # contour sum refused that grid mid-run
+    @hypothesis.example(sigma_s=1.0, sigma_a=0.0, sigma_trap=0.0, gamma=1.0,
+                        alpha=0.5, t=1.0, n=1, reach=5e-324)
+    @hypothesis.given(sigma_s=log_uniform(1e-3, 1e3),
+                      sigma_a=zero_or(1e-12, 10.0),
+                      sigma_trap=zero_or(1e-4, 1e2),
+                      gamma=log_uniform(1e-4, 1e4),
+                      alpha=st.floats(0.01, 0.99),
+                      t=log_uniform(1e-2, 1e4),
+                      n=st.integers(1, 120),
+                      reach=st.floats(0.0, 1.2, exclude_min=True))
+    def check(sigma_s, sigma_a, sigma_trap, gamma, alpha, t, n, reach):
+        values = {"sigma_s": sigma_s, "sigma_a": sigma_a,
+                  "sigma_trap": sigma_trap, "gamma": gamma, "alpha": alpha,
+                  "times": t, "n_ordinates": n, "x_max": reach * t,
+                  "x_count": 61}
+        try:
+            sc = cli._settle(harness.Scenario(label="draw"),
+                             {key: repr(v) for key, v in values.items()})
+            harness.check_times(sc)
+        except ValueError:
+            return
+        for profile in harness.run_scenario(sc):
+            assert all(math.isfinite(u) for _, u in profile.points), (
+                profile.solver, values)
+
+    check()
 
 
 def test_validate_fast_json_report(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Tests for the fractional diffusion solvers.
 
-Two independent oracles of the same density exist: the alpha = 1/2
-subordination integral (`density_half`) and numerical inversion of the
-Fourier-Laplace picture (`laplace_density` fed to the Laplace
-inverters). The tests play them against each other and against the
-closed-form normal-diffusion limit. The production transform, the
+Two independent oracles of the same density exist: the heat kernel
+averaged over the inverse stable clock in the time domain
+(`subordinated_density`) and numerical inversion of the Fourier-Laplace
+picture (`laplace_density` fed to the Laplace inverters). The tests play
+them against each other and against the closed-form normal-diffusion
+limit. The production transform, the
 `transport.mode_sum` of `modes`, is checked against the numerical
 Fourier route for every tail exponent.
 """
@@ -21,12 +22,12 @@ from trapdiff import fde, ilt
 from trapdiff.errors import NumericFailureError
 from trapdiff.fde import (
     FdeParams,
-    density_half,
     fourier_laplace,
     from_transport,
     laplace_density,
     modes,
     normal_diffusion,
+    subordinated_density,
 )
 from trapdiff.harness import SpatialGrid, builtin_scenarios, run_scenario
 from trapdiff.transport import TransportParams, mode_sum
@@ -129,31 +130,72 @@ def test_fourier_laplace_rejects_zero_s():
         fourier_laplace(MAIN, 1.0, 0.0)
 
 
-# -------------------------------------------------------------- density_half
+# ------------------------------------------------- the subordinated density
 
-def test_density_half_requires_half_exponent():
-    p = FdeParams(trap_strength=0.1, diffusivity=D0, sigma_a=0.0, alpha=0.7)
-    with pytest.raises(ValueError):
-        density_half(p, 1.0, 10.0)
+def fig1a_fde(alpha, times, grid):
+    """fig1a with alpha swapped, FDE only, and its FDE constants."""
+    base = builtin_scenarios()["fig1a"]
+    tp = replace(base.transport,
+                 waiting=replace(base.transport.waiting, alpha=alpha))
+    sc = replace(base, transport=tp, times=times, grid=grid,
+                 solvers=frozenset({"FDE"}))
+    return sc, from_transport(tp)
 
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_subordinated_density_matches_production(alpha):
+    """At t = 10 ... 1e4 and x = 0.5, 2, 3.5, 5 the time-domain oracle
+    and production FDE (the closed-form transform on the contour) agree
+    within 1e-10 relative (7.5e-13 at most measured)."""
+    sc, p = fig1a_fde(alpha, (10.0, 100.0, 1e3, 1e4), SpatialGrid(0.5, 5.0, 4))
+    for profile in run_scenario(sc):
+        for x, got in profile.points:
+            want = subordinated_density(p, x, profile.t)
+            assert abs(got - want) <= 1e-10 * want, (x, profile.t)
+
+
+def test_subordinated_density_covers_alpha_from_a_quarter():
+    """At alpha = 1/4 the rule still meets production within 1e-10;
+    below it the clock turns too sharply for the rule: ValueError."""
+    sc, p = fig1a_fde(0.25, (10.0,), SpatialGrid(0.0, 2.0, 3))
+    (profile,) = run_scenario(sc)
+    for x, got in profile.points:
+        assert abs(subordinated_density(p, x, 10.0) - got) <= 1e-10 * got
+    with pytest.raises(ValueError, match="alpha >= 0.25"):
+        subordinated_density(replace(p, alpha=0.2499), 1.0, 10.0)
+
+
+def test_subordinated_density_needs_no_scipy(monkeypatch):
+    """The oracle runs on numpy alone: with QUADPACK gone it still
+    computes at alpha = 0.3."""
+    def no_quad(*args, **kwargs):
+        raise AssertionError("scipy quad called")
+
+    monkeypatch.setattr(fde, "quad", no_quad)
+    p = replace(MAIN, alpha=0.3)
+    got = subordinated_density(p, 2.0, 100.0)
+    assert got > 0.0 and math.isfinite(got)
+
+
+# the alpha = 1/2 density of fig1a's medium through the oracle
 
 def test_density_half_rejects_nonpositive_time():
     with pytest.raises(ValueError):
-        density_half(MAIN, 1.0, 0.0)
+        subordinated_density(MAIN, 1.0, 0.0)
 
 
 def test_density_half_weak_memory_approaches_normal():
     p = FdeParams(trap_strength=1e-6, diffusivity=D0, sigma_a=0.0, alpha=0.5)
-    got = density_half(p, 0.0, 10.0)
+    got = subordinated_density(p, 0.0, 10.0)
     assert got == pytest.approx(0.3090194, abs=1e-3)
 
 
 def test_density_half_zero_memory_is_normal_exactly():
-    assert density_half(FREE, 1.3, 7.0) == normal_diffusion(FREE, 1.3, 7.0)
+    assert subordinated_density(FREE, 1.3, 7.0) == normal_diffusion(FREE, 1.3, 7.0)
 
 
 def test_density_half_matches_inversion_oracle():
-    got = density_half(MAIN, 1.0, 10.0)
+    got = subordinated_density(MAIN, 1.0, 10.0)
     oracle = ilt.invert(lambda s: laplace_density(MAIN, 1.0, s), 10.0)
     assert abs(got - oracle) / oracle < 1e-3
     # frozen oracle value, for drift detection
@@ -162,11 +204,11 @@ def test_density_half_matches_inversion_oracle():
 
 def test_density_half_even_in_x():
     for x in (0.7, 2.5):
-        assert density_half(MAIN, x, 10.0) == density_half(MAIN, -x, 10.0)
+        assert subordinated_density(MAIN, x, 10.0) == subordinated_density(MAIN, -x, 10.0)
 
 
 def test_density_half_positive_and_decaying():
-    vals = [density_half(MAIN, float(x), 10.0) for x in range(9)]
+    vals = [subordinated_density(MAIN, float(x), 10.0) for x in range(9)]
     assert all(v > 0.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -175,7 +217,7 @@ def test_density_half_positive_and_decaying():
 @pytest.mark.parametrize("t", [1.0])
 def test_density_half_conserves_mass(t):
     hi = 40.0 if t <= 10.0 else 60.0  # keep the truncated Gaussian tail < 1e-12
-    val, err = integrate.quad(lambda x: density_half(NO_ABSORB, x, t),
+    val, err = integrate.quad(lambda x: subordinated_density(NO_ABSORB, x, t),
                               0.0, hi, limit=200, points=[0.1, 1.0, 5.0])
     assert err < 1e-7
     assert 2.0 * val == pytest.approx(2.0, abs=1e-5)
@@ -186,7 +228,7 @@ def test_density_half_memory_ladder_is_monotone():
     sups = []
     for eta in (1e-2, 1e-4, 1e-6):
         p = FdeParams(trap_strength=eta, diffusivity=D0, sigma_a=0.0, alpha=0.5)
-        sups.append(max(abs(density_half(p, float(x), 10.0)
+        sups.append(max(abs(subordinated_density(p, float(x), 10.0)
                             - normal_diffusion(FREE, float(x), 10.0))
                         for x in range(11)))
     assert sups[0] > sups[1] > sups[2]

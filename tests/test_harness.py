@@ -58,6 +58,17 @@ def test_grid_validation():
         SpatialGrid(5.0, 5.0, 3)
 
 
+def test_grid_too_fine_to_separate_its_points_is_refused():
+    """A span below the resolution of its endpoints gives no evenly
+    spaced points (at x_max = 5e-324 the step underflows and all 61 sit
+    on x = 0): refused when the grid is built, not mid-run by the
+    contour sum."""
+    for x_min, x_max in ((0.0, 5e-324), (1e6, 1e6 + 1e-9)):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            SpatialGrid(x_min, x_max, 61)
+    assert len(set(SpatialGrid(0.0, 1e-320, 61).points())) == 61
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         small_scenario(times=())
@@ -577,7 +588,8 @@ def test_late_time_profiles_match_their_oracles():
     q = gauss_legendre(sc.n_ordinates)
     want_r = invert_reference(
         lambda s: transport.laplace_density(sc.transport, q, s, 2.0), 1000.0)
-    want_d = fde.density_half(fde.from_transport(sc.transport), 1.0, 1000.0)
+    want_d = fde.subordinated_density(fde.from_transport(sc.transport), 1.0,
+                                      1000.0)
     assert abs(u_r[2] - want_r) <= 1e-8 * abs(want_r)
     assert abs(u_d[1] - want_d) <= 1e-8 * abs(want_d)
 

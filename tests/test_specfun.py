@@ -14,6 +14,7 @@ import random
 import pytest
 from scipy import integrate
 
+from trapdiff import specfun
 from trapdiff.specfun import gauss_legendre, gen_exp_integral_scaled
 
 
@@ -114,6 +115,23 @@ def test_exp_integral_domain_errors():
     for nu, z in ((1.5, -1.0), (1.5, 0.0), (0.0, 1.0), (-1.0, 1.0)):
         with pytest.raises(ValueError):
             gen_exp_integral_scaled(nu, z)
+
+
+def test_exp_integral_refuses_orders_above_four(monkeypatch):
+    """The routing is measured up to order 4, the recurrence test's
+    nu + 1. Above it ValueError comes before any term is summed: at
+    order 11.507 and z = -60.612 - 9.49e-4i the continued fraction
+    stalled and raised NumericFailureError after 100000 terms."""
+    z = complex(-60.61179966067107, -0.0009491082780130784)
+    assert math.isfinite(abs(gen_exp_integral_scaled(4.0, z)))
+
+    def no_sum(*args):
+        raise AssertionError("a term was summed")
+
+    monkeypatch.setattr(specfun, "_exp_integral_cf", no_sum)
+    monkeypatch.setattr(specfun, "_exp_integral_series", no_sum)
+    with pytest.raises(ValueError, match="order"):
+        gen_exp_integral_scaled(11.507137288057418, z)
 
 
 # where exp(z) E_nu(z) switches between power series and continued
