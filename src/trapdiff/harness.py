@@ -11,10 +11,10 @@ times. A contour solver is its modes and its step: RTE and FDE map a
 stack of transform points to the decay rate and amplitude of every
 (node, mode), RTE by `transport.modes` (the exact memory under the
 discrete-ordinates kernel), FDE by `fde.modes` (the power law under the
-diffusion kernel), and both go through `_contour_values`: one `modes`
-call over the `ilt.contour` nodes of all times, RTE's at step pi / M
-and FDE's at half of it, then per time one `transport.mode_sum` of its
-modes, weighted by its contour. RTE's stops at the ballistic front
+diffusion kernel), and both go through `_contour_values`: one
+`ilt.contour` rule over all times, RTE's at step pi / M and FDE's at
+half of it, one `modes` call over its nodes, then per time one
+`transport.mode_sum` of its modes, weighted by the contour. RTE's stops at the ballistic front
 |x| = speed * t and reads 0 past it: no particle gets there, so the
 contour sum is ringing. NORMAL is the heat kernel, one array call per
 time. `check_times` refuses up front a time at which a contour
@@ -177,32 +177,32 @@ def _contour_values(solver: str, modes, times, xs, m: float,
 
     modes maps a stack of transform points to the (rate, coef) of their
     modes; it is called once, over the `ilt.contour` nodes at step
-    pi / m of all times, and a failure naming a node by its index there
-    is reported at its s and time (else at t nan). Each time is one
-    `transport.mode_sum` of its slice, coef times its contour weights."""
-    rules = [contour(t, m) for t in times]
-    ends = np.cumsum([0] + [s_nodes.shape[0] for s_nodes, _, _ in rules])
-    stack = np.concatenate([s_nodes for s_nodes, _, _ in rules])
+    pi / m of all times, row by row, and a failure naming a node by its
+    index there is reported at its s and time (else at t nan). Each time
+    is one `transport.mode_sum` of its row, coef times the weights."""
+    s_nodes, weights, prefactors = contour(times, m)
+    stack = s_nodes.ravel()
     try:
         rate, coef = modes(stack)
     except NumericFailureError as exc:
         node = exc.context.get("node")
         where = {"t": math.nan} if node is None else {
-            "s": complex(stack[node]),
-            "t": times[np.searchsorted(ends, node, side="right") - 1]}
+            "s": complex(stack[node]), "t": times[node // weights.size]}
         raise NumericFailureError(exc.args[0], **exc.context,
                                   solver=solver, **where) from exc
-    return [prefactor * transport.mode_sum(xs, rate[lo:hi], coef[lo:hi]
-                                           * weights[:, None], speed * t).real
-            for t, (_, weights, prefactor), lo, hi
-            in zip(times, rules, ends, ends[1:])]
+    shape = (len(times), weights.size, -1)
+    return [prefactor * transport.mode_sum(xs, r, c * weights[:, None],
+                                           speed * t).real
+            for t, prefactor, r, c in zip(times, prefactors.tolist(),
+                                          rate.reshape(shape),
+                                          coef.reshape(shape))]
 
 
 def check_times(sc: Scenario) -> None:
     """Raise ValueError if sc runs RTE or FDE at a time whose contour, at
     that solver's step, overflows (t < 1.2e-306), or RTE at one whose
     farthest node is not `transport.certifiable` (t < 0.0235 at N = 30)."""
-    far = {solver: [contour(t, m)[0][-1] for t in sc.times]
+    far = {solver: contour(sc.times, m)[0][:, -1]
            for solver, m in (("RTE", M), ("FDE", _FDE_REFINE * M))
            if solver in sc.solvers}
     if "RTE" in far:

@@ -92,8 +92,9 @@ def _untrimmed(m: float) -> tuple[np.ndarray, np.ndarray]:
     return phi, wave * dphi
 
 
-def contour(t: float, m: float = M) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes and weights of the double-exponential Bromwich rule at time t.
+def contour(t, m: float = M):
+    """Nodes and weights of the double-exponential Bromwich rule at time
+    t, or at each of an array of times.
 
     Discretizes u(t) = (2 e^{sigma t} / pi) int_0^inf Re F(sigma + i w)
     cos(w t) dw with the double-exponential map w = (M/t) phi(y) at the
@@ -112,20 +113,38 @@ def contour(t: float, m: float = M) -> tuple[np.ndarray, np.ndarray, float]:
     below 2^-53 max|w| are then left out: each lies under the rounding
     of the largest term. That trim, not the reach, sets the rule: the
     kept j are contiguous, and M = 40 keeps j = -34..33 of -47..46.
+    The phases, weights and trim depend on m alone, so the rule is built
+    once for all times; only sigma, the node scale 1/t and the prefactor
+    follow t.
     Returns (s_nodes, weights, prefactor) with
-    u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]); ValueError if t <= 0
-    or if a node or the prefactor would overflow (t < 5.9e-307 at M = 40).
+    u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]); for an array
+    of times s_nodes has one row and prefactor one entry per time, and
+    the weights are shared. Row i is bit for bit the rule at the i-th
+    time alone. ValueError if a time is not positive or if a node or
+    the prefactor would overflow (t < 5.9e-307 at M = 40), before any
+    node is formed.
     """
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    sigma = min(SHIFT, _MAX_SHIFT_TIME / t)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    bad = ~(times > 0.0)
+    if bad.any():
+        raise ValueError(f"time must be positive, got {times[bad][0]}")
+    # min(SHIFT, _MAX_SHIFT_TIME / t), without overflow at tiny t
+    sigma = _MAX_SHIFT_TIME / np.maximum(times, _MAX_SHIFT_TIME / SHIFT)
+    # math.exp per time: numpy's vector exp differs from it in the last
+    # bit for about 5 % of arguments
+    growth = np.array([2.0 * math.exp(v) for v in (sigma * times).tolist()])
     phase, weights = _untrimmed(m)
     big = np.abs(weights) >= 2.0 ** -53 * np.abs(weights).max()
     lo, hi = big.argmax(), big.size - big[::-1].argmax()
-    if max(np.abs(phase[lo:hi]).max(), 2.0 * math.exp(sigma * t)) / _HUGE > t:
-        raise ValueError(f"time {t:g} is too short: the contour overflows")
-    return (sigma + 1j * (phase[lo:hi] / t), weights[lo:hi],
-            2.0 * math.exp(sigma * t) / t)
+    short = np.maximum(np.abs(phase[lo:hi]).max(), growth) / _HUGE > times
+    if short.any():
+        raise ValueError(f"time {times[short.argmax()]:g} is too short: "
+                         "the contour overflows")
+    s_nodes = sigma[:, None] + 1j * (phase[lo:hi] / times[:, None])
+    prefactor = growth / times
+    if np.ndim(t):
+        return s_nodes, weights[lo:hi], prefactor
+    return s_nodes[0], weights[lo:hi], float(prefactor[0])
 
 
 def invert(transform: Callable[[complex], complex], t: float) -> float:

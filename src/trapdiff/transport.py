@@ -112,7 +112,8 @@ class TransportParams:
 
     Cross-sections are in inverse time units and `speed` converts time to
     length; `sigma_trap` scales the survival term of the waiting-time law
-    `waiting` (0: no trapping). Every number must be finite.
+    `waiting` (0: no trapping). Every number must be finite, and so
+    must the squares of sigma_s and speed.
     """
 
     sigma_a: float
@@ -132,6 +133,12 @@ class TransportParams:
             raise ValueError(f"trapping rate must be >= 0, got {self.sigma_trap}")
         if self.speed <= 0.0:
             raise ValueError(f"speed must be positive, got {self.speed}")
+        # the kernel's norms and the diffusivity D0 = speed^2 / (3 sigma_s)
+        # square these two
+        for name, v in (("sigma_s", self.sigma_s), ("speed", self.speed)):
+            if not math.isfinite(v * v):
+                raise ValueError(f"{name} = {v:g} is too large: its square "
+                                 "overflows")
 
 
 def _gap_sums(z: np.ndarray, jn: np.ndarray, kn: np.ndarray) -> np.ndarray:

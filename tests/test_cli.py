@@ -793,6 +793,26 @@ def test_non_finite_config_values_are_rejected_up_front(tmp_path, capsys,
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["sigma_s = 1e300", "speed = 1e200"])
+def test_overflowing_squares_are_refused_up_front(tmp_path, capsys,
+                                                  monkeypatch, line):
+    """sigma_s and speed enter squared, in the kernel's norms and in
+    D0 = speed^2 / (3 sigma_s). At these values the square overflowed
+    mid-run and the command ended in a Python OverflowError: sigma_s's
+    in `transport._dispersion` after overflow warnings, speed's in
+    `fde.from_transport`. Both are refused naming the key, exit 1,
+    before any solver runs."""
+    ini = tmp_path / "odd.ini"
+    ini.write_text(NON_FINITE_CONFIG.format(line=line))
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "odd", "--config", str(ini),
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{line.split()[0]} = " in err and "square overflows" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_every_settings_draw_is_refused_or_finite():
     """Whole scenarios drawn over the INI keys, log-uniform where a key
     spans decades, each key's text read through `cli._settle`: every draw
@@ -814,6 +834,10 @@ def test_every_settings_draw_is_refused_or_finite():
     # contour sum refused that grid mid-run
     @hypothesis.example(sigma_s=1.0, sigma_a=0.0, sigma_trap=0.0, gamma=1.0,
                         alpha=0.5, t=1.0, n=1, reach=5e-324)
+    # fig1a's medium with sigma_s = 1e300: its square overflowed in the
+    # dispersion check, an OverflowError rather than a ValueError
+    @hypothesis.example(sigma_s=1e300, sigma_a=1e-9, sigma_trap=0.1,
+                        gamma=0.1, alpha=0.5, t=10.0, n=30, reach=1.0)
     @hypothesis.given(sigma_s=log_uniform(1e-3, 1e3),
                       sigma_a=zero_or(1e-12, 10.0),
                       sigma_trap=zero_or(1e-4, 1e2),

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trapdiff import fde, harness, transport
+from trapdiff import fde, harness, ilt, transport
 from trapdiff.errors import NumericFailureError
 from trapdiff.harness import (
     CSV_HEADER,
@@ -356,6 +356,26 @@ def test_run_scenario_makes_one_fde_modes_call(monkeypatch):
     run_scenario(dataclasses.replace(late_times_scenario(),
                                      solvers=frozenset({"RTE", "FDE"})))
     assert calls == [8 * 134]
+
+
+def test_each_step_builds_its_rule_once_for_all_times(monkeypatch):
+    """The rule's phases, weights and trim depend on the step alone: the
+    late-time compare, `check_times` then `run_scenario`, builds the
+    untrimmed rule once per step and pass, 4 times in all (once per
+    time, 32, when `contour` took one time)."""
+    steps = []
+    real = ilt._untrimmed
+
+    def counting(m):
+        steps.append(m)
+        return real(m)
+
+    monkeypatch.setattr(ilt, "_untrimmed", counting)
+    sc = dataclasses.replace(late_times_scenario(),
+                             solvers=frozenset({"RTE", "FDE", "NORMAL"}))
+    check_times(sc)
+    run_scenario(sc)
+    assert steps == [M, 2 * M, M, 2 * M]
 
 
 def test_rte_stack_matches_one_time_at_a_time():

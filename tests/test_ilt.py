@@ -358,6 +358,34 @@ def test_contour_refuses_times_whose_nodes_overflow(m, edge):
     assert np.abs(s_nodes.imag).max() > 0.5 * np.finfo(float).max
 
 
+@pytest.mark.parametrize("m", (M, 2 * M))
+def test_contour_over_times_is_each_time_alone(m):
+    """Row i of the rule over an array of times is the rule at the i-th
+    time alone, bit for bit, across the lowering of the shift at t = 200
+    and out to the shortest time each step takes; the weights are
+    shared."""
+    edge = {M: 5.854e-307, 2 * M: 1.1621e-306}[m]
+    times = np.array([10.0, 200.0, 1.001 * edge, 1e-3, 150.0, 1e6, 201.0])
+    s_nodes, weights, prefactor = contour(times, m)
+    assert s_nodes.shape == (times.size, weights.size)
+    assert prefactor.shape == times.shape
+    for t, row, pre in zip(times.tolist(), s_nodes, prefactor.tolist()):
+        alone, alone_weights, alone_pre = contour(t, m)
+        assert row.tolist() == alone.tolist(), t
+        assert alone_weights.tolist() == weights.tolist()
+        assert pre == alone_pre, t
+
+
+def test_contour_over_times_refuses_a_short_one_before_any_node():
+    """One time too short among others is refused, named, before a node
+    is divided out (the suite turns that overflow warning into a
+    failure), and so is one that is not positive."""
+    with pytest.raises(ValueError, match="time 1e-308 is too short"):
+        contour(np.array([10.0, 1e-308, 100.0]))
+    with pytest.raises(ValueError, match="positive"):
+        contour(np.array([10.0, 0.0]))
+
+
 def _invert_at_shift(transform, t, shift):
     """`invert` on the rule moved to Re s = shift, as its lowering to 8/t
     at late times moves it."""

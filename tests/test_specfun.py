@@ -134,17 +134,18 @@ def test_exp_integral_refuses_orders_above_four(monkeypatch):
         gen_exp_integral_scaled(11.507137288057418, z)
 
 
-# where exp(z) E_nu(z) switches between power series and continued
-# fraction: |z| = 1 and the ray Re z = -|Im z|/2, sampled out to |z| = 45
-# (past |z| = 40 the series keeps only the sliver |z| + Re z <= 3 beside
-# the cut, up to |z| = 60, checked on its own below)
+# exp(z) E_nu(z) switches between power series and continued fraction
+# on the curve |z| + Re z = 3, sampled right of the ray Re z = -|Im z|/2
+# (|z| from 1.5 to 5.4), and beside the cut at |z| = 60, checked on its
+# own below. The circles |z| = 1 and 40 and the ray, out to |z| = 45,
+# are sampled too: the ray bounds the band where the series loses most
 _SEAM_ANGLE = math.pi - math.atan(2.0)
 
 
 def _series_cancellation(z):
-    """exp(|z| + Re z) where the power series is used at |z| >= 1 (left of
-    the ray, |z| + Re z <= 3), the growth of its cancellation; 1
-    elsewhere."""
+    """exp(|z| + Re z) where the power series is used left of the ray at
+    1 <= |z| < 40 (|z| + Re z <= 3), the growth of its cancellation; 1
+    elsewhere, the series' points right of the ray included."""
     if (1.0 <= abs(z) < 40.0 and z.real < -0.5 * abs(z.imag)
             and abs(z) + z.real <= 3.0):
         return math.exp(abs(z) + z.real)
@@ -172,10 +173,15 @@ def test_exp_integral_matches_mpmath_across_routing_seams():
     on_ray = st.builds(
         lambda r, d, sign: r * cmath.exp(1j * sign * _SEAM_ANGLE * (1.0 + d)),
         st.floats(0.5, 45.0), jitter, st.sampled_from([-1.0, 1.0]))
+    # |z| + Re z = 3 (1 + d) at |z| = 3 (1 + d) / (1 + cos th)
+    on_curve = st.builds(
+        lambda th, d: 3.0 * (1.0 + d) / (1.0 + math.cos(th))
+        * cmath.exp(1j * th),
+        st.floats(-_SEAM_ANGLE, _SEAM_ANGLE), jitter)
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
                          database=None)
-    @hypothesis.given(nu=orders, z=st.one_of(on_circle, on_ray))
+    @hypothesis.given(nu=orders, z=st.one_of(on_circle, on_ray, on_curve))
     def check(nu, z):
         with mpmath.workdps(40):
             zz = mpmath.mpc(z)
@@ -185,6 +191,20 @@ def test_exp_integral_matches_mpmath_across_routing_seams():
         assert rel <= 1e-12 * _series_cancellation(z), (nu, z, rel)
 
     check()
+
+
+def test_exp_integral_continued_fraction_stops_a_few_ulps_from_one():
+    """At nu = 1/2 and these two arguments (fig1a's nodes at gamma = 1e300)
+    the fraction's factor delta rounds to 1 + 2^-52 for good; a stop at
+    delta == 1 ran 100000 terms and raised NumericFailureError. Both
+    agree with the asymptotic 1/z (1 - nu/z) to 1e-15 relative, alone
+    and in one stack."""
+    z = [4.0e298 + 4.4e290j, 4.0e298 + 2.8e293j]
+    stacked = gen_exp_integral_scaled(0.5, z)
+    for zj, got in zip(z, stacked):
+        want = (1.0 - 0.5 / zj) / zj
+        assert abs(got - want) <= 1e-15 * abs(want), zj
+        assert gen_exp_integral_scaled(0.5, zj) == got
 
 
 def test_exp_integral_matches_mpmath_in_the_cancellation_band():

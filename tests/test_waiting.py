@@ -14,9 +14,12 @@ held to mpmath's exponential integral.
 
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
+from trapdiff import specfun
+from trapdiff.harness import builtin_scenarios
 from trapdiff.ilt import contour
 from trapdiff.waiting import WaitingTimeModel
 
@@ -126,3 +129,55 @@ def test_laplace_survival_rejects_branch_cut():
         PARETO.laplace_survival(-1.0)  # gamma*s on the cut
     with pytest.raises(ValueError):
         PARETO.laplace_survival(0.0)
+
+
+# --------------------------------------------------------- memory of a stack
+
+LATE_TIMES = (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)
+
+
+def test_memory_of_a_stack_is_each_node_alone():
+    """fig1a's exact memory over the 544 nodes of its eight late-time
+    contours equals each node's memory computed alone, bit for bit: the
+    exponential integral's elements do not couple and each stops by its
+    own convergence test. The same holds on fig1c's contour at t = 10,
+    whose law (gamma = 1) sends 25 of its 68 nodes to the continued
+    fraction."""
+    panels = builtin_scenarios()
+    for name, times in (("fig1a", LATE_TIMES), ("fig1c", (10.0,))):
+        tp = panels[name].transport
+        stack = contour(np.array(times))[0].ravel()
+        source, clock = tp.waiting.memory(tp.sigma_trap, stack)
+        for j, s in enumerate(stack.tolist()):
+            alone_source, alone_clock = tp.waiting.memory(tp.sigma_trap, [s])
+            assert alone_source[0] == source[j] and alone_clock[0] == clock[j]
+        assert stack.size == {"fig1a": 544, "fig1c": 68}[name]
+
+
+def test_memory_makes_one_pass_per_route(monkeypatch):
+    """One `memory` call over a stack that needs both routes hands each
+    route one array, which together hold every node once."""
+    passes = {}
+    for name in ("_exp_integral_series", "_exp_integral_cf"):
+        real = getattr(specfun, name)
+
+        def counting(nu, z, name=name, real=real):
+            passes.setdefault(name, []).append(z.size)
+            return real(nu, z)
+
+        monkeypatch.setattr(specfun, name, counting)
+    tp = builtin_scenarios()["fig1c"].transport
+    stack = contour(np.array([10.0, 100.0]))[0].ravel()
+    tp.waiting.memory(tp.sigma_trap, stack)
+    assert sorted(passes) == ["_exp_integral_cf", "_exp_integral_series"]
+    assert all(len(sizes) == 1 for sizes in passes.values())
+    assert sum(sizes[0] for sizes in passes.values()) == stack.size
+
+
+def test_laplace_survival_of_a_stack():
+    """An array of s gives an array of the scalar values, shaped like s."""
+    s = contour(np.array([10.0, 100.0]))[0]
+    got = PARETO.laplace_survival(s)
+    assert got.shape == s.shape
+    assert got.tolist() == [[PARETO.laplace_survival(v) for v in row]
+                            for row in s.tolist()]
