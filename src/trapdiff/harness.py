@@ -405,18 +405,22 @@ def validate(level: str = "fast") -> list[dict]:
     if level == "fast":
         return report
 
-    # transport mass oracle on a short contour sample
+    # transport moment oracle on a short contour sample: the modes' mass
+    # and second moment against 2 S / A and 4 S c^2 / (3 sigma_t A^2),
+    # A = sigma_a + p, from the survival transform
     s_sample = [complex(SHIFT, im)
                 for im in (-300.0, -3.0, 0.0, 0.5, 40.0)]
-    source, p_sample = tp.waiting.memory(tp.sigma_trap, s_sample)
-    nus, norms = transport.spectra(tp, scenario_a.quadrature, p_sample)
+    rate, coef = transport.modes(tp, scenario_a.quadrature, s_sample)
     worst = 0.0
-    for s, factor, nu, norm in zip(s_sample, source, nus, norms):
+    for s, r, c in zip(s_sample, rate, coef):
         lphi = tp.waiting.laplace_survival(s)
-        lhs = 2.0 * factor * sum(nu / norm)
-        rhs = 2.0 * (1.0 + tp.sigma_trap * lphi) / (
-            s + tp.sigma_a + tp.sigma_trap * s * lphi)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        source = 1.0 + tp.sigma_trap * lphi
+        absorb = s + tp.sigma_a + tp.sigma_trap * s * lphi
+        second = 4.0 * source * tp.speed**2 / (
+            3.0 * (tp.sigma_s + absorb) * absorb**2)
+        for got, want in ((sum(2.0 * c / r), 2.0 * source / absorb),
+                          (sum(4.0 * c / r**3), second)):
+            worst = max(worst, abs(got - want) / abs(want))
     report.append(_check("transport.mass_oracle", worst, 1e-8))
 
     # time-domain solver vs the transform-space oracle

@@ -17,11 +17,19 @@ transform at distance x from the source plane.
 
 That matrix is diagonal plus rank one, so lambda = sigma_t^2 z where z
 runs over the N roots of the secular equation (Golub, SIAM Rev. 1973)
+1 = rho sum_i v_i^2 / (d_i - z), d_i = 1/mu_i^2, rho = sigma_s/sigma_t:
+the dispersion relation in another variable. As sum_i w_i = 1 and
+v_i^2 = w_i d_i, it is solved deflated (as LAPACK's dlaed4 shifts its
+origin to a pole),
 
-    1 = rho * sum_i v_i^2 / (d_i - z),  d_i = 1/mu_i^2, rho = sigma_s/sigma_t,
+    f(z) = loss - rho z sum_i w_i / (d_i - z) = 0,  loss = 1 - rho,
 
-which is the dispersion relation in another variable. All N roots of a
-node are found at once by the Aberth-Ehrlich iteration (Aberth, Math.
+with loss taken as (sigma_a + p) / sigma_t: formed by cancellation, it
+cost the diffusive root z ~ 3 loss / rho a relative eps sigma_t /
+|sigma_a + p| and turned profiles negative from sigma_s t ~ 1e17. The
+eigenvalue nu = 1 / (sigma_t sqrt(z)), signed so that Re nu >= 0, never
+forms sigma_t^2 z, which overflows from sigma_s ~ 1e154. All N roots of
+a node are found at once by the Aberth-Ehrlich iteration (Aberth, Math.
 Comp. 1973), O(N^2) per sweep instead of the O(N^3) of a dense eigen
 solve. The Newton ratio of the polynomial prod_i (d_i - z) * f(z) is
 written f / (f' - f sum_i 1/(d_i - z)), so an exact root takes a zero
@@ -31,15 +39,17 @@ confirming sweep, once any of three tests holds at the new root z:
 - |delta| <= 4e-15 |z| (a Newton step that small skips the O(N) Aberth
   correction);
 - delta lies within the rounding-error bound of f at the root,
-  8 eps sum_i |rho v_i^2 / (d_i - z)| / |f'(z)| (the `erretm` test of
-  LAPACK's dlaed4): near rho = 1 the smallest root is fixed by f only to
-  more than 1e-12 |z|, so no bound relative to |z| alone would let it go;
+  8 eps (|loss| + |rho z| sum_i |w_i / (d_i - z)|) / |f'(z)| (the
+  `erretm` test of LAPACK's dlaed4), where f fixes z no better;
 - the next step, as the Newton model of the polynomial estimates it,
   gamma |delta|^2 with gamma = |f'' / (2 f')| + |sum_i 1/(d_i - z)|,
   is 4e-15 |z| or less (an error estimate from data at one point, after
-  Smale 1986). gamma bounds the signed curvature
+  Smale 1986), and |delta| <= |z|. gamma bounds the signed curvature
   |f'' / (2 f') - sum_i 1/(d_i - z)| by the sum of its two moduli: the
-  signed form alone froze roots of two N = 120 stacks too early.
+  signed form alone froze roots of two N = 120 stacks too early. The
+  model does not see the rounding of z - delta, which |delta| <= |z|
+  keeps below 2 eps |z|: at sigma_s = 1e100 the diffusive root falls to
+  1e-101 through 1e-17, 1e-33, 1e-49, each the rounding of the last.
 
 Nodes are solved in the order of (Im p, Re p), in B = ceil(nodes / 16)
 strided blocks: block b holds the b-th, (b + B)-th, ... node of that
@@ -47,22 +57,22 @@ order, so the (root, pole) work arrays stay small, and the i-th nodes of
 blocks b - 1 and b - 2, already solved, are the two predecessors of the
 i-th node of block b. The roots depend on p only through rho, and each
 solved root z has the derivative dz/drho = -1 / (rho^2 sum_i v_i^2 /
-(d_i - z)^2) = -1 / (sigma_t nu norm), free from the normalization norm
-of its mode. So a node of block 1 starts from the Taylor step
-z1 + z1' (rho - rho1) at its predecessor, and a node of block b >= 2 from
-the cubic Hermite extrapolation through (rho0, z0, z0') and
-(rho1, z1, z1'), the predictor of continuation methods (Allgower &
-Georg, Numerical Continuation Methods, 1990) with the derivatives of
-both points; where tau = (rho - rho0) / (rho1 - rho0) is not finite or
-|tau| > 4 (a regular chain has tau ~ 2), the cubic would magnify the
-predecessors' rounding, and the node takes the Taylor step instead. On
-fig1a's eight late-time contours this takes about 1.2 steps per root
-(19,613 updates of 16,320 roots, in 78 sweeps); the secant in rho
-through the predecessors' roots, with a confirming sweep per root, took
-1.9, the predecessor's roots alone 2.6, and the first-order pole shifts
-z_k = d_k - rho v_k^2 (exact when N = 1), block 0's start, about 4. The
-nodes of several inversion contours, one per output time, can thus be
-solved as one stack; the results come back in the caller's order.
+(d_i - z)^2), a slope sum that its mode's normalization needs too. So a
+node of block 1 starts from the Taylor step z1 + z1' (rho - rho1) at its
+predecessor, and a node of block b >= 2 from the cubic Hermite
+extrapolation through (rho0, z0, z0') and (rho1, z1, z1'), the predictor
+of continuation methods (Allgower & Georg, Numerical Continuation
+Methods, 1990) with the derivatives of both points; where
+tau = (rho - rho0) / (rho1 - rho0) is not finite or |tau| > 4 (a regular
+chain has tau ~ 2), the cubic would magnify the predecessors' rounding,
+and the node takes the Taylor step instead. On fig1a's eight late-time
+contours this takes about 1.2 steps per root (19,613 updates of 16,320
+roots, in 78 sweeps); the secant in rho through the predecessors' roots,
+with a confirming sweep per root, took 1.9, the predecessor's roots
+alone 2.6, and the first-order pole shifts z_k = d_k - rho v_k^2 (exact
+when N = 1), block 0's start, about 4. The nodes of several inversion
+contours, one per output time, can thus be solved as one stack; the
+results come back in the caller's order.
 
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
@@ -75,10 +85,13 @@ the interface the profile driver shares with `fde`; `laplace_density` is
 their sum at one s and one x. `mode_sum` sums a stack's modes into an x
 vector, up to a front: on an evenly spaced grid exp(-|x_k| rate) is the
 one at the first |x| of a side of x = 0 times a power of exp(-h rate),
-three complex exps per (node, mode) and no (x, node) array. The
-dispersion check takes one reciprocal per (node, mode, ordinate) entry.
-`certifiable` tells, before any solve, the points p whose roots lie too
-close to their poles for that check.
+three complex exps per (node, mode) and no (x, node) array.
+`_secular_sums` is the one evaluation of f: each sweep calls it on the
+roots still moving, and `_block_spectra` on a block's returned roots, to
+certify them (f not finite: a root on a pole, its eigenvalue on a
+quadrature ray; |f| at most 1e-9) and to read normalizations and dz/drho
+from the same slope sums. `certifiable` tells, before any solve, the
+points p whose roots lie too close to their poles for that certificate.
 """
 
 from __future__ import annotations
@@ -101,15 +114,15 @@ __all__ = [
     "certifiable",
 ]
 
-# acceptable dispersion-relation residual of an eigenvalue
+# acceptable secular-function residual |f(z)| of a returned root
 _RESIDUAL_TOL = 1e-9
 # least root-pole gap rho w_i (rho = sigma_s / sigma_t) whose residual
 # rounding, ~eps / (rho w_i), stays below a quarter of _RESIDUAL_TOL
 _MIN_GAP = 4.0 * np.finfo(float).eps / _RESIDUAL_TOL
 # secular roots: nodes solved together, iteration cap, relative step at
-# which a root is frozen, and the rounding-error bound of f(z) = 1 - rho
-# sum_i v2_i / (d_i - z) in units of sum_i |rho v2_i / (d_i - z)|
-# (LAPACK dlaed4's erretm), below which a step is rounding noise
+# which a root is frozen, and the rounding-error bound of f in units of
+# |loss| + |rho z| sum_i |w_i / (d_i - z)| (LAPACK dlaed4's erretm),
+# below which a step is rounding noise
 _BLOCK = 16
 _MAX_ITER = 50
 _STEP_TOL = 4e-15
@@ -153,8 +166,7 @@ class TransportParams:
             raise ValueError(f"trapping rate must be >= 0, got {self.sigma_trap}")
         if self.speed <= 0.0:
             raise ValueError(f"speed must be positive, got {self.speed}")
-        # the kernel's norms and the diffusivity D0 = speed^2 / (3 sigma_s)
-        # square these two
+        # D0 squares speed; sigma_s is held to the same bound
         for name, v in (("sigma_s", self.sigma_s), ("speed", self.speed)):
             if not math.isfinite(v * v):
                 raise ValueError(f"{name} = {v:g} is too large: its square "
@@ -172,27 +184,41 @@ def _gap_sums(z: np.ndarray, jn: np.ndarray, kn: np.ndarray) -> np.ndarray:
     return inv_gap.sum(axis=1)
 
 
-def _aberth_steps(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
-                  z: np.ndarray, jn: np.ndarray, kn: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _secular_sums(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
+                  w: np.ndarray, z: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """At roots z, with loss and rho of each one's node (broadcast against
+    z): 1 / (d_i - z), f(z), its rounding-error bound and the slope terms
+    v2_i / (d_i - z)^2 (f' = -rho times their sum), i on a new last axis.
+    A root on a pole gets a non-finite f, and no warning."""
+    inv_pole = d - z[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0, inv_pole, out=inv_pole)
+    term = inv_pole * w
+    rz = rho * z
+    f = loss - rz * term.sum(axis=-1)
+    noise = _NOISE_BOUND * (np.abs(loss)
+                            + np.abs(rz) * np.abs(term).sum(axis=-1))
+    term *= d  # turned into the slope terms, in place
+    term *= inv_pole
+    return inv_pole, f, noise, term
+
+
+def _aberth_steps(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
+                  w: np.ndarray, z: np.ndarray, jn: np.ndarray,
+                  kn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Aberth-Ehrlich sweep over the roots z[jn, kn]: their steps
     delta, and whether each root is frozen after its step by one of the
     module docstring's three tests at the new root z - delta; gamma's
     f'' / (2 f') = sum_i v2_i / (d_i - z)^3 / sum_i v2_i / (d_i - z)^2
     costs one more row sum. A Newton step of `_STEP_TOL` |z| or less is
     taken without the gap sum, whose correction would move z by far less
-    than an ulp. Work arrays are updated in place, not allocated anew for
-    each operation: fresh pages for arrays this large cost about as much
-    as the arithmetic."""
-    zk, rk = z[jn, kn], rho[jn]
-    inv_pole = d - zk[:, None]
-    np.divide(1.0, inv_pole, out=inv_pole)
-    term = inv_pole * v2
-    f = 1.0 - rk * term.sum(axis=1)
-    noise = _NOISE_BOUND * np.abs(rk) * np.abs(term).sum(axis=1)
-    term *= inv_pole
+    than an ulp. `_secular_sums`' work arrays are updated in place: fresh
+    pages for arrays this large cost about as much as the arithmetic."""
+    zk = z[jn, kn]
+    inv_pole, f, noise, term = _secular_sums(loss[jn], rho[jn], d, w, zk)
     slope = term.sum(axis=1)
-    df = -rk * slope
+    df = -rho[jn] * slope
     pole_sum = inv_pole.sum(axis=1)
     step = f / (df - f * pole_sum)
     term *= inv_pole
@@ -200,15 +226,16 @@ def _aberth_steps(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
     del inv_pole, term  # freed before the gap sums' work array is formed
     busy = np.abs(step) > _STEP_TOL * np.abs(zk)  # Newton steps, so far
     step[busy] /= 1.0 - step[busy] * _gap_sums(z, jn[busy], kn[busy])
-    size = np.abs(step)
-    tol = _STEP_TOL * np.abs(zk - step)
+    size, new = np.abs(step), np.abs(zk - step)
+    tol = _STEP_TOL * new
     return step, ((size <= tol) | (size * np.abs(df) <= noise)
-                  | (gamma * size**2 <= tol))
+                  | ((gamma * size**2 <= tol) & (size <= new)))
 
 
-def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
-                   nodes: np.ndarray, z: np.ndarray | None) -> np.ndarray:
-    """All N roots z of 1 = rho_j sum_i v2_i / (d_i - z) for each node j.
+def _secular_roots(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
+                   w: np.ndarray, nodes: np.ndarray, z: np.ndarray | None
+                   ) -> np.ndarray:
+    """All N roots z of f(z) = 0 (`_secular_sums`) for each node j.
 
     Aberth-Ehrlich iteration from the start guesses z, a (node, N) array
     that is refined in place and returned, or with z None from the pole
@@ -220,10 +247,10 @@ def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
     """
     n = d.shape[0]
     if z is None:
-        z = d - rho[:, None] * v2
+        z = d - rho[:, None] * (w * d)
     jn, kn = np.divmod(np.arange(z.size), n)
     for _ in range(_MAX_ITER):
-        step, frozen = _aberth_steps(rho, d, v2, z, jn, kn)
+        step, frozen = _aberth_steps(loss, rho, d, w, z, jn, kn)
         zk = z[jn, kn] - step
         finite = np.isfinite(zk)
         if not finite.all():
@@ -239,63 +266,35 @@ def _secular_roots(rho: np.ndarray, d: np.ndarray, v2: np.ndarray,
         node=int(nodes[jn[0]]))
 
 
-def _dispersion(sigma_s: float, mu: np.ndarray, w: np.ndarray,
-                st: np.ndarray, nu: np.ndarray, nodes: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Dispersion residual and normalization of every mode (node, k),
-    independently of the secular roots, after checking that no
-    eigenvalue nu sits on a quadrature ray mu_i / sigma_t.
-
-    With ray = sigma_t nu and q_i = 1 / ((ray - mu_i)(ray + mu_i)), the
-    eigenfunction phi(nu, +-mu) = (sigma_s nu / 2) / (ray -+ mu) gives
-    sum_i w_i (phi(nu, mu_i) + phi(nu, -mu_i)) = sigma_s ray nu sum_i w_i q_i
-    and the normalization sum_i w_i mu_i (phi(nu, mu_i)^2 - phi(nu, -mu_i)^2)
-    = sigma_s^2 ray nu^2 sum_i w_i mu_i^2 q_i^2: one reciprocal per
-    (node, mode, ordinate) entry. Raises NumericFailureError on a ray
-    collision, |ray - mu_i| < 1e-12 |ray|; as |ray - mu_i| >= |Im ray|,
-    only the nearly real rays, |Im ray| < 1e-12 |ray|, are tested.
-    """
-    ray = st[:, None] * nu
-    near = np.abs(ray.imag) < 1e-12 * np.abs(ray)
-    if near.any():
-        hit = (np.abs(ray[near][:, None] - mu).min(axis=1)
-               < 1e-12 * np.abs(ray[near]))
-        if hit.any():
-            j, k = np.argwhere(near)[np.argmax(hit)]
-            raise NumericFailureError(
-                f"eigenvalue {nu[j, k]} collides with a quadrature ray",
-                node=int(nodes[j]))
-    # the (node, mode, ordinate) array is updated in place, as in a sweep
-    q = ray[:, :, None] - mu
-    q *= ray[:, :, None] + mu
-    np.divide(1.0, q, out=q)
-    res = np.abs(1.0 - sigma_s * ray * nu * np.einsum("jki,i->jk", q, w))
-    norm = (sigma_s**2 * ray * nu**2
-            * np.einsum("jki,jki,i->jk", q, q, w * mu**2))
-    return res, norm
-
-
-def _block_spectra(sigma_s: float, mu: np.ndarray, w: np.ndarray,
-                   st: np.ndarray, nodes: np.ndarray, z: np.ndarray | None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Secular roots, eigenvalues nu and normalizations of one block of
-    nodes from the start guesses z (None: the pole shifts), checked
-    against ray collisions, the dispersion relation and vanishing
-    normalizations; a failure names its node by its entry of `nodes`."""
-    z = _secular_roots(sigma_s / st, 1.0 / mu**2, w / mu**2, nodes, z)
-    nu = 1.0 / np.sqrt(st[:, None] ** 2 * z)
-    res, norm = _dispersion(sigma_s, mu, w, st, nu, nodes)
+def _block_spectra(loss: np.ndarray, rho: np.ndarray, st: np.ndarray,
+                   d: np.ndarray, w: np.ndarray, nodes: np.ndarray,
+                   z: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Secular roots z, eigenvalues nu, normalizations and dz/drho of one
+    block of nodes from the start guesses z (None: the pole shifts), all
+    certified and read from one more `_secular_sums` at the roots; no
+    normalization may vanish. A failure names its node by its entry of
+    `nodes`."""
+    z = _secular_roots(loss, rho, d, w, nodes, z)
+    nu = 1.0 / (st[:, None] * np.sqrt(z))
+    nu *= np.copysign(1.0, nu.real)  # the decaying mode, Re nu >= 0
+    _, f, _, term = _secular_sums(loss[:, None], rho[:, None], d, w, z)
+    res = np.abs(f)
     bad = ~(res <= _RESIDUAL_TOL)
     if bad.any():
         j, k = np.argwhere(bad)[0]
         raise NumericFailureError(
-            f"dispersion residual {res[j, k]:.3e} at eigenvalue {nu[j, k]}",
+            f"dispersion residual {res[j, k]:.3e} at eigenvalue {nu[j, k]}"
+            if np.isfinite(res[j, k]) else
+            f"eigenvalue {nu[j, k]} collides with a quadrature ray",
             node=int(nodes[j]), nu=complex(nu[j, k]))
+    slope = rho[:, None] ** 2 * term.sum(axis=-1)
+    norm = slope / (st[:, None] * nu)
     tiny = (np.abs(norm) < 1e-300).any(axis=1)
     if tiny.any():
         raise NumericFailureError("vanishing mode normalization",
                                   node=int(nodes[np.argmax(tiny)]))
-    return z, nu, norm
+    return z, nu, norm, -1.0 / slope
 
 
 def _node_stack(points) -> np.ndarray:
@@ -313,7 +312,8 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, p
     sigma_t = sigma_a + sigma_s + p, at every point p (params' trapping is
     not read): (nu, norm), per node j the N eigenvalues nu[j], Re nu >= 0,
     and their normalizations norm[j] = sum_i w_i mu_i (phi(nu, mu_i)^2 -
-    phi(nu, -mu_i)^2), phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu).
+    phi(nu, -mu_i)^2), phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu),
+    computed as rho^2 sqrt(z) sum_i v2_i / (d_i - z)^2, z = (sigma_t nu)^-2.
     NumericFailureError names a node that fails a check (a ray collision
     among them) by its index in p; ValueError, before any solve, unless
     p is a one-dimensional stack.
@@ -325,10 +325,11 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, p
     `_HERMITE_REACH` of them. The results come back in the order of p.
     """
     p = _node_stack(p)
-    mu = np.asarray(quadrature.nodes)
+    d = 1.0 / np.asarray(quadrature.nodes) ** 2
     w = np.asarray(quadrature.weights)
     st = params.sigma_a + params.sigma_s + p
     rho = params.sigma_s / st
+    loss = (params.sigma_a + p) / st
     nus = np.empty((p.shape[0], quadrature.order), dtype=complex)
     norms = np.empty_like(nus)
     order = np.lexsort((p.real, p.imag))
@@ -359,11 +360,9 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, p
                 chord = (z1[ok] - z0[ok]) / gap
                 start[ok] += ahead[ok] * (tau - 1.0) * (
                     dz1[ok] - chord + tau * (dz0[ok] + dz1[ok] - 2.0 * chord))
-        roots, nu, norm = _block_spectra(
-            params.sigma_s, mu, w, st[blk], blk, start)
-        nus[blk], norms[blk] = nu, norm
-        before, last = last, (rho[blk], roots,
-                              -1.0 / (st[blk, None] * nu * norm))
+        roots, nus[blk], norms[blk], dz = _block_spectra(
+            loss[blk], rho[blk], st[blk], d, w, blk, start)
+        before, last = last, (rho[blk], roots, dz)
     return nus, norms
 
 

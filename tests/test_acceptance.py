@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven end-to-end checks, one pass/fail line each.
+"""Acceptance suite: twelve end-to-end checks, one pass/fail line each.
 
 Every check pins an explicit tolerance and a wall-clock budget. The xfail
 companions document measured limits (the inverter's absolute accuracy floor,
@@ -270,6 +270,32 @@ def test_trap_free_transport_collapses_to_normal_diffusion():
             r = _rte_point(tp, q, float(x), 100.0)
             n = normal_diffusion(p, float(x), 100.0)
             assert abs(r - n) < 2e-3, x
+
+
+@pytest.mark.parametrize("sigma_s", [1e9, 1e12, 1e14, 1e16, 1e20, 1e100,
+                                     1e154])
+def test_strong_scattering_transport_reaches_the_heat_kernel(sigma_s):
+    """Untrapped transport approaches the heat kernel to O(1 / (sigma_s t)),
+    so at t = 10 and sigma_s >= 1e9 the RTE profile at x = 0, on a grid
+    over 3 sqrt(D0 t), sits within 1e-8 of it (7.8e-10 to 8.2e-10
+    measured, the contour rule's own floor). The diffusive root
+    z ~ 3 (sigma_a + p) / sigma_t is taken from sigma_a + p, not from
+    1 - rho: formed by cancellation, that read 1.9e-6 at sigma_s = 1e9,
+    3.6e-2 at 1e14 and negative densities from 1e16. At 1e100 that root
+    falls through decades of rounding before it converges, and at 1e154
+    sigma_t^2 z overflows."""
+    base = harness.Scenario(label="strong")
+    tp = dataclasses.replace(base.transport, sigma_s=sigma_s)
+    t = base.times[0]
+    reach = 3.0 * math.sqrt(from_transport(tp).diffusivity * t)
+    sc = dataclasses.replace(base, transport=tp,
+                             grid=harness.SpatialGrid(0.0, reach, 61),
+                             solvers=frozenset(("RTE", "NORMAL")))
+    with budget(5.0):
+        harness.check_times(sc)
+        rte, normal = (profile.points[0][1]
+                       for profile in harness.run_scenario(sc))
+    assert abs(rte - normal) <= 1e-8 * normal, (rte, normal)
 
 
 # max |RTE - DEM| / |DEM| over fig1a's 61 points at t = 1e2, 1e3, 1e4

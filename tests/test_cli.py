@@ -796,12 +796,12 @@ def test_non_finite_config_values_are_rejected_up_front(tmp_path, capsys,
 @pytest.mark.parametrize("line", ["sigma_s = 1e300", "speed = 1e200"])
 def test_overflowing_squares_are_refused_up_front(tmp_path, capsys,
                                                   monkeypatch, line):
-    """sigma_s and speed enter squared, in the kernel's norms and in
-    D0 = speed^2 / (3 sigma_s). At these values the square overflowed
-    mid-run and the command ended in a Python OverflowError: sigma_s's
-    in `transport._dispersion` after overflow warnings, speed's in
-    `fde.from_transport`. Both are refused naming the key, exit 1,
-    before any solver runs."""
+    """sigma_s and speed are refused once their squares overflow, naming
+    the key, exit 1, before any solver runs. speed enters squared in
+    D0 = speed^2 / (3 sigma_s), where speed = 1e200 ended in a Python
+    OverflowError in `fde.from_transport`; sigma_s = 1e300 ended in one
+    after overflow warnings when the kernel's norms squared sigma_s,
+    which they no longer do (sigma_s = 1e154 computes)."""
     ini = tmp_path / "odd.ini"
     ini.write_text(NON_FINITE_CONFIG.format(line=line))
     monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
@@ -838,7 +838,11 @@ def test_every_settings_draw_is_refused_or_finite():
     # dispersion check, an OverflowError rather than a ValueError
     @hypothesis.example(sigma_s=1e300, sigma_a=1e-9, sigma_trap=0.1,
                         gamma=0.1, alpha=0.5, t=10.0, n=30, reach=1.0)
-    @hypothesis.given(sigma_s=log_uniform(1e-3, 1e3),
+    # fig1a's medium with sigma_s = 1e154: formed as 1 / sqrt(sigma_t^2 z),
+    # the eigenvalues overflowed, and the run ended in exit 2
+    @hypothesis.example(sigma_s=1e154, sigma_a=1e-9, sigma_trap=0.1,
+                        gamma=0.1, alpha=0.5, t=10.0, n=30, reach=1.0)
+    @hypothesis.given(sigma_s=log_uniform(1e-3, 1e20),
                       sigma_a=zero_or(1e-12, 10.0),
                       sigma_trap=zero_or(1e-4, 1e2),
                       gamma=log_uniform(1e-4, 1e4),

@@ -422,24 +422,25 @@ def test_rte_failure_names_the_time_of_its_node(monkeypatch):
 
 def test_trapped_stack_failure_names_the_time_and_s_of_its_node(monkeypatch):
     """fig1a at t = 5, 10, 20 is trapped, so the kernel sees p = s S(s),
-    not s: a dispersion failure of the real kernel at any one of the 204
-    nodes is reported at solver RTE, that node's time and its s. Mapping
+    not s: roots of the real kernel moved off their node's secular
+    equation, at any one of the 204 nodes, fail the certificate's residual
+    and are reported at solver RTE, that node's time and its s. Mapping
     p back through the nearest s names the wrong time for 71 of them."""
     sc = late_times_scenario((5.0, 10.0, 20.0), 3)
     tp = sc.transport
-    real = transport._dispersion
+    real = transport._secular_roots
     nodes = [(t, s) for t in sc.times for s in contour(t)[0].tolist()]
     assert len(nodes) == 204
     for t, s in nodes:
         sigma_t = tp.sigma_a + tp.sigma_s + tp.waiting.memory(
             tp.sigma_trap, [s])[1][0]
 
-        def failing(*args, sigma_t=sigma_t):
-            res, norm = real(*args)
-            res[args[3] == sigma_t] = 1.0
-            return res, norm
+        def failing(loss, rho, *rest, target=tp.sigma_s / sigma_t):
+            z = real(loss, rho, *rest)
+            z[rho == target] *= 1.01
+            return z
 
-        monkeypatch.setattr(transport, "_dispersion", failing)
+        monkeypatch.setattr(transport, "_secular_roots", failing)
         with pytest.raises(NumericFailureError, match="dispersion") as info:
             run_scenario(sc)
         context = info.value.context
