@@ -178,8 +178,10 @@ def _contour_values(solver: str, modes, times, xs, m: float,
     modes maps a stack of transform points to the (rate, coef) of their
     modes; it is called once, over the `ilt.contour` nodes at step
     pi / m of all times, row by row, and a failure naming a node by its
-    index there is reported at its s and time (else at t nan). Each time
-    is one `transport.mode_sum` of its row, coef times the weights."""
+    index there is reported at its s and time (else at t nan): at a
+    point that several times share, s = sigma where their contours fold,
+    the first of them. Each time is one `transport.mode_sum` of its row,
+    coef times the weights."""
     s_nodes, weights, prefactors = contour(times, m)
     stack = s_nodes.ravel()
     try:

@@ -10,8 +10,11 @@ the rule and the only inverter on the production path, where
 reduces them with its weights. The rule is fixed: shift 0.04, lowered
 to 8/t at late times, node-map steepness 6 and step pi / M, with M = 40;
 only the step is an argument, since FDE and the step-halving check
-halve it. `invert` applies the rule to a scalar transform, one node at
-a time, for the self-checks and the tests.
+halve it. The rule's saturated left tail is folded onto s = sigma, at
+a rounding-level cost bounded in `contour`, so a stack of contours
+holds fewer distinct points than nodes. `invert` applies the rule to
+a scalar transform, one node at a time, for the self-checks and the
+tests.
 `invert_reference` is a fixed-Talbot rule on a deformed contour; it
 converges faster per evaluation but probes the transform at complex s
 with negative real part. Agreement between the two is a strong
@@ -53,6 +56,9 @@ M = 40.0
 # falls at K sinh|y| = 38 to 43; the outermost abscissa, a step pi / M
 # short of the reach, is past 100 for M >= 20; e^120 is finite.
 _MAX_ARG = 120.0
+# relative size 2^-53 of a weight, or of a weight's share of the sum,
+# under the rounding of the largest term: the trim and the fold
+_ROUNDING = 2.0 ** -53
 _TALBOT_ORDER = 28  # points n of the fixed-Talbot rule of `invert_reference`
 _HUGE = np.finfo(float).max
 
@@ -96,14 +102,15 @@ def contour(t, m: float = M):
     """Nodes and weights of the double-exponential Bromwich rule at time
     t, or at each of an array of times.
 
-    Discretizes u(t) = (2 e^{sigma t} / pi) int_0^inf Re F(sigma + i w)
-    cos(w t) dw with the double-exponential map w = (M/t) phi(y) at the
-    half-offset abscissae y_j = (j + 1/2) pi / M, out to the map's
-    saturation |K sinh y| = `_MAX_ARG`; the layout places the saturated
-    tail of the map on the zeros of the cosine, so truncation error falls
-    off double exponentially (Ooura & Mori, J. Comput. Appl. Math. 112,
-    1999). The steepness is K = 6 and the shift sigma = min(`SHIFT`,
-    `_MAX_SHIFT_TIME` / t); m is the step's M, `M` by default.
+    Discretizes u(t) = (2 e^{sigma t} / pi) int_0^inf Re F(sigma +
+    i omega) cos(omega t) d omega with the double-exponential map
+    omega = (M/t) phi(y) at the half-offset abscissae y_j = (j + 1/2)
+    pi / M, out to the map's saturation |K sinh y| = `_MAX_ARG`; the
+    layout places the saturated tail of the map on the zeros of the
+    cosine, so truncation error falls off double exponentially (Ooura &
+    Mori, J. Comput. Appl. Math. 112, 1999). The steepness is K = 6 and
+    the shift sigma = min(`SHIFT`, `_MAX_SHIFT_TIME` / t); m is the
+    step's M, `M` by default.
 
     The weight is cos(M phi) phi'. Right of y = 0, where M y_j =
     (j + 1/2) pi, it is formed as (-1)^(j+1) sin(M r) phi' from the map's
@@ -113,9 +120,34 @@ def contour(t, m: float = M):
     below 2^-53 max|w| are then left out: each lies under the rounding
     of the largest term. That trim, not the reach, sets the rule: the
     kept j are contiguous, and M = 40 keeps j = -34..33 of -47..46.
-    The phases, weights and trim depend on m alone, so the rule is built
-    once for all times; only sigma, the node scale 1/t and the prefactor
-    follow t.
+
+    The map saturates on the left too, where the kept nodes crowd onto
+    s = sigma: the leading run of them is folded onto s = sigma exactly,
+    keeping its weights, as far as sum_{i<=j} (M phi_i)^2 |w_i| <= 2^-53
+    max|w| (sigma t)^2, the trim's threshold. For the transform F of a
+    function u >= 0 (a profile's, at each x), 1 - cos a <= a^2 / 2 and
+    tau^2 e^{-sigma tau / 2} <= (4 / (e sigma))^2 give, at
+    s = sigma + i omega,
+
+        0 <= F(sigma) - Re F(s)
+           = int_0^inf (1 - cos omega tau) e^{-sigma tau} u(tau) dtau
+          <= (omega^2 / 2) F''(sigma)
+          <= (8 / e^2) (omega / sigma)^2 F(sigma / 2).
+
+    With omega_i = M phi_i / t the fold's condition is
+    sum (omega_i / sigma)^2 |w_i| <= 2^-53 max|w|, so it moves
+    sum_j w_j Re F(s_j) by at most (8 / e^2) 2^-53 max|w| F(sigma / 2):
+    a rounding unit of the sum's largest term, as |F(s)| <= F(sigma).
+    At M = 40 it folds 8 of the 68 nodes at t = 1e-3, 11 at t = 1, 12
+    from t = 8.2 and 13 from t = 57 on, none below t = 2.9e-15, and at
+    t >= 1e-3 each folded node moves by omega <= 1.1e-4 sigma (2.2e-4
+    at FDE's steps); a solver that evaluates each distinct point
+    once (`transport.spectra`) is spared their work. The phases,
+    weights, trim and the fold's cumulative sum depend on m alone, so
+    the rule is built once for all times, and each time's fold is one
+    search of that sum; only sigma, the node scale 1/t, the fold and the
+    prefactor follow t.
+
     Returns (s_nodes, weights, prefactor) with
     u(t) = prefactor * sum_j weights[j] Re F(s_nodes[j]); for an array
     of times s_nodes has one row and prefactor one entry per time, and
@@ -134,17 +166,25 @@ def contour(t, m: float = M):
     # bit for about 5 % of arguments
     growth = np.array([2.0 * math.exp(v) for v in (sigma * times).tolist()])
     phase, weights = _untrimmed(m)
-    big = np.abs(weights) >= 2.0 ** -53 * np.abs(weights).max()
+    floor = _ROUNDING * np.abs(weights).max()
+    big = np.abs(weights) >= floor
     lo, hi = big.argmax(), big.size - big[::-1].argmax()
-    short = np.maximum(np.abs(phase[lo:hi]).max(), growth) / _HUGE > times
+    phase, weights = phase[lo:hi], weights[lo:hi]
+    short = np.maximum(np.abs(phase).max(), growth) / _HUGE > times
     if short.any():
         raise ValueError(f"time {times[short.argmax()]:g} is too short: "
                          "the contour overflows")
-    s_nodes = sigma[:, None] + 1j * (phase[lo:hi] / times[:, None])
+    # the fold: the leading run whose (M phi)^2 |w| sums to at most
+    # floor (sigma t)^2, found per time in one cumulative sum of the step
+    folds = np.searchsorted(np.cumsum(phase**2 * np.abs(weights)),
+                            floor * (sigma * times) ** 2, side="right")
+    omega = phase / times[:, None]
+    omega[np.arange(phase.size) < folds[:, None]] = 0.0
+    s_nodes = sigma[:, None] + 1j * omega
     prefactor = growth / times
     if np.ndim(t):
-        return s_nodes, weights[lo:hi], prefactor
-    return s_nodes[0], weights[lo:hi], float(prefactor[0])
+        return s_nodes, weights, prefactor
+    return s_nodes[0], weights, float(prefactor[0])
 
 
 def invert(transform: Callable[[complex], complex], t: float) -> float:

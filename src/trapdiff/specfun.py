@@ -55,14 +55,16 @@ def _legendre(n: int, x: float) -> tuple[float, float]:
 def gauss_legendre(n: int) -> QuadratureSet:
     """Gauss-Legendre nodes and weights on (0, 1) by Newton iteration.
 
-    Roots of the Legendre polynomial P_n are located from Chebyshev-type
-    initial guesses and polished to 1e-15; the affine map from (-1, 1)
-    halves the weights.
+    The roots of the Legendre polynomial P_n are symmetric about 0, so
+    only the (n + 1) // 2 with x >= 0 are located, from Chebyshev-type
+    initial guesses, and polished to 1e-15; each pairs with its mirror
+    -x, which has the same weight. The affine map from (-1, 1) halves
+    the weights.
     """
     if n < 1:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
     pairs = []
-    for k in range(n):
+    for k in range((n + 1) // 2):
         x = math.cos(math.pi * (k + 0.75) / (n + 0.5))
         for _ in range(100):
             p, dp = _legendre(n, x)
@@ -75,7 +77,10 @@ def gauss_legendre(n: int) -> QuadratureSet:
         # one clean derivative eval at the converged root for the weight
         _, dp = _legendre(n, x)
         # weight on (-1,1) is 2/((1-x^2) dp^2); halve it for (0,1)
-        pairs.append((0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)))
+        weight = 1.0 / ((1.0 - x * x) * dp * dp)
+        pairs += [(0.5 * (1.0 - x), weight), (0.5 * (1.0 + x), weight)]
+    if n % 2:  # the middle root, x = 0, has no mirror
+        del pairs[-1]
     pairs.sort()
     return QuadratureSet(
         order=n,

@@ -51,47 +51,58 @@ confirming sweep, once any of three tests holds at the new root z:
   keeps below 2 eps |z|: at sigma_s = 1e100 the diffusive root falls to
   1e-101 through 1e-17, 1e-33, 1e-49, each the rounding of the last.
 
-Nodes are solved in the order of (Im p, Re p), in B = ceil(nodes / 16)
-strided blocks: block b holds the b-th, (b + B)-th, ... node of that
-order, so the (root, pole) work arrays stay small, and the i-th nodes of
-blocks b - 1 and b - 2, already solved, are the two predecessors of the
-i-th node of block b. The roots depend on p only through rho, and each
-solved root z has the derivative dz/drho = -1 / (rho^2 sum_i v_i^2 /
-(d_i - z)^2), a slope sum that its mode's normalization needs too. So a
-node of block 1 starts from the Taylor step z1 + z1' (rho - rho1) at its
-predecessor, and a node of block b >= 2 from the cubic Hermite
+Each distinct point p is solved once, however many nodes share it (the
+contours of one shift share s = sigma, onto which `ilt.contour` folds
+its saturated tail), and its spectrum is copied to each of them. The
+points are solved in the order of (Im p, Re p), in B = ceil(points / 16)
+strided blocks: block b holds the b-th, (b + B)-th, ... point of that
+order, so the (root, pole) work arrays stay small, and the i-th points
+of blocks b - 1 and b - 2, already solved, are the two predecessors of
+the i-th point of block b. The roots depend on p only through rho, and
+each solved root z has the derivative dz/drho = -1 / (rho^2 sum_i v_i^2
+/ (d_i - z)^2), a slope sum that its mode's normalization needs too. So
+a node of block 1 starts from the Taylor step z1 + z1' (rho - rho1) at
+its predecessor, and a node of block b >= 2 from the cubic Hermite
 extrapolation through (rho0, z0, z0') and (rho1, z1, z1'), the predictor
 of continuation methods (Allgower & Georg, Numerical Continuation
-Methods, 1990) with the derivatives of both points; where
-tau = (rho - rho0) / (rho1 - rho0) is not finite or |tau| > 4 (a regular
-chain has tau ~ 2), the cubic would magnify the predecessors' rounding,
-and the node takes the Taylor step instead. On fig1a's eight late-time
-contours this takes about 1.2 steps per root (19,613 updates of 16,320
-roots, in 78 sweeps); the secant in rho through the predecessors' roots,
-with a confirming sweep per root, took 1.9, the predecessor's roots
-alone 2.6, and the first-order pole shifts z_k = d_k - rho v_k^2 (exact
-when N = 1), block 0's start, about 4. The nodes of several inversion
-contours, one per output time, can thus be solved as one stack; the
-results come back in the caller's order.
+Methods, 1990) with the derivatives of both points; where tau = (rho -
+rho0) / (rho1 - rho0) is not finite or |tau| > 4 (a regular chain has
+tau ~ 2), the cubic would magnify the predecessors' rounding, and the
+node takes the Taylor step instead. On fig1a's eight late-time contours,
+445 distinct points of 544 nodes, this takes about 1.25 steps per root
+(16,681 updates of 13,350 roots, in 67 sweeps; 19,613 updates in 78
+sweeps for the 544 nodes before the fold); the secant in rho through the
+predecessors' roots, with a confirming sweep per root, took 1.9, the
+predecessor's roots alone 2.6, and the first-order pole shifts z_k = d_k
+- rho v_k^2 (exact when N = 1), block 0's start, about 4. The nodes of
+several inversion contours, one per output time, can thus be solved as
+one stack; the results come back in the caller's order.
 
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 
 `spectra`, the kernel, is the one way to get a spectrum: it solves the
-points p of one or more inversion contours and names a failing node by
-its index among them. `modes` is the exact memory, then `spectra`, then
-the decay rate 1/(c nu) and amplitude S/(c norm) of each (node, mode),
-the interface the profile driver shares with `fde`; `laplace_density` is
-their sum at one s and one x. `mode_sum` sums a stack's modes into an x
-vector, up to a front: on an evenly spaced grid exp(-|x_k| rate) is the
-one at the first |x| of a side of x = 0 times a power of exp(-h rate),
-three complex exps per (node, mode) and no (x, node) array.
-`_secular_sums` is the one evaluation of f: each sweep calls it on the
-roots still moving, and `_block_spectra` on a block's returned roots, to
-certify them (f not finite: a root on a pole, its eigenvalue on a
-quadrature ray; |f| at most 1e-9) and to read normalizations and dz/drho
-from the same slope sums. `certifiable` tells, before any solve, the
-points p whose roots lie too close to their poles for that certificate.
+points p of one or more inversion contours and names a failing point by
+the first index it holds among them. `modes` is the exact memory, then
+`spectra`, then the decay rate 1/(c nu) and amplitude S/(c norm) of each
+(node, mode), the interface the profile driver shares with `fde`;
+`laplace_density` is their sum at one s and one x. `mode_sum` sums a
+stack's modes into an x vector, up to a front: on an evenly spaced grid
+exp(-|x_k| rate) is the one at the first |x| of a side of x = 0 times a
+power of exp(-h rate), three complex exps per (node, mode) and no (x,
+node) array. `_secular_sums` is the one evaluation of f: each sweep
+calls it on the roots still moving, and `_block_spectra` on a block's
+returned roots, to certify them (f not finite: a root on a pole, its
+eigenvalue on a quadrature ray; |f| at most 1e-9 times the smaller of 1
+and f's rounding scale |loss| + |rho z| sum_i |w_i / (d_i - z)|, so that
+a diffusive root of z ~ 1e-101 at sigma_s = 1e100 is held to its own
+scale) and to read normalizations and dz/drho from the same slope sums.
+Each weighted row sum over the N poles (sum_i w_i r_i, w_i |r_i|, v2_i
+r_i^2 and v2_i r_i^3, r_i = 1 / (d_i - z)) is one `einsum` with the
+weights cast to the row's type, not a product array and a `.sum`, and
+not a BLAS matrix-vector product, whose OpenBLAS threads spin on a
+second core. `certifiable` tells, before any solve, the points p whose
+roots lie too close to their poles for that certificate.
 """
 
 from __future__ import annotations
@@ -146,7 +157,7 @@ class TransportParams:
     Cross-sections are in inverse time units and `speed` converts time to
     length; `sigma_trap` scales the survival term of the waiting-time law
     `waiting` (0: no trapping). Every number must be finite, and so
-    must the squares of sigma_s and speed.
+    must the square of speed.
     """
 
     sigma_a: float
@@ -166,11 +177,10 @@ class TransportParams:
             raise ValueError(f"trapping rate must be >= 0, got {self.sigma_trap}")
         if self.speed <= 0.0:
             raise ValueError(f"speed must be positive, got {self.speed}")
-        # D0 squares speed; sigma_s is held to the same bound
-        for name, v in (("sigma_s", self.sigma_s), ("speed", self.speed)):
-            if not math.isfinite(v * v):
-                raise ValueError(f"{name} = {v:g} is too large: its square "
-                                 "overflows")
+        # D0 squares speed; nothing squares sigma_s
+        if not math.isfinite(self.speed * self.speed):
+            raise ValueError(f"speed = {self.speed:g} is too large: its "
+                             "square overflows")
 
 
 def _gap_sums(z: np.ndarray, jn: np.ndarray, kn: np.ndarray) -> np.ndarray:
@@ -184,24 +194,29 @@ def _gap_sums(z: np.ndarray, jn: np.ndarray, kn: np.ndarray) -> np.ndarray:
     return inv_gap.sum(axis=1)
 
 
+def _row_sums(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] weights[i], one `einsum` pass; the real weights
+    are cast to a's type once here, not per row inside einsum."""
+    return np.einsum("...i,i->...", a, weights.astype(a.dtype, copy=False))
+
+
 def _secular_sums(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
                   w: np.ndarray, z: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray]:
     """At roots z, with loss and rho of each one's node (broadcast against
-    z): 1 / (d_i - z), f(z), its rounding-error bound and the slope terms
-    v2_i / (d_i - z)^2 (f' = -rho times their sum), i on a new last axis.
-    A root on a pole gets a non-finite f, and no warning."""
+    z): 1 / (d_i - z) and its square, i on a new last axis, f(z), its
+    rounding scale |loss| + |rho z| sum_i |w_i / (d_i - z)| and the slope
+    sum_i v2_i / (d_i - z)^2 (f' = -rho times it). A root on a pole gets
+    a non-finite f, and no warning."""
     inv_pole = d - z[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(1.0, inv_pole, out=inv_pole)
-    term = inv_pole * w
     rz = rho * z
-    f = loss - rz * term.sum(axis=-1)
-    noise = _NOISE_BOUND * (np.abs(loss)
-                            + np.abs(rz) * np.abs(term).sum(axis=-1))
-    term *= d  # turned into the slope terms, in place
-    term *= inv_pole
-    return inv_pole, f, noise, term
+    f = loss - rz * _row_sums(inv_pole, w)
+    scale = np.abs(loss) + np.abs(rz) * _row_sums(np.abs(inv_pole), w)
+    square = inv_pole * inv_pole
+    return inv_pole, square, f, scale, _row_sums(square, w * d)
 
 
 def _aberth_steps(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
@@ -213,22 +228,22 @@ def _aberth_steps(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
     f'' / (2 f') = sum_i v2_i / (d_i - z)^3 / sum_i v2_i / (d_i - z)^2
     costs one more row sum. A Newton step of `_STEP_TOL` |z| or less is
     taken without the gap sum, whose correction would move z by far less
-    than an ulp. `_secular_sums`' work arrays are updated in place: fresh
-    pages for arrays this large cost about as much as the arithmetic."""
+    than an ulp. `_secular_sums`' square is cubed in place: fresh pages
+    for arrays this large cost about as much as the arithmetic."""
     zk = z[jn, kn]
-    inv_pole, f, noise, term = _secular_sums(loss[jn], rho[jn], d, w, zk)
-    slope = term.sum(axis=1)
+    inv_pole, cube, f, scale, slope = _secular_sums(loss[jn], rho[jn], d, w,
+                                                    zk)
     df = -rho[jn] * slope
     pole_sum = inv_pole.sum(axis=1)
     step = f / (df - f * pole_sum)
-    term *= inv_pole
-    gamma = np.abs(term.sum(axis=1) / slope) + np.abs(pole_sum)
-    del inv_pole, term  # freed before the gap sums' work array is formed
+    cube *= inv_pole
+    gamma = np.abs(_row_sums(cube, w * d) / slope) + np.abs(pole_sum)
+    del inv_pole, cube  # freed before the gap sums' work array is formed
     busy = np.abs(step) > _STEP_TOL * np.abs(zk)  # Newton steps, so far
     step[busy] /= 1.0 - step[busy] * _gap_sums(z, jn[busy], kn[busy])
     size, new = np.abs(step), np.abs(zk - step)
     tol = _STEP_TOL * new
-    return step, ((size <= tol) | (size * np.abs(df) <= noise)
+    return step, ((size <= tol) | (size * np.abs(df) <= _NOISE_BOUND * scale)
                   | ((gamma * size**2 <= tol) & (size <= new)))
 
 
@@ -278,17 +293,19 @@ def _block_spectra(loss: np.ndarray, rho: np.ndarray, st: np.ndarray,
     z = _secular_roots(loss, rho, d, w, nodes, z)
     nu = 1.0 / (st[:, None] * np.sqrt(z))
     nu *= np.copysign(1.0, nu.real)  # the decaying mode, Re nu >= 0
-    _, f, _, term = _secular_sums(loss[:, None], rho[:, None], d, w, z)
+    _, _, f, scale, slope = _secular_sums(loss[:, None], rho[:, None], d, w,
+                                          z)
     res = np.abs(f)
-    bad = ~(res <= _RESIDUAL_TOL)
+    bad = ~(res <= _RESIDUAL_TOL * np.minimum(1.0, scale))
     if bad.any():
         j, k = np.argwhere(bad)[0]
         raise NumericFailureError(
-            f"dispersion residual {res[j, k]:.3e} at eigenvalue {nu[j, k]}"
+            f"dispersion residual {res[j, k]:.3e} of scale "
+            f"{scale[j, k]:.3e} at eigenvalue {nu[j, k]}"
             if np.isfinite(res[j, k]) else
             f"eigenvalue {nu[j, k]} collides with a quadrature ray",
             node=int(nodes[j]), nu=complex(nu[j, k]))
-    slope = rho[:, None] ** 2 * term.sum(axis=-1)
+    slope *= rho[:, None] ** 2
     norm = slope / (st[:, None] * nu)
     tiny = (np.abs(norm) < 1e-300).any(axis=1)
     if tiny.any():
@@ -314,17 +331,19 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, p
     and their normalizations norm[j] = sum_i w_i mu_i (phi(nu, mu_i)^2 -
     phi(nu, -mu_i)^2), phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu),
     computed as rho^2 sqrt(z) sum_i v2_i / (d_i - z)^2, z = (sigma_t nu)^-2.
-    NumericFailureError names a node that fails a check (a ray collision
-    among them) by its index in p; ValueError, before any solve, unless
-    p is a one-dimensional stack.
+    NumericFailureError names a point that fails a check (a ray collision
+    among them) by the first index in p that holds it; ValueError, before
+    any solve, unless p is a one-dimensional stack.
 
-    The nodes are solved in the strided blocks of the module docstring,
-    from the pole shifts in block 0, from the Taylor step at the
-    predecessor in block 1, and from the Hermite cubic through the two
-    predecessors after it, or the Taylor step where that is not within
-    `_HERMITE_REACH` of them. The results come back in the order of p.
+    Each distinct point is solved once, in the strided blocks of the
+    module docstring, from the pole shifts in block 0, from the Taylor
+    step at the predecessor in block 1, and from the Hermite cubic
+    through the two predecessors after it, or the Taylor step where that
+    is not within `_HERMITE_REACH` of them. The results come back in the
+    order of p, one row per entry.
     """
-    p = _node_stack(p)
+    p, first, back = np.unique(_node_stack(p), return_index=True,
+                               return_inverse=True)
     d = 1.0 / np.asarray(quadrature.nodes) ** 2
     w = np.asarray(quadrature.weights)
     st = params.sigma_a + params.sigma_s + p
@@ -361,9 +380,9 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, p
                 start[ok] += ahead[ok] * (tau - 1.0) * (
                     dz1[ok] - chord + tau * (dz0[ok] + dz1[ok] - 2.0 * chord))
         roots, nus[blk], norms[blk], dz = _block_spectra(
-            loss[blk], rho[blk], st[blk], d, w, blk, start)
+            loss[blk], rho[blk], st[blk], d, w, first[blk], start)
         before, last = last, (rho[blk], roots, dz)
-    return nus, norms
+    return nus[back], norms[back]
 
 
 def _uniform_grid(xs) -> tuple[np.ndarray, float]:

@@ -610,10 +610,11 @@ def test_unknown_config_key_is_rejected_up_front(tmp_path, capsys,
     (["--x-count", "abc"], "", "x_count"),
     ([], "alpha = 1.5", None),
     ([], "speed = 1e-200", None),
+    ([], "sigma_s = 1.7e308", None),
     (["--x-max", "1e308"], "x_min = -1e308", None),
 ], ids=["flag-times-abc", "flag-times-trailing-comma", "ini-times-abc",
         "ini-x-count", "flag-x-count-abc", "ini-alpha-out-of-range",
-        "ini-speed-underflow", "x-span-overflow"])
+        "ini-speed-underflow", "ini-sigma-s-underflow", "x-span-overflow"])
 def test_bad_values_are_usage_errors(tmp_path, capsys, monkeypatch,
                                      flags, line, key):
     """A value that is refused is a usage error before any solver runs; a
@@ -793,15 +794,14 @@ def test_non_finite_config_values_are_rejected_up_front(tmp_path, capsys,
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["sigma_s = 1e300", "speed = 1e200"])
+@pytest.mark.parametrize("line", ["speed = 1e200"])
 def test_overflowing_squares_are_refused_up_front(tmp_path, capsys,
                                                   monkeypatch, line):
-    """sigma_s and speed are refused once their squares overflow, naming
-    the key, exit 1, before any solver runs. speed enters squared in
-    D0 = speed^2 / (3 sigma_s), where speed = 1e200 ended in a Python
-    OverflowError in `fde.from_transport`; sigma_s = 1e300 ended in one
-    after overflow warnings when the kernel's norms squared sigma_s,
-    which they no longer do (sigma_s = 1e154 computes)."""
+    """speed is refused once its square overflows, naming the key, exit
+    1, before any solver runs: it enters squared in D0 = speed^2 /
+    (3 sigma_s), where speed = 1e200 ended in a Python OverflowError in
+    `fde.from_transport`. sigma_s, which nothing squares any more, is
+    computed up to 1e300 (`test_acceptance`)."""
     ini = tmp_path / "odd.ini"
     ini.write_text(NON_FINITE_CONFIG.format(line=line))
     monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
@@ -835,7 +835,8 @@ def test_every_settings_draw_is_refused_or_finite():
     @hypothesis.example(sigma_s=1.0, sigma_a=0.0, sigma_trap=0.0, gamma=1.0,
                         alpha=0.5, t=1.0, n=1, reach=5e-324)
     # fig1a's medium with sigma_s = 1e300: its square overflowed in the
-    # dispersion check, an OverflowError rather than a ValueError
+    # dispersion check, an OverflowError rather than a ValueError; it
+    # computes now
     @hypothesis.example(sigma_s=1e300, sigma_a=1e-9, sigma_trap=0.1,
                         gamma=0.1, alpha=0.5, t=10.0, n=30, reach=1.0)
     # fig1a's medium with sigma_s = 1e154: formed as 1 / sqrt(sigma_t^2 z),

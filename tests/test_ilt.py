@@ -187,25 +187,53 @@ def test_invert_matches_sequential_sum_on_known_pairs():
         assert invert(transform, t) == pytest.approx(frozen, rel=1e-14, abs=0)
 
 
+def kept_run(phase, s_nodes):
+    """(lo, hi): the run phase[lo:hi] of the untrimmed rule that the rule
+    at t = 1 keeps, found from its last node, which no fold moves."""
+    (last,) = np.flatnonzero(phase == s_nodes.imag[-1])
+    return last + 1 - s_nodes.size, last + 1
+
+
+def assert_folded(s_nodes, phase, weights, t):
+    """One row of the rule at time t against its kept phases and weights:
+    a leading run sits exactly on s = sigma, the longest whose
+    (M phi)^2 |w| sums to at most 2^-53 max|w| (sigma t)^2, and every
+    node after it keeps its exact phase M phi / t. Returns the run's
+    length."""
+    sigma = s_nodes.real[0]
+    assert (s_nodes.real == sigma).all()
+    folds = int((s_nodes.imag == 0.0).sum())
+    assert (s_nodes.imag[:folds] == 0.0).all()
+    assert s_nodes.imag[folds:].tolist() == (phase[folds:] / t).tolist()
+    reach = np.cumsum(phase**2 * np.abs(weights))
+    limit = 2.0 ** -53 * np.abs(weights).max() * (sigma * t) ** 2
+    assert folds == 0 or reach[folds - 1] <= limit
+    assert reach[folds] > limit
+    return folds
+
+
 def test_contour_layout():
     """At M = 40 the rule places j = -47..46, out to |K sinh y| =
     `_MAX_ARG`, and keeps j = -34..33. The weights it drops are below
     1e-17 on the left, where |w| <= phi', and below 4e-18 on the right,
     where |w| <= M r phi' with the map's residual r = y / (e^{K sinh y}
     - 1), since there cos(M phi) = +-sin(M r): all under 2^-53 max|w| =
-    9.0e-17."""
+    9.0e-17. At t = 10 the first 12 kept nodes, phases M phi <= 2.8e-6,
+    are folded onto s = sigma; the other 56 keep their phases, and the
+    map is increasing over them."""
     t = 10.0
     s_nodes, weights, prefactor = contour(t)
     assert s_nodes.shape == weights.shape == (68,)
     assert (s_nodes.real == SHIFT).all()
-    assert (np.diff(s_nodes.imag) > 0.0).all()  # the map is increasing
     h = math.pi / M
     assert _half_count(M) == 46
     j = np.arange(-47, 47)
     y = j * h + 0.5 * h
     kept = (j >= -34) & (j <= 33)
-    want = [M * _phi(v) / t for v in y[kept]]
-    assert s_nodes.imag.tolist() == want
+    want = np.array([M * _phi(v) for v in y[kept]])
+    assert assert_folded(s_nodes, want, weights, t) == 12
+    assert want[11] <= 2.8e-6
+    assert (np.diff(s_nodes.imag[11:]) > 0.0).all()
     assert prefactor == 2.0 * math.exp(SHIFT * t) / t
     floor = 2.0 ** -53 * np.abs(weights).max()
     assert np.abs(weights[[0, -1]]).min() >= floor
@@ -226,8 +254,7 @@ def test_contour_skips_saturated_nodes():
         phase, weights = _untrimmed(m)
         s_nodes, _, _ = contour(1.0, m)
         assert (phase.size, s_nodes.size) == (placed, kept)
-        (lo,) = np.flatnonzero(phase == s_nodes.imag[0])
-        hi = lo + kept
+        lo, hi = kept_run(phase, s_nodes)
         h = math.pi / m
         j = np.arange(-placed // 2, placed // 2)
         arg = np.abs(K * np.sinh(j * h + 0.5 * h))
@@ -258,13 +285,16 @@ def _exact_rule(step_m):
 def test_contour_weights_match_the_exact_rule(m):
     """The kept weights agree with the rule evaluated at 40 digits to
     2e-15 at RTE's step and at FDE's halved one (1.2e-15 and 9.4e-16
-    measured; the rounded phase M phi left 2.8e-14 and 4.6e-14). Every
-    node left out has an exact weight at or below 2^-53 max|w|."""
+    measured; the rounded phase M phi left 2.8e-14 and 4.6e-14), and the
+    phases of the nodes after the fold to 1e-12. Every node left out has
+    an exact weight at or below 2^-53 max|w|."""
     phi, exact = _exact_rule(m)
     s_nodes, weights, _ = contour(1.0, m)
-    lo = int(np.searchsorted(phi, s_nodes.imag[0] / m * (1 - 1e-12)))
-    hi = lo + len(s_nodes)
-    np.testing.assert_allclose(s_nodes.imag / m, phi[lo:hi],
+    hi = int(np.searchsorted(phi, s_nodes.imag[-1] / m * (1 - 1e-12))) + 1
+    lo = hi - len(s_nodes)
+    unfolded = s_nodes.imag > 0.0
+    np.testing.assert_allclose(s_nodes.imag[unfolded] / m,
+                               phi[lo:hi][unfolded],
                                rtol=1e-12, atol=0.0)
     assert np.abs(weights - exact[lo:hi]).max() <= 2e-15
     dropped = np.concatenate([exact[:lo], exact[hi:]])
@@ -295,8 +325,10 @@ def test_contour_trims_only_the_tails():
     """At every step in use, pi / 40 (RTE), pi / 80 (FDE) and pi / 160
     (FDE in the step-halving check), the trim and not the reach sets the
     rule: the weights at both ends of the placed rule are below 2^-53
-    max|w|, the kept nodes are one contiguous run of it, and the node map
-    is finite, without a warning, at every abscissa the rule places."""
+    max|w|, the kept nodes are one contiguous run of it, with its exact
+    weights, and the node map is finite, without a warning, at every
+    abscissa the rule places. At t = 1 the fold moves the first 11, 19
+    and 37 kept nodes onto s = sigma and leaves every other phase."""
     for m in (M, 2 * M, 4 * M):
         n = _half_count(m)
         h = math.pi / m
@@ -308,9 +340,9 @@ def test_contour_trims_only_the_tails():
         floor = 2.0 ** -53 * np.abs(weights).max()
         assert np.abs(weights[[0, -1]]).max() < floor, m
         s_nodes, kept, _ = contour(1.0, m)
-        (lo,) = np.flatnonzero(phase == s_nodes.imag[0])
-        hi = lo + len(s_nodes)
-        assert s_nodes.imag.tolist() == phase[lo:hi].tolist()
+        lo, hi = kept_run(phase, s_nodes)
+        assert assert_folded(s_nodes, phase[lo:hi], kept, 1.0) == {
+            M: 11, 2 * M: 19, 4 * M: 37}[m]
         assert kept.tolist() == weights[lo:hi].tolist()
         outside = np.concatenate([weights[:lo], weights[hi:]])
         assert (np.abs(outside) < floor).all(), m
