@@ -13,12 +13,15 @@ stack of transform points to the decay rate and amplitude of every
 discrete-ordinates kernel), FDE by `fde.modes` (the power law under the
 diffusion kernel), and both go through `_contour_values`: one
 `ilt.contour` rule over all times, RTE's at step pi / M and FDE's at
-half of it, one `modes` call over its nodes, then per time one
-`transport.mode_sum` of its modes, weighted by the contour. RTE's stops at the ballistic front
-|x| = speed * t and reads 0 past it: no particle gets there, so the
-contour sum is ringing. NORMAL is the heat kernel, one array call per
-time. `check_times` refuses up front a time at which a contour
-overflows or RTE's spectra cannot be certified.
+half of it, one `modes` call over its distinct nodes (the contours of
+one shift fold onto the shared s = sigma: fig1a's eight late times
+hold 445 distinct points in 544 nodes), then per time one
+`transport.mode_sum` of its nodes' modes, weighted by the contour.
+RTE's stops at the ballistic front |x| = speed * t and reads 0 past
+it: no particle gets there, so the contour sum is ringing. NORMAL is
+the heat kernel, one array call per time. `check_times` refuses up
+front a time at which a contour overflows or RTE's spectra cannot be
+certified.
 `validate --level full` checks FDE against the time-domain oracle
 `fde.subordinated_density` at alpha = 0.3, 1/2 and 0.7.
 
@@ -118,10 +121,10 @@ class Scenario:
         if not self.times or not all(0.0 < t < math.inf for t in self.times):
             raise ValueError("times must be a nonempty list of positive, "
                              "finite reals")
-        # profiles are keyed by time: two at one time would merge
-        if len(set(self.times)) != len(self.times):
-            raise ValueError(f"times must not repeat, got "
-                             f"{', '.join(f'{t:g}' for t in self.times)}")
+        # profiles are keyed by their time's CSV cell: two in one merge
+        if len({_time_cell(t) for t in self.times}) != len(self.times):
+            raise ValueError(f"times must not repeat to 9 significant "
+                             f"digits, got {', '.join(map(repr, self.times))}")
         bad = self.solvers - set(SOLVER_ORDER)
         if bad or not self.solvers:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVER_ORDER}")
@@ -176,28 +179,29 @@ def _contour_values(solver: str, modes, times, xs, m: float,
     not summed, past the front |x| > speed * t (none at speed inf).
 
     modes maps a stack of transform points to the (rate, coef) of their
-    modes; it is called once, over the `ilt.contour` nodes at step
-    pi / m of all times, row by row, and a failure naming a node by its
-    index there is reported at its s and time (else at t nan): at a
-    point that several times share, s = sigma where their contours fold,
-    the first of them. Each time is one `transport.mode_sum` of its row,
-    coef times the weights."""
+    modes; it is called once, over the distinct `ilt.contour` nodes at
+    step pi / m of all times, in the (Re s, Im s) order of `np.unique`:
+    along each contour, the contours grouped by shift, with a point that
+    several times share (s = sigma, where the contours of one shift
+    fold) given once. A failure naming a point by its index there is
+    reported at its s and at the first time that holds it (else at t
+    nan). Each time is one `transport.mode_sum` of its nodes' rows, coef
+    times the weights."""
     s_nodes, weights, prefactors = contour(times, m)
-    stack = s_nodes.ravel()
+    points, back = np.unique(s_nodes, return_inverse=True)
+    back = back.reshape(s_nodes.shape)  # numpy 1.x returns it flat
     try:
-        rate, coef = modes(stack)
+        rate, coef = modes(points)
     except NumericFailureError as exc:
         node = exc.context.get("node")
         where = {"t": math.nan} if node is None else {
-            "s": complex(stack[node]), "t": times[node // weights.size]}
+            "s": complex(points[node]),
+            "t": times[(back == node).any(axis=1).argmax()]}
         raise NumericFailureError(exc.args[0], **exc.context,
                                   solver=solver, **where) from exc
-    shape = (len(times), weights.size, -1)
-    return [prefactor * transport.mode_sum(xs, r, c * weights[:, None],
-                                           speed * t).real
-            for t, prefactor, r, c in zip(times, prefactors.tolist(),
-                                          rate.reshape(shape),
-                                          coef.reshape(shape))]
+    return [prefactor * transport.mode_sum(
+                xs, rate[k], coef[k] * weights[:, None], speed * t).real
+            for t, prefactor, k in zip(times, prefactors.tolist(), back)]
 
 
 def check_times(sc: Scenario) -> None:
@@ -363,8 +367,9 @@ def validate(level: str = "fast") -> list[dict]:
 
     fast runs in milliseconds on closed-form material; full adds the
     mass oracles, cross-solver agreement, and a step-halving study of
-    the inversion, and takes about 1 s (0.86 s measured from the
-    command line on a 2-core machine, 0.24 s of it in the checks).
+    the inversion, and takes about 1 s (1.0 to 1.4 s measured from the
+    command line on a shared 2-core machine, 0.24 s of it in the checks,
+    the rest imports).
     """
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level}")

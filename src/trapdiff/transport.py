@@ -51,58 +51,58 @@ confirming sweep, once any of three tests holds at the new root z:
   keeps below 2 eps |z|: at sigma_s = 1e100 the diffusive root falls to
   1e-101 through 1e-17, 1e-33, 1e-49, each the rounding of the last.
 
-Each distinct point p is solved once, however many nodes share it (the
-contours of one shift share s = sigma, onto which `ilt.contour` folds
-its saturated tail), and its spectrum is copied to each of them. The
-points are solved in the order of (Im p, Re p), in B = ceil(points / 16)
-strided blocks: block b holds the b-th, (b + B)-th, ... point of that
-order, so the (root, pole) work arrays stay small, and the i-th points
-of blocks b - 1 and b - 2, already solved, are the two predecessors of
-the i-th point of block b. The roots depend on p only through rho, and
-each solved root z has the derivative dz/drho = -1 / (rho^2 sum_i v_i^2
-/ (d_i - z)^2), a slope sum that its mode's normalization needs too. So
-a node of block 1 starts from the Taylor step z1 + z1' (rho - rho1) at
-its predecessor, and a node of block b >= 2 from the cubic Hermite
-extrapolation through (rho0, z0, z0') and (rho1, z1, z1'), the predictor
-of continuation methods (Allgower & Georg, Numerical Continuation
-Methods, 1990) with the derivatives of both points; where tau = (rho -
-rho0) / (rho1 - rho0) is not finite or |tau| > 4 (a regular chain has
-tau ~ 2), the cubic would magnify the predecessors' rounding, and the
-node takes the Taylor step instead. On fig1a's eight late-time contours,
-445 distinct points of 544 nodes, this takes about 1.25 steps per root
-(16,681 updates of 13,350 roots, in 67 sweeps; 19,613 updates in 78
-sweeps for the 544 nodes before the fold); the secant in rho through the
-predecessors' roots, with a confirming sweep per root, took 1.9, the
-predecessor's roots alone 2.6, and the first-order pole shifts z_k = d_k
-- rho v_k^2 (exact when N = 1), block 0's start, about 4. The nodes of
-several inversion contours, one per output time, can thus be solved as
-one stack; the results come back in the caller's order.
+Every point is solved, in the caller's order, in B = ceil(points / 16)
+strided blocks: block b holds the b-th, (b + B)-th, ... point, so the
+(root, pole) work arrays stay small, and the i-th points of blocks b - 1
+and b - 2, already solved, are the two predecessors of the i-th point of
+block b. The warm starts below assume that consecutive points are
+neighbours along a contour, as the profile driver passes them (each
+stack's distinct points in (Re s, Im s) order). The roots depend on p
+only through rho, and each solved root z has the derivative
+dz/drho = -1 / (rho^2 sum_i v_i^2 / (d_i - z)^2), a slope sum that its
+mode's normalization needs too. So a node of block 1 starts from the
+Taylor step z1 + z1' (rho - rho1) at its predecessor, and a node of
+block b >= 2 from the cubic Hermite extrapolation through (rho0, z0,
+z0') and (rho1, z1, z1'), the predictor of continuation methods
+(Allgower & Georg, Numerical Continuation Methods, 1990) with the
+derivatives of both points; where tau = (rho - rho0) / (rho1 - rho0) is
+not finite or |tau| > 4 (a regular chain has tau ~ 2), the cubic would
+magnify the predecessors' rounding, and the node takes the Taylor step
+instead. On fig1a's eight late-time contours, 445 distinct points of 544
+nodes, this takes about 1.25 steps per root (16,681 updates of 13,350
+roots, in 67 sweeps; 19,613 updates in 78 sweeps for the 544 nodes
+before the fold); the secant in rho through the predecessors' roots,
+with a confirming sweep per root, took 1.9, the predecessor's roots
+alone 2.6, and the first-order pole shifts z_k = d_k - rho v_k^2 (exact
+when N = 1), block 0's start, about 4. The nodes of several inversion
+contours, one per output time, can thus be solved as one stack; row j of
+the results is point j.
 
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 
 `spectra`, the kernel, is the one way to get a spectrum: it solves the
 points p of one or more inversion contours and names a failing point by
-the first index it holds among them. `modes` is the exact memory, then
-`spectra`, then the decay rate 1/(c nu) and amplitude S/(c norm) of each
-(node, mode), the interface the profile driver shares with `fde`;
-`laplace_density` is their sum at one s and one x. `mode_sum` sums a
-stack's modes into an x vector, up to a front: on an evenly spaced grid
-exp(-|x_k| rate) is the one at the first |x| of a side of x = 0 times a
-power of exp(-h rate), three complex exps per (node, mode) and no (x,
-node) array. `_secular_sums` is the one evaluation of f: each sweep
-calls it on the roots still moving, and `_block_spectra` on a block's
-returned roots, to certify them (f not finite: a root on a pole, its
-eigenvalue on a quadrature ray; |f| at most 1e-9 times the smaller of 1
-and f's rounding scale |loss| + |rho z| sum_i |w_i / (d_i - z)|, so that
-a diffusive root of z ~ 1e-101 at sigma_s = 1e100 is held to its own
-scale) and to read normalizations and dz/drho from the same slope sums.
-Each weighted row sum over the N poles (sum_i w_i r_i, w_i |r_i|, v2_i
-r_i^2 and v2_i r_i^3, r_i = 1 / (d_i - z)) is one `einsum` with the
-weights cast to the row's type, not a product array and a `.sum`, and
-not a BLAS matrix-vector product, whose OpenBLAS threads spin on a
-second core. `certifiable` tells, before any solve, the points p whose
-roots lie too close to their poles for that certificate.
+its index in p. `modes` is the exact memory, then `spectra`, then the
+decay rate 1/(c nu) and amplitude S/(c norm) of each (node, mode), the
+interface the profile driver shares with `fde`; `laplace_density` is
+their sum at one s and one x. `mode_sum` sums a stack's modes into an x
+vector, up to a front: on an evenly spaced grid exp(-|x_k| rate) is the
+one at the first |x| of a side of x = 0 times a power of exp(-h rate),
+three complex exps per (node, mode) and no (x, node) array.
+`_secular_sums` is the one evaluation of f: each sweep calls it on the
+roots still moving, and `_block_spectra` on a block's returned roots, to
+certify them (f not finite: a root on a pole, its eigenvalue on a
+quadrature ray; |f| at most 1e-9 times the smaller of 1 and f's rounding
+scale |loss| + |rho z| sum_i |w_i / (d_i - z)|, so that a diffusive root
+of z ~ 1e-101 at sigma_s = 1e100 is held to its own scale) and to read
+normalizations and dz/drho from the same slope sums. Each weighted row
+sum over the N poles (sum_i w_i r_i, w_i |r_i|, v2_i r_i^2 and v2_i
+r_i^3, r_i = 1 / (d_i - z)) is one `einsum` with the weights cast to the
+row's type, not a product array and a `.sum`, and not a BLAS
+matrix-vector product, whose OpenBLAS threads spin on a second core.
+`certifiable` tells, before any solve, the points p whose roots lie too
+close to their poles for that certificate.
 """
 
 from __future__ import annotations
@@ -332,18 +332,17 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, p
     phi(nu, -mu_i)^2), phi(nu, mu) = (sigma_s nu / 2) / (sigma_t nu - mu),
     computed as rho^2 sqrt(z) sum_i v2_i / (d_i - z)^2, z = (sigma_t nu)^-2.
     NumericFailureError names a point that fails a check (a ray collision
-    among them) by the first index in p that holds it; ValueError, before
-    any solve, unless p is a one-dimensional stack.
+    among them) by its index in p; ValueError, before any solve, unless p
+    is a one-dimensional stack.
 
-    Each distinct point is solved once, in the strided blocks of the
-    module docstring, from the pole shifts in block 0, from the Taylor
-    step at the predecessor in block 1, and from the Hermite cubic
+    Every entry of p is solved, in the given order, in the strided blocks
+    of the module docstring, from the pole shifts in block 0, from the
+    Taylor step at the predecessor in block 1, and from the Hermite cubic
     through the two predecessors after it, or the Taylor step where that
-    is not within `_HERMITE_REACH` of them. The results come back in the
-    order of p, one row per entry.
+    is not within `_HERMITE_REACH` of them; the starts are good when
+    consecutive entries are neighbours along a contour. Row j is entry j.
     """
-    p, first, back = np.unique(_node_stack(p), return_index=True,
-                               return_inverse=True)
+    p = _node_stack(p)
     d = 1.0 / np.asarray(quadrature.nodes) ** 2
     w = np.asarray(quadrature.weights)
     st = params.sigma_a + params.sigma_s + p
@@ -351,14 +350,13 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, p
     loss = (params.sigma_a + p) / st
     nus = np.empty((p.shape[0], quadrature.order), dtype=complex)
     norms = np.empty_like(nus)
-    order = np.lexsort((p.real, p.imag))
     stride = -(-p.shape[0] // _BLOCK)
     # (rho, roots, dz/drho) of blocks b - 1 and b - 2, whose i-th nodes
     # precede ours; each start is a new array, which the solve refines in
     # place
     last = before = None
     for b in range(stride):
-        blk = order[b::stride]
+        blk = np.arange(b, p.shape[0], stride)
         start = None
         if last is not None:
             m = blk.shape[0]
@@ -380,9 +378,9 @@ def spectra(params: TransportParams, quadrature: QuadratureSet, p
                 start[ok] += ahead[ok] * (tau - 1.0) * (
                     dz1[ok] - chord + tau * (dz0[ok] + dz1[ok] - 2.0 * chord))
         roots, nus[blk], norms[blk], dz = _block_spectra(
-            loss[blk], rho[blk], st[blk], d, w, first[blk], start)
+            loss[blk], rho[blk], st[blk], d, w, blk, start)
         before, last = last, (rho[blk], roots, dz)
-    return nus[back], norms[back]
+    return nus, norms
 
 
 def _uniform_grid(xs) -> tuple[np.ndarray, float]:

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve end-to-end checks, one pass/fail line each.
+"""Acceptance suite: 15 end-to-end tests, one pass/fail line each.
 
 Every check pins an explicit tolerance and a wall-clock budget. The xfail
 companions document measured limits (the inverter's absolute accuracy floor,

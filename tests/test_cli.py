@@ -730,13 +730,14 @@ def test_non_finite_flags_are_rejected_up_front(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["profile", "compare"])
-@pytest.mark.parametrize("times", ["10,10", "10,20,1e1"],
-                         ids=["adjacent", "spelled-apart"])
+@pytest.mark.parametrize("times", ["10,10", "10,20,1e1", "10,10.0000000001"],
+                         ids=["adjacent", "spelled-apart", "same-csv-cell"])
 def test_repeated_times_are_rejected_up_front(tmp_path, capsys, monkeypatch,
                                               command, times):
     """Two profiles at one time would be merged into one CSV block, so a
     repeated time is a usage error (exit 1) before any solver runs, and
-    no file is written."""
+    no file is written; so are two times whose 9-digit t_min cells read
+    the same, which the plot script would select together."""
     monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
     out_csv = tmp_path / "x.csv"
     rc = cli.main([command, "--scenario", "fig1a", "--times", times,

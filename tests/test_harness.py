@@ -112,11 +112,14 @@ def test_scenario_coerces_times_to_tuple():
     assert sc.times == (5.0, 10.0)
 
 
-@pytest.mark.parametrize("times", [(10.0, 10.0), (10.0, 20.0, 1e1)],
-                         ids=["adjacent", "spelled-apart"])
+@pytest.mark.parametrize("times", [(10.0, 10.0), (10.0, 20.0, 1e1),
+                                   (10.0, 10.0000000001)],
+                         ids=["adjacent", "spelled-apart", "same-csv-cell"])
 def test_scenario_rejects_repeated_times(times):
     """Profiles are keyed by time, so two at one time would be merged
-    into one CSV block: a repeated time is refused."""
+    into one CSV block: a repeated time is refused, and so are two times
+    that the CSV's 9 significant digits write as one cell, which the
+    plot script could not tell apart."""
     with pytest.raises(ValueError, match="repeat"):
         small_scenario(times=times)
 
@@ -323,7 +326,9 @@ def test_run_scenario_keeps_to_one_core():
 
 def test_run_scenario_solves_one_spectra_stack(monkeypatch):
     """RTE makes one `transport.spectra` call per scenario, over the
-    contour nodes of all its times; FDE and NORMAL make none."""
+    distinct contour nodes of all its times: 445 of the 544 nodes of
+    the late-time stack, whose eight contours fold 99 onto the shared
+    s = sigma. FDE and NORMAL make none."""
     calls = []
     real = transport.spectra
 
@@ -334,8 +339,8 @@ def test_run_scenario_solves_one_spectra_stack(monkeypatch):
     monkeypatch.setattr(transport, "spectra", counting)
     sc = late_times_scenario()
     run_scenario(sc)
-    sizes = [len(contour(t)[0]) for t in sc.times]
-    assert calls == [sum(sizes)] and sum(sizes) == 544
+    s_nodes = contour(sc.times)[0]
+    assert s_nodes.size == 544 and calls == [len(np.unique(s_nodes))] == [445]
     run_scenario(small_scenario(solvers=("RTE", "FDE"), times=(5.0, 10.0)))
     assert len(calls) == 2
     run_scenario(small_scenario(solvers=("FDE", "NORMAL"), times=(5.0, 10.0)))
@@ -343,8 +348,9 @@ def test_run_scenario_solves_one_spectra_stack(monkeypatch):
 
 
 def test_run_scenario_makes_one_fde_modes_call(monkeypatch):
-    """FDE, too, maps the contour nodes of all times in one `fde.modes`
-    call: 8 times 134 nodes of the halved-step rule on late-times."""
+    """FDE, too, maps the distinct contour nodes of all times in one
+    `fde.modes` call: 887 of the 8 times 134 nodes of the halved-step
+    rule on late-times."""
     calls = []
     real = fde.modes
 
@@ -355,7 +361,32 @@ def test_run_scenario_makes_one_fde_modes_call(monkeypatch):
     monkeypatch.setattr(fde, "modes", counting)
     run_scenario(dataclasses.replace(late_times_scenario(),
                                      solvers=frozenset({"RTE", "FDE"})))
-    assert calls == [8 * 134]
+    s_nodes = contour(LATE_TIMES, 2 * M)[0]
+    assert s_nodes.size == 8 * 134 and calls == [887]
+
+
+def test_each_memory_is_evaluated_once_per_distinct_point(monkeypatch):
+    """The contours fold onto one shared s = sigma, and each solver's
+    memory sees that point once: on late-times RTE's exact memory
+    (`WaitingTimeModel.memory`, one exponential integral per point)
+    receives the 445 distinct points of its 544 nodes, and FDE's power
+    law (`fde.power_memory`) the 887 of its 1,072."""
+    sizes = {"exact": [], "power": []}
+    real_exact, real_power = WaitingTimeModel.memory, fde.power_memory
+
+    def exact(law, sigma_trap, s):
+        sizes["exact"].append(len(s))
+        return real_exact(law, sigma_trap, s)
+
+    def power(eta, alpha, s):
+        sizes["power"].append(len(s))
+        return real_power(eta, alpha, s)
+
+    monkeypatch.setattr(WaitingTimeModel, "memory", exact)
+    monkeypatch.setattr(fde, "power_memory", power)
+    run_scenario(dataclasses.replace(late_times_scenario(),
+                                     solvers=frozenset({"RTE", "FDE"})))
+    assert sizes == {"exact": [445], "power": [887]}
 
 
 def test_each_step_builds_its_rule_once_for_all_times(monkeypatch):
@@ -405,9 +436,12 @@ def test_rte_stack_matches_one_time_at_a_time():
 
 def test_rte_failure_names_the_time_of_its_node(monkeypatch):
     """A spectrum failure in the stack is reported at the s and the time
-    of the node it names by index: node 7 of the t = 10 contour."""
+    of the point it names by its index among the stack's distinct
+    points: node 20 of the t = 10 contour, which no fold moves."""
     sc = small_scenario(solvers=("RTE",), times=(5.0, 10.0, 20.0))
-    bad = len(contour(5.0)[0]) + 7
+    s = contour(10.0)[0][20]
+    (bad,) = np.flatnonzero(np.unique(contour(sc.times)[0]) == s)
+    assert s.imag > 0.0
 
     def failing(*args):
         raise NumericFailureError("synthetic blow-up", node=bad)
@@ -417,7 +451,7 @@ def test_rte_failure_names_the_time_of_its_node(monkeypatch):
         run_scenario(sc)
     context = info.value.context
     assert context["solver"] == "RTE" and context["t"] == 10.0
-    assert context["s"] == contour(10.0)[0][7]
+    assert context["s"] == s
 
 
 def test_trapped_stack_failure_names_the_time_and_s_of_its_node(monkeypatch):
@@ -546,11 +580,15 @@ def test_rte_profile_scales_with_speed():
 
 def front_rule(sc, t):
     """RTE's contour sum at t over the whole grid, then 0 where
-    |x| > speed t: the rule the front cut must reproduce."""
+    |x| > speed t: the rule the front cut must reproduce. Like
+    `run_scenario`, it solves the contour's distinct points and indexes
+    their modes back to the nodes."""
     xs = sc.grid.points()
     s_nodes, weights, prefactor = contour(t)
-    rate, coef = transport.modes(sc.transport, sc.quadrature, s_nodes)
-    raw = prefactor * transport.mode_sum(xs, rate, coef * weights[:, None]).real
+    points, back = np.unique(s_nodes, return_inverse=True)
+    rate, coef = transport.modes(sc.transport, sc.quadrature, points)
+    raw = prefactor * transport.mode_sum(
+        xs, rate[back], coef[back] * weights[:, None]).real
     return raw, np.where(np.abs(xs) > sc.transport.speed * t, 0.0, raw)
 
 

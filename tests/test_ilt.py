@@ -174,6 +174,24 @@ def test_invert_flags_nonfinite_transform():
     assert set(exc.value.context) == {"t", "j", "s"}
 
 
+def test_invert_evaluates_each_distinct_node_once():
+    """The rule at t = 10 folds 12 of its 68 nodes onto s = sigma:
+    `invert` calls the transform 57 times, once at each distinct node,
+    and its sum is bit for bit the one over every node's own value."""
+    seen = []
+
+    def transform(s):
+        seen.append(s)
+        return 1.0 / (s + 1.0)
+
+    got = invert(transform, 10.0)
+    s_nodes, weights, prefactor = contour(10.0)
+    assert len(seen) == len(set(seen)) == 57
+    assert set(seen) == set(s_nodes.tolist())
+    per_node = [(1.0 / (s + 1.0)).real for s in s_nodes.tolist()]
+    assert got == prefactor * float(np.dot(per_node, weights))
+
+
 # values of the former in-order node sum
 SEQUENTIAL_SUM_VALUES = (0.9999999672927781, 0.36787944125567096,
                          2.9999867883381968)

@@ -712,8 +712,8 @@ def matched_rel(got, want):
 def test_spectra_invariant_to_node_order():
     """fig1a's t = 10 and t = 100 contour nodes, shuffled together, give
     every node the root set it gets unshuffled, to 1e-13 relative: the
-    solve order is that of (Im p, Re p), whatever order the nodes come
-    in."""
+    solve order is the caller's, and a shuffle only costs the warm starts
+    their neighbours, not the roots their digits."""
     sc = builtin_scenarios()["fig1a"]
     s_nodes = np.concatenate([contour(t)[0]
                               for t in (10.0, 100.0)])
@@ -764,43 +764,60 @@ def test_warm_starts_bound_the_root_updates(monkeypatch):
     derivatives, and each root is frozen once the Newton model certifies
     its next step: the 445 distinct points of the 544 nodes of fig1a's
     eight late-time contours (the fold puts 99 of them on the shared
-    s = sigma) take <= 17,300 root updates (roots x sweeps; 16,681
-    measured, 19,613 for the 544 unfolded nodes, 31,656 from the secant
-    through the predecessors' roots with a confirming sweep per root,
-    41,746 from the predecessor's roots alone and 65,264 when every root
-    started from its pole shift) in <= 69 sweeps (67 measured, 78
-    unfolded, 109 with the secant). Every root is swept at least once;
-    many predicted roots freeze on that first sweep."""
+    s = sigma), in the (Re s, Im s) order of `np.unique`, as
+    `run_scenario` passes them, take <= 17,300 root updates (roots x
+    sweeps; 16,681 measured, 19,613 for the 544 unfolded nodes, 31,656
+    from the secant through the predecessors' roots with a confirming
+    sweep per root, 41,746 from the predecessor's roots alone and 65,264
+    when every root started from its pole shift) in <= 69 sweeps (67
+    measured, 78 unfolded, 109 with the secant). Every root is swept at
+    least once; many predicted roots freeze on that first sweep."""
     sc = builtin_scenarios()["fig1a"]
     s_nodes = np.concatenate([
         contour(t)[0]
         for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)])
     updates = count_root_updates(monkeypatch)
-    trapped_spectra(sc.transport, Q30, s_nodes)
+    trapped_spectra(sc.transport, Q30, np.unique(s_nodes))
     assert (len(s_nodes), len(np.unique(s_nodes))) == (544, 445)
     assert 445 * 30 <= sum(updates) <= 17_300
     assert len(updates) <= 69
 
 
 def test_secant_starts_bound_the_panel_root_updates(monkeypatch):
-    """The six built-in panels, one stack per scenario as `run_scenario`
-    solves them, 339 distinct points of 408 nodes, take <= 20,000 root
-    updates (19,271 measured, 21,177 for the unfolded nodes, 32,119 from
-    the secant with a confirming sweep per root, 36,065 from the
-    predecessor's roots alone) in <= 118 sweeps (114 measured, 127
-    unfolded, 149 with the secant); it falls less than on the late-time
-    stack because 87 of their 339 points are in the stacks' block 0,
-    which starts cold from the pole shifts."""
+    """The six built-in panels, one stack of distinct points per
+    scenario as `run_scenario` solves them, 339 points of 408 nodes,
+    take <= 20,000 root updates (19,271 measured, 21,177 for the
+    unfolded nodes, 32,119 from the secant with a confirming sweep per
+    root, 36,065 from the predecessor's roots alone) in <= 118 sweeps
+    (114 measured, 127 unfolded, 149 with the secant); it falls less than
+    on the late-time stack because 87 of their 339 points are in the
+    stacks' block 0, which starts cold from the pole shifts."""
     updates = count_root_updates(monkeypatch)
     count = 0
     for sc in builtin_scenarios().values():
-        s_nodes = np.concatenate([contour(t)[0]
-                                  for t in sc.times])
+        s_nodes = np.unique(contour(sc.times)[0])
         trapped_spectra(sc.transport, gauss_legendre(sc.n_ordinates), s_nodes)
-        count += len(np.unique(s_nodes)) * sc.n_ordinates
+        count += len(s_nodes) * sc.n_ordinates
     assert count == 339 * 30
     assert count <= sum(updates) <= 20_000
     assert len(updates) <= 118
+
+
+def test_stacks_across_shifts_solve_each_contour_in_turn(monkeypatch):
+    """fig1a at t = 1e2, 1e3 and 1e4, whose contours sit at Re s = 0.04,
+    8e-3 and 8e-4, through `run_scenario`: its distinct points come in
+    (Re s, Im s) order, each contour's chain on its own line, and take
+    <= 7,050 root updates in <= 30 sweeps (6,773 in 29 measured; 7,593
+    in 32 when `spectra` re-sorted them by (Im p, Re p), which
+    interleaved the three contours)."""
+    sc = dataclasses.replace(builtin_scenarios()["fig1a"],
+                             solvers=frozenset({"RTE"}),
+                             times=(1e2, 1e3, 1e4),
+                             grid=SpatialGrid(0.0, 15.0, 4))
+    updates = count_root_updates(monkeypatch)
+    harness.run_scenario(sc)
+    assert sum(updates) <= 7_050
+    assert len(updates) <= 30
 
 
 def count_gap_sums(monkeypatch):
@@ -821,17 +838,16 @@ def test_settled_roots_form_no_gap_sum(monkeypatch):
     takes it without the O(N) Aberth gap sum: <= 10,750 of the root
     updates of fig1a's eight late-time contours form one (10,358 of
     16,681 measured), and <= 15,650 of the six panels' stacks (15,091 of
-    19,271)."""
+    19,271), each stack's distinct points solved as `run_scenario` passes
+    them."""
     sc = builtin_scenarios()["fig1a"]
     rows = count_gap_sums(monkeypatch)
-    trapped_spectra(sc.transport, Q30, np.concatenate([
-        contour(t)[0]
-        for t in (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)]))
+    trapped_spectra(sc.transport, Q30, np.unique(contour(LATE_STACK[1])[0]))
     assert 0 < sum(rows) <= 10_750
     rows.clear()
     for sc in builtin_scenarios().values():
         trapped_spectra(sc.transport, gauss_legendre(sc.n_ordinates),
-                        np.concatenate([contour(t)[0] for t in sc.times]))
+                        np.unique(contour(sc.times)[0]))
     assert 0 < sum(rows) <= 15_650
 
 
@@ -915,11 +931,10 @@ def test_frozen_roots_stay_within_the_step_tolerance(monkeypatch, name, times):
 
 
 def solve_order_spacing(p, s_nodes):
-    """The gaps |rho_1 - rho_0| between neighbours in the (Im p, Re p)
-    solve order, and the spacing ratios |rho - rho_1| / |rho_1 - rho_0|
-    of each node over the gap before it, where that gap is not 0."""
+    """The gaps |rho_1 - rho_0| between neighbours in the given solve
+    order, and the spacing ratios |rho - rho_1| / |rho_1 - rho_0| of each
+    node over the gap before it, where that gap is not 0."""
     _, clock = p.waiting.memory(p.sigma_trap, s_nodes)
-    clock = clock[np.lexsort((clock.real, clock.imag))]
     gaps = np.abs(np.diff(p.sigma_s / (p.sigma_a + p.sigma_s + clock)))
     before = gaps[:-1] > 0.0
     return gaps, gaps[1:][before] / gaps[:-1][before]
@@ -927,14 +942,16 @@ def solve_order_spacing(p, s_nodes):
 
 def test_secant_starts_cost_no_accuracy():
     """fig1a's t = 10 contour with every node repeated (rho_1 = rho_0
-    exactly, where the secant falls back to the plain warm start), the
+    exactly, where the Hermite cubic falls back to the Taylor step), the
     interleaved left tails of t = 10 and t = 100, and the contours of
     t = 50 and t = 70 with the node j = 38 of t = 70, which the trimmed
     rule leaves out: on the saturated map it sits at (j + 1/2) pi / t,
-    within 1e-11 of the t = 50 node j = 27 (a spacing ratio past 1e9,
-    which magnifies the rounding of the predecessors' roots). Solved as
-    one stack without a warning, every node's roots match the node
-    solved alone to 1e-13 relative (3.8e-15 measured)."""
+    within 1e-11 of the t = 50 node j = 27. Sorted by (Re s, Im s), the
+    repeats sit side by side and the partner beside its twin (a spacing
+    ratio past 1e9, 4.95e9 measured, which magnifies the rounding of the
+    predecessors' roots). Solved as one stack in that order without a
+    warning, every node's roots match the node solved alone to 1e-13
+    relative (4.8e-16 measured)."""
     sc = builtin_scenarios()["fig1a"]
     nodes = {t: contour(t)[0] for t in (10.0, 50.0, 70.0, 100.0)}
     h = math.pi / M
@@ -945,9 +962,9 @@ def test_secant_starts_cost_no_accuracy():
         s = nodes[t]
         return s[s.imag * t < M / _STEEPNESS]
 
-    s_nodes = np.concatenate([np.repeat(nodes[10.0], 2),
-                              left_tail(10.0), left_tail(100.0),
-                              nodes[50.0], nodes[70.0], [partner]])
+    s_nodes = np.sort(np.concatenate([np.repeat(nodes[10.0], 2),
+                                      left_tail(10.0), left_tail(100.0),
+                                      nodes[50.0], nodes[70.0], [partner]]))
     gaps, ratios = solve_order_spacing(sc.transport, s_nodes)
     assert (gaps == 0.0).any() and ratios.max() > 1e9
     with warnings.catch_warnings():
