@@ -60,7 +60,9 @@ class FdeParams:
     trap_strength is the memory coefficient gamma^alpha * sigma_trap
     (units min^alpha); diffusivity is cm^2/min; alpha in (0,1) is the
     waiting-time tail exponent. trap_strength = 0 switches the memory
-    term off and the model degenerates to normal diffusion.
+    term off and the model degenerates to normal diffusion. Both
+    trap_strength and diffusivity must be finite: built from finite
+    transport inputs, either can overflow.
     """
 
     trap_strength: float
@@ -69,10 +71,12 @@ class FdeParams:
     alpha: float
 
     def __post_init__(self):
-        if self.trap_strength < 0.0:
-            raise ValueError(f"trap_strength must be >= 0, got {self.trap_strength}")
-        if self.diffusivity <= 0.0:
-            raise ValueError(f"diffusivity must be positive, got {self.diffusivity}")
+        if not 0.0 <= self.trap_strength < math.inf:
+            raise ValueError(f"trap_strength gamma^alpha * sigma_trap must be "
+                             f"finite and >= 0, got {self.trap_strength}")
+        if not 0.0 < self.diffusivity < math.inf:
+            raise ValueError(f"diffusivity speed^2 / (3 sigma_s) must be "
+                             f"finite and positive, got {self.diffusivity}")
         if self.sigma_a < 0.0:
             raise ValueError(f"sigma_a must be >= 0, got {self.sigma_a}")
         if not 0.0 < self.alpha < 1.0:

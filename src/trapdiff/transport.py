@@ -34,21 +34,10 @@ Comp. 1973), O(N^2) per sweep instead of the O(N^3) of a dense eigen
 solve. The Newton ratio of the polynomial prod_i (d_i - z) * f(z) is
 written f / (f' - f sum_i 1/(d_i - z)), so an exact root takes a zero
 step rather than a 0/0. A root is frozen after a step delta, with no
-confirming sweep, once any of three tests holds at the new root z:
+confirming sweep, once either of two tests holds at the new root z:
 
 - |delta| <= 4e-15 |z| (a Newton step that small skips the O(N) Aberth
   correction);
-- delta lies within the rounding-error bound of f at the root,
-  8 eps (|loss| + |rho z| sum_i |w_i / (d_i - z)|) / |f'(z)| (the
-  `erretm` test of LAPACK's dlaed4), where f fixes z no better. The
-  scale's sum, an `abs` pass and a row sum over the root's N poles, is
-  formed only for a root that the other two tests leave unfrozen and
-  that passes this test with 1 / |Im z| in place of the sum: the poles
-  are real and sum_i w_i = 1, so the sum is at most 1 / |Im z| (taken
-  1.01 times over for its rounding; infinite at a real root), and a root
-  past that bound fails the test whatever the sum. Every decision is the
-  one the full sum gives; fig1a's late-time stack forms 66 sums in its
-  sweeps, where every one of its 30,031 secular evaluations formed one;
 - the next step, as the Newton model of the polynomial estimates it,
   gamma |delta|^2 with gamma = |f'' / (2 f')| + |sum_i 1/(d_i - z)|,
   is 4e-15 |z| or less (an error estimate from data at one point, after
@@ -142,17 +131,11 @@ _RESIDUAL_TOL = 1e-9
 # least root-pole gap rho w_i (rho = sigma_s / sigma_t) whose residual
 # rounding, ~eps / (rho w_i), stays below a quarter of _RESIDUAL_TOL
 _MIN_GAP = 4.0 * np.finfo(float).eps / _RESIDUAL_TOL
-# secular roots: nodes solved together, iteration cap, relative step at
-# which a root is frozen, and the rounding-error bound of f in units of
-# |loss| + |rho z| sum_i |w_i / (d_i - z)| (LAPACK dlaed4's erretm),
-# below which a step is rounding noise
+# secular roots: nodes solved together, iteration cap, and relative step
+# at which a root is frozen
 _BLOCK = 16
 _MAX_ITER = 50
 _STEP_TOL = 4e-15
-_NOISE_BOUND = 8.0 * np.finfo(float).eps
-# factor on the bound 1 / |Im z| of sum_i w_i |1 / (d_i - z)| that covers
-# the rounding of the computed sum (a relative N eps or so)
-_SCALE_MARGIN = 1.01
 # largest |tau| = |rho - rho0| / |rho1 - rho0| at which a node starts from
 # the Hermite cubic through its two predecessors (a regular chain has
 # tau ~ 2); past it, or where rho1 = rho0, from the Taylor step at rho1
@@ -217,29 +200,17 @@ def _row_sums(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _secular_sums(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
                   w: np.ndarray, z: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """At roots z, with loss and rho of each one's node (broadcast against
-    z): 1 / (d_i - z) and its square, i on a new last axis, f(z), rho z
-    and the slope sum_i v2_i / (d_i - z)^2 (f' = -rho times it). A root
-    on a pole gets a non-finite f, and no warning. f's rounding scale is
-    not formed here: `_rounding_scale` forms it for the roots whose test
-    reads it."""
+    z): 1 / (d_i - z) and its square, i on a new last axis, f(z) and the
+    slope sum_i v2_i / (d_i - z)^2 (f' = -rho times it). A root on a pole
+    gets a non-finite f, and no warning."""
     inv_pole = d - z[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(1.0, inv_pole, out=inv_pole)
-    rz = rho * z
-    f = loss - rz * _row_sums(inv_pole, w)
+    f = loss - rho * z * _row_sums(inv_pole, w)
     square = inv_pole * inv_pole
-    return inv_pole, square, f, rz, _row_sums(square, w * d)
-
-
-def _rounding_scale(loss: np.ndarray, rz: np.ndarray, inv_pole: np.ndarray,
-                    w: np.ndarray) -> np.ndarray:
-    """f's rounding scale |loss| + |rho z| sum_i w_i |1 / (d_i - z)| at
-    the roots whose rho z and 1 / (d_i - z) rows (`_secular_sums`) are
-    given: one `abs` pass and one row sum over those rows alone."""
-    return np.abs(loss) + np.abs(rz) * _row_sums(np.abs(inv_pole), w)
+    return inv_pole, square, f, _row_sums(square, w * d)
 
 
 def _aberth_steps(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
@@ -247,47 +218,25 @@ def _aberth_steps(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
                   kn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Aberth-Ehrlich sweep over the roots z[jn, kn]: their steps
     delta, and whether each root is frozen after its step by one of the
-    module docstring's three tests at the new root z - delta; gamma's
+    module docstring's two tests at the new root z - delta; gamma's
     f'' / (2 f') = sum_i v2_i / (d_i - z)^3 / sum_i v2_i / (d_i - z)^2
     costs one more row sum. A Newton step of `_STEP_TOL` |z| or less is
     taken without the gap sum, whose correction would move z by far less
     than an ulp. `_secular_sums`' square is cubed in place: fresh pages
-    for arrays this large cost about as much as the arithmetic.
-
-    The noise test's rounding scale (`_rounding_scale`) is formed only
-    for the roots that the step and curvature tests leave unfrozen and
-    that pass the noise test at the scale's ceiling: the poles are real
-    and sum_i w_i = 1, so sum_i w_i |1 / (d_i - z)| <= 1 / |Im z|, taken
-    `_SCALE_MARGIN` times over for the rounding of the computed sum and
-    infinite at a real root. A root that fails at the ceiling fails the
-    noise test whatever the sum, so every root is frozen as with the full
-    scale."""
-    zk, loss_k = z[jn, kn], loss[jn]
-    inv_pole, cube, f, rz, slope = _secular_sums(loss_k, rho[jn], d, w, zk)
+    for arrays this large cost about as much as the arithmetic."""
+    zk = z[jn, kn]
+    inv_pole, cube, f, slope = _secular_sums(loss[jn], rho[jn], d, w, zk)
     df = -rho[jn] * slope
     pole_sum = inv_pole.sum(axis=1)
     step = f / (df - f * pole_sum)
     cube *= inv_pole
     gamma = np.abs(_row_sums(cube, w * d) / slope) + np.abs(pole_sum)
-    del cube  # freed before the gap sums' work array is formed
+    del inv_pole, cube  # freed before the gap sums' work array is formed
     busy = np.abs(step) > _STEP_TOL * np.abs(zk)  # Newton steps, so far
     step[busy] /= 1.0 - step[busy] * _gap_sums(z, jn[busy], kn[busy])
     size, new = np.abs(step), np.abs(zk - step)
     tol = _STEP_TOL * new
-    frozen = (size <= tol) | ((gamma * size**2 <= tol) & (size <= new))
-    # each small-array call below costs about a microsecond: a sweep that
-    # freezes every root, as each block's last one does, skips them all
-    if frozen.all():
-        return step, frozen
-    noise = size * np.abs(df)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ceiling = np.abs(loss_k) + np.abs(rz) * (_SCALE_MARGIN
-                                                 / np.abs(zk.imag))
-    read = np.flatnonzero(~frozen & ~(noise > _NOISE_BOUND * ceiling))
-    if read.size:
-        frozen[read] = noise[read] <= _NOISE_BOUND * _rounding_scale(
-            loss_k[read], rz[read], inv_pole[read], w)
-    return step, frozen
+    return step, (size <= tol) | ((gamma * size**2 <= tol) & (size <= new))
 
 
 def _secular_roots(loss: np.ndarray, rho: np.ndarray, d: np.ndarray,
@@ -332,19 +281,21 @@ def _block_spectra(loss: np.ndarray, rho: np.ndarray, st: np.ndarray,
     block of nodes from the start guesses z (None: the pole shifts), all
     certified and read from one more `_secular_sums` at the roots; no
     normalization may vanish. A failure names its node by its entry of
-    `nodes`. The rounding scale never falls below |loss|, so a residual
-    |f| <= 1e-9 min(1, |loss|) is certified as it is, and the scale
-    (`_rounding_scale`) is formed only for the roots past that floor."""
+    `nodes`. f's rounding scale |loss| + |rho z| sum_i w_i |1 / (d_i - z)|
+    never falls below |loss|, so a residual |f| <= 1e-9 min(1, |loss|) is
+    certified as it is, and the scale is formed only for the roots past
+    that floor."""
     z = _secular_roots(loss, rho, d, w, nodes, z)
     nu = 1.0 / (st[:, None] * np.sqrt(z))
     nu *= np.copysign(1.0, nu.real)  # the decaying mode, Re nu >= 0
-    inv_pole, _, f, rz, slope = _secular_sums(loss[:, None], rho[:, None], d,
-                                              w, z)
+    inv_pole, _, f, slope = _secular_sums(loss[:, None], rho[:, None], d, w,
+                                          z)
     res = np.abs(f)
     jn, kn = np.nonzero(~(res <= _RESIDUAL_TOL
                           * np.minimum(1.0, np.abs(loss))[:, None]))
     if jn.size:
-        scale = _rounding_scale(loss[jn], rz[jn, kn], inv_pole[jn, kn], w)
+        scale = np.abs(loss[jn]) + np.abs(rho[jn] * z[jn, kn]) * _row_sums(
+            np.abs(inv_pole[jn, kn]), w)
         bad = ~(res[jn, kn] <= _RESIDUAL_TOL * np.minimum(1.0, scale))
         if bad.any():
             i = np.argmax(bad)

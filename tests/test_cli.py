@@ -814,6 +814,28 @@ def test_overflowing_squares_are_refused_up_front(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("lines, constant", [
+    ("gamma = 1e300\nalpha = 0.99\nsigma_trap = 1e100", "trap_strength"),
+    ("sigma_s = 1e-300\nspeed = 1e10", "diffusivity")],
+    ids=["trap-strength", "diffusivity"])
+def test_overflowing_fde_constants_are_refused_up_front(
+        tmp_path, capsys, monkeypatch, lines, constant):
+    """Finite settings whose FDE constant overflows, eta = gamma^alpha
+    sigma_trap or D0 = speed^2 / (3 sigma_s), are refused, exit 1, before
+    any solver runs: FDE ended in exit 2 on a non-finite density, and
+    NORMAL at D0 = inf wrote an all-zero profile."""
+    ini = tmp_path / "odd.ini"
+    ini.write_text(f"[odd]\ntimes = 10\nx_max = 4\nx_count = 3\n{lines}\n")
+    monkeypatch.setattr(cli, "run_scenario", _no_solver_may_run)
+    rc = cli.main(["profile", "--scenario", "odd", "--config", str(ini),
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{constant} " in err
+    assert "finite" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_every_settings_draw_is_refused_or_finite():
     """Whole scenarios drawn over the INI keys, log-uniform where a key
     spans decades, each key's text read through `cli._settle`: every draw

@@ -58,6 +58,15 @@ def test_params_validation():
         FdeParams(trap_strength=0.1, diffusivity=D0, sigma_a=-1.0, alpha=0.5)
     with pytest.raises(ValueError):
         FdeParams(trap_strength=0.1, diffusivity=D0, sigma_a=0.0, alpha=1.0)
+    # what from_transport forms from finite inputs once gamma^alpha
+    # sigma_trap or speed^2 / (3 sigma_s) overflows
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="trap_strength .* finite"):
+            FdeParams(trap_strength=value, diffusivity=D0, sigma_a=0.0,
+                      alpha=0.5)
+        with pytest.raises(ValueError, match="diffusivity .* finite"):
+            FdeParams(trap_strength=0.1, diffusivity=value, sigma_a=0.0,
+                      alpha=0.5)
 
 
 def test_from_transport_main_scenario():
