@@ -8,13 +8,16 @@ normalization follows the transport convention (an isotropic unit pulse
 carries angular mass 2), so all densities here integrate to 2 over the
 whole line when absorption is off.
 
-Production profiles come from `modes`, the Laplace transform in closed
-form in x, which holds for any alpha: the diffusion kernel's one mode
-exp(-|x| sqrt((p + sigma_a)/D0)) under the power-law memory (S, p) of
-`waiting.power_memory`, given as the same (rate, coef) pair per (node,
-mode) as the transport modes, so the profile driver sums both into x
-vectors by `transport.mode_sum` on the contour of `ilt.contour`. The
-other routes are oracles that share none of its algebra:
+Production profiles come from `modes`, the diffusion kernel: the
+Laplace transform in closed form in x, which holds for any alpha, one
+mode exp(-|x| sqrt((p + sigma_a)/D0)) of amplitude S / (D0 rate) under a
+memory's (S, p), given as the same (rate, coef) pair per (node, mode)
+as the transport modes, so the profile driver sums both into x vectors
+by `transport.mode_sum` on the contour of `ilt.contour`. The harness'
+kernel x memory table (`harness.PAIRINGS`) pairs it with the power-law
+memory of `waiting.power_memory` for FDE, and with the exact memory for
+DEM, the diffusion approximation the checks measure transport against.
+The other routes are oracles of FDE that share none of its algebra:
 `subordinated_density` averages the heat kernel over the inverse
 stable clock in the time domain, by a tanh-sinh rule on Kanter's
 representation of the stable law, for alpha >= 1/4 and on numpy alone;
@@ -31,8 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import NumericFailureError
-from .transport import TransportParams, _node_stack
-from .waiting import power_memory
+from .transport import TransportParams
 
 __all__ = [
     "FdeParams",
@@ -109,20 +111,16 @@ def fourier_laplace(p: FdeParams, k: float, s: complex) -> complex:
     return num / den
 
 
-def modes(p: FdeParams, s) -> tuple[np.ndarray, np.ndarray]:
-    """The one decaying mode of the Laplace-domain density at every s.
+def modes(p: FdeParams, source, clock) -> tuple[np.ndarray, np.ndarray]:
+    """The diffusion kernel's one decaying mode under a memory's (S, p)
+    stack (source, clock).
 
-    Integrating the Fourier-Laplace picture over k gives, with the
-    power-law memory (S, p) of s and B = p + sigma_a on principal
-    branches (Re s > 0 keeps Re sqrt(B) > 0), the (node, 1) arrays
-    rate = sqrt(B/D0) and coef = S / (D0 rate) of `transport.mode_sum`;
-    `laplace_density` is its oracle. Raises ValueError at s = 0 and
-    unless s is a one-dimensional stack.
+    Integrating the Fourier-Laplace picture over k gives, with
+    B = p + sigma_a on principal branches (Re s > 0 keeps Re sqrt(B) > 0),
+    the (node, 1) arrays rate = sqrt(B/D0) and coef = S / (D0 rate) of
+    `transport.mode_sum`; under the power law, `laplace_density` is its
+    oracle.
     """
-    s = _node_stack(s)
-    if (s == 0).any():
-        raise ValueError("transform requires s != 0")
-    source, clock = power_memory(p.trap_strength, p.alpha, s)  # S, p
     rate = np.sqrt((clock + p.sigma_a) / p.diffusivity)
     return rate[:, None], (source / (p.diffusivity * rate))[:, None]
 

@@ -6,22 +6,29 @@ the spatial grid, and which solvers to run. The six built-in scenarios
 cover the trapping-strength and trapping-scale variations at t = 10 and
 t = 100 minutes.
 
-`run_scenario` runs the solvers one after the other, each over all
-times. A contour solver is its modes and its step: RTE and FDE map a
-stack of transform points to the decay rate and amplitude of every
-(node, mode), RTE by `transport.modes` (the exact memory under the
-discrete-ordinates kernel), FDE by `fde.modes` (the power law under the
-diffusion kernel), and both go through `_contour_values`: one
-`ilt.contour` rule over all times, RTE's at step pi / M and FDE's at
-half of it, one `modes` call over its distinct nodes (the contours of
-one shift fold onto the shared s = sigma: fig1a's eight late times
-hold 445 distinct points in 544 nodes), then per time one
-`transport.mode_sum` of its nodes' modes, weighted by the contour.
-RTE's stops at the ballistic front |x| = speed * t and reads 0 past
-it: no particle gets there, so the contour sum is ringing. NORMAL is
-the heat kernel, one array call per time. `check_times` refuses up
-front a time at which a contour overflows or RTE's spectra cannot be
-certified.
+Trapping changes the clock, not the kernel, so a contour solver is one
+entry of the kernel x memory table `PAIRINGS`: a memory maps a stack of
+transform points s to (S, p) (`waiting`: the exact one and its power-law
+tail), and a trap-free `Kernel` maps that (S, p) to the decay rate and
+amplitude of every (node, mode). RTE is the discrete-ordinates kernel
+`DO` (`transport.modes`) under the exact memory, FDE the diffusion
+kernel `DIFFUSION` (`fde.modes`) under the power law, and DEM the
+diffusion kernel under the exact memory, for the checks only (no CLI
+name). Each kernel states its own step, its front and its up-front
+check once: DO runs at step pi / M, stops at the ballistic front
+|x| = speed * t and reads 0 past it (no particle gets there, so the
+contour sum is ringing), and certifies its points before any solve
+(`transport.certifiable`); diffusion runs at half that step, with no
+front. `solver_modes` composes an entry, and `_contour_values` runs it:
+one `ilt.contour` rule over all times at the kernel's step, one
+`solver_modes` call over its distinct nodes (the contours of one shift
+fold onto the shared s = sigma: fig1a's eight late times hold 445
+distinct points in 544 nodes), then per time one `transport.mode_sum`
+of its nodes' modes, weighted by the contour. `run_scenario` runs the
+solvers one after the other, each over all times; NORMAL is the heat
+kernel, one array call per time. `check_times` refuses up front a time
+at which an entry's contour overflows or its kernel cannot certify the
+farthest node.
 `validate --level full` checks FDE against the time-domain oracle
 `fde.subordinated_density` at alpha = 0.3, 1/2 and 0.7.
 
@@ -33,15 +40,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from . import fde, transport
+from . import fde, transport, waiting
 from .errors import NumericFailureError
 from .ilt import M, SHIFT, contour, invert, invert_reference
 from .specfun import QuadratureSet, gauss_legendre
-from .transport import TransportParams
+from .transport import TransportParams, _node_stack
 from .waiting import WaitingTimeModel
 
 __all__ = [
@@ -64,9 +72,6 @@ SOLVER_ORDER = tuple(solver for solver, _, _ in _COLUMNS)
 CSV_HEADER = ",".join(["x_cm", *(col for _, col, _ in _COLUMNS),
                        "t_min", "scenario"])
 DIFF_HEADER = ",diff_rte_de,reldiff_rte_de"
-# FDE's contour step is RTE's pi / m over this: at RTE's step the rule
-# leaves ~2e-10 absolute at t = 10, too much for the tail
-_FDE_REFINE = 2.0
 
 
 @dataclass(frozen=True)
@@ -173,25 +178,75 @@ def builtin_scenarios() -> dict[str, Scenario]:
     return out
 
 
-def _contour_values(solver: str, modes, times, xs, m: float,
-                    speed: float = math.inf):
-    """Each time's densities at every x, in the order of times; 0, and
-    not summed, past the front |x| > speed * t (none at speed inf).
+@dataclass(frozen=True)
+class Kernel:
+    """A trap-free kernel: `modes(sc, S, p)` gives the (rate, coef) of its
+    modes under a memory's (S, p) stack; it runs on the contour at step
+    pi / (refine m); ballistic, it reads 0 past the front |x| = speed t;
+    and `certifiable(sc, p)`, if given, tells before any solve which
+    points p it can certify."""
 
-    modes maps a stack of transform points to the (rate, coef) of their
-    modes; it is called once, over the distinct `ilt.contour` nodes at
-    step pi / m of all times, in the (Re s, Im s) order of `np.unique`:
-    along each contour, the contours grouped by shift, with a point that
-    several times share (s = sigma, where the contours of one shift
-    fold) given once. A failure naming a point by its index there is
-    reported at its s and at the first time that holds it (else at t
-    nan). Each time is one `transport.mode_sum` of its nodes' rows, coef
-    times the weights."""
-    s_nodes, weights, prefactors = contour(times, m)
+    modes: Callable
+    refine: float = 1.0
+    ballistic: bool = False
+    certifiable: Callable | None = None
+
+
+# discrete ordinates: nothing reaches past the ballistic front, where the
+# contour sum is ringing
+DO = Kernel(lambda sc, *sp: transport.modes(sc.transport, sc.quadrature, *sp),
+            ballistic=True, certifiable=lambda sc, p: transport.certifiable(
+                sc.transport, sc.quadrature, p))
+# diffusion, at half of DO's step: at DO's the rule leaves ~2e-10
+# absolute at t = 10, too much for the tail
+DIFFUSION = Kernel(lambda sc, *sp: fde.modes(fde.from_transport(sc.transport),
+                                             *sp), refine=2.0)
+
+
+def _exact(sc: Scenario, s):
+    """The waiting law's exact memory (S, p) at every point of s."""
+    return sc.transport.waiting.memory(sc.transport.sigma_trap, s)
+
+
+def _power(sc: Scenario, s):
+    """Its power-law tail's (S, p), with FDE's coefficient eta."""
+    p = fde.from_transport(sc.transport)
+    return waiting.power_memory(p.trap_strength, p.alpha, s)
+
+
+# the kernel x memory table, solver -> (kernel, memory). DEM, the
+# diffusion kernel under the exact memory, is for the checks: no CLI name
+PAIRINGS = {"RTE": (DO, _exact), "FDE": (DIFFUSION, _power),
+            "DEM": (DIFFUSION, _exact)}
+
+
+def solver_modes(sc: Scenario, solver: str, s):
+    """The (rate, coef) of a table solver's modes at every point of s:
+    its memory's (S, p), then its kernel's modes of them. ValueError
+    unless s is a one-dimensional stack."""
+    kernel, memory = PAIRINGS[solver]
+    return kernel.modes(sc, *memory(sc, _node_stack(s)))
+
+
+def _contour_values(sc: Scenario, solver: str, times, xs, m: float = M):
+    """A table solver's densities of sc at every x, per time in the order
+    of times; past a ballistic kernel's front |x| > speed * t, 0 and not
+    summed.
+
+    `solver_modes` is called once, over the distinct `ilt.contour` nodes
+    of all times at the kernel's step pi / (refine m), in the
+    (Re s, Im s) order of `np.unique`: along each contour, the contours
+    grouped by shift, with a point that several times share (s = sigma,
+    where the contours of one shift fold) given once. A failure naming a
+    point by its index there is reported at its s and at the first time
+    that holds it (else at t nan). Each time is one `transport.mode_sum`
+    of its nodes' rows, coef times the weights."""
+    kernel, _ = PAIRINGS[solver]
+    s_nodes, weights, prefactors = contour(times, kernel.refine * m)
     points, back = np.unique(s_nodes, return_inverse=True)
     back = back.reshape(s_nodes.shape)  # numpy 1.x returns it flat
     try:
-        rate, coef = modes(points)
+        rate, coef = solver_modes(sc, solver, points)
     except NumericFailureError as exc:
         node = exc.context.get("node")
         where = {"t": math.nan} if node is None else {
@@ -199,24 +254,25 @@ def _contour_values(solver: str, modes, times, xs, m: float,
             "t": times[(back == node).any(axis=1).argmax()]}
         raise NumericFailureError(exc.args[0], **exc.context,
                                   solver=solver, **where) from exc
+    speed = sc.transport.speed if kernel.ballistic else math.inf
     return [prefactor * transport.mode_sum(
                 xs, rate[k], coef[k] * weights[:, None], speed * t).real
             for t, prefactor, k in zip(times, prefactors.tolist(), back)]
 
 
 def check_times(sc: Scenario) -> None:
-    """Raise ValueError if sc runs RTE or FDE at a time whose contour, at
-    that solver's step, overflows (t < 1.2e-306), or RTE at one whose
-    farthest node is not `transport.certifiable` (t < 0.0235 at N = 30)."""
-    far = {solver: contour(sc.times, m)[0][:, -1]
-           for solver, m in (("RTE", M), ("FDE", _FDE_REFINE * M))
-           if solver in sc.solvers}
-    if "RTE" in far:
-        _, p = sc.transport.waiting.memory(sc.transport.sigma_trap, far["RTE"])
-        ok = transport.certifiable(sc.transport, sc.quadrature, p)
-        if not ok.all():
+    """Raise ValueError if sc runs a table solver at a time whose contour,
+    at that solver's step, overflows (t < 6e-307 at RTE's, 1.2e-306 at
+    FDE's), or whose farthest node its kernel cannot certify (RTE's:
+    t < 0.0235 at N = 30)."""
+    for solver, (kernel, memory) in PAIRINGS.items():
+        if solver not in sc.solvers:
+            continue
+        far = contour(sc.times, kernel.refine * M)[0][:, -1]
+        if kernel.certifiable and not (
+                ok := kernel.certifiable(sc, memory(sc, far)[1])).all():
             raise ValueError(
-                f"RTE cannot resolve t = {sc.times[np.argmin(ok)]:g} at "
+                f"{solver} cannot resolve t = {sc.times[np.argmin(ok)]:g} at "
                 f"{sc.n_ordinates} ordinates: its eigenvalues lie too close "
                 "to the quadrature rays (use a later time or fewer ordinates)")
 
@@ -225,21 +281,15 @@ def run_scenario(sc: Scenario, m: float = M) -> list[SpatialProfile]:
     """All requested profiles, ordered by time then RTE, FDE, NORMAL.
 
     Each solver runs over all times before the next starts, so RTE's
-    modes are freed before FDE forms its own. RTE runs at step pi / m,
-    FDE at half of it; only the step-halving check moves m off `ilt.M`.
+    modes are freed before FDE forms its own. RTE and FDE run on the
+    contour at their kernels' steps, pi / m and half of it; only the
+    step-halving check moves m off `ilt.M`.
     """
     xs = sc.grid.points()
-    p = fde.from_transport(sc.transport)
-    values = {}
-    if "RTE" in sc.solvers:
-        # nothing reaches past the ballistic front; the sum there is ringing
-        values["RTE"] = _contour_values(
-            "RTE", partial(transport.modes, sc.transport, sc.quadrature),
-            sc.times, xs, m, sc.transport.speed)
-    if "FDE" in sc.solvers:
-        values["FDE"] = _contour_values("FDE", partial(fde.modes, p),
-                                        sc.times, xs, _FDE_REFINE * m)
+    values = {solver: _contour_values(sc, solver, sc.times, xs, m)
+              for solver in PAIRINGS if solver in sc.solvers}
     if "NORMAL" in sc.solvers:
+        p = fde.from_transport(sc.transport)
         values["NORMAL"] = [fde.normal_diffusion(p, np.array(xs), t)
                             for t in sc.times]
     profiles = []
@@ -319,12 +369,9 @@ def emit_plot_script(profiles: list[SpatialProfile], path: str,
     times = list(dict.fromkeys(p.t for p in profiles))
     solvers = {p.solver for p in profiles}
 
-    lines = [
-        "# generated plot script; expects the CSV alongside",
-        "set datafile separator ','",
-        "set xlabel 'x [cm]'",
-        "set ylabel 'density [1/cm]'",
-    ]
+    lines = ["# generated plot script; expects the CSV alongside",
+             "set datafile separator ','", "set xlabel 'x [cm]'",
+             "set ylabel 'density [1/cm]'"]
     if logy:
         lines.append("set logscale y")
     lines.append(f"set title '{scenario}'")
@@ -344,12 +391,9 @@ def emit_plot_script(profiles: list[SpatialProfile], path: str,
 
 
 def _check(name: str, measured: float, tolerance: float) -> dict:
-    return {
-        "check": name,
-        "status": "pass" if measured <= tolerance else "fail",
-        "measured": measured,
-        "tolerance": tolerance,
-    }
+    status = "pass" if measured <= tolerance else "fail"
+    return {"check": name, "status": status, "measured": measured,
+            "tolerance": tolerance}
 
 
 def _step_halving(m: float) -> float:
@@ -390,11 +434,9 @@ def validate(level: str = "fast") -> list[dict]:
     # known Laplace pairs through the inverter; the ramp has a wider
     # budget than the bounded originals, so errors are reported as
     # fractions of each pair's own budget
-    pairs = [
-        (lambda s: 1.0 / s, lambda t: 1.0, 5.0, 1e-6),
-        (lambda s: 1.0 / (s + 1.0), lambda t: math.exp(-t), 1.0, 1e-6),
-        (lambda s: 1.0 / (s * s), lambda t: t, 3.0, 1e-5),
-    ]
+    pairs = [(lambda s: 1.0 / s, lambda t: 1.0, 5.0, 1e-6),
+             (lambda s: 1.0 / (s + 1.0), lambda t: math.exp(-t), 1.0, 1e-6),
+             (lambda s: 1.0 / (s * s), lambda t: t, 3.0, 1e-5)]
     worst = 0.0
     for transform_f, original, t, budget in pairs:
         got = invert(transform_f, t)
@@ -415,9 +457,8 @@ def validate(level: str = "fast") -> list[dict]:
     # transport moment oracle on a short contour sample: the modes' mass
     # and second moment against 2 S / A and 4 S c^2 / (3 sigma_t A^2),
     # A = sigma_a + p, from the survival transform
-    s_sample = [complex(SHIFT, im)
-                for im in (-300.0, -3.0, 0.0, 0.5, 40.0)]
-    rate, coef = transport.modes(tp, scenario_a.quadrature, s_sample)
+    s_sample = [complex(SHIFT, im) for im in (-300.0, -3.0, 0.0, 0.5, 40.0)]
+    rate, coef = solver_modes(scenario_a, "RTE", s_sample)
     worst = 0.0
     for s, r, c in zip(s_sample, rate, coef):
         lphi = tp.waiting.laplace_survival(s)
@@ -444,13 +485,12 @@ def validate(level: str = "fast") -> list[dict]:
     # fig1a's alpha = 1/2 and with it swapped for 0.3 and 0.7
     worst = 0.0
     for alpha in (0.5, 0.3, 0.7):
-        p_alpha = fde.from_transport(replace(
+        sc_alpha = replace(scenario_a, transport=replace(
             tp, waiting=replace(tp.waiting, alpha=alpha)))
+        p_alpha = fde.from_transport(sc_alpha.transport)
         for (x, t) in ((0.0, 10.0), (1.0, 10.0), (5.0, 100.0)):
             direct = fde.subordinated_density(p_alpha, x, t)
-            ((closed,),) = _contour_values(
-                "FDE", partial(fde.modes, p_alpha), (t,), [x],
-                _FDE_REFINE * M)
+            ((closed,),) = _contour_values(sc_alpha, "FDE", (t,), [x])
             worst = max(worst, abs(closed - direct) / abs(direct))
     report.append(_check("fde.closed_form_vs_time_domain", worst, 1e-8))
 
@@ -461,11 +501,9 @@ def validate(level: str = "fast") -> list[dict]:
     # the production RTE profile against Talbot's inversion of the
     # transform at one point (off the ballistic front, where it is smooth)
     x, t = 2.0, 10.0
-    (profile,) = run_scenario(replace(scenario_a, solvers=frozenset(("RTE",)),
-                                      grid=SpatialGrid(x, 2 * x, 2)))
-    de_val = profile.points[0][1]
-    tb_val = invert_reference(lambda s: transport.laplace_density(
-        tp, scenario_a.quadrature, s, x), t)
+    ((de_val,),) = _contour_values(scenario_a, "RTE", (t,), [x])
+    tb_val = invert_reference(lambda s: transport.mode_sum(
+        [x], *solver_modes(scenario_a, "RTE", [s]))[0], t)
     report.append(_check("ilt.cross_inverter_transport",
                          abs(de_val - tb_val) / abs(de_val), 1e-4))
     return report

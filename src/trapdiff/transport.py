@@ -5,7 +5,9 @@ The one-dimensional transport equation with an isotropic point source and
 a trapping reaction is a trap-free kernel, total cross-section
 sigma_t = sigma_a + sigma_s + p, under the exact memory: the source
 factor S = 1 + sigma_trap LPhi(s) and p = s S, LPhi the Laplace transform
-of the waiting-time survival (`waiting.WaitingTimeModel.memory`). On a
+of the waiting-time survival (`waiting.WaitingTimeModel.memory`). This
+module is that kernel, DO; the harness' kernel x memory table
+(`harness.PAIRINGS`) pairs it with a memory, the exact one for RTE. On a
 half-range Gauss-Legendre quadrature with N ordinates +-mu_i, separable
 solutions exp(-x/nu) phi(nu, mu_i) exist for N pairs of eigenvalues +-nu.
 The half-range reduction of the analytical discrete-ordinates method
@@ -78,15 +80,18 @@ the results is point j.
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.
 
-`spectra`, the kernel, is the one way to get a spectrum: it solves the
-points p of one or more inversion contours and names a failing point by
-its index in p. `modes` is the exact memory, then `spectra`, then the
+`spectra` is the one way to get a spectrum: it solves the points p of
+one or more inversion contours and names a failing point by its index in
+p. `modes` takes a memory's (S, p), calls `spectra` on p and gives the
 decay rate 1/(c nu) and amplitude S/(c norm) of each (node, mode), the
-interface the profile driver shares with `fde`; `laplace_density` is
-their sum at one s and one x. `mode_sum` sums a stack's modes into an x
-vector, up to a front: on an evenly spaced grid exp(-|x_k| rate) is the
-one at the first |x| of a side of x = 0 times a power of exp(-h rate),
-three complex exps per (node, mode) and no (x, node) array.
+interface the diffusion kernel of `fde` shares; `laplace_density` is
+their sum at one s and one x under the exact memory, RTE's transform
+for the oracles that invert it pointwise (`perfbench`'s reference
+values are its Talbot inversion). `mode_sum` sums a stack's modes into
+an x vector, up to a front: on an evenly spaced grid exp(-|x_k| rate)
+is the one at the first |x| of a side of x = 0 times a power of
+exp(-h rate), three complex exps per (node, mode) and no (x, node)
+array.
 `_secular_sums` is the one evaluation of f: each sweep calls it on the
 roots still moving, and `_block_spectra` on a block's returned roots, to
 certify them (f not finite: a root on a pole, its eigenvalue on a
@@ -402,13 +407,13 @@ def _uniform_grid(xs) -> tuple[np.ndarray, float]:
     return xs, step
 
 
-def modes(params: TransportParams, quadrature: QuadratureSet, s_nodes
+def modes(params: TransportParams, quadrature: QuadratureSet, source, p
           ) -> tuple[np.ndarray, np.ndarray]:
-    """The (node, N) arrays rate = 1 / (c nu) and coef = (S / c) / norm of
-    the decaying modes, from the exact memory (S, p) of s_nodes and one
-    `spectra` call over p: their `mode_sum` is the Laplace-domain density
-    of an isotropic unit pulse at x = 0, which the speed c stretches."""
-    source, p = params.waiting.memory(params.sigma_trap, _node_stack(s_nodes))
+    """The DO kernel under a memory's (S, p) stack (source, p): the (node,
+    N) arrays rate = 1 / (c nu) and coef = (S / c) / norm of the decaying
+    modes, from one `spectra` call over p. Under the exact memory their
+    `mode_sum` is the Laplace-domain density of an isotropic unit pulse at
+    x = 0, which the speed c stretches."""
     nus, norms = spectra(params, quadrature, p)
     return 1.0 / (params.speed * nus), (source / params.speed)[:, None] / norms
 
@@ -463,5 +468,8 @@ def certifiable(params: TransportParams, quadrature: QuadratureSet, p
 
 def laplace_density(params: TransportParams, quadrature: QuadratureSet,
                     s: complex, x: float) -> complex:
-    """Laplace-domain scalar density at distance x from the source plane."""
-    return complex(mode_sum([x], *modes(params, quadrature, [complex(s)]))[0])
+    """Laplace-domain scalar density at distance x from the source plane,
+    the DO kernel under the exact memory at one s: RTE's transform, for
+    the oracles that invert it pointwise."""
+    memory = params.waiting.memory(params.sigma_trap, [complex(s)])
+    return complex(mode_sum([x], *modes(params, quadrature, *memory))[0])

@@ -68,6 +68,8 @@ class WaitingTimeModel:
 
 def power_memory(eta: float, alpha: float, s: np.ndarray):
     """S = 1 + eta s^alpha / s and p = s + eta s^alpha at every point of
-    s, on principal branches."""
+    s, on principal branches; ValueError at s = 0, where S diverges."""
+    if np.any(s == 0):
+        raise ValueError("transform requires s != 0")
     sa = s**alpha
     return 1.0 + eta * sa / s, s + eta * sa

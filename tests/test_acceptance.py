@@ -12,7 +12,6 @@ import dataclasses
 import math
 import random
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from scipy import integrate
 from trapdiff import fde, harness, transport
 from trapdiff.fde import (FdeParams, from_transport, normal_diffusion,
                           subordinated_density)
-from trapdiff.ilt import M, invert
+from trapdiff.ilt import invert
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import TransportParams, spectra
 from trapdiff.waiting import WaitingTimeModel
@@ -306,16 +305,6 @@ _DIFFUSION_GAPS = {0.3: (5.20e-2, 2.85e-2, 1.42e-2),
                    0.7: (2.33e-1, 9.76e-3, 5.47e-4)}
 
 
-def _exact_memory_diffusion_modes(tp, s_nodes):
-    """DEM: the diffusion kernel of `fde.modes`, rate sqrt((p + sigma_a)/D0)
-    and amplitude S / (D0 rate), under the exact memory (S, p) of the
-    transport's waiting-time law instead of the power law."""
-    source, clock = tp.waiting.memory(tp.sigma_trap, s_nodes)
-    d0 = from_transport(tp).diffusivity
-    rate = np.sqrt((clock + tp.sigma_a) / d0)
-    return rate[:, None], (source / (d0 * rate))[:, None]
-
-
 @pytest.mark.parametrize("alpha", sorted(_DIFFUSION_GAPS))
 def test_diffusion_approximation_gap_shrinks_under_the_exact_memory(alpha):
     """RTE against DEM, the diffusion kernel under the same exact memory,
@@ -324,11 +313,11 @@ def test_diffusion_approximation_gap_shrinks_under_the_exact_memory(alpha):
     x_k = 3 w k / 61 (k = 1..61), w = sqrt(D0 / eta) t^(alpha/2) with
     eta = Gamma(1 - alpha) gamma^alpha sigma_trap, the gap
     max |RTE - DEM| / |DEM| decreases over t = 1e2, 1e3, 1e4 and stays
-    within 1.2x of its measured value at each. RTE runs at step pi / M,
-    DEM at FDE's pi / (2 M)."""
+    within 1.2x of its measured value at each. Both are entries of the
+    harness' kernel x memory table, each run at its kernel's step."""
     law = dataclasses.replace(SCENARIOS[0].waiting, alpha=alpha)
     tp = dataclasses.replace(SCENARIOS[0], waiting=law)
-    rte_modes = partial(transport.modes, tp, gauss_legendre(30))
+    sc = harness.Scenario("dem", tp)
     d0 = from_transport(tp).diffusivity
     eta = math.gamma(1.0 - alpha) * law.gamma**alpha * tp.sigma_trap
     gaps = []
@@ -336,10 +325,8 @@ def test_diffusion_approximation_gap_shrinks_under_the_exact_memory(alpha):
         for t in (1e2, 1e3, 1e4):
             w = math.sqrt(d0 / eta) * t ** (alpha / 2.0)
             xs = [3.0 * w * k / 61.0 for k in range(1, 62)]
-            (rte,) = harness._contour_values("RTE", rte_modes, (t,), xs, M)
-            (dem,) = harness._contour_values(
-                "DEM", partial(_exact_memory_diffusion_modes, tp), (t,), xs,
-                harness._FDE_REFINE * M)
+            (rte,) = harness._contour_values(sc, "RTE", (t,), xs)
+            (dem,) = harness._contour_values(sc, "DEM", (t,), xs)
             gaps.append(float(np.max(np.abs(rte - dem) / np.abs(dem))))
     assert gaps[0] > gaps[1] > gaps[2], gaps
     assert all(g <= 1.2 * g0

@@ -18,18 +18,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from trapdiff import fde, ilt
+from trapdiff import fde, harness, ilt
 from trapdiff.errors import NumericFailureError
 from trapdiff.fde import (
     FdeParams,
     fourier_laplace,
     from_transport,
     laplace_density,
-    modes,
     normal_diffusion,
     subordinated_density,
 )
-from trapdiff.harness import SpatialGrid, builtin_scenarios, run_scenario
+from trapdiff.harness import (Scenario, SpatialGrid, builtin_scenarios,
+                              run_scenario, solver_modes)
 from trapdiff.transport import TransportParams, mode_sum
 from trapdiff.waiting import WaitingTimeModel, power_memory
 
@@ -41,10 +41,18 @@ NO_ABSORB = FdeParams(trap_strength=ETA, diffusivity=D0, sigma_a=0.0, alpha=0.5)
 FREE = FdeParams(trap_strength=0.0, diffusivity=D0, sigma_a=0.0, alpha=0.5)
 
 
-def transport_set(sigma_trap=0.1, gamma=0.1, alpha=0.5):
+def transport_set(sigma_trap=0.1, gamma=0.1, alpha=0.5, sigma_a=1e-9):
     w = WaitingTimeModel(alpha=alpha, gamma=gamma)
-    return TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
-                           waiting=w)
+    return TransportParams(sigma_a=sigma_a, sigma_s=1.0,
+                           sigma_trap=sigma_trap, waiting=w)
+
+
+def fde_modes(tp, s):
+    """FDE's (rate, coef) at s, from the harness' kernel x memory table:
+    the power-law memory under the diffusion kernel. transport_set()
+    gives MAIN's constants, with sigma_a = 0 NO_ABSORB's, and with
+    sigma_trap = 0 too FREE's."""
+    return solver_modes(Scenario("fde", tp), "FDE", s)
 
 
 # ---------------------------------------------------------------- parameters
@@ -314,9 +322,9 @@ def test_closed_form_transform_matches_direct_exponentials():
     for sc in builtin_scenarios().values():
         p = from_transport(sc.transport)
         for t in (1.0, 10.0, 100.0, 1000.0):
-            s_nodes = ilt.contour(t, 2 * ilt.M)[0]
+            s_nodes = ilt.contour(t, harness.DIFFUSION.refine * ilt.M)[0]
             for xs in grids:
-                got = node_columns(xs, *modes(p, s_nodes))
+                got = node_columns(xs, *solver_modes(sc, "FDE", s_nodes))
                 want = direct_closed_form(p, xs, s_nodes)
                 column = np.abs(want).max(axis=0)
                 assert np.all(np.abs(got - want) <= 1e-13 * column), (t, xs)
@@ -330,9 +338,9 @@ def test_closed_form_transform_matches_fourier_route(alpha):
     """On and off the inversion contour, for every tail exponent. The
     absolute term covers values such as 3.5e-18 at x = 5, s = 0.04 - 40i,
     below the Fourier oracle's ~1e-14 floor."""
-    p = FdeParams(trap_strength=0.1 * 0.1**alpha, diffusivity=D0,
-                  sigma_a=1e-9, alpha=alpha)
-    table = node_columns(np.arange(6.0), *modes(p, CLOSED_S))
+    tp = transport_set(alpha=alpha)
+    p = from_transport(tp)
+    table = node_columns(np.arange(6.0), *fde_modes(tp, CLOSED_S))
     assert table.shape == (6, len(CLOSED_S))
     for x in (0, 1, 5):
         for j, s in enumerate(CLOSED_S):
@@ -373,8 +381,8 @@ def test_production_profile_matches_mpmath_talbot(t, bound):
 
 def test_closed_form_transform_even_in_x():
     s = (0.04 + 3.0j, 1.5 - 0.2j)
-    left = mode_sum((-2.0, -1.5, -1.0, -0.5), *modes(MAIN, s))
-    right = mode_sum((0.5, 1.0, 1.5, 2.0), *modes(MAIN, s))
+    left = mode_sum((-2.0, -1.5, -1.0, -0.5), *fde_modes(transport_set(), s))
+    right = mode_sum((0.5, 1.0, 1.5, 2.0), *fde_modes(transport_set(), s))
     assert (left == right[::-1]).all()
 
 
@@ -382,8 +390,8 @@ def test_closed_form_transform_even_in_x():
 def test_closed_form_transform_mass_identity(s):
     """Without absorption the transform integrates to exactly 2/s."""
     def part(x, which):
-        return getattr(complex(mode_sum((x,), *modes(NO_ABSORB, (s,)))[0]),
-                       which)
+        modes = fde_modes(transport_set(sigma_a=0.0), (s,))
+        return getattr(complex(mode_sum((x,), *modes)[0]), which)
 
     re, _ = integrate.quad(part, 0.0, math.inf, args=("real",),
                            epsabs=1e-14, epsrel=1e-12, limit=200)
@@ -395,7 +403,8 @@ def test_closed_form_transform_mass_identity(s):
 def test_closed_form_transform_no_memory_is_heat_kernel_transform():
     """eta = 0: the Laplace transform of the heat kernel of mass 2."""
     s = 0.3 + 1.1j
-    got = mode_sum((1.5,), *modes(FREE, (s,)))[0]
+    free = transport_set(sigma_trap=0.0, sigma_a=0.0)
+    got = mode_sum((1.5,), *fde_modes(free, (s,)))[0]
     root = cmath.sqrt(s / D0)
     assert abs(got - cmath.exp(-1.5 * root) / (D0 * root)) <= 1e-15
 
@@ -404,6 +413,6 @@ def test_modes_reject_zero_s():
     """At s = 0 the memory term eta s^{a-1} diverges: ValueError, as
     `fourier_laplace` raises, instead of a nan transform."""
     with pytest.raises(ValueError, match="s != 0"):
-        modes(MAIN, [0.5 + 1.0j, 0j])
+        fde_modes(transport_set(), [0.5 + 1.0j, 0j])
     with pytest.raises(ValueError, match="s != 0"):
         fourier_laplace(MAIN, 1.0, 0j)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trapdiff import fde, harness, ilt, transport
+from trapdiff import fde, harness, ilt, transport, waiting
 from trapdiff.errors import NumericFailureError
 from trapdiff.harness import (
     CSV_HEADER,
@@ -348,45 +348,51 @@ def test_run_scenario_solves_one_spectra_stack(monkeypatch):
 
 
 def test_run_scenario_makes_one_fde_modes_call(monkeypatch):
-    """FDE, too, maps the distinct contour nodes of all times in one
-    `fde.modes` call: 887 of the 8 times 134 nodes of the halved-step
-    rule on late-times."""
+    """FDE, too, maps the distinct contour nodes of all times through its
+    kernel in one call, `fde.modes` under the power law's (S, p): 887 of
+    the 8 times 134 nodes of the rule at the diffusion kernel's step on
+    late-times."""
     calls = []
     real = fde.modes
 
-    def counting(p, s_nodes):
-        calls.append(len(s_nodes))
-        return real(p, s_nodes)
+    def counting(p, source, clock):
+        calls.append(len(clock))
+        return real(p, source, clock)
 
     monkeypatch.setattr(fde, "modes", counting)
     run_scenario(dataclasses.replace(late_times_scenario(),
                                      solvers=frozenset({"RTE", "FDE"})))
-    s_nodes = contour(LATE_TIMES, 2 * M)[0]
+    kernel, _ = harness.PAIRINGS["FDE"]
+    s_nodes = contour(LATE_TIMES, kernel.refine * M)[0]
     assert s_nodes.size == 8 * 134 and calls == [887]
 
 
 def test_each_memory_is_evaluated_once_per_distinct_point(monkeypatch):
-    """The contours fold onto one shared s = sigma, and each solver's
-    memory sees that point once: on late-times RTE's exact memory
-    (`WaitingTimeModel.memory`, one exponential integral per point)
-    receives the 445 distinct points of its 544 nodes, and FDE's power
-    law (`fde.power_memory`) the 887 of its 1,072."""
-    sizes = {"exact": [], "power": []}
-    real_exact, real_power = WaitingTimeModel.memory, fde.power_memory
+    """The contours fold onto one shared s = sigma, and each entry of the
+    kernel x memory table that runs sees that point once, in its memory
+    and in its kernel: on late-times RTE (the exact memory,
+    `WaitingTimeModel.memory`, one exponential integral per point, under
+    `transport.modes`) takes the 445 distinct points of its 544 nodes,
+    and FDE (the power law, `waiting.power_memory`, under `fde.modes`)
+    the 887 of its 1,072."""
+    sizes = {name: [] for name in ("exact", "power", "do", "diffusion")}
 
-    def exact(law, sigma_trap, s):
-        sizes["exact"].append(len(s))
-        return real_exact(law, sigma_trap, s)
+    def counting(name, real):
+        def counted(*args):
+            sizes[name].append(len(args[-1]))
+            return real(*args)
+        return counted
 
-    def power(eta, alpha, s):
-        sizes["power"].append(len(s))
-        return real_power(eta, alpha, s)
-
-    monkeypatch.setattr(WaitingTimeModel, "memory", exact)
-    monkeypatch.setattr(fde, "power_memory", power)
+    monkeypatch.setattr(WaitingTimeModel, "memory",
+                        counting("exact", WaitingTimeModel.memory))
+    monkeypatch.setattr(waiting, "power_memory",
+                        counting("power", waiting.power_memory))
+    monkeypatch.setattr(transport, "modes", counting("do", transport.modes))
+    monkeypatch.setattr(fde, "modes", counting("diffusion", fde.modes))
     run_scenario(dataclasses.replace(late_times_scenario(),
                                      solvers=frozenset({"RTE", "FDE"})))
-    assert sizes == {"exact": [445], "power": [887]}
+    assert sizes == {"exact": [445], "power": [887], "do": [445],
+                     "diffusion": [887]}
 
 
 def test_each_step_builds_its_rule_once_for_all_times(monkeypatch):
@@ -406,7 +412,8 @@ def test_each_step_builds_its_rule_once_for_all_times(monkeypatch):
                              solvers=frozenset({"RTE", "FDE", "NORMAL"}))
     check_times(sc)
     run_scenario(sc)
-    assert steps == [M, 2 * M, M, 2 * M]
+    kernels = (harness.PAIRINGS["RTE"][0], harness.PAIRINGS["FDE"][0])
+    assert steps == 2 * [kernel.refine * M for kernel in kernels]
 
 
 def test_rte_stack_matches_one_time_at_a_time():
@@ -586,7 +593,7 @@ def front_rule(sc, t):
     xs = sc.grid.points()
     s_nodes, weights, prefactor = contour(t)
     points, back = np.unique(s_nodes, return_inverse=True)
-    rate, coef = transport.modes(sc.transport, sc.quadrature, points)
+    rate, coef = harness.solver_modes(sc, "RTE", points)
     raw = prefactor * transport.mode_sum(
         xs, rate[back], coef[back] * weights[:, None]).real
     return raw, np.where(np.abs(xs) > sc.transport.speed * t, 0.0, raw)

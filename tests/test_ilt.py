@@ -21,7 +21,7 @@ import pytest
 
 from trapdiff import fde
 from trapdiff.errors import NumericFailureError
-from trapdiff.harness import builtin_scenarios, run_scenario
+from trapdiff.harness import builtin_scenarios, run_scenario, solver_modes
 from trapdiff.ilt import (
     _MAX_ARG,
     _STEEPNESS,
@@ -39,7 +39,6 @@ from trapdiff.transport import (
     TransportParams,
     laplace_density,
     mode_sum,
-    modes,
 )
 from trapdiff.waiting import WaitingTimeModel
 
@@ -332,8 +331,7 @@ def test_rte_profile_matches_the_exact_weight_sum():
     s_nodes, _, prefactor = contour(200.0)
     s_all = s_nodes.real[0] + 1j * (M * phi / 200.0)
     xs = sc.grid.points()
-    q = gauss_legendre(sc.n_ordinates)
-    rate, coef = modes(sc.transport, q, s_all)
+    rate, coef = solver_modes(sc, "RTE", s_all)
     want = prefactor * mode_sum(xs, rate, coef * exact[:, None]).real
     got = np.array([u for _, u in profile.points])
     assert np.abs(got - want).max() <= 2e-12
