@@ -8,17 +8,18 @@ A scenario is a built-in or `Scenario(label=section)` with the INI
 section's keys and the flags --times, --x-max, --x-count and --solvers,
 which are those keys, applied in one step, a flag over its key: one
 table reads both, so an empty flag is refused as the empty key is.
-Every value is checked before a solver runs: `alpha` and `gamma` also
-when `sigma_trap` is zero and switches the law off; the section name,
-the scenario label, must not contain a comma, a quote or a line break;
-the times must be long enough for the contours and RTE's spectra
-(`harness.check_times`).
+Every input is computed or refused before a solver runs, one row per
+refusal in `REFUSALS` of tests/test_cli.py: a key outside the table, a
+value that cannot be read or that the scenario's parts refuse (the law
+also where `sigma_trap` = 0 leaves it unused, the grid and the run past
+`harness.MAX_ROWS` rows), a time too short for the contours or RTE's
+spectra (`harness.check_times`), and `--plot` naming the `--out` file.
 
-Exit codes: 0 success, 1 usage or configuration problem (a bad flag or
-INI value, an unknown INI key, a time too short, an unreadable
-input or unwritable output), 2 numeric failure inside a solver (a
-ValueError raised once the scenario is built counts as one; the message
-names the solver and time it happened at), 3 validation failures.
+Exit codes: 0 success, 1 usage or configuration problem (a refusal
+above, an unreadable input or unwritable output), 2 numeric failure
+inside a solver (a ValueError raised once the scenario is built counts
+as one; the message names the solver and time it happened at), 3
+validation failures.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import configparser
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .errors import NumericFailureError
 from .harness import (Scenario, builtin_scenarios, check_times, emit_csv,
@@ -122,6 +124,8 @@ def _base_scenario(args) -> tuple[Scenario, dict[str, str]]:
 
 
 def _cmd_profile(args) -> int:
+    if args.plot and Path(args.plot).resolve() == Path(args.out).resolve():
+        raise _CliError(f"--plot and --out name one file, {args.out}")
     sc = _load_scenario(args)
     profiles = run_scenario(sc)
     emit_csv(profiles, args.out)

@@ -95,7 +95,7 @@ def from_transport(params: TransportParams) -> FdeParams:
     """
     alpha = params.waiting.alpha
     eta = params.waiting.gamma**alpha * params.sigma_trap
-    d0 = params.speed**2 / (3.0 * params.sigma_s)
+    d0 = params.speed * params.speed / (3.0 * params.sigma_s)
     return FdeParams(trap_strength=eta, diffusivity=d0,
                      sigma_a=params.sigma_a, alpha=alpha)
 

@@ -72,6 +72,11 @@ SOLVER_ORDER = tuple(solver for solver, _, _ in _COLUMNS)
 CSV_HEADER = ",".join(["x_cm", *(col for _, col, _ in _COLUMNS),
                        "t_min", "scenario"])
 DIFF_HEADER = ",diff_rte_de,reldiff_rte_de"
+# a run holds 0.55 to 0.9 kB per (x, t) row (fig2a, all solvers: 82 MB
+# peak at 2 points, 259 MB at 2e5 points, 368 MB at 2e5 points and two
+# times), so a run past 1e6 rows, about 1 GB, is refused, and a grid
+# past 1e6 points before it forms them
+MAX_ROWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,9 @@ class SpatialGrid:
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ValueError(f"grid bounds must be finite, got "
                              f"[{self.x_min}, {self.x_max}]")
-        if self.count < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.count}")
+        if not 2 <= self.count <= MAX_ROWS:
+            raise ValueError(f"grid needs 2 to {MAX_ROWS} points, "
+                             f"got {self.count}")
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not math.isfinite(self.x_max - self.x_min):
@@ -136,9 +142,13 @@ class Scenario:
         # RTE's memory grows as N^2 per time: 40 MB at N = 240
         if not 1 <= self.n_ordinates <= 240:
             raise ValueError(f"need 1 to 240 ordinates, got {self.n_ordinates}")
+        if (rows := self.grid.count * len(self.times)) > MAX_ROWS:
+            raise ValueError(f"need at most {MAX_ROWS} (x, t) rows, "
+                             f"got {rows}")
         # every solver run builds the FDE constants (NORMAL uses them too):
-        # one that is out of range, say a diffusivity speed^2 / (3 sigma_s)
-        # that underflows to 0, is refused here rather than mid-run
+        # one that is out of range, a diffusivity speed^2 / (3 sigma_s)
+        # that underflows to 0 or overflows to inf, is refused here rather
+        # than mid-run
         fde.from_transport(self.transport)
 
     @cached_property

@@ -159,8 +159,7 @@ class TransportParams:
 
     Cross-sections are in inverse time units and `speed` converts time to
     length; `sigma_trap` scales the survival term of the waiting-time law
-    `waiting` (0: no trapping). Every number must be finite, and so
-    must the square of speed.
+    `waiting` (0: no trapping). Every number must be finite.
     """
 
     sigma_a: float
@@ -180,10 +179,6 @@ class TransportParams:
             raise ValueError(f"trapping rate must be >= 0, got {self.sigma_trap}")
         if self.speed <= 0.0:
             raise ValueError(f"speed must be positive, got {self.speed}")
-        # D0 squares speed; nothing squares sigma_s
-        if not math.isfinite(self.speed * self.speed):
-            raise ValueError(f"speed = {self.speed:g} is too large: its "
-                             "square overflows")
 
 
 def _gap_sums(z: np.ndarray, jn: np.ndarray, kn: np.ndarray) -> np.ndarray:

@@ -86,6 +86,15 @@ def test_from_transport_main_scenario():
     assert p.sigma_a == 1e-9
 
 
+def test_from_transport_refuses_an_overflowing_diffusivity():
+    """fig1a's medium at speed = 1e200, whose square overflows to inf,
+    is refused by the diffusivity check: a ValueError, not an
+    OverflowError."""
+    tp = replace(builtin_scenarios()["fig1a"].transport, speed=1e200)
+    with pytest.raises(ValueError, match=r"diffusivity .* got inf"):
+        from_transport(tp)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="from_transport sets eta = gamma^alpha sigma_trap, without the "

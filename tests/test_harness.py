@@ -69,6 +69,26 @@ def test_grid_too_fine_to_separate_its_points_is_refused():
     assert len(set(SpatialGrid(0.0, 1e-320, 61).points())) == 61
 
 
+def test_a_billion_points_are_refused_before_any_is_built(monkeypatch):
+    """At 0.55 to 0.9 kB per (x, t) row a run of 1e9 points would need
+    hundreds of GB; past 1e6 points the grid is refused before
+    `points()` forms a single one."""
+    def no_points(grid):
+        raise AssertionError("the points were built")
+
+    monkeypatch.setattr(SpatialGrid, "points", no_points)
+    with pytest.raises(ValueError, match="2 to 1000000 points, got 10{9}$"):
+        SpatialGrid(0.0, 15.0, 10**9)
+
+
+def test_a_scenario_holds_at_most_a_million_rows():
+    """1e6 (x, t) rows are a scenario, one more time is refused."""
+    grid = SpatialGrid(0.0, 15.0, 250_000)
+    assert small_scenario(times=(1.0, 2.0, 3.0, 4.0), grid=grid)
+    with pytest.raises(ValueError, match=r"at most 1000000 \(x, t\) rows"):
+        small_scenario(times=(1.0, 2.0, 3.0, 4.0, 5.0), grid=grid)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         small_scenario(times=())
