@@ -97,10 +97,13 @@ class SpatialGrid:
         if not math.isfinite(self.x_max - self.x_min):
             raise ValueError(f"grid span x_max - x_min must be finite, got "
                              f"[{self.x_min}, {self.x_max}]")
-        # the contour sums need the points increasing and evenly spaced,
-        # which a step below the endpoints' resolution (x_max = 5e-324
-        # over 61 points) does not give
-        transport._uniform_grid(self.points())
+        # the contour sums need the points increasing and evenly spaced:
+        # each formed point lies within 1.5 ulps of its ideal value, so a
+        # step of 4 ulps of the larger endpoint keeps them so, and one
+        # below it (x_max = 5e-324 over 61 points) is refused unformed
+        if (self.x_max - self.x_min) / (self.count - 1) < 4.0 * math.ulp(
+                max(abs(self.x_min), abs(self.x_max))):
+            raise ValueError("x grid must be increasing and evenly spaced")
 
     def points(self) -> tuple[float, ...]:
         step = (self.x_max - self.x_min) / (self.count - 1)
@@ -287,16 +290,15 @@ def check_times(sc: Scenario) -> None:
                 "to the quadrature rays (use a later time or fewer ordinates)")
 
 
-def run_scenario(sc: Scenario, m: float = M) -> list[SpatialProfile]:
+def run_scenario(sc: Scenario) -> list[SpatialProfile]:
     """All requested profiles, ordered by time then RTE, FDE, NORMAL.
 
     Each solver runs over all times before the next starts, so RTE's
     modes are freed before FDE forms its own. RTE and FDE run on the
-    contour at their kernels' steps, pi / m and half of it; only the
-    step-halving check moves m off `ilt.M`.
+    contour at their kernels' steps.
     """
     xs = sc.grid.points()
-    values = {solver: _contour_values(sc, solver, sc.times, xs, m)
+    values = {solver: _contour_values(sc, solver, sc.times, xs)
               for solver in PAIRINGS if solver in sc.solvers}
     if "NORMAL" in sc.solvers:
         p = fde.from_transport(sc.transport)
@@ -409,11 +411,13 @@ def _check(name: str, measured: float, tolerance: float) -> dict:
 def _step_halving(m: float) -> float:
     """Largest |du| of fig2a's RTE and FDE profiles (t = 100, past the
     short-time ray effects) between steps pi / m and pi / (2 m)."""
-    fig2a = replace(builtin_scenarios()["fig2a"],
-                    solvers=frozenset(("RTE", "FDE")))
-    return max(abs(a - b) for coarse, fine in zip(run_scenario(fig2a, m),
-                                                  run_scenario(fig2a, 2 * m))
-               for (_, a), (_, b) in zip(coarse.points, fine.points))
+    sc = builtin_scenarios()["fig2a"]
+
+    def profile(solver, step):  # at fig2a's one time
+        return _contour_values(sc, solver, sc.times, sc.grid.points(), step)[0]
+
+    return max(float(np.abs(profile(solver, m) - profile(solver, 2 * m)).max())
+               for solver in ("RTE", "FDE"))
 
 
 def validate(level: str = "fast") -> list[dict]:

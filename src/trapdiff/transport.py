@@ -69,13 +69,10 @@ not finite or |tau| > 4 (a regular chain has tau ~ 2), the cubic would
 magnify the predecessors' rounding, and the node takes the Taylor step
 instead. On fig1a's eight late-time contours, 445 distinct points of 544
 nodes, this takes about 1.25 steps per root (16,681 updates of 13,350
-roots, in 67 sweeps; 19,613 updates in 78 sweeps for the 544 nodes
-before the fold); the secant in rho through the predecessors' roots,
-with a confirming sweep per root, took 1.9, the predecessor's roots
-alone 2.6, and the first-order pole shifts z_k = d_k - rho v_k^2 (exact
-when N = 1), block 0's start, about 4. The nodes of several inversion
-contours, one per output time, can thus be solved as one stack; row j of
-the results is point j.
+roots, in 67 sweeps), against about 4 from block 0's start, the
+first-order pole shifts z_k = d_k - rho v_k^2 (exact when N = 1). The
+nodes of several inversion contours, one per output time, can thus be
+solved as one stack; row j of the results is point j.
 
 Cross-sections are in inverse time units. A speed c other than one only
 rescales space: the density is u_c(x, t) = u_1(x / c, t) / c.

@@ -23,7 +23,6 @@ from trapdiff.fde import (FdeParams, from_transport, normal_diffusion,
 from trapdiff.ilt import invert
 from trapdiff.specfun import gauss_legendre
 from trapdiff.transport import TransportParams, spectra
-from trapdiff.waiting import WaitingTimeModel
 
 
 @contextlib.contextmanager
@@ -34,13 +33,10 @@ def budget(seconds):
     assert elapsed <= seconds, f"budget {seconds}s exceeded: {elapsed:.1f}s"
 
 
-def trapped(sigma_trap, gamma):
-    return TransportParams(
-        sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
-        waiting=WaitingTimeModel(alpha=0.5, gamma=gamma))
-
-
-SCENARIOS = (trapped(0.1, 0.1), trapped(0.01, 0.1), trapped(0.1, 1.0))
+# the media of the three figure panels: trapping, weak trapping and a
+# longer trapping time scale
+SCENARIOS = tuple(harness.builtin_scenarios()[name].transport
+                  for name in ("fig1a", "fig1b", "fig1c"))
 
 
 def test_spectrum_dispersion_orthogonality_and_pairing_along_contour():
@@ -261,7 +257,7 @@ def test_transport_fractional_relative_gap_monotone_into_the_tail():
 def test_trap_free_transport_collapses_to_normal_diffusion():
     """Without trapping, transport at t=100 sits within 2e-3 of the normal
     kernel across 2 <= x <= 10."""
-    tp = trapped(0.0, 0.1)  # fig1a's law, switched off
+    tp = harness.Scenario.transport  # fig1a's law, switched off
     q = gauss_legendre(30)
     p = from_transport(tp)
     with budget(300.0):

@@ -41,17 +41,19 @@ NO_ABSORB = FdeParams(trap_strength=ETA, diffusivity=D0, sigma_a=0.0, alpha=0.5)
 FREE = FdeParams(trap_strength=0.0, diffusivity=D0, sigma_a=0.0, alpha=0.5)
 
 
-def transport_set(sigma_trap=0.1, gamma=0.1, alpha=0.5, sigma_a=1e-9):
-    w = WaitingTimeModel(alpha=alpha, gamma=gamma)
-    return TransportParams(sigma_a=sigma_a, sigma_s=1.0,
-                           sigma_trap=sigma_trap, waiting=w)
+# fig1a's medium: it gives MAIN's constants, with sigma_a = 0 NO_ABSORB's,
+# and with sigma_trap = 0 too FREE's
+FIG1A = builtin_scenarios()["fig1a"].transport
+
+
+def with_alpha(tp, alpha):
+    """tp with its waiting law's tail exponent swapped for alpha."""
+    return replace(tp, waiting=replace(tp.waiting, alpha=alpha))
 
 
 def fde_modes(tp, s):
     """FDE's (rate, coef) at s, from the harness' kernel x memory table:
-    the power-law memory under the diffusion kernel. transport_set()
-    gives MAIN's constants, with sigma_a = 0 NO_ABSORB's, and with
-    sigma_trap = 0 too FREE's."""
+    the power-law memory under the diffusion kernel."""
     return solver_modes(Scenario("fde", tp), "FDE", s)
 
 
@@ -78,7 +80,7 @@ def test_params_validation():
 
 
 def test_from_transport_main_scenario():
-    p = from_transport(transport_set())
+    p = from_transport(FIG1A)
     assert p.trap_strength == ETA  # 0.1^0.5 * 0.1, exactly as floats
     assert p.trap_strength == pytest.approx(0.0316228, abs=1e-7)
     assert p.diffusivity == D0
@@ -106,7 +108,7 @@ def test_power_memory_is_the_small_s_limit_of_the_exact_memory(alpha):
     """At s = 1e-8 the power-law memory with from_transport's eta carries
     the trapping term of the exact memory, (S_exact - 1) / (S_power - 1),
     to within 1e-2 of 1 (2.2e-3 with eta times Gamma(1 - alpha))."""
-    tp = transport_set(alpha=alpha)
+    tp = with_alpha(FIG1A, alpha)
     p = from_transport(tp)
     s = np.array([1e-8 + 0j])
     exact, _ = tp.waiting.memory(tp.sigma_trap, s)
@@ -117,7 +119,9 @@ def test_power_memory_is_the_small_s_limit_of_the_exact_memory(alpha):
 def test_from_transport_trap_free():
     """Without trapping eta is 0 and alpha is still the law's, although
     the memory term it enters is switched off."""
-    p = from_transport(transport_set(sigma_trap=0.0, gamma=0.7, alpha=0.3))
+    tp = replace(FIG1A, sigma_trap=0.0,
+                 waiting=WaitingTimeModel(alpha=0.3, gamma=0.7))
+    p = from_transport(tp)
     assert p.trap_strength == 0.0
     assert p.alpha == 0.3
 
@@ -161,8 +165,7 @@ def test_fourier_laplace_rejects_zero_s():
 def fig1a_fde(alpha, times, grid):
     """fig1a with alpha swapped, FDE only, and its FDE constants."""
     base = builtin_scenarios()["fig1a"]
-    tp = replace(base.transport,
-                 waiting=replace(base.transport.waiting, alpha=alpha))
+    tp = with_alpha(base.transport, alpha)
     sc = replace(base, transport=tp, times=times, grid=grid,
                  solvers=frozenset({"FDE"}))
     return sc, from_transport(tp)
@@ -203,24 +206,34 @@ def test_subordinated_density_needs_no_scipy(monkeypatch):
     assert got > 0.0 and math.isfinite(got)
 
 
+def test_subordinated_density_unconverged_clock_raises(monkeypatch):
+    """Clock roots still moving when the Newton cap is reached are an
+    error naming alpha and t, never a returned density."""
+    monkeypatch.setattr(fde, "_NEWTON_STEPS", 1)
+    with pytest.raises(NumericFailureError,
+                       match="^clock roots did not converge") as exc:
+        subordinated_density(MAIN, 1.0, 10.0)
+    assert exc.value.context == {"alpha": 0.5, "t": 10.0}
+
+
 # the alpha = 1/2 density of fig1a's medium through the oracle
 
-def test_density_half_rejects_nonpositive_time():
+def test_subordinated_density_rejects_nonpositive_time():
     with pytest.raises(ValueError):
         subordinated_density(MAIN, 1.0, 0.0)
 
 
-def test_density_half_weak_memory_approaches_normal():
+def test_subordinated_density_weak_memory_approaches_normal():
     p = FdeParams(trap_strength=1e-6, diffusivity=D0, sigma_a=0.0, alpha=0.5)
     got = subordinated_density(p, 0.0, 10.0)
     assert got == pytest.approx(0.3090194, abs=1e-3)
 
 
-def test_density_half_zero_memory_is_normal_exactly():
+def test_subordinated_density_zero_memory_is_normal_exactly():
     assert subordinated_density(FREE, 1.3, 7.0) == normal_diffusion(FREE, 1.3, 7.0)
 
 
-def test_density_half_matches_inversion_oracle():
+def test_subordinated_density_matches_inversion_oracle():
     got = subordinated_density(MAIN, 1.0, 10.0)
     oracle = ilt.invert(lambda s: laplace_density(MAIN, 1.0, s), 10.0)
     assert abs(got - oracle) / oracle < 1e-3
@@ -228,12 +241,12 @@ def test_density_half_matches_inversion_oracle():
     assert got == pytest.approx(0.2973881369853064, rel=1e-6)
 
 
-def test_density_half_even_in_x():
+def test_subordinated_density_even_in_x():
     for x in (0.7, 2.5):
         assert subordinated_density(MAIN, x, 10.0) == subordinated_density(MAIN, -x, 10.0)
 
 
-def test_density_half_positive_and_decaying():
+def test_subordinated_density_positive_and_decaying():
     vals = [subordinated_density(MAIN, float(x), 10.0) for x in range(9)]
     assert all(v > 0.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -241,7 +254,7 @@ def test_density_half_positive_and_decaying():
 
 # t = 10 and 100 are test_acceptance's fractional mass conservation check
 @pytest.mark.parametrize("t", [1.0])
-def test_density_half_conserves_mass(t):
+def test_subordinated_density_conserves_mass(t):
     hi = 40.0 if t <= 10.0 else 60.0  # keep the truncated Gaussian tail < 1e-12
     val, err = integrate.quad(lambda x: subordinated_density(NO_ABSORB, x, t),
                               0.0, hi, limit=200, points=[0.1, 1.0, 5.0])
@@ -249,7 +262,7 @@ def test_density_half_conserves_mass(t):
     assert 2.0 * val == pytest.approx(2.0, abs=1e-5)
 
 
-def test_density_half_memory_ladder_is_monotone():
+def test_subordinated_density_memory_ladder_is_monotone():
     """Error against normal diffusion shrinks as the memory term fades."""
     sups = []
     for eta in (1e-2, 1e-4, 1e-6):
@@ -279,6 +292,13 @@ def test_normal_diffusion_mass_and_attenuation():
     absorbing = FdeParams(trap_strength=0.0, diffusivity=D0, sigma_a=0.05, alpha=0.5)
     ratio = normal_diffusion(absorbing, 1.0, t) / normal_diffusion(FREE, 1.0, t)
     assert ratio == pytest.approx(math.exp(-0.05 * t), rel=1e-13)
+
+
+def test_normal_diffusion_rejects_nonpositive_time():
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^time must be positive, "
+                                             f"got {t}$"):
+            normal_diffusion(FREE, 1.0, t)
 
 
 # --------------------------------------------------------- transform inversion
@@ -347,7 +367,7 @@ def test_closed_form_transform_matches_fourier_route(alpha):
     """On and off the inversion contour, for every tail exponent. The
     absolute term covers values such as 3.5e-18 at x = 5, s = 0.04 - 40i,
     below the Fourier oracle's ~1e-14 floor."""
-    tp = transport_set(alpha=alpha)
+    tp = with_alpha(FIG1A, alpha)
     p = from_transport(tp)
     table = node_columns(np.arange(6.0), *fde_modes(tp, CLOSED_S))
     assert table.shape == (6, len(CLOSED_S))
@@ -390,8 +410,8 @@ def test_production_profile_matches_mpmath_talbot(t, bound):
 
 def test_closed_form_transform_even_in_x():
     s = (0.04 + 3.0j, 1.5 - 0.2j)
-    left = mode_sum((-2.0, -1.5, -1.0, -0.5), *fde_modes(transport_set(), s))
-    right = mode_sum((0.5, 1.0, 1.5, 2.0), *fde_modes(transport_set(), s))
+    left = mode_sum((-2.0, -1.5, -1.0, -0.5), *fde_modes(FIG1A, s))
+    right = mode_sum((0.5, 1.0, 1.5, 2.0), *fde_modes(FIG1A, s))
     assert (left == right[::-1]).all()
 
 
@@ -399,7 +419,7 @@ def test_closed_form_transform_even_in_x():
 def test_closed_form_transform_mass_identity(s):
     """Without absorption the transform integrates to exactly 2/s."""
     def part(x, which):
-        modes = fde_modes(transport_set(sigma_a=0.0), (s,))
+        modes = fde_modes(replace(FIG1A, sigma_a=0.0), (s,))
         return getattr(complex(mode_sum((x,), *modes)[0]), which)
 
     re, _ = integrate.quad(part, 0.0, math.inf, args=("real",),
@@ -412,7 +432,7 @@ def test_closed_form_transform_mass_identity(s):
 def test_closed_form_transform_no_memory_is_heat_kernel_transform():
     """eta = 0: the Laplace transform of the heat kernel of mass 2."""
     s = 0.3 + 1.1j
-    free = transport_set(sigma_trap=0.0, sigma_a=0.0)
+    free = replace(FIG1A, sigma_trap=0.0, sigma_a=0.0)
     got = mode_sum((1.5,), *fde_modes(free, (s,)))[0]
     root = cmath.sqrt(s / D0)
     assert abs(got - cmath.exp(-1.5 * root) / (D0 * root)) <= 1e-15
@@ -422,6 +442,6 @@ def test_modes_reject_zero_s():
     """At s = 0 the memory term eta s^{a-1} diverges: ValueError, as
     `fourier_laplace` raises, instead of a nan transform."""
     with pytest.raises(ValueError, match="s != 0"):
-        fde_modes(transport_set(), [0.5 + 1.0j, 0j])
+        fde_modes(FIG1A, [0.5 + 1.0j, 0j])
     with pytest.raises(ValueError, match="s != 0"):
         fourier_laplace(MAIN, 1.0, 0j)

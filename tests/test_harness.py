@@ -32,12 +32,11 @@ from trapdiff.waiting import WaitingTimeModel
 
 def small_scenario(label="small", sigma_trap=0.1, solvers=("RTE", "FDE", "NORMAL"),
                    times=(10.0,), grid=SpatialGrid(0.0, 4.0, 3)):
+    """The figures' medium at sigma_trap (fig1a's at 0.1) on a small grid."""
     return Scenario(
         label=label,
-        transport=TransportParams(sigma_a=1e-9, sigma_s=1.0,
-                                  sigma_trap=sigma_trap,
-                                  waiting=WaitingTimeModel(alpha=0.5,
-                                                           gamma=0.1)),
+        transport=dataclasses.replace(Scenario.transport,
+                                      sigma_trap=sigma_trap),
         times=times,
         grid=grid,
         solvers=frozenset(solvers),
@@ -69,6 +68,49 @@ def test_grid_too_fine_to_separate_its_points_is_refused():
     assert len(set(SpatialGrid(0.0, 1e-320, 61).points())) == 61
 
 
+@pytest.mark.parametrize("ulps, accepted", [(2, False), (3, False),
+                                            (4, True), (5, True)])
+def test_grid_step_needs_four_ulps_of_its_larger_endpoint(ulps, accepted):
+    """The spacing rule reads (x_min, x_max, count) alone: a step under 4
+    ulps of the larger endpoint is refused, though 1, 1 + 2 ulps, 1 + 4
+    ulps are exact and evenly spaced, and from 4 ulps on it is kept."""
+    ulp = math.ulp(1.0)
+    x_max = 1.0 + 2 * ulps * ulp
+    assert math.ulp(x_max) == ulp
+    if accepted:
+        assert SpatialGrid(1.0, x_max, 3).points() == (1.0, 1.0 + ulps * ulp,
+                                                       x_max)
+    else:
+        with pytest.raises(ValueError, match="evenly spaced"):
+            SpatialGrid(1.0, x_max, 3)
+
+
+def test_every_accepted_grid_passes_the_contour_sums_check():
+    """Each point of an accepted grid lies within 1.5 ulps of its ideal
+    value, so `transport.mode_sum`'s check (increasing, evenly spaced
+    within 1e-12 of the larger end) holds on the points of every grid
+    that `SpatialGrid` accepts; the draws put the step from a fraction
+    of an ulp of the endpoints to a whole span of them, on both sides of
+    x = 0 and among the subnormals."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(x_min=st.floats(-1e300, 1e300),
+                      ulps=st.floats(0.25, 1e6),
+                      count=st.integers(2, 1000))
+    def check(x_min, ulps, count):
+        x_max = x_min + ulps * (count - 1) * math.ulp(x_min)
+        try:
+            grid = SpatialGrid(x_min, x_max, count)
+        except ValueError:
+            return
+        transport._uniform_grid(grid.points())
+
+    check()
+
+
 def test_a_billion_points_are_refused_before_any_is_built(monkeypatch):
     """At 0.55 to 0.9 kB per (x, t) row a run of 1e9 points would need
     hundreds of GB; past 1e6 points the grid is refused before
@@ -79,6 +121,19 @@ def test_a_billion_points_are_refused_before_any_is_built(monkeypatch):
     monkeypatch.setattr(SpatialGrid, "points", no_points)
     with pytest.raises(ValueError, match="2 to 1000000 points, got 10{9}$"):
         SpatialGrid(0.0, 15.0, 10**9)
+
+
+def test_a_refused_two_time_scenario_forms_no_point(monkeypatch):
+    """A grid of 1e6 points is checked without forming one, so a run of
+    it at two times is refused at 2e6 rows before any point exists."""
+    def no_points(grid):
+        raise AssertionError("the points were built")
+
+    monkeypatch.setattr(SpatialGrid, "points", no_points)
+    grid = SpatialGrid(0.0, 15.0, 10**6)
+    with pytest.raises(ValueError, match=r"at most 1000000 \(x, t\) rows, "
+                                         r"got 2000000$"):
+        small_scenario(solvers=("NORMAL",), times=(1.0, 2.0), grid=grid)
 
 
 def test_a_scenario_holds_at_most_a_million_rows():
@@ -111,11 +166,8 @@ def test_non_finite_inputs_are_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         SpatialGrid(bad, 1.0, 3)
     for field in ("sigma_a", "sigma_s", "sigma_trap", "speed"):
-        rates = dict(sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.0,
-                     waiting=WaitingTimeModel(alpha=0.5, gamma=0.1))
-        rates[field] = bad
         with pytest.raises(ValueError, match="finite"):
-            TransportParams(**rates)
+            dataclasses.replace(Scenario.transport, **{field: bad})
 
 
 @pytest.mark.parametrize("label", ["a,b", "a'b", 'a"b', "a\nb", "a\rb"],
@@ -868,13 +920,13 @@ def test_refined_rule_keeps_the_profile(m):
     and FDE match the rule's profiles within 1e-9 absolute (<= 2.1e-12
     measured). While a fixed term count cut the rule short, these moved
     by 9.0e-4 to 8.8, and pi / 200 wrote u_rte = -8.67 through the CLI."""
-    base = dataclasses.replace(builtin_scenarios()["fig2a"],
-                               solvers=frozenset(("RTE", "FDE")))
-    for want, got in zip(run_scenario(base), run_scenario(base, m)):
-        assert want.solver == got.solver
-        diff = max(abs(a - b) for (_, a), (_, b) in zip(want.points,
-                                                        got.points))
-        assert diff <= 1e-9, (want.solver, diff)
+    sc = builtin_scenarios()["fig2a"]
+    xs = sc.grid.points()
+    for solver in ("RTE", "FDE"):
+        (want,) = harness._contour_values(sc, solver, sc.times, xs)
+        (got,) = harness._contour_values(sc, solver, sc.times, xs, m)
+        diff = np.abs(want - got).max()
+        assert diff <= 1e-9, (solver, diff)
 
 
 def test_validate_rejects_unknown_level():
@@ -892,3 +944,46 @@ def test_trap_free_transport_matches_normal_diffusion():
     assert rte.solver == "RTE" and normal.solver == "NORMAL"
     for (_, a), (_, b) in zip(rte.points, normal.points):
         assert abs(a - b) < 2e-3
+
+
+def _in_units(sc, lam):
+    """sc with rates multiplied by lam and gamma, t and x divided by it:
+    the same medium in a time unit lam times as long (speed 1 ties the
+    length unit to it), whose densities are lam times sc's."""
+    tp, grid = sc.transport, sc.grid
+    return dataclasses.replace(
+        sc, times=tuple(t / lam for t in sc.times),
+        grid=SpatialGrid(grid.x_min / lam, grid.x_max / lam, grid.count),
+        transport=dataclasses.replace(
+            tp, sigma_a=lam * tp.sigma_a, sigma_s=lam * tp.sigma_s,
+            sigma_trap=lam * tp.sigma_trap,
+            waiting=dataclasses.replace(tp.waiting,
+                                        gamma=tp.waiting.gamma / lam)))
+
+
+# ROADMAP item 14: the contour shift sigma = min(0.04, 8 / t) is in 1 / min,
+# so sigma t, and with it the rule's error, changes with the time unit;
+# these rows pass once sigma t is one constant
+_UNIT_DEPENDENT = {("RTE", 1e3), ("RTE", 1e5), ("FDE", 1e5)}
+_UNIT_ROWS = [pytest.param(
+    name, solver, lam, marks=pytest.mark.xfail(
+        strict=True, reason="the contour shift is in 1 / min, so sigma t "
+        "changes with the unit (ROADMAP item 14): RTE moves by 1.8e-7 to "
+        "2.6e-5, FDE at 1e5 by 4.5e-9 to 1.5e-8") if (solver, lam) in _UNIT_DEPENDENT else ())
+    for name in ("fig2a", "fig2b", "fig2c")
+    for solver in ("RTE", "FDE", "NORMAL") for lam in (1e-3, 1e3, 1e5)]
+
+
+@pytest.mark.parametrize("name, solver, lam", _UNIT_ROWS)
+def test_profiles_do_not_depend_on_the_time_unit(name, solver, lam):
+    """Rates times lam, gamma, t and x over lam: u_lam / lam is u, to
+    1e-9 of max |u|, on the t = 100 panels (at t = 10 the ray effect of
+    item 6 dominates). Measured: NORMAL <= 2.9e-16, FDE <= 4.8e-12 at
+    1e-3 and 1e3, RTE <= 1.6e-10 at 1e-3; the other rows miss by the
+    unit-bound shift, and with sigma = 4 / t read <= 8.5e-12."""
+    sc = dataclasses.replace(builtin_scenarios()[name],
+                             solvers=frozenset((solver,)))
+    (want,), (got,) = run_scenario(sc), run_scenario(_in_units(sc, lam))
+    u = np.array([v for _, v in want.points])
+    u_lam = np.array([v for _, v in got.points])
+    assert np.abs(u_lam / lam - u).max() <= 1e-9 * np.abs(u).max()

@@ -35,30 +35,15 @@ from trapdiff.ilt import (
     invert_reference,
 )
 from trapdiff.specfun import gauss_legendre
-from trapdiff.transport import (
-    TransportParams,
-    laplace_density,
-    mode_sum,
-)
-from trapdiff.waiting import WaitingTimeModel
+from trapdiff.transport import laplace_density, mode_sum
 
 K = _STEEPNESS
 REACH = math.asinh(_MAX_ARG / K)  # outermost |y| of the rule
 Q30 = gauss_legendre(30)
 
-# trapping / weak-trapping / slow-trap parameter sets used by the figures
-FIGURE_PARAMS = {
-    "a": (0.1, 0.1),
-    "b": (0.01, 0.1),
-    "c": (0.1, 1.0),
-}
-
-
-def transport_params(key):
-    sigma_trap, gamma = FIGURE_PARAMS[key]
-    w = WaitingTimeModel(alpha=0.5, gamma=gamma)
-    return TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
-                           waiting=w)
+# the figure panels' media, by panel: trapping, weak trapping, slow traps
+FIGURE_MEDIA = {key: builtin_scenarios()[f"fig1{key}"].transport
+                for key in "abc"}
 
 
 # ------------------------------------------------------------------ node map
@@ -483,7 +468,7 @@ def test_reference_rejects_bad_arguments():
 
 
 def test_inverters_agree_on_memory_diffusion_transform():
-    p = fde.from_transport(transport_params("a"))
+    p = fde.from_transport(FIGURE_MEDIA["a"])
     transform = lambda s: fde.laplace_density(p, 1.0, s)
     a = invert(transform, 10.0)
     b = invert_reference(transform, 10.0)
@@ -493,7 +478,7 @@ def test_inverters_agree_on_memory_diffusion_transform():
 # ------------------------------------------------- cross-inverter, full grid
 
 def cross_agreement(key, kind, x, t):
-    tp = transport_params(key)
+    tp = FIGURE_MEDIA[key]
     if kind == "transport":
         transform = lambda s: laplace_density(tp, Q30, s, x)
     else:
@@ -504,7 +489,7 @@ def cross_agreement(key, kind, x, t):
     return abs(a - b) / abs(b)
 
 
-@pytest.mark.parametrize("key", sorted(FIGURE_PARAMS))
+@pytest.mark.parametrize("key", sorted(FIGURE_MEDIA))
 @pytest.mark.parametrize("kind", ("transport", "memory-diffusion"))
 def test_cross_inverter_grid(key, kind):
     """Both inverters agree on every figure transform, off the wavefront.

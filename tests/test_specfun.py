@@ -15,6 +15,7 @@ import pytest
 from scipy import integrate
 
 from trapdiff import specfun
+from trapdiff.errors import NumericFailureError
 from trapdiff.specfun import gauss_legendre, gen_exp_integral_scaled
 
 
@@ -62,6 +63,16 @@ def test_gauss_legendre_node_layout():
 def test_gauss_legendre_rejects_bad_order():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+def test_gauss_legendre_stalled_root_search_raises(monkeypatch):
+    """A Newton search whose steps never shrink below 1e-15 in its 100
+    steps is an error naming the order and the root, never a rule."""
+    monkeypatch.setattr(specfun, "_legendre", lambda n, x: (1.0, 1.0))
+    with pytest.raises(NumericFailureError,
+                       match="^Legendre root search stalled") as exc:
+        gauss_legendre(5)
+    assert exc.value.context == {"order": 5, "index": 0}
 
 
 # -------------------------------------------------- exponential integral E_nu
@@ -191,6 +202,17 @@ def test_exp_integral_matches_mpmath_across_routing_seams():
         assert rel <= 1e-12 * _series_cancellation(z), (nu, z, rel)
 
     check()
+
+
+def test_exp_integral_continued_fraction_cap_raises(monkeypatch):
+    """A continued fraction still moving at its term cap is an error
+    naming the order and the first unfinished argument."""
+    monkeypatch.setattr(specfun, "_CF_MAXITER", 1)
+    with pytest.raises(NumericFailureError,
+                       match="^exponential-integral continued fraction "
+                             "stalled") as exc:
+        gen_exp_integral_scaled(0.5, [100.0 + 0j, 80.0 + 1.0j])
+    assert exc.value.context == {"nu": 0.5, "z": 100.0 + 0j}
 
 
 def test_exp_integral_continued_fraction_stops_a_few_ulps_from_one():

@@ -42,22 +42,13 @@ from trapdiff.waiting import WaitingTimeModel
 
 
 # the waiting-time law of the trap-free sets, where sigma_trap = 0 switches
-# it off
-LAW = WaitingTimeModel(alpha=0.5, gamma=0.1)
+# it off: the figures'
+LAW = harness.Scenario.transport.waiting
 
-
-def scenario_params(sigma_trap=0.1, gamma=0.1):
-    return TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=sigma_trap,
-                           waiting=WaitingTimeModel(alpha=0.5, gamma=gamma))
-
-
-# the three parameter sets exercised throughout: trapping, weak trapping,
-# and a larger time scale
-SCENARIOS = (
-    scenario_params(0.1, 0.1),
-    scenario_params(0.01, 0.1),
-    scenario_params(0.1, 1.0),
-)
+# the three parameter sets exercised throughout, the figure panels' media:
+# trapping, weak trapping, and a larger time scale
+SCENARIOS = tuple(builtin_scenarios()[name].transport
+                  for name in ("fig1a", "fig1b", "fig1c"))
 
 Q30 = gauss_legendre(30)
 
@@ -90,7 +81,7 @@ def phi_matrix(p, st, nus, mu):
 # ---------------------------------------------------------------- parameters
 
 def test_params_validation():
-    w = WaitingTimeModel(alpha=0.5, gamma=0.1)
+    w = LAW
     with pytest.raises(ValueError):
         TransportParams(sigma_a=-1.0, sigma_s=1.0, sigma_trap=0.0, waiting=w)
     with pytest.raises(ValueError):
@@ -100,49 +91,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         TransportParams(sigma_a=0.0, sigma_s=1.0, sigma_trap=0.0, waiting=w,
                         speed=0.0)
-
-
-# ------------------------------------------------------------------- sigma_t
-
-def test_sigma_t_trap_free():
-    """Without trapping the exact memory is S = 1 and p = s exactly, so
-    the kernel's sigma_t is sigma_a + sigma_s + s."""
-    s = 0.3 + 0.9j
-    source, clock = LAW.memory(0.0, [s])
-    assert source[0] == 1.0 and clock[0] == s
-
-
-def test_sigma_t_small_s_limit():
-    # p = s + sigma_trap s (LPhi)(s), and s (LPhi)(s) ~
-    # Gamma(1-alpha)(gamma s)^alpha vanishes with s
-    p = SCENARIOS[0]
-    _, clock = p.waiting.memory(p.sigma_trap, [1e-10 + 0j])
-    assert abs(clock[0]) < 1e-5
-
-
-def test_sigma_t_composition_against_quadrature():
-    """Rebuild the exact memory's S and p from a quadrature of the
-    survival transform."""
-    p = SCENARIOS[0]
-    s = 0.04 + 1.0j
-
-    def integrand(u, part):
-        tau = math.exp(u)
-        survival = (1.0 + tau / p.waiting.gamma) ** -p.waiting.alpha  # Pareto
-        damped = survival * math.exp(-s.real * tau) * tau
-        if part == "re":
-            return damped * math.cos(s.imag * tau)
-        return -damped * math.sin(s.imag * tau)
-
-    hi = math.log(60.0 / s.real)
-    vr = integrate.quad(integrand, -34.0, hi, args=("re",), limit=800,
-                        epsabs=1e-13, epsrel=1e-13)[0]
-    vi = integrate.quad(integrand, -34.0, hi, args=("im",), limit=800,
-                        epsabs=1e-13, epsrel=1e-13)[0]
-    rebuilt = p.sigma_trap * complex(vr, vi) + 1.0
-    source, clock = p.waiting.memory(p.sigma_trap, [s])
-    assert abs(source[0] - rebuilt) / abs(rebuilt) < 1e-12
-    assert abs(clock[0] - rebuilt * s) / abs(rebuilt * s) < 1e-12
 
 
 # ---------------------------------------------------------------- eigenvalues
@@ -290,9 +238,8 @@ def test_density_mass_identity_at_speed_two():
     """At speed c the transform is u_1(x/c)/c: its x-integral, taken here
     by adaptive quadrature of the production transform, is still the
     mass M(s) of the governing equation."""
-    w = WaitingTimeModel(alpha=0.5, gamma=0.1)
-    p = TransportParams(sigma_a=1e-9, sigma_s=1.0, sigma_trap=0.1,
-                        waiting=w, speed=2.0)
+    p = dataclasses.replace(SCENARIOS[0], speed=2.0)  # fig1a's medium
+    w = p.waiting
     q8 = gauss_legendre(8)
     for s in (0.04 + 0.5j, 0.3 + 2.0j):
         def part(x, name):
@@ -488,19 +435,11 @@ OTHER_GRIDS = pytest.mark.parametrize("xs", [
 @OTHER_GRIDS
 def test_density_transform_rejects_other_grids(xs):
     """The running products need an increasing, evenly spaced grid;
-    `mode_sum` refuses any other."""
-    rate, coef = table_modes("RTE", SCENARIOS[0], [0.1 + 0.2j])
-    with pytest.raises(ValueError, match="grid"):
-        mode_sum(xs, rate, coef)
-
-
-@OTHER_GRIDS
-def test_fde_transform_rejects_other_grids(xs):
-    """The FDE transform runs through the same `mode_sum` and the same
-    grid check."""
-    rate, coef = table_modes("FDE", SCENARIOS[0], [0.1 + 0.2j])
-    with pytest.raises(ValueError, match="grid"):
-        mode_sum(xs, rate, coef)
+    `mode_sum` refuses any other, under RTE's modes and FDE's alike."""
+    for solver in ("RTE", "FDE"):
+        rate, coef = table_modes(solver, SCENARIOS[0], [0.1 + 0.2j])
+        with pytest.raises(ValueError, match="grid"):
+            mode_sum(xs, rate, coef)
 
 
 @pytest.mark.parametrize("solver", ("RTE", "FDE"))
@@ -833,7 +772,7 @@ def test_warm_starts_bound_the_root_updates(monkeypatch):
     assert len(updates) <= 69
 
 
-def test_secant_starts_bound_the_panel_root_updates(monkeypatch):
+def test_hermite_starts_bound_the_panel_root_updates(monkeypatch):
     """The six built-in panels, one stack of distinct points per
     scenario as `run_scenario` solves them, 339 points of 408 nodes,
     take <= 20,000 root updates (19,271 measured, 21,177 for the
@@ -1221,6 +1160,37 @@ def test_secular_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(transport, "_MAX_ITER", 1)
     with pytest.raises(NumericFailureError, match="not converged"):
         trapped_spectra(sc.transport, Q30, s_nodes)
+
+
+def test_non_finite_secular_roots_raise(monkeypatch):
+    """A sweep whose steps turn a root non-finite is an error naming the
+    point, not a spectrum of nan eigenvalues."""
+    def nan_steps(loss, rho, d, w, z, jn, kn):
+        return np.full(jn.shape, complex(math.nan)), np.zeros(jn.shape, bool)
+
+    monkeypatch.setattr(transport, "_aberth_steps", nan_steps)
+    with pytest.raises(NumericFailureError,
+                       match="^secular root iteration produced non-finite "
+                             "values") as exc:
+        spectra(SCENARIOS[0], Q30, [0.1 + 0.2j, 0.1 + 0.3j])
+    assert exc.value.context == {"node": 0}
+
+
+def test_vanishing_mode_normalization_raises(monkeypatch):
+    """No input is known whose normalization, rho^2 sqrt(z) times the
+    slope sum, falls below 1e-300; with the certificate's slope sums
+    scaled by 1e-300, the spectrum is refused and the point named."""
+    real = transport._secular_sums
+
+    def small_slopes(loss, rho, d, w, z):
+        inv_pole, square, f, slope = real(loss, rho, d, w, z)
+        return inv_pole, square, f, slope * (1e-300 if z.ndim == 2 else 1.0)
+
+    monkeypatch.setattr(transport, "_secular_sums", small_slopes)
+    with pytest.raises(NumericFailureError,
+                       match="^vanishing mode normalization") as exc:
+        spectra(SCENARIOS[0], Q30, [0.1 + 0.2j, 0.1 + 0.3j])
+    assert exc.value.context == {"node": 0}
 
 
 def test_ray_collision_raises(monkeypatch):

@@ -131,6 +131,49 @@ def test_laplace_survival_rejects_branch_cut():
         PARETO.laplace_survival(0.0)
 
 
+# ------------------------------------------------------- the exact memory
+
+def test_exact_memory_trap_free():
+    """Without trapping the exact memory is S = 1 and p = s exactly, so
+    the kernel's sigma_t is sigma_a + sigma_s + s."""
+    s = 0.3 + 0.9j
+    source, clock = PARETO.memory(0.0, [s])
+    assert source[0] == 1.0 and clock[0] == s
+
+
+def test_exact_memory_small_s_limit():
+    # p = s + sigma_trap s (LPhi)(s), and s (LPhi)(s) ~
+    # Gamma(1-alpha)(gamma s)^alpha vanishes with s
+    p = builtin_scenarios()["fig1a"].transport
+    _, clock = p.waiting.memory(p.sigma_trap, [1e-10 + 0j])
+    assert abs(clock[0]) < 1e-5
+
+
+def test_exact_memory_composition_against_quadrature():
+    """Rebuild the exact memory's S and p from a quadrature of the
+    survival transform."""
+    p = builtin_scenarios()["fig1a"].transport
+    s = 0.04 + 1.0j
+
+    def integrand(u, part):
+        tau = math.exp(u)
+        survival = (1.0 + tau / p.waiting.gamma) ** -p.waiting.alpha  # Pareto
+        damped = survival * math.exp(-s.real * tau) * tau
+        if part == "re":
+            return damped * math.cos(s.imag * tau)
+        return -damped * math.sin(s.imag * tau)
+
+    hi = math.log(60.0 / s.real)
+    vr = integrate.quad(integrand, -34.0, hi, args=("re",), limit=800,
+                        epsabs=1e-13, epsrel=1e-13)[0]
+    vi = integrate.quad(integrand, -34.0, hi, args=("im",), limit=800,
+                        epsabs=1e-13, epsrel=1e-13)[0]
+    rebuilt = p.sigma_trap * complex(vr, vi) + 1.0
+    source, clock = p.waiting.memory(p.sigma_trap, [s])
+    assert abs(source[0] - rebuilt) / abs(rebuilt) < 1e-12
+    assert abs(clock[0] - rebuilt * s) / abs(rebuilt * s) < 1e-12
+
+
 # --------------------------------------------------------- memory of a stack
 
 LATE_TIMES = (10.0, 20.0, 30.0, 50.0, 70.0, 100.0, 150.0, 200.0)
