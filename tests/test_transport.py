@@ -435,11 +435,19 @@ OTHER_GRIDS = pytest.mark.parametrize("xs", [
 @OTHER_GRIDS
 def test_density_transform_rejects_other_grids(xs):
     """The running products need an increasing, evenly spaced grid;
-    `mode_sum` refuses any other, under RTE's modes and FDE's alike."""
-    for solver in ("RTE", "FDE"):
-        rate, coef = table_modes(solver, SCENARIOS[0], [0.1 + 0.2j])
-        with pytest.raises(ValueError, match="grid"):
-            mode_sum(xs, rate, coef)
+    `mode_sum` refuses any other."""
+    rate, coef = table_modes("RTE", SCENARIOS[0], [0.1 + 0.2j])
+    with pytest.raises(ValueError, match="grid"):
+        mode_sum(xs, rate, coef)
+
+
+@OTHER_GRIDS
+def test_fde_transform_rejects_other_grids(xs):
+    """The FDE transform runs through the same `mode_sum` and the same
+    grid check."""
+    rate, coef = table_modes("FDE", SCENARIOS[0], [0.1 + 0.2j])
+    with pytest.raises(ValueError, match="grid"):
+        mode_sum(xs, rate, coef)
 
 
 @pytest.mark.parametrize("solver", ("RTE", "FDE"))
