@@ -20,12 +20,16 @@ above, an unreadable input or unwritable output), 2 numeric failure
 inside a solver (a ValueError raised once the scenario is built counts
 as one; the message names the solver and time it happened at), 3
 validation failures.
+
+The parser is built on first use and shared by every `main` call in the
+process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -165,6 +169,7 @@ def _cmd_scenarios(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trapdiff",

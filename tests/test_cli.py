@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import argparse
 import configparser
 import json
 import math
@@ -167,6 +168,42 @@ def test_compare_adds_difference_columns(tmp_path):
         assert float(cols[6]) == pytest.approx(u_r - u_d, rel=1e-6, abs=1e-15)
         assert float(cols[7]) == pytest.approx(abs(u_r - u_d) / abs(u_d),
                                                rel=1e-6, abs=1e-15)
+
+
+def test_calls_share_one_parser_and_no_state(tmp_path, monkeypatch):
+    """After a first call, `main` constructs no parser; a plotted profile,
+    a refusal, a usage error and a compare leave nothing behind: the
+    plain profile that follows writes no plot script and no difference
+    columns."""
+    assert cli.main(["scenarios"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    small = ["--scenario", "fig1a", "--times", "10", "--x-count", "3"]
+    plot, first, compared, last = (tmp_path / name for name in
+                                   ("p.gp", "p.csv", "c.csv", "q.csv"))
+    assert cli.main(["profile", *small, "--solvers", "NORMAL",
+                     "--out", str(first), "--plot", str(plot), "--logy"]) == 0
+    assert "set logscale y" in plot.read_text()
+    plot.unlink()
+    assert cli.main(["profile", "--scenario", "fig9z",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    assert cli.main(["profile", "--scenario", "fig1a"]) == 1
+    assert cli.main(["compare", *small, "--out", str(compared)]) == 0
+    assert cli.main(["profile", *small, "--solvers", "NORMAL",
+                     "--out", str(last)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.csv", "p.csv", "q.csv"]
+    header = {p.name: p.read_text().splitlines()[0]
+              for p in (first, compared, last)}
+    assert [name for name, line in header.items()
+            if line.endswith(",diff_rte_de,reldiff_rte_de")] == ["c.csv"]
+    assert built == []
 
 
 GENERAL_ALPHA_CONFIG = """

@@ -1111,7 +1111,7 @@ def solve_order_spacing(p, s_nodes):
     return gaps, gaps[1:][before] / gaps[:-1][before]
 
 
-def test_secant_starts_cost_no_accuracy():
+def test_hermite_starts_cost_no_accuracy():
     """fig1a's t = 10 contour with every node repeated (rho_1 = rho_0
     exactly, where the Hermite cubic falls back to the Taylor step), the
     interleaved left tails of t = 10 and t = 100, and the contours of
@@ -1146,10 +1146,11 @@ def test_secant_starts_cost_no_accuracy():
     assert matched_rel(nus, alone) <= 1e-13
 
 
-def test_secant_starts_across_contour_shifts():
+def test_hermite_starts_across_contour_shifts():
     """The t = 10 and t = 1e4 contours of fig1a (Re s = 0.04 and 8e-4)
-    as one stack, whose secants cross from one shift to the other, match
-    the full eigenproblem to 1e-10 relative (7.5e-13 measured)."""
+    as one stack, whose Hermite and Taylor starts cross from one shift to
+    the other, match the full eigenproblem to 1e-10 relative (7.5e-13
+    measured)."""
     sc = builtin_scenarios()["fig1a"]
     s_nodes = np.concatenate([contour(t)[0]
                               for t in (10.0, 1e4)])
